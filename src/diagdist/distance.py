@@ -13,11 +13,12 @@ the solution set of ``Lambda k = cr - cs``.
 
 Because of the identity block, the kernel is parameterized in closed form by
 the x-half alone: k = (-Gamma x | x).  The search therefore enumerates all
-p**n choices of x instead of spanning a 2n-column basis.  For p = 2 the
-enumeration walks x in Gray-code order, keeping Gamma x up to date with one
-column XOR per step; for p >= 3 a mixed-radix odometer (digit 1 fastest)
-does the same with column-update deltas and an incrementally maintained
-weight.  Reported witnesses are the first minimizer in that fixed order, so
+p**n choices of x instead of spanning a 2n-column basis: in Gray-code order
+for p = 2, in odometer order (digit 1 fastest) for p >= 3.  The m low digits
+of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
+per search; the high digits step through one block of p**m candidates at a
+time, and a few numpy operations weigh the whole block.  Reported witnesses
+are the first minimizer in that fixed order, re-checked against Lambda, so
 equal inputs always produce identical reports.
 """
 
@@ -33,6 +34,7 @@ from .graphs import Multigraph, adjacency_matrix
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 DEFAULT_MAX_VERTICES = {2: 24}  # any other prime: 12
 DEFAULT_MAX_VERTICES_ODD = 12
+_BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
 
 
 class SearchTooLarge(Exception):
@@ -73,7 +75,9 @@ class SymplecticVector:
 
     @classmethod
     def from_parts(cls, z, x) -> "SymplecticVector":
-        return cls(tuple(int(v) for v in z) + tuple(int(v) for v in x))
+        # one list, not tuple(genexpr): those grow by resizing, and the
+        # discarded size-n tuples pile up in the interpreter's free lists
+        return cls(tuple([int(v) for v in z] + [int(v) for v in x]))
 
     @property
     def n(self) -> int:
@@ -142,6 +146,8 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
 
 
 def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
+    if p == 2 and n >= 64:
+        raise SearchTooLarge(f"n = {n} exceeds the 63 vertices that uint64 bitmasks hold at p = 2")
     if cfg.force:
         return
     cap = cfg.vertex_cap(p)
@@ -156,111 +162,103 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
         )
 
 
-def _search_gf2(col_masks: list[int], n: int, d_mask: int, skip_zero: bool):
-    """Minimum chi-weight over { (d - Gamma x | x) : x in GF(2)^n }.
+def _gray_blocks(gamma: np.ndarray, n: int, d, m: int):
+    """Chi-weights of (d - Gamma x | x) for x = gray(t), t = 0, 1, .., 2**n - 1.
 
-    x walks in Gray-code order; z = d - Gamma x is kept as a bitmask with one
-    column XOR per step, and the weight is popcount(z | x).  When skip_zero
-    is set (kernel search, d = 0) the x = 0 candidate is not evaluated.
-    Returns (weight, z_mask, x_mask, examined).
+    Yields one uint8 array per block of 2**m consecutive t; the array is
+    reused, so it is valid until the next block.  z and x are bitmasks.  With
+    t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit m - 1
+    flipped when h is odd, and the high bits are gray(h).  The low bits' part
+    of z is tabulated once per parity of h; the high part moves by one column
+    XOR per block.  The weight is popcount(z | x).
     """
-    z = d_mask
-    x = 0
-    best_w = n + 1
-    best_z = best_x = 0
-    examined = 0
-    if not skip_zero:
-        examined = 1
-        w = (z | x).bit_count()
-        if w:  # w == 0 only for d == 0, which skip_zero excludes
-            best_w, best_z, best_x = w, z, x
-            if w == 1:
-                return best_w, best_z, best_x, examined
-    for t in range(1, 1 << n):
-        i = (t & -t).bit_length() - 1  # Gray code: flip the t-th lowest bit
-        x ^= 1 << i
-        z ^= col_masks[i]
-        examined += 1
-        w = (z | x).bit_count()
-        if w < best_w:
-            best_w, best_z, best_x = w, z, x
-            if w == 1:
-                break
-    return best_w, best_z, best_x, examined
+    cols = [sum(1 << j for j, v in enumerate(col) if v) for col in gamma.T.tolist()]
+    size = 1 << m
+    xl0 = np.zeros(size, dtype=np.uint64)  # gray(lo), lo = 0 .. 2**m - 1
+    zl0 = np.zeros(size, dtype=np.uint64)  # Gamma gray(lo)
+    for i in range(m):  # gray codes of i + 1 bits: those of i bits, then reversed with bit i set
+        np.bitwise_or(xl0[: 1 << i][::-1], np.uint64(1 << i), out=xl0[1 << i : 2 << i])
+        np.bitwise_xor(zl0[: 1 << i][::-1], np.uint64(cols[i]), out=zl0[1 << i : 2 << i])
+    xl = (xl0, xl0 ^ np.uint64(1 << (m - 1)))
+    zl = (zl0, zl0 ^ np.uint64(cols[m - 1]))
+    buf = np.empty(size, dtype=np.uint64)
+    w = np.empty(size, dtype=np.uint8)
+    zh = sum(1 << j for j, v in enumerate(d.tolist()) if v)
+    xh = 0
+    for h in range(1 << (n - m)):
+        if h:
+            i = m + (h & -h).bit_length() - 1  # gray(h) flips bit i - m
+            zh ^= cols[i]
+            xh ^= 1 << i
+        np.bitwise_xor(zl[h & 1], np.uint64(zh), out=buf)
+        np.bitwise_or(buf, xl[h & 1], out=buf)
+        np.bitwise_or(buf, np.uint64(xh), out=buf)
+        np.bitwise_count(buf, out=w)
+        yield w
 
 
-def _search_odometer(gamma: np.ndarray, n: int, p: int, d, skip_zero: bool):
-    """Odd-prime analogue of _search_gf2, x counting in mixed radix base p.
+def _odometer_blocks(gamma: np.ndarray, n: int, p: int, d, m: int):
+    """Chi-weights of (d - Gamma x | x) for x = t in base p, digit 1 fastest.
 
-    Digit 1 is the fastest.  Every digit increment is +1 mod p, so z is
-    updated by subtracting the corresponding Gamma column; the chi-weight is
-    maintained through per-vertex occupancy flags rather than recomputed.
-    Returns (weight, z_tuple, x_tuple, examined).
+    Yields one array per block of p**m consecutive t, reused like
+    _gray_blocks.  Column lo of the table holds (-Gamma x_lo) mod p for the
+    low m digits, and a block's target holds (Gamma x_hi - d) mod p for the
+    high ones; each holds p instead where its own digit x_j is nonzero, which
+    is never at the same j in both.  Vertex j counts exactly where the two
+    differ, so no add or mod runs per candidate.
     """
-    col_support = [
-        [(j, int(gamma[j, i])) for j in range(n) if gamma[j, i]] for i in range(n)
-    ]
-    x = [0] * n
-    z = [int(v) % p for v in d]
-    occ = [z[j] != 0 for j in range(n)]
-    weight = sum(occ)
-    best_w = n + 1
-    best: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    examined = 0
-    if not skip_zero:
-        examined = 1
-        if weight:
-            best_w = weight
-            best = (tuple(z), tuple(x))
-            if weight == 1:
-                return best_w, best[0], best[1], examined
-    for _ in range(p**n - 1):
-        i = 0
-        while True:  # advance the odometer; wraps carry into the next digit
-            xi = x[i] + 1
-            wrapped = xi == p
-            x[i] = 0 if wrapped else xi
-            now = x[i] != 0 or z[i] != 0
-            if now != occ[i]:
-                occ[i] = now
-                weight += 1 if now else -1
-            for j, gj in col_support[i]:  # x_i grew by 1 mod p, so z -= col_i
-                zj = z[j] - gj
-                if zj < 0:
-                    zj += p
-                z[j] = zj
-                now = zj != 0 or x[j] != 0
-                if now != occ[j]:
-                    occ[j] = now
-                    weight += 1 if now else -1
-            if wrapped:
+    dt = np.min_scalar_type(2 * p)  # holds the sum of two residues
+    tab = np.zeros((n, 1), dtype=dt)
+    for j in range(m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
+        steps = ((np.arange(p) * -gamma[:, j : j + 1]) % p).astype(dt)
+        tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
+    for j in range(m):
+        tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
+    xh = np.zeros(n - m, dtype=np.int64)
+    neq = np.empty(tab.shape, dtype=bool)
+    w = np.empty(tab.shape[1], dtype=np.min_scalar_type(n + 1))
+    for h in range(p ** (n - m)):
+        if h:
+            i = 0
+            while xh[i] == p - 1:  # advance the high digits' odometer
+                xh[i] = 0
                 i += 1
-            else:
-                break
-        examined += 1
-        if weight and weight < best_w:
-            best_w = weight
-            best = (tuple(z), tuple(x))
-            if weight == 1:
-                break
-    return best_w, best[0], best[1], examined
+            xh[i] += 1
+        target = (gamma[:, m:] @ xh - d) % p
+        target[m:][xh != 0] = p
+        np.not_equal(tab, target.astype(dt)[:, None], out=neq)
+        np.add.reduce(neq, axis=0, dtype=w.dtype, out=w)
+        yield w
 
 
 def _min_weight_search(gamma: np.ndarray, n: int, f: PrimeField, d: np.ndarray) -> DistanceReport:
+    """First minimum chi-weight over (d - Gamma x | x), stopping at weight 1.
+
+    When d = 0 the k = 0 candidate (weight 0) is not examined.
+    """
     p = f.p
-    skip_zero = not d.any()  # the k = 0 candidate has weight 0 and is excluded
-    if p == 2:
-        col_masks = [int(sum(1 << j for j in range(n) if gamma[j, i])) for i in range(n)]
-        d_mask = int(sum(1 << j for j in range(n) if d[j]))
-        w, z_mask, x_mask, examined = _search_gf2(col_masks, n, d_mask, skip_zero)
-        z = [(z_mask >> j) & 1 for j in range(n)]
-        x = [(x_mask >> j) & 1 for j in range(n)]
-    else:
-        w, z, x, examined = _search_odometer(gamma, n, p, d, skip_zero)
-    witness = SymplecticVector.from_parts(z, x)
+    m = 1  # low digits per block
+    while m < n and p ** (m + 1) <= _BLOCK:
+        m += 1
+    blocks = _gray_blocks(gamma, n, d, m) if p == 2 else _odometer_blocks(gamma, n, p, d, m)
+    skip_zero = not d.any()
+    best_w, best_t = n + 1, 0
+    for h, w in enumerate(blocks):
+        if h == 0 and skip_zero:
+            w[0] = n + 1
+        i = int(w.argmin())
+        if w[i] < best_w:
+            best_w, best_t = int(w[i]), h * p**m + i
+            if best_w == 1:
+                break
+    examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
+    xi = best_t ^ (best_t >> 1) if p == 2 else best_t
+    x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
+    witness = SymplecticVector.from_parts((d - gamma @ x) % p, x)
     lam = build_lambda(gamma)
-    assert ((lam @ witness.as_array() - d) % p == 0).all(), "witness failed re-verification"
-    return DistanceReport(distance=w, witness=witness, vectors_examined=examined)
+    if ((lam @ witness.as_array() - d) % p).any() or chi_weight(witness, f) != best_w:
+        raise RuntimeError("witness failed re-verification")
+    return DistanceReport(distance=best_w, witness=witness, vectors_examined=examined)
 
 
 def diagonal_distance(

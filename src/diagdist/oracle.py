@@ -123,7 +123,8 @@ def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int
         if 0 < eta < best_eta:
             best_eta = eta
             best = w
-    assert best is not None, "translations by single Z factors always reach the target"
+    if best is None:
+        raise RuntimeError("no word reached the target, yet single Z factors reach every translation")
     return DistanceReport(distance=best_eta, witness=best.to_vector(), vectors_examined=examined)
 
 
