@@ -16,10 +16,11 @@ the x-half alone: k = (-Gamma x | x).  The search therefore enumerates all
 p**n choices of x instead of spanning a 2n-column basis: in Gray-code order
 for p = 2, in odometer order (digit 1 fastest) for p >= 3.  The m low digits
 of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
-per search; the high digits step through one block of p**m candidates at a
-time, and a few numpy operations weigh the whole block.  Reported witnesses
-are the first minimizer in that fixed order, re-checked against Lambda, so
-equal inputs always produce identical reports.
+per graph and shared, with Lambda, by every difference a call searches; the
+high digits step through one block of p**m candidates at a time, and a few
+numpy operations weigh the whole block.  Reported witnesses are the first
+minimizer in that fixed order, re-checked against Lambda, so equal inputs
+always produce identical reports.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .gfp import PrimeField
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
-DEFAULT_MAX_VERTICES = {2: 24}  # any other prime: 12
-DEFAULT_MAX_VERTICES_ODD = 12
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
 
 
@@ -58,9 +57,7 @@ class SearchConfig:
             raise ValueError("max_vertices must be >= 1")
 
     def vertex_cap(self, p: int) -> int:
-        if self.max_vertices is not None:
-            return self.max_vertices
-        return DEFAULT_MAX_VERTICES.get(p, DEFAULT_MAX_VERTICES_ODD)
+        return self.max_vertices if self.max_vertices is not None else 24 if p == 2 else 12
 
 
 @dataclass(frozen=True)
@@ -162,15 +159,11 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
         )
 
 
-def _gray_blocks(gamma: np.ndarray, n: int, d, m: int):
-    """Chi-weights of (d - Gamma x | x) for x = gray(t), t = 0, 1, .., 2**n - 1.
+def _gray_table(gamma: np.ndarray, m: int):
+    """Gamma's columns as bitmasks, and gray(lo) with its part of z per parity of h.
 
-    Yields one uint8 array per block of 2**m consecutive t; the array is
-    reused, so it is valid until the next block.  z and x are bitmasks.  With
-    t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit m - 1
-    flipped when h is odd, and the high bits are gray(h).  The low bits' part
-    of z is tabulated once per parity of h; the high part moves by one column
-    XOR per block.  The weight is popcount(z | x).
+    With t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit
+    m - 1 flipped when h is odd, and the high bits are gray(h).
     """
     cols = [sum(1 << j for j, v in enumerate(col) if v) for col in gamma.T.tolist()]
     size = 1 << m
@@ -179,10 +172,20 @@ def _gray_blocks(gamma: np.ndarray, n: int, d, m: int):
     for i in range(m):  # gray codes of i + 1 bits: those of i bits, then reversed with bit i set
         np.bitwise_or(xl0[: 1 << i][::-1], np.uint64(1 << i), out=xl0[1 << i : 2 << i])
         np.bitwise_xor(zl0[: 1 << i][::-1], np.uint64(cols[i]), out=zl0[1 << i : 2 << i])
-    xl = (xl0, xl0 ^ np.uint64(1 << (m - 1)))
-    zl = (zl0, zl0 ^ np.uint64(cols[m - 1]))
-    buf = np.empty(size, dtype=np.uint64)
-    w = np.empty(size, dtype=np.uint8)
+    return cols, (xl0, xl0 ^ np.uint64(1 << (m - 1))), (zl0, zl0 ^ np.uint64(cols[m - 1]))
+
+
+def _gray_blocks(table, n: int, d, m: int):
+    """Chi-weights of (d - Gamma x | x) for x = gray(t), t = 0, 1, .., 2**n - 1.
+
+    Yields one uint8 array per block of 2**m consecutive t; the array is
+    reused, so it is valid until the next block.  z and x are bitmasks; the
+    low bits come from _gray_table, the high part moves by one column XOR
+    per block.  The weight is popcount(z | x).
+    """
+    cols, xl, zl = table
+    buf = np.empty(1 << m, dtype=np.uint64)
+    w = np.empty(1 << m, dtype=np.uint8)
     zh = sum(1 << j for j, v in enumerate(d.tolist()) if v)
     xh = 0
     for h in range(1 << (n - m)):
@@ -197,16 +200,8 @@ def _gray_blocks(gamma: np.ndarray, n: int, d, m: int):
         yield w
 
 
-def _odometer_blocks(gamma: np.ndarray, n: int, p: int, d, m: int):
-    """Chi-weights of (d - Gamma x | x) for x = t in base p, digit 1 fastest.
-
-    Yields one array per block of p**m consecutive t, reused like
-    _gray_blocks.  Column lo of the table holds (-Gamma x_lo) mod p for the
-    low m digits, and a block's target holds (Gamma x_hi - d) mod p for the
-    high ones; each holds p instead where its own digit x_j is nonzero, which
-    is never at the same j in both.  Vertex j counts exactly where the two
-    differ, so no add or mod runs per candidate.
-    """
+def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
+    """Column lo holds (-Gamma x_lo) mod p for the low m digits, p where x_j != 0."""
     dt = np.min_scalar_type(2 * p)  # holds the sum of two residues
     tab = np.zeros((n, 1), dtype=dt)
     for j in range(m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
@@ -214,6 +209,18 @@ def _odometer_blocks(gamma: np.ndarray, n: int, p: int, d, m: int):
         tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
     for j in range(m):
         tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
+    return tab
+
+
+def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: int):
+    """Chi-weights of (d - Gamma x | x) for x = t in base p, digit 1 fastest.
+
+    Yields one array per block of p**m consecutive t, reused like
+    _gray_blocks.  A block's target holds (Gamma x_hi - d) mod p for the
+    high digits, and p where its own digit x_j is nonzero; tab (from
+    _odometer_table) never holds p at the same j.  Vertex j counts exactly
+    where the two differ, so no add or mod runs per candidate.
+    """
     xh = np.zeros(n - m, dtype=np.int64)
     neq = np.empty(tab.shape, dtype=bool)
     w = np.empty(tab.shape[1], dtype=np.min_scalar_type(n + 1))
@@ -226,39 +233,48 @@ def _odometer_blocks(gamma: np.ndarray, n: int, p: int, d, m: int):
             xh[i] += 1
         target = (gamma[:, m:] @ xh - d) % p
         target[m:][xh != 0] = p
-        np.not_equal(tab, target.astype(dt)[:, None], out=neq)
+        np.not_equal(tab, target.astype(tab.dtype)[:, None], out=neq)
         np.add.reduce(neq, axis=0, dtype=w.dtype, out=w)
         yield w
 
 
-def _min_weight_search(gamma: np.ndarray, n: int, f: PrimeField, d: np.ndarray) -> DistanceReport:
-    """First minimum chi-weight over (d - Gamma x | x), stopping at weight 1.
+def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
+    """Check the budget and build Gamma, Lambda and the low-digit table once.
 
-    When d = 0 the k = 0 candidate (weight 0) is not examined.
+    Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
+    for one difference d (reduced mod p), stopping at weight 1; when d = 0
+    the k = 0 candidate (weight 0) is not examined.
     """
-    p = f.p
+    n, p = g.n, f.p
+    _check_budget(n, p, cfg)
+    gamma = adjacency_matrix(g, f)
+    lam = build_lambda(gamma)
     m = 1  # low digits per block
     while m < n and p ** (m + 1) <= _BLOCK:
         m += 1
-    blocks = _gray_blocks(gamma, n, d, m) if p == 2 else _odometer_blocks(gamma, n, p, d, m)
-    skip_zero = not d.any()
-    best_w, best_t = n + 1, 0
-    for h, w in enumerate(blocks):
-        if h == 0 and skip_zero:
-            w[0] = n + 1
-        i = int(w.argmin())
-        if w[i] < best_w:
-            best_w, best_t = int(w[i]), h * p**m + i
-            if best_w == 1:
-                break
-    examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
-    xi = best_t ^ (best_t >> 1) if p == 2 else best_t
-    x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
-    witness = SymplecticVector.from_parts((d - gamma @ x) % p, x)
-    lam = build_lambda(gamma)
-    if ((lam @ witness.as_array() - d) % p).any() or chi_weight(witness, f) != best_w:
-        raise RuntimeError("witness failed re-verification")
-    return DistanceReport(distance=best_w, witness=witness, vectors_examined=examined)
+    table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
+
+    def search(d: np.ndarray) -> DistanceReport:
+        blocks = _gray_blocks(table, n, d, m) if p == 2 else _odometer_blocks(gamma, table, n, p, d, m)
+        skip_zero = not d.any()
+        best_w, best_t = n + 1, 0
+        for h, w in enumerate(blocks):
+            if h == 0 and skip_zero:
+                w[0] = n + 1
+            i = int(w.argmin())
+            if w[i] < best_w:
+                best_w, best_t = int(w[i]), h * p**m + i
+                if best_w == 1:
+                    break
+        examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
+        xi = best_t ^ (best_t >> 1) if p == 2 else best_t
+        x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
+        witness = SymplecticVector.from_parts((d - gamma @ x) % p, x)
+        if ((lam @ witness.as_array() - d) % p).any() or chi_weight(witness, f) != best_w:
+            raise RuntimeError("witness failed re-verification")
+        return DistanceReport(distance=best_w, witness=witness, vectors_examined=examined)
+
+    return search
 
 
 def diagonal_distance(
@@ -269,9 +285,7 @@ def diagonal_distance(
     Enumerates all p**n - 1 nonzero kernel points; raises SearchTooLarge when
     that exceeds the configured budget and cfg.force is unset.
     """
-    _check_budget(g.n, f.p, cfg)
-    gamma = adjacency_matrix(g, f)
-    return _min_weight_search(gamma, g.n, f, np.zeros(g.n, dtype=np.int64))
+    return _searcher(g, f, cfg)(np.zeros(g.n, dtype=np.int64))
 
 
 def pairwise_distance(
@@ -290,10 +304,7 @@ def pairwise_distance(
     cs = np.asarray(cs, dtype=np.int64)
     if cr.shape != (g.n,) or cs.shape != (g.n,):
         raise ValueError(f"labellings must have length {g.n}")
-    _check_budget(g.n, f.p, cfg)
-    gamma = adjacency_matrix(g, f)
-    d = (cr - cs) % f.p
-    return _min_weight_search(gamma, g.n, f, d)
+    return _searcher(g, f, cfg)((cr - cs) % f.p)
 
 
 def code_distance(
@@ -305,19 +316,24 @@ def code_distance(
     """Distance of the code given by a list of codeword labellings.
 
     delta = min over all pairs r <= s (1-based) of the pairwise distance,
-    diagonal pairs included; all (r, r) entries equal diagonal_distance, so
-    it is evaluated once and shared.  The reported pair is the first
-    minimizer in lexicographic scan order.
+    diagonal pairs included.  Each distinct difference cr - cs mod p is
+    searched once, d = 0 giving every (r, r) entry.  The reported pair is
+    the first minimizer in lexicographic scan order.
     """
-    k = len(codewords)
-    if k < 1:
+    if len(codewords) < 1:
         raise ValueError("need at least one codeword")
-    diag = diagonal_distance(g, f, cfg)
+    words = [np.asarray(c, dtype=np.int64) for c in codewords]
+    if any(c.shape != (g.n,) for c in words):
+        raise ValueError(f"labellings must have length {g.n}")
+    search = _searcher(g, f, cfg)
+    reports: dict[bytes, DistanceReport] = {}  # by the bytes of d
     table: dict[tuple[int, int], DistanceReport] = {}
-    for r in range(1, k + 1):
-        table[(r, r)] = diag
-        for s in range(r + 1, k + 1):
-            table[(r, s)] = pairwise_distance(g, f, codewords[r - 1], codewords[s - 1], cfg)
+    for r, cr in enumerate(words, start=1):
+        for s, cs in enumerate(words[r - 1 :], start=r):
+            d = (cr - cs) % f.p
+            if (key := d.tobytes()) not in reports:
+                reports[key] = search(d)
+            table[(r, s)] = reports[key]
     best_pair = (1, 1)
     for pair, rep in table.items():  # insertion order is the scan order
         if rep.distance < table[best_pair].distance:

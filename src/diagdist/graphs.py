@@ -9,9 +9,10 @@ Graph file format (UTF-8, line oriented):
     e 1 2 3      edge with explicit multiplicity; repeated lines accumulate
 
 Vertices are numbered 1..n in files and in all reports, 0..n-1 internally.
-Self-loops are rejected.  Multiplicities are stored unreduced so the same
-multigraph can be analyzed under several primes; reduction happens only in
-adjacency_matrix.
+Self-loops are rejected.  Multiplicities are stored unreduced, as int64, so
+the same multigraph can be analyzed under several primes; reduction happens
+only in adjacency_matrix.  A token or an accumulated multiplicity that int64
+cannot hold is a ParseError, never a wrapped value.
 
 Codeword file format: one labelling per non-comment line, n space-separated
 integers (reduced mod p on parse).
@@ -26,6 +27,7 @@ import numpy as np
 from .gfp import PrimeField, is_prime
 
 FAMILIES = ("cycle", "path", "complete", "edgeless")
+INT64_MAX = (1 << 63) - 1  # multiplicities are stored as int64
 
 
 class ParseError(ValueError):
@@ -152,6 +154,8 @@ def parse_graph(text: str) -> tuple[Multigraph, int | None]:
                 raise ParseError(f"self-loop at vertex {u} is not allowed", lineno)
             if m < 0:
                 raise ParseError(f"negative multiplicity {m}", lineno)
+            if m > INT64_MAX - int(mult[u - 1, v - 1]):
+                raise ParseError(f"multiplicity of edge {u}-{v} exceeds 2**63 - 1", lineno)
             mult[u - 1, v - 1] += m
             mult[v - 1, u - 1] += m
             seen_edge = True
@@ -166,9 +170,12 @@ def _int_token(parts: list[str], idx: int, expected_len: int, what: str, lineno:
     if len(parts) != expected_len:
         raise ParseError(f"{what} must have {expected_len - 1} value(s)", lineno)
     try:
-        return int(parts[idx])
+        value = int(parts[idx])
     except ValueError:
         raise ParseError(f"{what}: {parts[idx]!r} is not an integer", lineno) from None
+    if value > INT64_MAX:
+        raise ParseError(f"{what}: {parts[idx]} does not fit in a 64-bit integer", lineno)
+    return value
 
 
 def serialize(g: Multigraph, p: int | None = None) -> str:
@@ -200,7 +207,7 @@ def parse_codewords(text: str, n: int, f: PrimeField) -> list[np.ndarray]:
             values = [int(t) for t in parts]
         except ValueError:
             raise ParseError("non-integer token in codeword", lineno) from None
-        out.append(np.array(values, dtype=np.int64) % f.p)
+        out.append(np.array([v % f.p for v in values], dtype=np.int64))
     return out
 
 

@@ -247,3 +247,36 @@ def test_text_and_json_report_same_numbers(capsys, cycle5_file):
     _, payload, _ = run_json(capsys, "distance", cycle5_file)
     assert f"distance = {payload['distance']}" in out
     assert f"vectors examined = {payload['vectors_examined']}" in out
+
+
+def test_accumulated_multiplicity_past_int64_is_parse_error(capsys, tmp_path):
+    # three times 2**63 - 1 is 0 mod 3, so a wrapped sum would give a wrong distance
+    path = tmp_path / "wrap.eg"
+    path.write_text("p 3\nn 2\n" + "e 1 2 9223372036854775807\n" * 3)
+    code, out, err = run(capsys, "distance", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 4" in err
+
+
+def test_oversized_multiplicity_token_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "huge.eg"
+    path.write_text(f"n 3\ne 1 2 {2**63}\ne 2 3\n")
+    code, out, err = run(capsys, "distance", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "line 2" in err
+
+
+def test_oversized_codeword_token_is_reduced(capsys, tmp_path):
+    graph = tmp_path / "path3.eg"
+    graph.write_text("n 3\ne 1 2\ne 2 3\n")
+    small, huge = tmp_path / "small.txt", tmp_path / "huge.txt"
+    small.write_text("1 0 1\n0 0 0\n")
+    huge.write_text("1 0 99999999999999999999\n0 0 0\n")  # 10**20 - 1 is odd
+    code, want, _ = run_json(capsys, "code-distance", str(graph), str(small))
+    assert code == 0
+    code, got, err = run_json(capsys, "code-distance", str(graph), str(huge))
+    assert code == 0, err
+    del got["elapsed_ms"], want["elapsed_ms"]
+    assert got == want

@@ -197,3 +197,19 @@ def test_isolated_vertices_and_vanishing_edges():
     assert vanishing_edges(g, F3) == []
     e = generate("edgeless", 3)
     assert isolated_vertices(e, F2) == [1, 2, 3]
+
+
+def test_parse_codewords_reduces_oversized_tokens():
+    words = parse_codewords(f"1 0 99999999999999999999\n{-2**70} {3**50} 0\n", 3, F3)
+    assert [w.tolist() for w in words] == [[1, 0, 0], [(-2**70) % 3, 0, 0]]
+
+
+def test_parse_graph_rejects_multiplicities_past_int64():
+    with pytest.raises(ParseError) as exc:
+        parse_graph(f"n 2\ne 1 2 {2**63}\n")
+    assert exc.value.lineno == 2
+    with pytest.raises(ParseError) as exc:
+        parse_graph(f"n 2\ne 1 2 {2**62}\ne 2 1 {2**62}\n")
+    assert exc.value.lineno == 3
+    g, _ = parse_graph(f"n 2\ne 1 2 {2**62}\ne 2 1 {2**62 - 1}\n")
+    assert g.mult[0, 1] == 2**63 - 1

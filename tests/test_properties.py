@@ -1,0 +1,63 @@
+"""Properties known from theory, checked on graphs too large for the brute-force oracle.
+
+* The distance is at most 1 + the smallest column support of Gamma mod p:
+  x = e_j gives the kernel vector (-Gamma e_j | e_j), of weight 1 + |supp col j|.
+* At p = 2 the distance is invariant under local complementation, which
+  maps a graph state to an equivalent one (Van den Nest, Dehaene and De Moor,
+  PRA 69 022316, 2004).
+"""
+
+import random
+
+import numpy as np
+
+from diagdist import Multigraph, PrimeField, adjacency_matrix, diagonal_distance
+
+F2 = PrimeField(2)
+
+# largest n per prime, so that p**n stays at or below 2**12 * 3 candidates
+MAX_N = {2: 12, 3: 9, 5: 6}
+
+
+def random_gamma(rng, n, p):
+    gamma = np.zeros((n, n), dtype=np.int64)
+    density = rng.choice((0.2, 0.5, 0.8))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                gamma[u, v] = gamma[v, u] = rng.randrange(1, p)
+    return gamma
+
+
+def local_complement(gamma, v):
+    """Toggle every edge between two neighbours of v (p = 2)."""
+    nb = gamma[:, v].astype(bool)
+    out = gamma.copy()
+    out[np.ix_(nb, nb)] ^= 1
+    np.fill_diagonal(out, 0)
+    return out
+
+
+def test_distance_at_most_one_plus_min_column_support():
+    rng = random.Random(11)
+    checked = 0
+    for p, max_n in MAX_N.items():
+        f = PrimeField(p)
+        for _ in range(50):
+            n = rng.randint(max_n - 4, max_n)
+            g = Multigraph(n, random_gamma(rng, n, p))
+            support = np.count_nonzero(adjacency_matrix(g, f), axis=0).min()
+            assert diagonal_distance(g, f).distance <= 1 + support, (p, n)
+            checked += 1
+    assert checked == 150
+
+
+def test_local_complementation_keeps_the_gf2_distance():
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(8, MAX_N[2])
+        gamma = random_gamma(rng, n, 2)
+        want = diagonal_distance(Multigraph(n, gamma), F2).distance
+        for _ in range(3):
+            gamma = local_complement(gamma, rng.randrange(n))
+            assert diagonal_distance(Multigraph(n, gamma), F2).distance == want, n
