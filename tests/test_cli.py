@@ -280,3 +280,127 @@ def test_oversized_codeword_token_is_reduced(capsys, tmp_path):
     assert code == 0, err
     del got["elapsed_ms"], want["elapsed_ms"]
     assert got == want
+
+
+# Exact transcripts: text stdout, stderr and JSON (key order included, elapsed_ms dropped).
+Q3 = "p 3\nn 4\ne 1 2\ne 2 3 2\ne 1 3 3\n"  # edge 1-3 vanishes mod 3, vertex 4 is isolated
+Q3_ERR = (
+    "warning: edge (1, 3) multiplicity 3 vanishes mod 3\n"
+    "warning: vertex 4 is isolated mod 3 (its X operation is the identity map)\n"
+)
+Q3_WARNINGS = (
+    '["edge (1, 3) multiplicity 3 vanishes mod 3", '
+    '"vertex 4 is isolated mod 3 (its X operation is the identity map)"]'
+)
+TRANSCRIPTS = [
+    (
+        "distance {c5}",
+        "",
+        "p = 2, n = 5\ndistance = 3\nwitness k = [0 1 0 0 1 | 1 0 0 0 0]\n"
+        "witness word = X1 Z2 Z5\nvectors examined = 31\n",
+        '{"command": "distance", "p": 2, "n": 5, "distance": 3, "witness_z": [0, 1, 0, 0, 1], '
+        '"witness_x": [1, 0, 0, 0, 0], "vectors_examined": 31, "warnings": []}',
+    ),
+    (
+        "code-distance {c5} {c5codes}",
+        "",
+        "p = 2, n = 5, codewords = 2\npair table (r, s, distance):\n  1 1 3\n  1 2 1\n  2 2 3\n"
+        "delta = 1 at pair (1, 2)\nwitness k = [1 0 0 0 0 | 0 0 0 0 0]\nwitness word = Z1\n",
+        '{"command": "code-distance", "p": 2, "n": 5, "distance": 1, "pair": [1, 2], '
+        '"witness_z": [1, 0, 0, 0, 0], "witness_x": [0, 0, 0, 0, 0], '
+        '"pairs": [[1, 1, 3], [1, 2, 1], [2, 2, 3]], "warnings": []}',
+    ),
+    (
+        "kernel {c5}",
+        "",
+        "p = 2, n = 5\nLambda = [I | Gamma] (5 x 10):\n"
+        "  [1 0 0 0 0 | 0 1 0 0 1]\n  [0 1 0 0 0 | 1 0 1 0 0]\n  [0 0 1 0 0 | 0 1 0 1 0]\n"
+        "  [0 0 0 1 0 | 0 0 1 0 1]\n  [0 0 0 0 1 | 1 0 0 1 0]\nkernel dimension = 5\nbasis (z | x):\n"
+        "  [0 1 0 0 1 | 1 0 0 0 0]\n  [1 0 1 0 0 | 0 1 0 0 0]\n  [0 1 0 1 0 | 0 0 1 0 0]\n"
+        "  [0 0 1 0 1 | 0 0 0 1 0]\n  [1 0 0 1 0 | 0 0 0 0 1]\n",
+        '{"command": "kernel", "p": 2, "n": 5, "kernel_dim": 5, "lambda": '
+        "[[1, 0, 0, 0, 0, 0, 1, 0, 0, 1], [0, 1, 0, 0, 0, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 1, 0, 1, 0], "
+        '[0, 0, 0, 1, 0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1, 0, 0, 1, 0]], "basis": '
+        "[[0, 1, 0, 0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 1, 0, 0], "
+        '[0, 0, 1, 0, 1, 0, 0, 0, 1, 0], [1, 0, 0, 1, 0, 0, 0, 0, 0, 1]], "warnings": []}',
+    ),
+    (
+        "verify {c5}",
+        "",
+        "p = 2, n = 5\nkernel search: distance = 3, witness = X1 Z2 Z5\n"
+        "brute force:   distance = 3, witness = Z3 X4 Z5\nMATCH (3 = 3)\n",
+        '{"command": "verify", "p": 2, "n": 5, "match": true, "distance": 3, '
+        '"witness_z": [0, 1, 0, 0, 1], "witness_x": [1, 0, 0, 0, 0], "oracle_distance": 3, '
+        '"oracle_witness_z": [0, 0, 1, 0, 1], "oracle_witness_x": [0, 0, 0, 1, 0], "warnings": []}',
+    ),
+    (
+        "distance {q3}",
+        Q3_ERR,
+        "p = 3, n = 4\ndistance = 1\nwitness k = [0 0 0 0 | 0 0 0 1]\nwitness word = X4\n"
+        "vectors examined = 27\n",
+        '{"command": "distance", "p": 3, "n": 4, "distance": 1, "witness_z": [0, 0, 0, 0], '
+        f'"witness_x": [0, 0, 0, 1], "vectors_examined": 27, "warnings": {Q3_WARNINGS}}}',
+    ),
+    (
+        "code-distance {q3} {q3codes}",
+        Q3_ERR,
+        "p = 3, n = 4, codewords = 3\npair table (r, s, distance):\n"
+        "  1 1 1\n  1 2 2\n  1 3 3\n  2 2 1\n  2 3 2\n  3 3 1\n"
+        "delta = 1 at pair (1, 1)\nwitness k = [0 0 0 0 | 0 0 0 1]\nwitness word = X4\n",
+        '{"command": "code-distance", "p": 3, "n": 4, "distance": 1, "pair": [1, 1], '
+        '"witness_z": [0, 0, 0, 0], "witness_x": [0, 0, 0, 1], "pairs": [[1, 1, 1], [1, 2, 2], '
+        f'[1, 3, 3], [2, 2, 1], [2, 3, 2], [3, 3, 1]], "warnings": {Q3_WARNINGS}}}',
+    ),
+    (
+        "kernel {q3}",
+        Q3_ERR,
+        "p = 3, n = 4\nLambda = [I | Gamma] (4 x 8):\n"
+        "  [1 0 0 0 | 0 1 0 0]\n  [0 1 0 0 | 1 0 2 0]\n  [0 0 1 0 | 0 2 0 0]\n  [0 0 0 1 | 0 0 0 0]\n"
+        "kernel dimension = 4\nbasis (z | x):\n"
+        "  [0 2 0 0 | 1 0 0 0]\n  [2 0 1 0 | 0 1 0 0]\n  [0 1 0 0 | 0 0 1 0]\n  [0 0 0 0 | 0 0 0 1]\n",
+        '{"command": "kernel", "p": 3, "n": 4, "kernel_dim": 4, "lambda": [[1, 0, 0, 0, 0, 1, 0, 0], '
+        '[0, 1, 0, 0, 1, 0, 2, 0], [0, 0, 1, 0, 0, 2, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]], "basis": '
+        "[[0, 2, 0, 0, 1, 0, 0, 0], [2, 0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0, 1, 0], "
+        f'[0, 0, 0, 0, 0, 0, 0, 1]], "warnings": {Q3_WARNINGS}}}',
+    ),
+    (
+        "verify {q3}",
+        Q3_ERR,
+        "p = 3, n = 4\nkernel search: distance = 1, witness = X4\n"
+        "brute force:   distance = 1, witness = X4\nMATCH (1 = 1)\n",
+        '{"command": "verify", "p": 3, "n": 4, "match": true, "distance": 1, '
+        '"witness_z": [0, 0, 0, 0], "witness_x": [0, 0, 0, 1], "oracle_distance": 1, '
+        f'"oracle_witness_z": [0, 0, 0, 0], "oracle_witness_x": [0, 0, 0, 1], "warnings": {Q3_WARNINGS}}}',
+    ),
+    (
+        "gen cycle 5",
+        "",
+        "n 5\ne 1 2 1\ne 1 5 1\ne 2 3 1\ne 3 4 1\ne 4 5 1\n",
+        '{"command": "gen", "p": null, "family": "cycle", "n": 5, '
+        '"file": "n 5\\ne 1 2 1\\ne 1 5 1\\ne 2 3 1\\ne 3 4 1\\ne 4 5 1\\n", "warnings": []}',
+    ),
+    (
+        "gen path 3 --p 3",
+        "",
+        "p 3\nn 3\ne 1 2 1\ne 2 3 1\n",
+        '{"command": "gen", "p": 3, "family": "path", "n": 3, '
+        '"file": "p 3\\nn 3\\ne 1 2 1\\ne 2 3 1\\n", "warnings": []}',
+    ),
+]
+
+
+def test_transcripts_are_pinned(capsys, cycle5_file, tmp_path):
+    files = {"c5": cycle5_file}
+    for name, text in [("c5codes", "0 0 0 0 0\n1 0 0 0 0\n"), ("q3", Q3), ("q3codes", "0 0 0 0\n1 2 0 1\n2 2 2 2\n")]:
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    for argv, err, text, compact in TRANSCRIPTS:
+        argv = argv.format(**files).split()
+        assert run(capsys, *argv) == (0, text, err), argv
+        code, out, json_err = run(capsys, *argv, "--json")
+        assert (code, json_err) == (0, err), argv
+        payload = json.loads(out)
+        assert isinstance(payload["elapsed_ms"], float)
+        assert out == json.dumps(payload, indent=2) + "\n", argv
+        del payload["elapsed_ms"]
+        assert json.dumps(payload) == compact, argv
