@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .distance import (
@@ -34,7 +33,7 @@ from .distance import (
     code_distance,
     diagonal_distance,
 )
-from .gfp import PrimeField, is_prime, kernel_basis
+from .gfp import PrimeField, kernel_basis
 from .graphs import (
     FAMILIES,
     Multigraph,
@@ -61,35 +60,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class CliReport:
-    """Internal result of one command run, rendered to text or JSON."""
-
-    command: str
-    inputs: dict
-    result: dict
-    warnings: list[str] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    def json_payload(self) -> dict:
-        payload: dict = {"command": self.command}
-        for key in ("p", "n", "family"):
-            if key in self.inputs:
-                payload[key] = self.inputs[key]
-        payload.update(self.result)
-        payload["warnings"] = self.warnings
-        payload["elapsed_ms"] = self.elapsed_ms
-        return payload
-
-
 def _prime_flag(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
-    return value
+    try:
+        return PrimeField(value).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -162,29 +141,35 @@ def _word_str(k: SymplecticVector) -> str:
     return " ".join(parts) if parts else "(identity)"
 
 
-def _vec_str(k: SymplecticVector) -> str:
-    return "[" + " ".join(map(str, k.z)) + " | " + " ".join(map(str, k.x)) + "]"
+def _vec_str(k) -> str:
+    """A flat (z | x) sequence as "[z_1 .. z_n | x_1 .. x_n]"."""
+    n = len(k) // 2
+    return "[" + " ".join(map(str, k[:n])) + " | " + " ".join(map(str, k[n:])) + "]"
 
 
-def _witness_result(k: SymplecticVector) -> dict:
-    return {"witness_z": list(k.z), "witness_x": list(k.x)}
+def _witness(k: SymplecticVector, prefix: str = "witness") -> dict:
+    return {f"{prefix}_z": list(k.z), f"{prefix}_x": list(k.x)}
+
+
+# Each _cmd_* returns (JSON fields in order, text lines, exit code); main
+# puts "command" in front of the fields and "elapsed_ms" after them.
 
 
 def _cmd_distance(args):
     g, f, warnings = _load_graph(args)
     rep = diagonal_distance(g, f, _search_config(args))
-    result = {"distance": rep.distance}
-    result.update(_witness_result(rep.witness))
-    result["vectors_examined"] = rep.vectors_examined
+    fields = {
+        "p": f.p, "n": g.n, "distance": rep.distance, **_witness(rep.witness),
+        "vectors_examined": rep.vectors_examined, "warnings": warnings,
+    }
     lines = [
         f"p = {f.p}, n = {g.n}",
         f"distance = {rep.distance}",
-        f"witness k = {_vec_str(rep.witness)}",
+        f"witness k = {_vec_str(rep.witness.entries)}",
         f"witness word = {_word_str(rep.witness)}",
         f"vectors examined = {rep.vectors_examined}",
     ]
-    report = CliReport("distance", {"graph_file": args.graph_file, "p": f.p, "n": g.n}, result, warnings)
-    return report, lines, 0
+    return fields, lines, 0
 
 
 def _cmd_code_distance(args):
@@ -193,38 +178,33 @@ def _cmd_code_distance(args):
     if not codes:
         raise ParseError("codeword file contains no codewords")
     res = code_distance(g, f, codes, _search_config(args))
-    best = res.table[res.pair]
-    result = {"distance": res.delta, "pair": list(res.pair)}
-    result.update(_witness_result(best.witness))
-    result["pairs"] = [[r, s, rep.distance] for (r, s), rep in sorted(res.table.items())]
+    best = res.table[res.pair].witness
+    pairs = [[r, s, rep.distance] for (r, s), rep in sorted(res.table.items())]
+    fields = {
+        "p": f.p, "n": g.n, "distance": res.delta, "pair": list(res.pair), **_witness(best),
+        "pairs": pairs, "warnings": warnings,
+    }
     lines = [f"p = {f.p}, n = {g.n}, codewords = {len(codes)}", "pair table (r, s, distance):"]
-    lines += [f"  {r} {s} {rep.distance}" for (r, s), rep in sorted(res.table.items())]
+    lines += [f"  {r} {s} {d}" for r, s, d in pairs]
     lines += [
         f"delta = {res.delta} at pair ({res.pair[0]}, {res.pair[1]})",
-        f"witness k = {_vec_str(best.witness)}",
-        f"witness word = {_word_str(best.witness)}",
+        f"witness k = {_vec_str(best.entries)}",
+        f"witness word = {_word_str(best)}",
     ]
-    inputs = {"graph_file": args.graph_file, "codes_file": args.codes_file, "p": f.p, "n": g.n}
-    return CliReport("code-distance", inputs, result, warnings), lines, 0
+    return fields, lines, 0
 
 
 def _cmd_kernel(args):
     g, f, warnings = _load_graph(args)
     lam = build_lambda(adjacency_matrix(g, f))
-    basis = kernel_basis(lam, f)
-    vectors = [SymplecticVector(tuple(int(v) for v in b)) for b in basis]
-    result = {
-        "kernel_dim": len(basis),
-        "lambda": [[int(v) for v in row] for row in lam],
-        "basis": [list(k.entries) for k in vectors],
-    }
+    basis = [b.tolist() for b in kernel_basis(lam, f)]
+    rows = lam.tolist()
+    fields = {"p": f.p, "n": g.n, "kernel_dim": len(basis), "lambda": rows, "basis": basis, "warnings": warnings}
     lines = [f"p = {f.p}, n = {g.n}", f"Lambda = [I | Gamma] ({g.n} x {2 * g.n}):"]
-    lines += ["  " + _vec_str(SymplecticVector(tuple(int(v) for v in row))) for row in lam]
-    lines.append(f"kernel dimension = {len(basis)}")
-    lines.append("basis (z | x):")
-    lines += ["  " + _vec_str(k) for k in vectors]
-    report = CliReport("kernel", {"graph_file": args.graph_file, "p": f.p, "n": g.n}, result, warnings)
-    return report, lines, 0
+    lines += ["  " + _vec_str(row) for row in rows]
+    lines += [f"kernel dimension = {len(basis)}", "basis (z | x):"]
+    lines += ["  " + _vec_str(b) for b in basis]
+    return fields, lines, 0
 
 
 def _cmd_verify(args):
@@ -233,19 +213,17 @@ def _cmd_verify(args):
     cap_args = {"hard_cap": f.p ** (2 * g.n)} if args.force else {}
     slow = brute_force_distance(g, f, **cap_args)
     match = fast.distance == slow.distance
-    result = {"match": match, "distance": fast.distance}
-    result.update(_witness_result(fast.witness))
-    result["oracle_distance"] = slow.distance
-    result["oracle_witness_z"] = list(slow.witness.z)
-    result["oracle_witness_x"] = list(slow.witness.x)
+    fields = {
+        "p": f.p, "n": g.n, "match": match, "distance": fast.distance, **_witness(fast.witness),
+        "oracle_distance": slow.distance, **_witness(slow.witness, "oracle_witness"), "warnings": warnings,
+    }
     lines = [
         f"p = {f.p}, n = {g.n}",
         f"kernel search: distance = {fast.distance}, witness = {_word_str(fast.witness)}",
         f"brute force:   distance = {slow.distance}, witness = {_word_str(slow.witness)}",
         f"MATCH ({fast.distance} = {slow.distance})" if match else f"MISMATCH ({fast.distance} != {slow.distance})",
     ]
-    report = CliReport("verify", {"graph_file": args.graph_file, "p": f.p, "n": g.n}, result, warnings)
-    return report, lines, 0 if match else 4
+    return fields, lines, 0 if match else 4
 
 
 def _cmd_gen(args):
@@ -254,9 +232,8 @@ def _cmd_gen(args):
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     text = serialize(g, args.p)
-    result = {"n": g.n, "file": text}
-    report = CliReport("gen", {"family": args.family, "p": args.p}, result, [])
-    return report, [text.rstrip("\n")], 0
+    fields = {"p": args.p, "family": args.family, "n": g.n, "file": text, "warnings": []}
+    return fields, [text.rstrip("\n")], 0
 
 
 def main(argv=None) -> int:
@@ -267,22 +244,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     t0 = time.perf_counter()
     try:
-        report, lines, code = args.func(args)
-    except _UsageError as exc:
+        fields, lines, code = args.func(args)
+    except (_UsageError, SearchTooLarge, ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"diagdist: error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"diagdist: error: {exc}", file=sys.stderr)
-        return 2
-    except SearchTooLarge as exc:
-        print(f"diagdist: error: {exc}", file=sys.stderr)
-        return 3
-    report.elapsed_ms = round((time.perf_counter() - t0) * 1000.0, 3)
+        return 1 if isinstance(exc, _UsageError) else 3 if isinstance(exc, SearchTooLarge) else 2
+    payload = {"command": args.command, **fields, "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
     if not args.quiet:
-        for w in report.warnings:
+        for w in fields["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
     if args.json:
-        print(json.dumps(report.json_payload(), indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for line in lines:
             print(line)

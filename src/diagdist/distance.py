@@ -249,7 +249,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
-    m = 1  # low digits per block
+    m = 0  # low digits per block
     while m < n and p ** (m + 1) <= _BLOCK:
         m += 1
     table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)

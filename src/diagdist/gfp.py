@@ -13,7 +13,11 @@ import numpy as np
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division, meant for small moduli (p <= 2**16 or so)."""
+    """Deterministic trial division, meant for small moduli.
+
+    It takes about sqrt(p) / 2 steps; PrimeField calls it only below
+    P_LIMIT = 2**24, where that is at most 2**11.
+    """
     if p < 2:
         return False
     if p < 4:
@@ -28,28 +32,29 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# Below this bound every product of two residues, and every sum of up to
+# 2**14 such products, fits in int64, so no arithmetic here or in the search
+# wraps.
+P_LIMIT = 1 << 24
+
+
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/pZ.  Construction fails if p is not prime."""
+    """The field Z/pZ.  Construction fails unless p is a prime below P_LIMIT."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= P_LIMIT:
+            raise ValueError(f"{self.p} is not below 2**24")
         if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+            raise ValueError(f"{self.p} is not prime")
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse of a mod p, by extended Euclid."""
-        a %= self.p
-        if a == 0:
+        """Multiplicative inverse of a mod p."""
+        if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        r0, r1 = self.p, a
-        t0, t1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            t0, t1 = t1, t0 - q * t1
-        return t0 % self.p
+        return pow(int(a), -1, self.p)
 
 
 def _as_matrix(m, p: int) -> np.ndarray:
@@ -66,30 +71,21 @@ def rref(m, field: PrimeField) -> tuple[np.ndarray, list[int], int]:
     ascending order and rank == len(pivots).  The row space is preserved.
     """
     r = _as_matrix(m, field.p)
-    rows, cols = r.shape
-    p = field.p
     pivots: list[int] = []
-    lead = 0
-    for col in range(cols):
-        if lead == rows:
-            break
-        sel = -1
-        for i in range(lead, rows):
-            if r[i, col]:
-                sel = i
-                break
-        if sel < 0:
+    for col in range(r.shape[1]):
+        lead = len(pivots)
+        below = r[lead:, col].nonzero()[0]
+        if not below.size:
             continue
-        if sel != lead:
-            r[[lead, sel]] = r[[sel, lead]]
-        inv = field.inv(int(r[lead, col]))
-        if inv != 1:
-            r[lead] = (r[lead] * inv) % p
-        for i in range(rows):
-            if i != lead and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[lead]) % p
+        if below[0]:
+            r[[lead, lead + below[0]]] = r[[lead + below[0], lead]]
+        if r[lead, col] != 1:
+            r[lead] = r[lead] * field.inv(int(r[lead, col])) % field.p
+        rows = r[:, col].nonzero()[0]
+        if rows.size > 1:  # one rank-1 update clears the column, on just the rows nonzero in it
+            rows = rows[rows != lead]
+            r[rows] = (r[rows] - r[rows, col, None] * r[lead]) % field.p
         pivots.append(col)
-        lead += 1
     return r, pivots, len(pivots)
 
 
@@ -101,18 +97,13 @@ def kernel_basis(m, field: PrimeField) -> list[np.ndarray]:
     and the forced values in the pivot columns.  This makes the basis a
     deterministic function of m.
     """
-    r, pivots, _ = rref(m, field)
+    r, pivots, rank = rref(m, field)
     cols = r.shape[1]
-    p = field.p
-    pivot_set = set(pivots)
     basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = np.zeros(cols, dtype=np.int64)
         v[f] = 1
-        for row, pc in enumerate(pivots):
-            v[pc] = (-int(r[row, f])) % p
+        v[pivots] = -r[:rank, f] % field.p
         basis.append(v)
     return basis
 
@@ -133,6 +124,5 @@ def solve(m, rhs, field: PrimeField) -> np.ndarray | None:
     if pivots and pivots[-1] == n:
         return None  # a pivot in the rhs column means 0 = nonzero
     x = np.zeros(n, dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = r[row, n]
+    x[pivots] = r[: len(pivots), n]
     return x

@@ -3,8 +3,8 @@
 Graph file format (UTF-8, line oriented):
 
     # comment lines and blank lines are ignored
-    p 2          optional prime header, at most once, before any edge line
-    n 5          required vertex count, before any edge line
+    p 2          optional prime header, below 2**24, at most once, before any edge line
+    n 5          required vertex count, 1..4096, before any edge line
     e 1 2        edge between vertices 1 and 2, multiplicity 1
     e 1 2 3      edge with explicit multiplicity; repeated lines accumulate
 
@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfp import PrimeField, is_prime
+from .gfp import PrimeField
 
 FAMILIES = ("cycle", "path", "complete", "edgeless")
 INT64_MAX = (1 << 63) - 1  # multiplicities are stored as int64
+MAX_VERTICES = 4096  # the n x n int64 multiplicity matrix stays at 128 MiB, and 2n(p - 1)**2 below 2**63
 
 
 class ParseError(ValueError):
@@ -97,6 +98,8 @@ def generate(family: str, n: int) -> Multigraph:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     if n < 1:
         raise ValueError(f"{family} graph needs n >= 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{family} graph with n = {n} exceeds {MAX_VERTICES} vertices")
     if family == "cycle" and n < 3:
         raise ValueError("cycle graph needs n >= 3")
     mult = np.zeros((n, n), dtype=np.int64)
@@ -131,14 +134,18 @@ def parse_graph(text: str) -> tuple[Multigraph, int | None]:
             if seen_edge:
                 raise ParseError("p header must come before edge lines", lineno)
             declared_p = _int_token(parts, 1, 2, "p header", lineno)
-            if not is_prime(declared_p):
-                raise ParseError(f"declared p = {declared_p} is not prime", lineno)
+            try:
+                PrimeField(declared_p)
+            except ValueError as exc:
+                raise ParseError(f"declared p = {exc}", lineno) from None
         elif tag == "n":
             if n is not None:
                 raise ParseError("duplicate n line", lineno)
             n = _int_token(parts, 1, 2, "n line", lineno)
             if n < 1:
                 raise ParseError(f"vertex count must be >= 1, got {n}", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
             mult = np.zeros((n, n), dtype=np.int64)
         elif tag == "e":
             if n is None or mult is None:

@@ -190,3 +190,26 @@ def test_gf2_bitmask_width_is_guarded():
     g = Multigraph(64, np.zeros((64, 64), dtype=np.int64))
     with pytest.raises(SearchTooLarge, match="uint64"):
         diagonal_distance(g, F2, SearchConfig(force=True))
+
+
+def test_blocks_never_exceed_the_block_size(monkeypatch):
+    sizes = []
+    real = D._odometer_blocks
+
+    def spy(*args):
+        for w in real(*args):
+            sizes.append(w.size)
+            yield w
+
+    monkeypatch.setattr(D, "_odometer_blocks", spy)
+    f = PrimeField(4099)  # above _BLOCK, so each block holds one candidate
+    force = SearchConfig(force=True)
+    rep = diagonal_distance(generate("edgeless", 1), f)
+    assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 1))
+    rep = diagonal_distance(generate("edgeless", 2), f, force)
+    assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 0, 1, 0))
+    rep = pairwise_distance(generate("path", 2), f, [5, 4098], [2, 0], force)
+    assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 4099, (3, 0, 4098, 0))
+    assert max(sizes) == 1
+    diagonal_distance(generate("cycle", 9), PrimeField(3))
+    assert max(sizes) == 3**7 <= D._BLOCK

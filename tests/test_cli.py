@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -404,3 +405,27 @@ def test_transcripts_are_pinned(capsys, cycle5_file, tmp_path):
         assert out == json.dumps(payload, indent=2) + "\n", argv
         del payload["elapsed_ms"]
         assert json.dumps(payload) == compact, argv
+
+
+def test_prime_past_the_bound_fails_fast(capsys, cycle5_file, tmp_path):
+    # 2**61 - 1 is prime; trial division on it used to run for minutes
+    path = tmp_path / "big-p.eg"
+    path.write_text("p 2305843009213693951\nn 2\ne 1 2\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "distance", str(path))
+    assert (code, out, err) == (2, "", "diagdist: error: line 1: declared p = 2305843009213693951 is not below 2**24\n")
+    code, out, err = run(capsys, "distance", cycle5_file, "--p", "2305843009213693951")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "diagdist distance: error: argument --p: 2305843009213693951 is not below 2**24"
+    assert run(capsys, "distance", cycle5_file, "--p", str(10**40 + 1))[0] == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_vertex_count_past_the_limit(capsys, tmp_path):
+    path = tmp_path / "huge-n.eg"
+    path.write_text("p 3\nn 200000\n")
+    for command in ("distance", "kernel"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", "diagdist: error: line 2: vertex count 200000 exceeds 4096\n")
+    code, out, err = run(capsys, "gen", "cycle", "200000")
+    assert (code, out, err) == (1, "", "diagdist: error: cycle graph with n = 200000 exceeds 4096 vertices\n")

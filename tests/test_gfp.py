@@ -164,3 +164,47 @@ def test_operations_do_not_mutate_inputs():
     kernel_basis(m, F3)
     solve(m, np.array([1, 1]), F3)
     assert np.array_equal(m, before)
+
+
+def test_prime_field_bound():
+    big = PrimeField(16777213)  # the largest prime below 2**24
+    assert big.inv(2) * 2 % big.p == 1
+    assert F5.inv(np.int64(3)) == 2
+    # primes at and past 2**24, where sums of products of residues could pass int64
+    for p in (16777259, 4294967311, 2**61 - 1):
+        with pytest.raises(ValueError, match=r"not below 2\*\*24"):
+            PrimeField(p)
+
+
+def reference_rref(m, p):
+    """Gauss-Jordan one row at a time, with Python ints; rref must match it exactly."""
+    r = [[v % p for v in row] for row in m]
+    pivots = []
+    for col in range(len(r[0])):
+        lead = len(pivots)
+        sel = next((i for i in range(lead, len(r)) if r[i][col]), None)
+        if sel is None:
+            continue
+        r[lead], r[sel] = r[sel], r[lead]
+        inv = pow(r[lead][col], -1, p)
+        r[lead] = [v * inv % p for v in r[lead]]
+        for i in range(len(r)):
+            if i != lead and r[i][col]:
+                r[i] = [(a - r[i][col] * b) % p for a, b in zip(r[i], r[lead])]
+        pivots.append(col)
+    return r, pivots
+
+
+def test_rref_matches_the_row_by_row_reference():
+    rng = random.Random(31)
+    for p in (2, 3, 7, 65521, 16777213):
+        f = PrimeField(p)
+        for t in range(60):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 12)
+            density = (0.2, 0.6, 1.0)[t % 3]
+            m = [[rng.randrange(-p, 2 * p) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+            if rows > 2:
+                m[1] = [v * rng.randrange(p) for v in m[0]]  # a dependent row
+            r, pivots, rank = rref(m, f)
+            want, want_pivots = reference_rref(m, p)
+            assert r.tolist() == want and pivots == want_pivots and rank == len(want_pivots), (p, m)

@@ -15,6 +15,7 @@ from diagdist import (
     serialize,
     vanishing_edges,
 )
+from diagdist.graphs import FAMILIES
 from helpers import CYCLE5_LAMBDA, permuted, random_multigraph
 
 F2 = PrimeField(2)
@@ -213,3 +214,20 @@ def test_parse_graph_rejects_multiplicities_past_int64():
     assert exc.value.lineno == 3
     g, _ = parse_graph(f"n 2\ne 1 2 {2**62}\ne 2 1 {2**62 - 1}\n")
     assert g.mult[0, 1] == 2**63 - 1
+
+
+def test_parse_graph_and_generate_reject_more_than_4096_vertices():
+    with pytest.raises(ParseError) as exc:
+        parse_graph("# too many\nn 4097\ne 1 2\n")
+    assert exc.value.lineno == 2
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="4096"):
+            generate(family, 4097)
+
+
+def test_parse_graph_bounds_the_p_header():
+    assert parse_graph("p 16777213\nn 2\n")[1] == 16777213
+    for header in ("p 16777259", "p 2305843009213693951", "p 16777215"):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(header + "\nn 2\n")
+        assert exc.value.lineno == 1

@@ -5,6 +5,10 @@
 * At p = 2 the distance is invariant under local complementation, which
   maps a graph state to an equivalent one (Van den Nest, Dehaene and De Moor,
   PRA 69 022316, 2004).
+* For odd p it is invariant under the weighted form of local complementation,
+  Gamma_jk += a * Gamma_jv * Gamma_vk for j != k and a != 0, and under
+  scaling row and column v by b != 0 (Bahramgiri and Beigi,
+  quant-ph/0610267).
 """
 
 import random
@@ -38,6 +42,21 @@ def local_complement(gamma, v):
     return out
 
 
+def weighted_local_complement(gamma, v, a, p):
+    """Add a * Gamma_jv * Gamma_vk to every off-diagonal Gamma_jk, mod p."""
+    out = (gamma + a * np.outer(gamma[:, v], gamma[v])) % p
+    np.fill_diagonal(out, 0)
+    return out
+
+
+def scaled(gamma, v, b, p):
+    """Multiply row and column v by b, mod p."""
+    out = gamma.copy()
+    out[v] = out[v] * b % p
+    out[:, v] = out[:, v] * b % p
+    return out
+
+
 def test_distance_at_most_one_plus_min_column_support():
     rng = random.Random(11)
     checked = 0
@@ -61,3 +80,18 @@ def test_local_complementation_keeps_the_gf2_distance():
         for _ in range(3):
             gamma = local_complement(gamma, rng.randrange(n))
             assert diagonal_distance(Multigraph(n, gamma), F2).distance == want, n
+
+
+def test_weighted_local_complementation_keeps_the_qudit_distance():
+    rng = random.Random(13)
+    for p, sizes in {3: (5, 8), 5: (4, 6), 7: (3, 5)}.items():
+        f = PrimeField(p)
+        for _ in range(40):
+            n = rng.randint(*sizes)
+            gamma = random_gamma(rng, n, p)
+            want = diagonal_distance(Multigraph(n, gamma), f).distance
+            for _ in range(3):
+                gamma = weighted_local_complement(gamma, rng.randrange(n), rng.randrange(1, p), p)
+                assert diagonal_distance(Multigraph(n, gamma), f).distance == want, (p, n)
+            gamma = scaled(gamma, rng.randrange(n), rng.randrange(1, p), p)
+            assert diagonal_distance(Multigraph(n, gamma), f).distance == want, (p, n)
