@@ -4,7 +4,7 @@ Subcommands:
 
     distance       minimum kernel weight of a graph (its diagonal distance)
     code-distance  distance of a code given a graph file and a codeword file
-    kernel         print Lambda = [I | Gamma] and a deterministic kernel basis
+    kernel         print Lambda = [I | Gamma] and a deterministic kernel basis (n <= 256)
     verify         cross-check the kernel search against the brute force
     gen            write a generated graph file to stdout
 
@@ -47,6 +47,8 @@ from .graphs import (
     vanishing_edges,
 )
 from .oracle import brute_force_distance
+
+KERNEL_MAX_N = 256  # kernel prints all 2n**2 entries of Lambda and the basis: 2.3 MiB of JSON at n = 256
 
 
 class _UsageError(Exception):
@@ -196,6 +198,8 @@ def _cmd_code_distance(args):
 
 def _cmd_kernel(args):
     g, f, warnings = _load_graph(args)
+    if g.n > KERNEL_MAX_N:
+        raise SearchTooLarge(f"kernel prints 2n**2 entries; n = {g.n} exceeds {KERNEL_MAX_N} vertices")
     lam = build_lambda(adjacency_matrix(g, f))
     basis = [b.tolist() for b in kernel_basis(lam, f)]
     rows = lam.tolist()
@@ -210,6 +214,8 @@ def _cmd_kernel(args):
 def _cmd_verify(args):
     g, f, warnings = _load_graph(args)
     fast = diagonal_distance(g, f, _search_config(args))
+    # --force lifts the oracle's 2**20-word cap as well; its memory stays bounded
+    # by the oracle's block of 2**12 words, however many words it walks
     cap_args = {"hard_cap": f.p ** (2 * g.n)} if args.force else {}
     slow = brute_force_distance(g, f, **cap_args)
     match = fast.distance == slow.distance

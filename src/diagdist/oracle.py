@@ -11,9 +11,13 @@ A word assigns one factor Z_i^{z_i} X_i^{x_i} to every vertex; its eta
 count is the number of vertices whose exponent pair is nonzero.  The
 brute-force distance enumerates all p**(2n) words, keeps those whose action
 fixes the zero labelling (words act as translations, so fixing one
-labelling fixes them all), and minimizes the positive eta count.  This is
-exponentially worse than the kernel search and deliberately so: it exists
-to cross-check the fast path on small instances, not to be fast.
+labelling fixes them all), and minimizes the positive eta count.  It still
+enumerates every word and takes every factor's action from the Z and X
+rules (apply_z, apply_x), but weighs up to _BLOCK = 2**12 words per numpy
+step: the last m vertices' words are tabulated once per call, and each word
+on the first n - m vertices translates that whole block.  The winner is
+re-checked with apply_word and eta_sum.  It exists to cross-check the fast
+path on small instances; it shares none of the kernel search's machinery.
 
 Convention: eta is evaluated on the formal exponents, even when column i of
 Gamma vanishes mod p and X_i therefore acts as the identity map (isolated
@@ -25,7 +29,6 @@ why the command line tool warns about them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .gfp import PrimeField
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_ORACLE_CAP = 1 << 20
+_BLOCK = 1 << 12  # most words weighed per numpy step; read at call time
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,47 @@ def eta_sum(w: OperatorWord) -> int:
     return sum(1 for pair in w.exponents if pair != (0, 0))
 
 
-def _all_words(n: int, p: int):
-    # lexicographic over ((z_1, x_1), ..., (z_n, x_n)); fixes the witness tie-break
-    pair_range = list(itertools.product(range(p), repeat=2))
-    for exps in itertools.product(pair_range, repeat=n):
-        yield OperatorWord(exps)
+def _outer_words(gamma, f: PrimeField, k: int):
+    """Every word on vertices 1..k in lexicographic order, vertex 1 slowest.
+
+    Yields (exponent pairs, action on the zero labelling, eta count); the
+    action is built factor by factor with apply_z and apply_x.
+    """
+    p = f.p
+
+    def walk(i, pairs, l, eta):
+        if i > k:
+            yield pairs, l, eta
+            return
+        for z in range(p):
+            lz = apply_z(l, i, z, f)
+            for x in range(p):
+                lx = apply_x(lz, i, x, gamma, f)
+                yield from walk(i + 1, pairs + ((z, x),), lx, eta + ((z, x) != (0, 0)))
+
+    return walk(1, (), np.zeros(len(gamma), dtype=np.int64), 0)
+
+
+def _word_blocks(gamma, f: PrimeField, target: np.ndarray, m: int):
+    """All p**(2n) words in lexicographic order, p**(2m) of them per block.
+
+    The block is every word on the last m vertices, tabulated once from
+    their factor actions; each word on the first n - m vertices translates
+    it.  Yields (that outer word's exponent pairs, eta of each block word),
+    with n + 1 in place of eta where the word does not reach target.
+    """
+    n, p = len(gamma), f.p
+    zero = np.zeros(n, dtype=np.int64)
+    nonzero = np.arange(p * p) != 0  # pair index q = z * p + x
+    labels = np.zeros((1, n), dtype=np.int64)
+    eta_in = np.zeros(1, dtype=np.int64)
+    for i in range(n - m + 1, n + 1):
+        acts = np.array([apply_x(apply_z(zero, i, z, f), i, x, gamma, f) for z in range(p) for x in range(p)])
+        labels = ((labels[:, None, :] + acts) % p).reshape(-1, n)
+        eta_in = (eta_in[:, None] + nonzero).reshape(-1)
+    for pairs, t, eta_out in _outer_words(gamma, f, n - m):
+        hits = (labels == (target - t) % p).all(axis=1)
+        yield pairs, np.where(hits, eta_in + eta_out, n + 1)
 
 
 def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int) -> DistanceReport:
@@ -111,21 +151,29 @@ def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int
     if total > hard_cap:
         raise SearchTooLarge(f"oracle would enumerate p**(2n) = {total} words, cap is {hard_cap}")
     gamma = adjacency_matrix(g, f)
-    zero = np.zeros(n, dtype=np.int64)
-    best: OperatorWord | None = None
+    m = 0
+    while m < n and p ** (2 * m + 2) <= _BLOCK:
+        m += 1
+    best = None
     best_eta = n + 1
-    examined = 0
-    for w in _all_words(n, p):
-        examined += 1
-        if not np.array_equal(apply_word(w, zero, gamma, f), target):
-            continue
-        eta = eta_sum(w)
-        if 0 < eta < best_eta:
-            best_eta = eta
-            best = w
+    for pairs, eta in _word_blocks(gamma, f, target, m):
+        if eta[0] == 0:  # the identity word, first in the first block
+            eta[0] = n + 1
+        i = int(eta.argmin())
+        if eta[i] < best_eta:
+            best_eta, best = int(eta[i]), (pairs, i)
     if best is None:
         raise RuntimeError("no word reached the target, yet single Z factors reach every translation")
-    return DistanceReport(distance=best_eta, witness=best.to_vector(), vectors_examined=examined)
+    pairs, i = best
+    inner = []
+    for _ in range(m):
+        i, q = divmod(i, p * p)
+        inner.append(divmod(q, p))
+    word = OperatorWord(pairs + tuple(reversed(inner)))
+    zero = np.zeros(n, dtype=np.int64)
+    if not np.array_equal(apply_word(word, zero, gamma, f), target) or eta_sum(word) != best_eta:
+        raise RuntimeError(f"oracle witness {word.exponents} failed re-verification against the Z and X rules")
+    return DistanceReport(distance=best_eta, witness=word.to_vector(), vectors_examined=total)
 
 
 def brute_force_distance(

@@ -429,3 +429,13 @@ def test_vertex_count_past_the_limit(capsys, tmp_path):
         assert (code, out, err) == (2, "", "diagdist: error: line 2: vertex count 200000 exceeds 4096\n")
     code, out, err = run(capsys, "gen", "cycle", "200000")
     assert (code, out, err) == (1, "", "diagdist: error: cycle graph with n = 200000 exceeds 4096 vertices\n")
+
+
+def test_kernel_vertex_cap(capsys, tmp_path):
+    path = tmp_path / "path257.eg"
+    path.write_text(serialize(generate("path", 257)))
+    code, out, err = run(capsys, "kernel", str(path), "--json")
+    assert (code, out, err) == (3, "", "diagdist: error: kernel prints 2n**2 entries; n = 257 exceeds 256 vertices\n")
+    path.write_text(serialize(generate("path", 256)))
+    code, payload, _ = run_json(capsys, "kernel", str(path))
+    assert (code, payload["n"], payload["kernel_dim"]) == (0, 256, 256)
