@@ -75,13 +75,10 @@ class Multigraph:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Unordered pairs with multiplicity >= 1, 1-based, lexicographic."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                m = int(self.mult[u, v])
-                if m:
-                    out.append((u + 1, v + 1, m))
-        return out
+        u, v = np.nonzero(self.mult)
+        keep = u < v  # row-major order is already lexicographic
+        u, v = u[keep], v[keep]
+        return list(zip((u + 1).tolist(), (v + 1).tolist(), self.mult[u, v].tolist()))
 
 
 def adjacency_matrix(g: Multigraph, f: PrimeField) -> np.ndarray:
@@ -103,13 +100,10 @@ def generate(family: str, n: int) -> Multigraph:
     if family == "cycle" and n < 3:
         raise ValueError("cycle graph needs n >= 3")
     mult = np.zeros((n, n), dtype=np.int64)
-    if family == "cycle":
-        for i in range(n):
-            j = (i + 1) % n
-            mult[i, j] = mult[j, i] = 1
-    elif family == "path":
-        for i in range(n - 1):
-            mult[i, i + 1] = mult[i + 1, i] = 1
+    if family in ("cycle", "path"):
+        i = np.arange(n if family == "cycle" else n - 1)
+        j = (i + 1) % n
+        mult[i, j] = mult[j, i] = 1
     elif family == "complete":
         mult[:] = 1
         np.fill_diagonal(mult, 0)
@@ -226,7 +220,7 @@ def isolated_vertices(g: Multigraph, f: PrimeField) -> list[int]:
     surface this as a warning.
     """
     gamma = adjacency_matrix(g, f)
-    return [j + 1 for j in range(g.n) if not gamma[:, j].any()]
+    return (np.flatnonzero(~gamma.any(axis=0)) + 1).tolist()
 
 
 def vanishing_edges(g: Multigraph, f: PrimeField) -> list[tuple[int, int, int]]:

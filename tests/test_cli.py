@@ -439,3 +439,16 @@ def test_kernel_vertex_cap(capsys, tmp_path):
     path.write_text(serialize(generate("path", 256)))
     code, payload, _ = run_json(capsys, "kernel", str(path))
     assert (code, payload["n"], payload["kernel_dim"]) == (0, 256, 256)
+
+
+def test_refusals_of_a_4096_vertex_path(capsys, tmp_path):
+    path = tmp_path / "path4096.eg"
+    path.write_text(serialize(generate("path", 4096)))
+    cases = [
+        (("kernel",), "kernel prints 2n**2 entries; n = 4096 exceeds 256 vertices"),
+        (("distance",), "n = 4096 exceeds the 63 vertices that uint64 bitmasks hold at p = 2"),
+        (("distance", "--p", "3"), "n = 4096 exceeds the vertex cap 12 for p = 3; raise max_vertices or set force"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (3, "", f"diagdist: error: {message}\n"), argv

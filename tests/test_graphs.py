@@ -231,3 +231,89 @@ def test_parse_graph_bounds_the_p_header():
         with pytest.raises(ParseError) as exc:
             parse_graph(header + "\nn 2\n")
         assert exc.value.lineno == 1
+
+
+def _loop_edges(g):
+    """The pairwise loop that edges() replaced, kept as its reference."""
+    out = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            m = int(g.mult[u, v])
+            if m:
+                out.append((u + 1, v + 1, m))
+    return out
+
+
+def _loop_isolated(g, f):
+    gamma = adjacency_matrix(g, f)
+    return [j + 1 for j in range(g.n) if not gamma[:, j].any()]
+
+
+def _loop_generate(family, n):
+    mult = np.zeros((n, n), dtype=np.int64)
+    if family == "cycle":
+        for i in range(n):
+            j = (i + 1) % n
+            mult[i, j] = mult[j, i] = 1
+    elif family == "path":
+        for i in range(n - 1):
+            mult[i, i + 1] = mult[i + 1, i] = 1
+    elif family == "complete":
+        mult[:] = 1
+        np.fill_diagonal(mult, 0)
+    return mult
+
+
+def _check_against_loops(g, f):
+    edges = g.edges()
+    assert edges == _loop_edges(g)
+    assert all(type(t) is int for e in edges for t in e)
+    isolated = isolated_vertices(g, f)
+    assert isolated == _loop_isolated(g, f)
+    assert all(type(j) is int for j in isolated)
+    vanishing = vanishing_edges(g, f)
+    assert vanishing == [(u, v, m) for u, v, m in _loop_edges(g) if m % f.p == 0]
+    return len(isolated), len(vanishing)
+
+
+def test_graph_layer_matches_the_pairwise_loops():
+    rng = random.Random(21)
+    isolated = vanishing = 0
+    for n in range(1, 41):
+        for p in (2, 3, 5):
+            mult = random_multigraph(rng, n, max_mult=2 * p - 1).mult.copy()
+            if rng.random() < 0.5:  # make one column vanish mod p
+                j = rng.randrange(n)
+                mult[j] = mult[:, j] = [p * rng.randint(0, 1) for _ in range(n)]
+                mult[j, j] = 0
+            i, v = _check_against_loops(Multigraph(n, mult), PrimeField(p))
+            isolated, vanishing = isolated + i, vanishing + v
+    assert isolated > 0 and vanishing > 0
+    mult = random_multigraph(rng, 6, max_mult=3).mult.copy()
+    mult[1, 4] = mult[4, 1] = 2**63 - 1
+    g = Multigraph(6, mult)
+    for p in (2, 3, 5):
+        _check_against_loops(g, PrimeField(p))
+    assert (2, 5, 2**63 - 1) in g.edges()
+
+
+def test_generate_matches_the_loops():
+    chain = [(i, i + 1, 1) for i in range(1, 4096)]
+    large_edges = {"path": chain, "cycle": [chain[0], (1, 4096, 1)] + chain[1:], "edgeless": []}
+    for n in (1, 3, 4, 7, 4096):
+        for family in FAMILIES:
+            if family == "cycle" and n < 3:
+                continue
+            g = generate(family, n)
+            assert np.array_equal(g.mult, _loop_generate(family, n)), (family, n)
+            if n < 4096:
+                for f in (F2, F3):
+                    _check_against_loops(g, f)
+                continue
+            if family in large_edges:  # complete's 8386560 edges are left to small n
+                edges = g.edges()
+                assert edges == large_edges[family], family
+                if family == "path":
+                    assert len(edges) == 4095
+            want = list(range(1, 4097)) if family == "edgeless" else []
+            assert isolated_vertices(g, F3) == want, family

@@ -9,13 +9,17 @@
   Gamma_jk += a * Gamma_jv * Gamma_vk for j != k and a != 0, and under
   scaling row and column v by b != 0 (Bahramgiri and Beigi,
   quant-ph/0610267).
+* The kernel of a block-diagonal Gamma is a direct sum, so the distance of
+  a disjoint union is the smaller of the two distances.
+* Two labellings cr != cs (mod p) are at distance at least 1 and at most
+  the support of (cr - cs) mod p, which single Z factors reach.
 """
 
 import random
 
 import numpy as np
 
-from diagdist import Multigraph, PrimeField, adjacency_matrix, diagonal_distance
+from diagdist import Multigraph, PrimeField, adjacency_matrix, diagonal_distance, pairwise_distance
 
 F2 = PrimeField(2)
 
@@ -95,3 +99,37 @@ def test_weighted_local_complementation_keeps_the_qudit_distance():
                 assert diagonal_distance(Multigraph(n, gamma), f).distance == want, (p, n)
             gamma = scaled(gamma, rng.randrange(n), rng.randrange(1, p), p)
             assert diagonal_distance(Multigraph(n, gamma), f).distance == want, (p, n)
+
+
+def test_distance_of_a_disjoint_union_is_the_smaller_one():
+    # the kernel of a block-diagonal Gamma is the direct sum of the blocks' kernels
+    rng = random.Random(14)
+    for p, max_total in {2: 20, 3: 10, 5: 7}.items():
+        f = PrimeField(p)
+        for _ in range(20):
+            n1 = rng.randint(1, max_total - 1)
+            n2 = rng.randint(1, max_total - n1)
+            g1, g2 = random_gamma(rng, n1, p), random_gamma(rng, n2, p)
+            union = np.zeros((n1 + n2, n1 + n2), dtype=np.int64)
+            union[:n1, :n1], union[n1:, n1:] = g1, g2
+            want = min(diagonal_distance(Multigraph(n, g), f).distance for n, g in ((n1, g1), (n2, g2)))
+            assert diagonal_distance(Multigraph(n1 + n2, union), f).distance == want, (p, n1, n2)
+
+
+def test_pair_distance_is_at_most_the_support_of_the_difference():
+    # Z factors alone reach cr from cs: k = ((cr - cs) mod p | 0)
+    rng = random.Random(15)
+    checked = 0
+    for p, max_n in {2: 12, 3: 8, 5: 6}.items():
+        f = PrimeField(p)
+        for _ in range(20):
+            n = rng.randint(1, max_n)
+            g = Multigraph(n, random_gamma(rng, n, p))
+            cr = np.array([rng.randrange(-p, 2 * p) for _ in range(n)], dtype=np.int64)
+            cs = np.array([rng.randrange(-p, 2 * p) for _ in range(n)], dtype=np.int64)
+            support = np.count_nonzero((cr - cs) % p)
+            if support == 0:
+                continue
+            assert 1 <= pairwise_distance(g, f, cr, cs).distance <= support, (p, n)
+            checked += 1
+    assert checked == 55
