@@ -21,10 +21,27 @@ high digits step through one block of p**m candidates at a time, and a few
 numpy operations weigh the whole block.  Reported witnesses are the first
 minimizer in that fixed order, re-checked against Lambda, so equal inputs
 always produce identical reports.
+
+Two exact exclusions skip blocks that cannot hold a new first minimizer
+(the lower-bound and projective ideas of Brouwer-Zimmermann search; Grassl,
+"Searching for linear codes with large minimum distance", 2006):
+
+* support bound: a block fixes the high digits x_hi, and every candidate
+  in it weighs at least |supp x_hi|, so a block whose high support reaches
+  the best weight found so far is skipped; a later tie never replaces the
+  first minimizer.  The weight-1 early exit is the case of best weight 1.
+* scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
+  same as k, so the first minimizer has top nonzero digit 1, and only h = 0
+  and the blocks h in [p**j, 2 p**j) are weighed.  At p = 2 that is every
+  block.
+
+vectors_examined counts the candidates the fixed order accounted for,
+weighed or excluded, so its values are those of the unpruned walk.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +114,11 @@ class DistanceReport:
     """Result of one minimum-weight search.
 
     distance is the minimum chi-weight found (1 <= distance <= n), witness a
-    vector achieving it, vectors_examined the number of candidates evaluated
-    (less than the full p**n when the weight-1 early exit fires).
+    vector achieving it (the first in the fixed order), vectors_examined the
+    number of candidates the fixed order accounted for, whether weighed or
+    excluded by the support bound or the scalar symmetry: p**n, less the
+    zero candidate when d = 0, or up to the witness when the weight-1 early
+    exit fires.  Its values are those of the walk that weighs every block.
     """
 
     distance: int
@@ -175,27 +195,31 @@ def _gray_table(gamma: np.ndarray, m: int):
     return cols, (xl0, xl0 ^ np.uint64(1 << (m - 1))), (zl0, zl0 ^ np.uint64(cols[m - 1]))
 
 
-def _gray_blocks(table, n: int, d, m: int):
-    """Chi-weights of (d - Gamma x | x) for x = gray(t), t = 0, 1, .., 2**n - 1.
+def _gray_blocks(table, n: int, d, m: int, hs):
+    """Chi-weights of (d - Gamma x | x) for x = gray(t), t in block h.
 
-    Yields one uint8 array per block of 2**m consecutive t; the array is
-    reused, so it is valid until the next block.  z and x are bitmasks; the
-    low bits come from _gray_table, the high part moves by one column XOR
-    per block.  The weight is popcount(z | x).
+    Block h holds the 2**m consecutive t = h * 2**m + lo; hs gives the
+    ascending block indices to weigh, and one uint8 array is yielded per
+    block.  The array is reused, so it is valid until the next block.  z
+    and x are bitmasks; the low bits come from _gray_table, and the high
+    part is gray(h), reached from the last block's by one column XOR per
+    flipped bit.  The weight is popcount(z | x).
     """
     cols, xl, zl = table
     buf = np.empty(1 << m, dtype=np.uint64)
     w = np.empty(1 << m, dtype=np.uint8)
     zh = sum(1 << j for j, v in enumerate(d.tolist()) if v)
-    xh = 0
-    for h in range(1 << (n - m)):
-        if h:
-            i = m + (h & -h).bit_length() - 1  # gray(h) flips bit i - m
-            zh ^= cols[i]
-            xh ^= 1 << i
+    gh = 0  # gray(h) of the last block weighed
+    for h in hs:
+        flips = (h ^ h >> 1) ^ gh
+        gh ^= flips
+        while flips:
+            low = flips & -flips
+            zh ^= cols[m + low.bit_length() - 1]
+            flips ^= low
         np.bitwise_xor(zl[h & 1], np.uint64(zh), out=buf)
         np.bitwise_or(buf, xl[h & 1], out=buf)
-        np.bitwise_or(buf, np.uint64(xh), out=buf)
+        np.bitwise_or(buf, np.uint64(gh << m), out=buf)
         np.bitwise_count(buf, out=w)
         yield w
 
@@ -212,25 +236,21 @@ def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
     return tab
 
 
-def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: int):
+def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: int, hs):
     """Chi-weights of (d - Gamma x | x) for x = t in base p, digit 1 fastest.
 
-    Yields one array per block of p**m consecutive t, reused like
-    _gray_blocks.  A block's target holds (Gamma x_hi - d) mod p for the
-    high digits, and p where its own digit x_j is nonzero; tab (from
-    _odometer_table) never holds p at the same j.  Vertex j counts exactly
-    where the two differ, so no add or mod runs per candidate.
+    Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
+    ascending block indices to weigh, and one array is yielded per block,
+    reused like _gray_blocks.  A block's target holds (Gamma x_hi - d) mod p
+    for the high digits x_hi of h, and p where its own digit x_j is
+    nonzero; tab (from _odometer_table) never holds p at the same j.
+    Vertex j counts exactly where the two differ, so no add or mod runs per
+    candidate.
     """
-    xh = np.zeros(n - m, dtype=np.int64)
     neq = np.empty(tab.shape, dtype=bool)
     w = np.empty(tab.shape[1], dtype=np.min_scalar_type(n + 1))
-    for h in range(p ** (n - m)):
-        if h:
-            i = 0
-            while xh[i] == p - 1:  # advance the high digits' odometer
-                xh[i] = 0
-                i += 1
-            xh[i] += 1
+    for h in hs:
+        xh = np.array([h // p**j % p for j in range(n - m)], dtype=np.int64)
         target = (gamma[:, m:] @ xh - d) % p
         target[m:][xh != 0] = p
         np.not_equal(tab, target.astype(tab.dtype)[:, None], out=neq)
@@ -238,12 +258,39 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
         yield w
 
 
+def _high_support(h: int, p: int) -> int:
+    """|supp x_hi| in block h: the set bits of gray(h) at p = 2, else h's nonzero base-p digits."""
+    if p == 2:
+        return (h ^ h >> 1).bit_count()
+    s = 0
+    while h:
+        h, r = divmod(h, p)
+        s += r != 0
+    return s
+
+
+def _block_order(p: int, k: int, scalar: bool):
+    """Indices of the p**k blocks in ascending order that may hold the first minimizer.
+
+    With scalar (d = 0) the search set is F_p-linear, so c * x weighs the
+    same as x, and of a minimizer's multiples the one with top nonzero
+    digit 1 comes first in odometer order.  Only h = 0 and the blocks whose
+    top nonzero high digit is 1, h in [p**j, 2 * p**j), can hold it.  At
+    p = 2 these ranges cover every block.
+    """
+    if not scalar:
+        return range(p**k)
+    return itertools.chain([0], *(range(p**j, 2 * p**j) for j in range(k)))
+
+
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the low-digit table once.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
-    for one difference d (reduced mod p), stopping at weight 1; when d = 0
-    the k = 0 candidate (weight 0) is not examined.
+    for one difference d (reduced mod p).  It weighs only the blocks that
+    pass the support bound and, for d = 0, the scalar symmetry, so it stops
+    once the best weight is 1; when d = 0 the k = 0 candidate (weight 0) is
+    not examined.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -255,17 +302,28 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
 
     def search(d: np.ndarray) -> DistanceReport:
-        blocks = _gray_blocks(table, n, d, m) if p == 2 else _odometer_blocks(gamma, table, n, p, d, m)
         skip_zero = not d.any()
-        best_w, best_t = n + 1, 0
-        for h, w in enumerate(blocks):
+        best_w, best_t, h = n + 1, 0, 0
+
+        def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
+            nonlocal h
+            for h in _block_order(p, n - m, skip_zero):
+                if _high_support(h, p) < best_w:  # a later tie never replaces the first minimizer
+                    yield h
+                elif best_w == 1:  # every later block has support >= 1 too
+                    return
+
+        hs = weighed() if m < n else (0,)  # one block: always weighed, no filter to set up
+        if p == 2:
+            blocks = _gray_blocks(table, n, d, m, hs)
+        else:
+            blocks = _odometer_blocks(gamma, table, n, p, d, m, hs)
+        for w in blocks:
             if h == 0 and skip_zero:
                 w[0] = n + 1
             i = int(w.argmin())
             if w[i] < best_w:
                 best_w, best_t = int(w[i]), h * p**m + i
-                if best_w == 1:
-                    break
         examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
         xi = best_t ^ (best_t >> 1) if p == 2 else best_t
         x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
@@ -282,8 +340,9 @@ def diagonal_distance(
 ) -> DistanceReport:
     """Exact minimum chi-weight over the nonzero kernel of [I | Gamma].
 
-    Enumerates all p**n - 1 nonzero kernel points; raises SearchTooLarge when
-    that exceeds the configured budget and cfg.force is unset.
+    Accounts for all p**n - 1 nonzero kernel points, weighing those the
+    exclusions leave; raises SearchTooLarge when p**n exceeds the configured
+    budget and cfg.force is unset.
     """
     return _searcher(g, f, cfg)(np.zeros(g.n, dtype=np.int64))
 

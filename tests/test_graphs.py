@@ -317,3 +317,23 @@ def test_generate_matches_the_loops():
                     assert len(edges) == 4095
             want = list(range(1, 4097)) if family == "edgeless" else []
             assert isolated_vertices(g, F3) == want, family
+
+
+def test_symmetry_check_finds_one_asymmetric_entry_in_any_tile():
+    """The tiled check rejects what np.array_equal(m, m.T) rejects, on and across tile edges."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 63, 64, 65, 129, 200):
+        mult = rng.integers(0, 3, (n, n))
+        mult = np.triu(mult, 1) + np.triu(mult, 1).T
+        g = Multigraph(n, mult)
+        assert np.array_equal(g.mult, mult)
+        assert g.mult is not mult and not g.mult.flags.writeable  # still a defensive copy
+        spots = [(0, n - 1), (n - 1, 0)] + [tuple(rng.integers(0, n, 2)) for _ in range(12)]
+        spots += [(i, j) for i, j in ((63, 64), (64, 63), (0, 64), (127, 128), (64, 199)) if max(i, j) < n]
+        for u, v in spots:
+            if u == v:
+                continue
+            bad = mult.copy()
+            bad[u, v] += 1
+            with pytest.raises(ValueError, match="^multiplicity matrix must be symmetric$"):
+                Multigraph(n, bad)

@@ -1,0 +1,272 @@
+"""The pruned block search against the unpruned one it replaced.
+
+reference() is the block search as it was before blocks were skipped: it
+weighs every one of the p**n candidates in the same fixed order (Gray code
+at p = 2, odometer at odd p) and keeps the first minimum, stopping only at
+weight 1.  The pruned search skips a block when the support of its high x
+digits already reaches the best weight found, and for d = 0 skips the
+blocks whose top nonzero high digit is not 1.  It must report the same
+distance, witness and vectors_examined at the default block, at 2**3 and
+at 2**1, where odd p has m = 0 and the bound skips single candidates.
+The spies below show that blocks really are skipped, and which.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from diagdist import (
+    Multigraph,
+    PrimeField,
+    adjacency_matrix,
+    diagonal_distance,
+    generate,
+    pairwise_distance,
+)
+from diagdist import distance as D
+
+REF_BLOCK = 1 << 12
+BLOCKS = (D._BLOCK, 1 << 3, 1 << 1)
+
+# (p, n, graph kind, kind of d, seed): 306 cases, p**n at most 2**14
+CASES = [
+    (p, n, kind, dkind, 1000 * p + 30 * n + 3 * k + j)
+    for p, sizes in ((2, range(1, 15)), (3, range(1, 9)), (5, range(1, 6)), (7, range(1, 5)), (11, range(1, 4)))
+    for n in sizes
+    for k, kind in enumerate(("dense", "sparse", "isolated"))
+    for j, dkind in enumerate(("zero", "random", "unit"))
+]
+
+
+def make_case(p, n, kind, dkind, seed):
+    """Multiplicities 0..2p-1, so some edges vanish mod p; "isolated" empties one vertex mod p."""
+    rng = random.Random(seed)
+    mult = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if kind != "sparse" or rng.random() < 0.3:
+                mult[u, v] = mult[v, u] = rng.randrange(2 * p)
+    if kind == "isolated":
+        v = rng.randrange(n)
+        mult[v, :] = mult[:, v] = p * rng.randrange(2)
+        mult[v, v] = 0
+    d = np.zeros(n, dtype=np.int64)
+    if dkind == "random":
+        d = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+    elif dkind == "unit":
+        d[rng.randrange(n)] = rng.randrange(1, p)
+    return Multigraph(n, mult), d
+
+
+def _ref_gray_blocks(gamma, n, d, m):
+    """Every block of 2**m consecutive Gray-code t, with no block skipped."""
+    cols = [sum(1 << j for j, v in enumerate(col) if v) for col in gamma.T.tolist()]
+    size = 1 << m
+    xl0 = np.zeros(size, dtype=np.uint64)
+    zl0 = np.zeros(size, dtype=np.uint64)
+    for i in range(m):
+        np.bitwise_or(xl0[: 1 << i][::-1], np.uint64(1 << i), out=xl0[1 << i : 2 << i])
+        np.bitwise_xor(zl0[: 1 << i][::-1], np.uint64(cols[i]), out=zl0[1 << i : 2 << i])
+    xl = (xl0, xl0 ^ np.uint64(1 << (m - 1)))
+    zl = (zl0, zl0 ^ np.uint64(cols[m - 1]))
+    zh = sum(1 << j for j, v in enumerate(d.tolist()) if v)
+    xh = 0
+    for h in range(1 << (n - m)):
+        if h:
+            i = m + (h & -h).bit_length() - 1
+            zh ^= cols[i]
+            xh ^= 1 << i
+        yield np.bitwise_count((zl[h & 1] ^ np.uint64(zh)) | xl[h & 1] | np.uint64(xh))
+
+
+def _ref_odometer_blocks(gamma, n, p, d, m):
+    """Every block of p**m consecutive odometer t, with no block skipped."""
+    tab = np.zeros((n, 1), dtype=np.int64)
+    for j in range(m):
+        steps = (np.arange(p) * -gamma[:, j : j + 1]) % p
+        tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
+    for j in range(m):
+        tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
+    xh = np.zeros(n - m, dtype=np.int64)
+    for h in range(p ** (n - m)):
+        if h:
+            i = 0
+            while xh[i] == p - 1:
+                xh[i] = 0
+                i += 1
+            xh[i] += 1
+        target = (gamma[:, m:] @ xh - d) % p
+        target[m:][xh != 0] = p
+        yield (tab != target[:, None]).sum(axis=0)
+
+
+def reference(g, f, d):
+    """(distance, vectors_examined, witness entries) from the unpruned block search."""
+    n, p = g.n, f.p
+    gamma = adjacency_matrix(g, f)
+    m = 0
+    while m < n and p ** (m + 1) <= REF_BLOCK:
+        m += 1
+    blocks = _ref_gray_blocks(gamma, n, d, m) if p == 2 else _ref_odometer_blocks(gamma, n, p, d, m)
+    skip_zero = not d.any()
+    best_w, best_t = n + 1, 0
+    for h, w in enumerate(blocks):
+        if h == 0 and skip_zero:
+            w[0] = n + 1
+        i = int(w.argmin())
+        if w[i] < best_w:
+            best_w, best_t = int(w[i]), h * p**m + i
+            if best_w == 1:
+                break
+    examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
+    xi = best_t ^ (best_t >> 1) if p == 2 else best_t
+    x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
+    z = (d - gamma @ x) % p
+    return best_w, examined, tuple(z.tolist() + x.tolist())
+
+
+def search(g, f, d):
+    if d.any():
+        return pairwise_distance(g, f, d, np.zeros(g.n, dtype=np.int64))
+    return diagonal_distance(g, f)
+
+
+def report(rep):
+    return rep.distance, rep.vectors_examined, rep.witness.entries
+
+
+def test_pruned_search_matches_the_unpruned_one(monkeypatch):
+    seen = set()
+    for p, n, kind, dkind, seed in CASES:
+        f = PrimeField(p)
+        g, d = make_case(p, n, kind, dkind, seed)
+        expected = reference(g, f, d)
+        for block in BLOCKS:
+            monkeypatch.setattr(D, "_BLOCK", block)
+            assert report(search(g, f, d)) == expected, (p, n, kind, dkind, seed, block)
+        seen.add((p, dkind, expected[0]))
+    assert len(CASES) >= 300
+    assert {(p, "zero", 1) for p in (2, 3, 5, 7, 11)} <= seen  # isolated vertices stop at weight 1
+    assert {w for p, dkind, w in seen if dkind == "zero"} >= {1, 2, 3}
+    assert {w for p, dkind, w in seen if dkind == "random"} >= {1, 2, 3}
+
+
+def weighed_blocks(monkeypatch, name):
+    """Spy on D.<name>: the block indices it is handed, in the order it weighs them."""
+    real = getattr(D, name)
+    hs = []
+
+    def spy(*args):
+        def recorded(order):
+            for h in order:
+                hs.append(h)
+                yield h
+
+        yield from real(*args[:-1], recorded(args[-1]))
+
+    monkeypatch.setattr(D, name, spy)
+    return hs
+
+
+def high_support(h, p):
+    """|supp x_hi| of block h, by a route of its own: Gray code bits at p = 2, base-p digits else."""
+    if p == 2:
+        return bin(h ^ (h >> 1)).count("1")
+    return sum(1 for c in np.base_repr(h, p) if c != "0")
+
+
+def test_scalar_symmetry_skips_blocks_at_odd_p(monkeypatch):
+    hs = weighed_blocks(monkeypatch, "_odometer_blocks")
+    g = generate("cycle", 9)
+    rep = diagonal_distance(g, PrimeField(3))  # m = 7: nine blocks of 3**7
+    assert (rep.distance, rep.vectors_examined) == (3, 3**9 - 1)
+    assert len(hs) <= 5
+    assert set(hs) <= {0, 1, 3, 4, 5}  # the high digit pairs (0, 0), (1, 0), (0, 1), (1, 1), (2, 1)
+
+
+def g20(seed):
+    """G(20, 1/2) from random.Random(seed)."""
+    rng = random.Random(seed)
+    mult = np.zeros((20, 20), dtype=np.int64)
+    for u in range(20):
+        for v in range(u + 1, 20):
+            mult[u, v] = mult[v, u] = rng.random() < 0.5
+    return Multigraph(20, mult)
+
+
+def witness_block(rep, p, m):
+    """The index of the block that holds the witness, from its x-half."""
+    t = sum(x * p**j for j, x in enumerate(rep.witness.x))
+    if p == 2:  # invert the Gray code
+        shift = 1
+        while t >> shift:
+            t ^= t >> shift
+            shift <<= 1
+    return t // p**m
+
+
+def assert_bound_rule(hs, p, m, k, rep):
+    """Every block below the distance is weighed; after the witness's block, no other."""
+    hw = witness_block(rep, p, m)
+    below = [h for h in range(p**k) if high_support(h, p) < rep.distance]
+    assert hs == sorted(set(hs)) and hw in hs
+    assert set(below) <= set(hs)
+    assert [h for h in hs if h > hw] == [h for h in below if h > hw]
+
+
+def test_support_bound_skips_blocks_at_p2(monkeypatch):
+    """G(20, 1/2) has 256 blocks of 2**12; the bound skips those of high support >= the best weight.
+
+    How many remain depends on the distance and on how early it is found:
+    93 when distance 4 is found early (seed 12), 162 when it is found late
+    (seed 0), 163 at distance 5 and 219 at distance 6.
+    """
+    hs = weighed_blocks(monkeypatch, "_gray_blocks")
+    f = PrimeField(2)
+    counts = {}
+    for seed, distance in ((12, 4), (0, 4), (2, 5), (1, 6)):
+        hs.clear()
+        rep = diagonal_distance(g20(seed), f)
+        assert rep.distance == distance
+        assert rep.vectors_examined == 2**20 - 1
+        assert_bound_rule(hs, 2, 12, 8, rep)
+        counts[seed] = len(hs)
+    assert counts[12] < 256 // 2
+    assert counts == {12: 93, 0: 162, 2: 163, 1: 219}
+
+
+@pytest.mark.parametrize("p, n", [(3, 7), (5, 5)])
+def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
+    """d != 0 has no scalar symmetry, so only the support bound skips blocks."""
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # m = 1: p**(n - 1) blocks of p
+    hs = weighed_blocks(monkeypatch, "_odometer_blocks")
+    f = PrimeField(p)
+    for seed in range(6):
+        g, d = make_case(p, n, "dense", "random", seed)
+        if not d.any():
+            continue
+        hs.clear()
+        rep = search(g, f, d)
+        assert report(rep) == reference(g, f, d)
+        assert_bound_rule(hs, p, 1, n - 1, rep)
+        if rep.distance > 1:  # blocks whose top high digit is 2 or more are weighed too
+            assert any(h >= 2 * p ** (len(np.base_repr(h, p)) - 1) for h in hs)
+
+
+def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # the 5-cycle spans four blocks of 2**3
+    real = D._gray_blocks
+    weighed = []
+
+    def forged(*args):
+        for w in real(*args):
+            weighed.append(w.size)
+            if len(weighed) == 3:
+                w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
+            yield w
+
+    monkeypatch.setattr(D, "_gray_blocks", forged)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        diagonal_distance(generate("cycle", 5), PrimeField(2))
+    assert weighed == [8, 8, 8]
