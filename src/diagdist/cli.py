@@ -3,7 +3,8 @@
 Subcommands:
 
     distance       minimum kernel weight of a graph (its diagonal distance)
-    code-distance  distance of a code given a graph file and a codeword file
+    code-distance  distance of a code given a graph file and a codeword file;
+                   the witness for pair (r, s) carries codeword C_s to C_r
     kernel         print Lambda = [I | Gamma] and a deterministic kernel basis (n <= 256)
     verify         cross-check the kernel search against the brute force
     gen            write a generated graph file to stdout
@@ -62,15 +63,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _prime_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    try:
-        return PrimeField(value).p
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_flag(check):
+    """An argparse type: an integer that check validates; either failure is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_prime_flag = _int_flag(lambda p: PrimeField(p).p)
+_max_n_flag = _int_flag(lambda n: SearchConfig(max_vertices=n).max_vertices)
 
 
 def _build_parser() -> _Parser:
@@ -82,7 +92,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
         if search:
-            sp.add_argument("--max-n", type=int, default=None, help="vertex cap for the exhaustive search")
+            sp.add_argument("--max-n", type=_max_n_flag, default=None, help="vertex cap for the exhaustive search")
             sp.add_argument("--force", action="store_true", help="search regardless of the configured budget")
 
     sp = sub.add_parser("distance", help="diagonal distance of a graph")
@@ -115,17 +125,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(args) -> tuple[Multigraph, PrimeField, list[str]]:
-    text = Path(args.graph_file).read_text(encoding="utf-8")
-    g, declared = parse_graph(text)
+def _load_graph(args) -> tuple[Multigraph, PrimeField]:
+    g, declared = parse_graph(Path(args.graph_file).read_text(encoding="utf-8"))
     p = args.p if args.p is not None else (declared if declared is not None else 2)
-    f = PrimeField(p)
-    warnings = []
-    for u, v, m in vanishing_edges(g, f):
-        warnings.append(f"edge ({u}, {v}) multiplicity {m} vanishes mod {p}")
+    return g, PrimeField(p)
+
+
+def _graph_fields(g: Multigraph, f: PrimeField, fields: dict) -> dict:
+    """p, n, a graph command's own JSON fields, then warnings: built after its work, never on a refusal."""
+    warnings = [f"edge ({u}, {v}) multiplicity {m} vanishes mod {f.p}" for u, v, m in vanishing_edges(g, f)]
     for v in isolated_vertices(g, f):
-        warnings.append(f"vertex {v} is isolated mod {p} (its X operation is the identity map)")
-    return g, f, warnings
+        warnings.append(f"vertex {v} is isolated mod {f.p} (its X operation is the identity map)")
+    return {"p": f.p, "n": g.n, **fields, "warnings": warnings}
 
 
 def _search_config(args) -> SearchConfig:
@@ -158,12 +169,11 @@ def _witness(k: SymplecticVector, prefix: str = "witness") -> dict:
 
 
 def _cmd_distance(args):
-    g, f, warnings = _load_graph(args)
+    g, f = _load_graph(args)
     rep = diagonal_distance(g, f, _search_config(args))
-    fields = {
-        "p": f.p, "n": g.n, "distance": rep.distance, **_witness(rep.witness),
-        "vectors_examined": rep.vectors_examined, "warnings": warnings,
-    }
+    fields = _graph_fields(
+        g, f, {"distance": rep.distance, **_witness(rep.witness), "vectors_examined": rep.vectors_examined}
+    )
     lines = [
         f"p = {f.p}, n = {g.n}",
         f"distance = {rep.distance}",
@@ -175,17 +185,14 @@ def _cmd_distance(args):
 
 
 def _cmd_code_distance(args):
-    g, f, warnings = _load_graph(args)
+    g, f = _load_graph(args)
     codes = parse_codewords(Path(args.codes_file).read_text(encoding="utf-8"), g.n, f)
     if not codes:
         raise ParseError("codeword file contains no codewords")
     res = code_distance(g, f, codes, _search_config(args))
     best = res.table[res.pair].witness
     pairs = [[r, s, rep.distance] for (r, s), rep in sorted(res.table.items())]
-    fields = {
-        "p": f.p, "n": g.n, "distance": res.delta, "pair": list(res.pair), **_witness(best),
-        "pairs": pairs, "warnings": warnings,
-    }
+    fields = _graph_fields(g, f, {"distance": res.delta, "pair": list(res.pair), **_witness(best), "pairs": pairs})
     lines = [f"p = {f.p}, n = {g.n}, codewords = {len(codes)}", "pair table (r, s, distance):"]
     lines += [f"  {r} {s} {d}" for r, s, d in pairs]
     lines += [
@@ -197,13 +204,13 @@ def _cmd_code_distance(args):
 
 
 def _cmd_kernel(args):
-    g, f, warnings = _load_graph(args)
+    g, f = _load_graph(args)
     if g.n > KERNEL_MAX_N:
         raise SearchTooLarge(f"kernel prints 2n**2 entries; n = {g.n} exceeds {KERNEL_MAX_N} vertices")
     lam = build_lambda(adjacency_matrix(g, f))
     basis = [b.tolist() for b in kernel_basis(lam, f)]
     rows = lam.tolist()
-    fields = {"p": f.p, "n": g.n, "kernel_dim": len(basis), "lambda": rows, "basis": basis, "warnings": warnings}
+    fields = _graph_fields(g, f, {"kernel_dim": len(basis), "lambda": rows, "basis": basis})
     lines = [f"p = {f.p}, n = {g.n}", f"Lambda = [I | Gamma] ({g.n} x {2 * g.n}):"]
     lines += ["  " + _vec_str(row) for row in rows]
     lines += [f"kernel dimension = {len(basis)}", "basis (z | x):"]
@@ -212,17 +219,17 @@ def _cmd_kernel(args):
 
 
 def _cmd_verify(args):
-    g, f, warnings = _load_graph(args)
+    g, f = _load_graph(args)
     fast = diagonal_distance(g, f, _search_config(args))
     # --force lifts the oracle's 2**20-word cap as well; its memory stays bounded
     # by the oracle's block of 2**12 words, however many words it walks
     cap_args = {"hard_cap": f.p ** (2 * g.n)} if args.force else {}
     slow = brute_force_distance(g, f, **cap_args)
     match = fast.distance == slow.distance
-    fields = {
-        "p": f.p, "n": g.n, "match": match, "distance": fast.distance, **_witness(fast.witness),
-        "oracle_distance": slow.distance, **_witness(slow.witness, "oracle_witness"), "warnings": warnings,
-    }
+    fields = _graph_fields(g, f, {
+        "match": match, "distance": fast.distance, **_witness(fast.witness),
+        "oracle_distance": slow.distance, **_witness(slow.witness, "oracle_witness"),
+    })
     lines = [
         f"p = {f.p}, n = {g.n}",
         f"kernel search: distance = {fast.distance}, witness = {_word_str(fast.witness)}",

@@ -357,7 +357,8 @@ def pairwise_distance(
     """Minimum chi-weight over solutions of Lambda k = cr - cs (mod p).
 
     The solution set is the affine family { (d - Gamma x | x) : x in (Z/pZ)^n }
-    with d = cr - cs; when cr = cs this is exactly diagonal_distance.
+    with d = cr - cs; when cr = cs this is exactly diagonal_distance.  The
+    witness carries cs to cr (brute_force_pairwise's carries cr to cs).
     """
     cr = np.asarray(cr, dtype=np.int64)
     cs = np.asarray(cs, dtype=np.int64)

@@ -14,10 +14,13 @@ fixes the zero labelling (words act as translations, so fixing one
 labelling fixes them all), and minimizes the positive eta count.  It still
 enumerates every word and takes every factor's action from the Z and X
 rules (apply_z, apply_x), but weighs up to _BLOCK = 2**12 words per numpy
-step: the last m vertices' words are tabulated once per call, and each word
-on the first n - m vertices translates that whole block.  The winner is
-re-checked with apply_word and eta_sum.  It exists to cross-check the fast
-path on small instances; it shares none of the kernel search's machinery.
+step.  A word is its 2n exponent digits z_1, x_1, ..., z_n, x_n; a block is
+every setting of the last k digits (the most with p**k <= _BLOCK, so a
+block may hold a vertex's x digit without its z digit), tabulated once per
+call, and each setting of the other digits translates that whole block.
+The winner is re-checked with apply_word and eta_sum.  It exists to
+cross-check the fast path on small instances; it shares none of the kernel
+search's machinery.
 
 Convention: eta is evaluated on the formal exponents, even when column i of
 Gamma vanishes mod p and X_i therefore acts as the identity map (isolated
@@ -29,6 +32,7 @@ why the command line tool warns about them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +88,8 @@ def apply_x(l, i: int, e: int, gamma, f: PrimeField) -> np.ndarray:
 def apply_word(w: OperatorWord, l, gamma, f: PrimeField) -> np.ndarray:
     """Apply every factor of the word in vertex order.
 
-    All factors are commuting translations, so the order is immaterial.
+    All factors are commuting translations, so the order is immaterial, and
+    a factor with exponent 0 is the identity, so it is skipped.
     """
     l = np.asarray(l, dtype=np.int64)
     gamma = np.asarray(gamma, dtype=np.int64)
@@ -92,8 +97,10 @@ def apply_word(w: OperatorWord, l, gamma, f: PrimeField) -> np.ndarray:
         raise ValueError("word, labelling and adjacency dimensions disagree")
     out = l % f.p
     for i, (z, x) in enumerate(w.exponents, start=1):
-        out = apply_z(out, i, z, f)
-        out = apply_x(out, i, x, gamma, f)
+        if z:
+            out = apply_z(out, i, z, f)
+        if x:
+            out = apply_x(out, i, x, gamma, f)
     return out
 
 
@@ -102,47 +109,36 @@ def eta_sum(w: OperatorWord) -> int:
     return sum(1 for pair in w.exponents if pair != (0, 0))
 
 
-def _outer_words(gamma, f: PrimeField, k: int):
-    """Every word on vertices 1..k in lexicographic order, vertex 1 slowest.
+def _word_blocks(gamma, f: PrimeField, target: np.ndarray, k: int):
+    """All p**(2n) words in digit order, z_1 slowest, p**k of them per block.
 
-    Yields (exponent pairs, action on the zero labelling, eta count); the
-    action is built factor by factor with apply_z and apply_x.
-    """
-    p = f.p
-
-    def walk(i, pairs, l, eta):
-        if i > k:
-            yield pairs, l, eta
-            return
-        for z in range(p):
-            lz = apply_z(l, i, z, f)
-            for x in range(p):
-                lx = apply_x(lz, i, x, gamma, f)
-                yield from walk(i + 1, pairs + ((z, x),), lx, eta + ((z, x) != (0, 0)))
-
-    return walk(1, (), np.zeros(len(gamma), dtype=np.int64), 0)
-
-
-def _word_blocks(gamma, f: PrimeField, target: np.ndarray, m: int):
-    """All p**(2n) words in lexicographic order, p**(2m) of them per block.
-
-    The block is every word on the last m vertices, tabulated once from
-    their factor actions; each word on the first n - m vertices translates
-    it.  Yields (that outer word's exponent pairs, eta of each block word),
-    with n + 1 in place of eta where the word does not reach target.
+    The block's labellings are tabulated once from each digit's factor
+    actions; each setting of the first 2n - k digits, applied to the zero
+    labelling with apply_word, translates them.  Yields (those digits, eta of
+    each block word), with n + 1 in place of eta where a word misses target.
     """
     n, p = len(gamma), f.p
     zero = np.zeros(n, dtype=np.int64)
-    nonzero = np.arange(p * p) != 0  # pair index q = z * p + x
-    labels = np.zeros((1, n), dtype=np.int64)
-    eta_in = np.zeros(1, dtype=np.int64)
-    for i in range(n - m + 1, n + 1):
-        acts = np.array([apply_x(apply_z(zero, i, z, f), i, x, gamma, f) for z in range(p) for x in range(p)])
-        labels = ((labels[:, None, :] + acts) % p).reshape(-1, n)
-        eta_in = (eta_in[:, None] + nonzero).reshape(-1)
-    for pairs, t, eta_out in _outer_words(gamma, f, n - m):
-        hits = (labels == (target - t) % p).all(axis=1)
-        yield pairs, np.where(hits, eta_in + eta_out, n + 1)
+    small = np.min_scalar_type(max(k, 1) * (p - 1))  # holds a residue and any sum of k of them
+    labels = np.zeros((n, 1), dtype=small)  # column b is block word b's labelling
+    for j in reversed(range(2 * n - k, 2 * n)):  # digit j is z_i for even j, x_i for odd j
+        i = j // 2 + 1
+        acts = [apply_x(zero, i, e, gamma, f) if j % 2 else apply_z(zero, i, e, f) for e in range(p)]
+        labels = (np.array(acts, dtype=small).T[:, :, None] + labels[:, None, :]).reshape(n, -1)
+    labels = np.ascontiguousarray(labels % small.type(p))  # C order: each block's compare reduces whole rows
+    eta_in = np.zeros(1, dtype=np.int64)  # eta of the vertices wholly inside the block
+    for _ in range(k // 2):
+        eta_in = (eta_in[:, None] + (np.arange(p * p) != 0)).reshape(-1)  # pair index z * p + x
+    # For odd k the block opens with x_i, and z_i is the last outer digit.  When
+    # z_i != 0 the outer word's eta_sum counts vertex i, else the block does when x_i != 0.
+    split = ((np.arange(p) != 0)[:, None] + eta_in).reshape(-1) if k % 2 else eta_in
+    eta_by_z = (split, np.tile(eta_in, p) if k % 2 else eta_in)  # indexed by z_i != 0
+    for digits in itertools.product(range(p), repeat=2 * n - k):
+        padded = digits + (0,) * k
+        w = OperatorWord(tuple(zip(padded[0::2], padded[1::2])))
+        wanted = ((target - apply_word(w, zero, gamma, f)) % p).astype(small)
+        hits = (labels == wanted[:, None]).all(axis=0)
+        yield digits, np.where(hits, eta_by_z[bool(digits) and digits[-1] != 0] + eta_sum(w), n + 1)
 
 
 def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int) -> DistanceReport:
@@ -151,25 +147,19 @@ def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int
     if total > hard_cap:
         raise SearchTooLarge(f"oracle would enumerate p**(2n) = {total} words, cap is {hard_cap}")
     gamma = adjacency_matrix(g, f)
-    m = 0
-    while m < n and p ** (2 * m + 2) <= _BLOCK:
-        m += 1
-    best = None
-    best_eta = n + 1
-    for pairs, eta in _word_blocks(gamma, f, target, m):
+    k = next(k for k in range(2 * n, -1, -1) if p**k <= _BLOCK)  # digits per block
+    best, best_eta = None, n + 1
+    for digits, eta in _word_blocks(gamma, f, target, k):
         if eta[0] == 0:  # the identity word, first in the first block
             eta[0] = n + 1
         i = int(eta.argmin())
         if eta[i] < best_eta:
-            best_eta, best = int(eta[i]), (pairs, i)
+            best_eta, best = int(eta[i]), (digits, i)
     if best is None:
         raise RuntimeError("no word reached the target, yet single Z factors reach every translation")
-    pairs, i = best
-    inner = []
-    for _ in range(m):
-        i, q = divmod(i, p * p)
-        inner.append(divmod(q, p))
-    word = OperatorWord(pairs + tuple(reversed(inner)))
+    digits, i = best
+    digits += tuple(int(e) for e in np.unravel_index(i, (p,) * k))  # block word i's digits
+    word = OperatorWord(tuple(zip(digits[0::2], digits[1::2])))
     zero = np.zeros(n, dtype=np.int64)
     if not np.array_equal(apply_word(word, zero, gamma, f), target) or eta_sum(word) != best_eta:
         raise RuntimeError(f"oracle witness {word.exponents} failed re-verification against the Z and X rules")
@@ -194,7 +184,8 @@ def brute_force_pairwise(
 
     A word maps cr to cs exactly when it translates the zero labelling to
     cs - cr, which is what gets tested; some word always does (single Z
-    factors realize any translation), so the minimum exists.
+    factors realize any translation), so the minimum exists.  The witness
+    carries cr to cs, the opposite way to pairwise_distance's.
     """
     cr = np.asarray(cr, dtype=np.int64) % f.p
     cs = np.asarray(cs, dtype=np.int64) % f.p

@@ -452,3 +452,35 @@ def test_refusals_of_a_4096_vertex_path(capsys, tmp_path):
     for argv, message in cases:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (3, "", f"diagdist: error: {message}\n"), argv
+
+
+def test_warnings_are_listed_only_after_the_work(capsys, tmp_path, monkeypatch):
+    from diagdist import cli
+
+    calls = []
+    for name in ("vanishing_edges", "isolated_vertices"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, f, real=real, name=name: calls.append(name) or real(g, f))
+    path = tmp_path / "path300.eg"
+    path.write_text(serialize(generate("path", 300)))
+    for argv in (("kernel",), ("distance",), ("distance", "--p", "3"), ("verify", "--max-n", "8")):
+        assert run(capsys, argv[0], str(path), *argv[1:])[0] == 3, argv
+    assert calls == []
+    path.write_text("n 2\ne 1 2 2\n")
+    code, _, err = run(capsys, "distance", str(path))
+    assert code == 0
+    assert calls == ["vanishing_edges", "isolated_vertices"]
+    assert err == (
+        "warning: edge (1, 2) multiplicity 2 vanishes mod 2\n"
+        "warning: vertex 1 is isolated mod 2 (its X operation is the identity map)\n"
+        "warning: vertex 2 is isolated mod 2 (its X operation is the identity map)\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_n_below_one_is_a_usage_error(capsys, cycle5_file, value):
+    for command in ("distance", "verify"):
+        code, out, err = run(capsys, command, cycle5_file, "--max-n", value)
+        assert (code, out) == (1, ""), command
+        assert err.endswith(f"diagdist {command}: error: argument --max-n: max_vertices must be >= 1\n")
+    assert run(capsys, "distance", cycle5_file, "--max-n", "x")[0] == 1

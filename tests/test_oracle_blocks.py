@@ -4,9 +4,11 @@ reference() is that loop: it builds every OperatorWord in lexicographic
 order, applies it to the zero labelling with apply_word and keeps the first
 word of least positive eta that reaches the target.  The block walk must
 report the same distance, the same witness and the same vectors_examined,
-at the default block and at a block of 2**2 words, where every case spans
-several blocks (one word per block for p >= 3) and ties across blocks
-decide the witness.
+at the default block and at blocks of 2**2 and 2**3 words.  With the small
+blocks most cases span several blocks, so ties across blocks decide the
+witness, and a block of an odd number of digits opens with an x digit whose
+z digit lies outside it (every p at 2**3, p = 3 at 2**2; p >= 5 gets one
+word per block at 2**2).
 """
 
 import itertools
@@ -85,7 +87,7 @@ def test_block_walk_matches_the_per_word_loop(monkeypatch):
         f = PrimeField(p)
         g, cr, cs = make_case(p, n, kind, tkind, seed)
         expected = reference(g, f, cr, cs)
-        for block in (1 << 12, 1 << 2):
+        for block in (1 << 12, 1 << 2, 1 << 3):
             monkeypatch.setattr(oracle, "_BLOCK", block)
             assert oracle_report(g, f, cr, cs, tkind) == expected, (p, n, kind, tkind, seed, block)
         distances.add(expected[0])
@@ -112,6 +114,21 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     assert rep.distance == diagonal_distance(g, f).distance
     assert sizes == [oracle._BLOCK] * 16
     sizes.clear()
-    rep = brute_force_distance(generate("edgeless", 1), PrimeField(67))  # p**2 > _BLOCK: one word a block
+    rep = brute_force_distance(generate("edgeless", 1), PrimeField(67))  # p**2 > _BLOCK: the x digit alone
     assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (0, 1), 67**2)
-    assert sizes == [1] * 67**2
+    assert sizes == [67] * 67
+
+
+def test_a_block_holds_a_lone_x_digit_above_p_64(monkeypatch):
+    sizes = []
+    real = oracle._word_blocks
+
+    def spy(*args):
+        for digits, eta in real(*args):
+            sizes.append(eta.size)
+            yield digits, eta
+
+    monkeypatch.setattr(oracle, "_word_blocks", spy)
+    rep = brute_force_distance(generate("edgeless", 1), PrimeField(1021), hard_cap=1021**2)
+    assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (0, 1), 1021**2)
+    assert sizes == [1021] * 1021
