@@ -18,9 +18,13 @@ for p = 2, in odometer order (digit 1 fastest) for p >= 3.  The m low digits
 of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
 per graph and shared, with Lambda, by every difference a call searches; the
 high digits step through one block of p**m candidates at a time, and a few
-numpy operations weigh the whole block.  Reported witnesses are the first
-minimizer in that fixed order, re-checked against Lambda, so equal inputs
-always produce identical reports.
+numpy operations weigh the whole block.  The search also takes a stack of
+r differences: each block is then weighed for all r rows in one pass, so
+code_distance pays the per-search Python cost once per stack of at most
+_ROWS differences, not once per difference.  Reported witnesses are the
+first minimizer in that fixed order, re-checked against Lambda (a stack's
+together, in one product), so equal inputs always produce identical
+reports, and a row of a stack reports what its lone search would.
 
 Two exact exclusions skip blocks that cannot hold a new first minimizer
 (the lower-bound and projective ideas of Brouwer-Zimmermann search; Grassl,
@@ -30,6 +34,10 @@ Two exact exclusions skip blocks that cannot hold a new first minimizer
   in it weighs at least |supp x_hi|, so a block whose high support reaches
   the best weight found so far is skipped; a later tie never replaces the
   first minimizer.  The weight-1 early exit is the case of best weight 1.
+  A stack skips a block whose high support reaches the largest best weight
+  among its rows; a row whose best is already at or below that support
+  cannot improve on a strict <, so weighing the block for it changes no
+  report.
 * scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
   same as k, so the first minimizer has top nonzero digit 1, and only h = 0
   and the blocks h in [p**j, 2 p**j) are weighed.  At p = 2 that is every
@@ -51,6 +59,7 @@ from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
+_ROWS = 16  # differences per block pass in code_distance; buffers hold _ROWS * _BLOCK entries
 
 
 class SearchTooLarge(Exception):
@@ -146,9 +155,8 @@ def build_lambda(gamma) -> np.ndarray:
 
 def chi_weight(k: SymplecticVector, f: PrimeField) -> int:
     """Number of vertices i with z_i != 0 or x_i != 0 (entries taken mod p)."""
-    n = k.n
-    p = f.p
-    return sum(1 for i in range(n) if k.entries[i] % p or k.entries[i + n] % p)
+    e, n, p = k.entries, k.n, f.p
+    return sum(1 for z, x in zip(e[:n], e[n:]) if z % p or x % p)
 
 
 def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
@@ -179,20 +187,29 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
         )
 
 
+def _bitmasks(a: np.ndarray):
+    """Each row of a (at most 64 columns) as an int with bit j set where its entry j is nonzero."""
+    bits = (a != 0).astype(np.uint64) << np.arange(a.shape[-1], dtype=np.uint64)
+    return bits.sum(axis=-1, dtype=np.uint64).tolist()  # distinct bits: the sum is their OR
+
+
 def _gray_table(gamma: np.ndarray, m: int):
     """Gamma's columns as bitmasks, and gray(lo) with its part of z per parity of h.
 
     With t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit
-    m - 1 flipped when h is odd, and the high bits are gray(h).
+    m - 1 flipped when h is odd, and the high bits are gray(h).  The masks
+    are uint32 when n <= 32 and uint64 above that: the narrower width
+    halves the memory every block operation reads and writes.
     """
-    cols = [sum(1 << j for j, v in enumerate(col) if v) for col in gamma.T.tolist()]
+    dt = np.uint32 if gamma.shape[0] <= 32 else np.uint64
+    cols = _bitmasks(gamma.T)
     size = 1 << m
-    xl0 = np.zeros(size, dtype=np.uint64)  # gray(lo), lo = 0 .. 2**m - 1
-    zl0 = np.zeros(size, dtype=np.uint64)  # Gamma gray(lo)
-    for i in range(m):  # gray codes of i + 1 bits: those of i bits, then reversed with bit i set
-        np.bitwise_or(xl0[: 1 << i][::-1], np.uint64(1 << i), out=xl0[1 << i : 2 << i])
-        np.bitwise_xor(zl0[: 1 << i][::-1], np.uint64(cols[i]), out=zl0[1 << i : 2 << i])
-    return cols, (xl0, xl0 ^ np.uint64(1 << (m - 1))), (zl0, zl0 ^ np.uint64(cols[m - 1]))
+    lo = np.arange(size, dtype=dt)
+    xl0 = lo ^ (lo >> dt(1))  # gray(lo), lo = 0 .. 2**m - 1
+    zl0 = np.zeros(size, dtype=dt)  # Gamma gray(lo)
+    for i in range(m):  # gray codes of i + 1 bits are those of i bits, then reversed with bit i set
+        np.bitwise_xor(zl0[: 1 << i][::-1], dt(cols[i]), out=zl0[1 << i : 2 << i])
+    return cols, (xl0, xl0 ^ dt(1 << (m - 1))), (zl0, zl0 ^ dt(cols[m - 1]))
 
 
 def _gray_blocks(table, n: int, d, m: int, hs):
@@ -200,37 +217,47 @@ def _gray_blocks(table, n: int, d, m: int, hs):
 
     Block h holds the 2**m consecutive t = h * 2**m + lo; hs gives the
     ascending block indices to weigh, and one uint8 array is yielded per
-    block.  The array is reused, so it is valid until the next block.  z
-    and x are bitmasks; the low bits come from _gray_table, and the high
-    part is gray(h), reached from the last block's by one column XOR per
-    flipped bit.  The weight is popcount(z | x).
+    block.  A stack d of shape (r, n) gives the array a leading row axis,
+    shape (r, 2**m), so buffers hold at most _ROWS * _BLOCK entries; a 1-D
+    d gives shape (2**m,).  The array is reused, so it is valid until the
+    next block.  z and x are bitmasks; the low bits come from _gray_table,
+    and the high part is gray(h), reached from the last block's by one
+    column XOR per flipped bit.  The weight is popcount(z | x).
     """
     cols, xl, zl = table
-    buf = np.empty(1 << m, dtype=np.uint64)
-    w = np.empty(1 << m, dtype=np.uint8)
-    zh = sum(1 << j for j, v in enumerate(d.tolist()) if v)
-    gh = 0  # gray(h) of the last block weighed
+    dt = xl[0].dtype.type
+    masks = _bitmasks(d)
+    zd = np.array(masks, dtype=dt)[:, None] if d.ndim == 2 else dt(masks)
+    buf = np.empty(d.shape[:-1] + (1 << m,), dtype=dt)
+    xb = np.empty(1 << m, dtype=dt)
+    w = np.empty(buf.shape, dtype=np.uint8)
+    gz = gh = 0  # Gamma gray(h) and gray(h), high parts, of the last block weighed
     for h in hs:
         flips = (h ^ h >> 1) ^ gh
         gh ^= flips
         while flips:
             low = flips & -flips
-            zh ^= cols[m + low.bit_length() - 1]
+            gz ^= cols[m + low.bit_length() - 1]
             flips ^= low
-        np.bitwise_xor(zl[h & 1], np.uint64(zh), out=buf)
-        np.bitwise_or(buf, xl[h & 1], out=buf)
-        np.bitwise_or(buf, np.uint64(gh << m), out=buf)
+        np.bitwise_or(xl[h & 1], dt(gh << m), out=xb)
+        np.bitwise_xor(zl[h & 1], zd ^ dt(gz), out=buf)
+        np.bitwise_or(buf, xb, out=buf)
         np.bitwise_count(buf, out=w)
         yield w
 
 
 def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
-    """Column lo holds (-Gamma x_lo) mod p for the low m digits, p where x_j != 0."""
+    """Column lo holds (-Gamma x_lo) mod p for the low m digits, p where x_j != 0.
+
+    A sum s of two residues is below 2p, so min(s, s - p) reduces it: in
+    an unsigned dtype s - p wraps above s when s < p.
+    """
     dt = np.min_scalar_type(2 * p)  # holds the sum of two residues
     tab = np.zeros((n, 1), dtype=dt)
     for j in range(m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
         steps = ((np.arange(p) * -gamma[:, j : j + 1]) % p).astype(dt)
-        tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
+        s = tab[:, None, :] + steps[:, :, None]
+        tab = np.minimum(s, s - dt.type(p)).reshape(n, -1)
     for j in range(m):
         tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
     return tab
@@ -241,19 +268,22 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
 
     Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
     ascending block indices to weigh, and one array is yielded per block,
-    reused like _gray_blocks.  A block's target holds (Gamma x_hi - d) mod p
-    for the high digits x_hi of h, and p where its own digit x_j is
-    nonzero; tab (from _odometer_table) never holds p at the same j.
-    Vertex j counts exactly where the two differ, so no add or mod runs per
-    candidate.
+    with a leading row axis when d is a stack (so buffers hold at most
+    _ROWS times n * _BLOCK entries), reused like _gray_blocks.
+    A block's target holds (Gamma x_hi - d) mod p for the high digits x_hi
+    of h, and p where its own digit x_j is nonzero; tab (from
+    _odometer_table) never holds p at the same j.  Vertex j counts exactly
+    where the two differ, so no add or mod runs per candidate.
     """
-    neq = np.empty(tab.shape, dtype=bool)
-    w = np.empty(tab.shape[1], dtype=np.min_scalar_type(n + 1))
+    lead = d.shape[:-1]  # () for one difference, (r,) for a stack
+    tabs = tab.reshape(tab.shape[:1] + (1,) * len(lead) + tab.shape[1:])
+    neq = np.empty(tab.shape[:1] + lead + tab.shape[1:], dtype=bool)
+    w = np.empty(lead + tab.shape[1:], dtype=np.min_scalar_type(n + 1))
     for h in hs:
         xh = np.array([h // p**j % p for j in range(n - m)], dtype=np.int64)
-        target = (gamma[:, m:] @ xh - d) % p
+        target = ((gamma[:, m:] @ xh - d) % p).T  # vertex axis first
         target[m:][xh != 0] = p
-        np.not_equal(tab, target.astype(tab.dtype)[:, None], out=neq)
+        np.not_equal(tabs, target.astype(tab.dtype)[..., None], out=neq)
         np.add.reduce(neq, axis=0, dtype=w.dtype, out=w)
         yield w
 
@@ -287,10 +317,15 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the low-digit table once.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
-    for one difference d (reduced mod p).  It weighs only the blocks that
-    pass the support bound and, for d = 0, the scalar symmetry, so it stops
-    once the best weight is 1; when d = 0 the k = 0 candidate (weight 0) is
-    not examined.
+    for one difference d (reduced mod p), or a list of r reports for a
+    stack of shape (r, n) of distinct nonzero differences, each equal to
+    what search(row) reports.  A stack is weighed in one block pass, so its
+    buffers hold r times one difference's; code_distance keeps r <= _ROWS.
+    The pass weighs only the blocks that pass the support bound for the
+    largest best weight among the rows (a row whose best is at or below a
+    block's high support cannot improve on a strict <) and, for d = 0, the
+    scalar symmetry, and stops once every row's best weight is 1; when
+    d = 0 the k = 0 candidate (weight 0) is not examined.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -300,17 +335,23 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     while m < n and p ** (m + 1) <= _BLOCK:
         m += 1
     table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
+    powers = np.array([p**j for j in range(n) if p**j < 1 << 63], dtype=np.int64)
 
-    def search(d: np.ndarray) -> DistanceReport:
+    def search(d: np.ndarray):
+        stack = d.ndim == 2
+        if stack and not d.any(axis=1).all():
+            raise ValueError("a stack of differences must not hold the zero difference")
         skip_zero = not d.any()
-        best_w, best_t, h = n + 1, 0, 0
+        r = len(d) if stack else 1
+        best_w, best_t = [n + 1] * r, [0] * r
+        top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
 
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
             nonlocal h
             for h in _block_order(p, n - m, skip_zero):
-                if _high_support(h, p) < best_w:  # a later tie never replaces the first minimizer
+                if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
                     yield h
-                elif best_w == 1:  # every later block has support >= 1 too
+                elif top == 1:  # every later block has support >= 1 too
                     return
 
         hs = weighed() if m < n else (0,)  # one block: always weighed, no filter to set up
@@ -318,19 +359,32 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             blocks = _gray_blocks(table, n, d, m, hs)
         else:
             blocks = _odometer_blocks(gamma, table, n, p, d, m, hs)
-        for w in blocks:
-            if h == 0 and skip_zero:
-                w[0] = n + 1
-            i = int(w.argmin())
-            if w[i] < best_w:
-                best_w, best_t = int(w[i]), h * p**m + i
-        examined = (best_t + 1 if best_w == 1 else p**n) - skip_zero
-        xi = best_t ^ (best_t >> 1) if p == 2 else best_t
-        x = np.array([xi // p**j % p for j in range(n)], dtype=np.int64)
-        witness = SymplecticVector.from_parts((d - gamma @ x) % p, x)
-        if ((lam @ witness.as_array() - d) % p).any() or chi_weight(witness, f) != best_w:
+        for w in blocks:  # one argmin per block; the per-row compares are plain Python
+            if stack:
+                for j, i in enumerate(w.argmin(axis=1).tolist()):
+                    if w[j, i] < best_w[j]:
+                        best_w[j], best_t[j] = int(w[j, i]), h * p**m + i
+                top = max(best_w)
+            else:
+                if h == 0 and skip_zero:
+                    w[0] = n + 1
+                i = int(w.argmin())
+                if w[i] < top:
+                    top = best_w[0] = int(w[i])
+                    best_t[0] = h * p**m + i
+        xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.int64)
+        k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
+        k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0
+        dr = d.reshape(r, n)
+        k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
+        witnesses = [SymplecticVector(tuple(e)) for e in k.tolist()]
+        if ((k @ lam.T - dr) % p).any() or [chi_weight(v, f) for v in witnesses] != best_w:
             raise RuntimeError("witness failed re-verification")
-        return DistanceReport(distance=best_w, witness=witness, vectors_examined=examined)
+        reports = [
+            DistanceReport(bw, v, vectors_examined=(bt + 1 if bw == 1 else p**n) - skip_zero)
+            for bw, bt, v in zip(best_w, best_t, witnesses)
+        ]
+        return reports if stack else reports[0]
 
     return search
 
@@ -364,7 +418,7 @@ def pairwise_distance(
     cs = np.asarray(cs, dtype=np.int64)
     if cr.shape != (g.n,) or cs.shape != (g.n,):
         raise ValueError(f"labellings must have length {g.n}")
-    return _searcher(g, f, cfg)((cr - cs) % f.p)
+    return _searcher(g, f, cfg)((cr % f.p - cs % f.p) % f.p)  # cr - cs may not fit int64
 
 
 def code_distance(
@@ -377,8 +431,12 @@ def code_distance(
 
     delta = min over all pairs r <= s (1-based) of the pairwise distance,
     diagonal pairs included.  Each distinct difference cr - cs mod p is
-    searched once, d = 0 giving every (r, r) entry.  The reported pair is
-    the first minimizer in lexicographic scan order.
+    searched once, and pairs with equal differences share its report: d = 0
+    alone, so the scalar symmetry applies and it gives every (r, r) entry,
+    and the distinct nonzero differences as stacks of at most _ROWS rows,
+    each weighed in one block pass.  Every report equals what
+    pairwise_distance gives for its pair.  The reported pair is the first
+    minimizer in lexicographic scan order.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -386,14 +444,17 @@ def code_distance(
     if any(c.shape != (g.n,) for c in words):
         raise ValueError(f"labellings must have length {g.n}")
     search = _searcher(g, f, cfg)
-    reports: dict[bytes, DistanceReport] = {}  # by the bytes of d
-    table: dict[tuple[int, int], DistanceReport] = {}
-    for r, cr in enumerate(words, start=1):
-        for s, cs in enumerate(words[r - 1 :], start=r):
-            d = (cr - cs) % f.p
-            if (key := d.tobytes()) not in reports:
-                reports[key] = search(d)
-            table[(r, s)] = reports[key]
+    reduced = np.array(words) % f.p  # reduced first: cr - cs may not fit int64
+    rs, ss = np.triu_indices(len(words))  # every pair r <= s, in scan order
+    diffs = (reduced[rs] - reduced[ss]) % f.p
+    first: dict[bytes, int] = {}  # the bytes of a difference -> the index of its first pair
+    which = [first.setdefault(d.tobytes(), i) for i, d in enumerate(diffs)]
+    distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
+    reports = {0: search(diffs[0])}
+    for c in range(1, len(distinct), _ROWS):
+        chunk = distinct[c : c + _ROWS]
+        reports.update(zip(chunk, search(diffs[chunk])))
+    table = {(r + 1, s + 1): reports[i] for r, s, i in zip(rs.tolist(), ss.tolist(), which)}
     best_pair = (1, 1)
     for pair, rep in table.items():  # insertion order is the scan order
         if rep.distance < table[best_pair].distance:

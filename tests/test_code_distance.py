@@ -4,11 +4,16 @@ Its pair table must equal, entry for entry, what the one-pair functions
 report: the same distance, witness and vectors_examined.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diagdist
 from diagdist import PrimeField, code_distance, diagonal_distance, generate, pairwise_distance
 from diagdist import distance as D
 from helpers import random_multigraph
@@ -79,3 +84,148 @@ def test_every_codeword_length_is_checked():
         code_distance(generate("cycle", 5), F2, [np.zeros(3)])
     with pytest.raises(ValueError, match="length 5"):
         code_distance(generate("cycle", 5), F2, [np.zeros(5), np.zeros(5), np.zeros(6)])
+
+
+def one_pair_reports(g, f, words, res):
+    """Each pair's report from diagonal_distance or pairwise_distance, in the table's order."""
+    return [
+        key(pairwise_distance(g, f, words[r - 1], words[s - 1]) if r != s else diagonal_distance(g, f))
+        for r, s in res.table
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 3, D._ROWS])
+@pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
+def test_batched_table_matches_one_pair_searches(monkeypatch, block, rows):
+    """Stacks of 1, 3 and _ROWS differences give every pair its one-pair report."""
+    monkeypatch.setattr(D, "_BLOCK", block)
+    monkeypatch.setattr(D, "_ROWS", rows)
+    rng = random.Random(4000 + block + rows)
+    for p, ns in SIZES:
+        f = PrimeField(p)
+        for n in ns:
+            g = random_multigraph(rng, n, max_mult=p)
+            one = [np.array([rng.randrange(-p, 2 * p) for _ in range(n)], dtype=np.int64)]
+            for words in (codewords(rng, n, p, 4), one):  # k = 7 and k = 1
+                res = code_distance(g, f, words)
+                got = [key(rep) for rep in res.table.values()]
+                assert got == one_pair_reports(g, f, words, res), (p, n, len(words))
+
+
+def spy_searches(monkeypatch, name):
+    """Spy on D.<name>: one entry per search, the shape of its difference d."""
+    real = getattr(D, name)
+    shapes = []
+
+    def spy(*args):
+        shapes.append(np.shape(args[-3]))  # d comes third from last in both generators
+        yield from real(*args)
+
+    monkeypatch.setattr(D, name, spy)
+    return shapes
+
+
+@pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
+def test_one_block_pass_per_stack(monkeypatch, p, name):
+    """d = 0 alone, then ceil(distinct nonzero / _ROWS) stacks of at most _ROWS rows."""
+    monkeypatch.setattr(D, "_ROWS", 3)
+    shapes = spy_searches(monkeypatch, name)
+    rng = random.Random(11)
+    n = 5
+    f = PrimeField(p)
+    words = codewords(rng, n, p, 5)
+    distinct = {((a - b) % p).tobytes() for r, a in enumerate(words) for b in words[r:]}
+    nonzero = len(distinct) - 1
+    assert nonzero > 2 * D._ROWS  # several stacks, the last one maybe partial
+    res = code_distance(random_multigraph(rng, n, max_mult=p), f, words)
+    assert len(shapes) <= -(-nonzero // D._ROWS) + 1
+    assert shapes[0] == (n,)
+    assert all(len(s) == 2 and s[0] <= D._ROWS and s[1] == n for s in shapes[1:])
+    assert sum(s[0] for s in shapes[1:]) == nonzero
+    assert len(res.table) == len(words) * (len(words) + 1) // 2
+
+
+def test_pairs_with_equal_differences_share_one_report():
+    rng = random.Random(5)
+    p, n = 3, 4
+    words = codewords(rng, n, p, 4)  # words[6] = words[3] + p
+    res = code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), words)
+    assert res.table[(1, 4)] is res.table[(1, 7)]
+    assert res.table[(4, 7)] is res.table[(1, 1)] is res.table[(7, 7)]
+    by_difference = {}
+    for (r, s), rep in res.table.items():
+        by_difference.setdefault(((words[r - 1] - words[s - 1]) % p).tobytes(), set()).add(id(rep))
+    assert all(len(ids) == 1 for ids in by_difference.values())
+    assert len({id(rep) for rep in res.table.values()}) == len(by_difference)
+
+
+@pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
+def test_forged_weight_in_a_later_row_fails_reverification(monkeypatch, p, name):
+    real = getattr(D, name)
+    forged_rows = []
+
+    def forged(*args):
+        for w in real(*args):
+            if w.ndim == 2 and len(w) > 1:
+                w[1, -1] = 0  # no candidate of a nonzero difference has weight 0
+                forged_rows.append(len(w))
+            yield w
+
+    monkeypatch.setattr(D, name, forged)
+    rng = random.Random(3)
+    words = [np.array([rng.randrange(p) for _ in range(5)], dtype=np.int64) for _ in range(4)]
+    with pytest.raises(RuntimeError, match="re-verification"):
+        code_distance(generate("cycle", 5), PrimeField(p), words)
+    assert forged_rows
+
+
+FORGE_UNDER_O = """
+import numpy as np
+from diagdist import PrimeField, code_distance, generate
+from diagdist import distance as D
+real = D._gray_blocks
+def forged(*args):
+    for w in real(*args):
+        if w.ndim == 2:
+            w[-1, -1] = 0
+        yield w
+D._gray_blocks = forged
+words = [np.eye(5, dtype=np.int64)[i] for i in range(3)]
+try:
+    code_distance(generate("cycle", 5), PrimeField(2), words)
+except RuntimeError as e:
+    print(e)
+"""
+
+
+def test_batch_reverification_runs_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGE_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "witness failed re-verification"
+
+
+def test_a_stack_must_not_hold_the_zero_difference():
+    search = D._searcher(generate("cycle", 5), F2, D.SearchConfig())
+    d = np.zeros((2, 5), dtype=np.int64)
+    d[0, 0] = 1
+    with pytest.raises(ValueError, match="zero difference"):
+        search(d)
+
+
+def test_differences_past_int64_are_taken_mod_p():
+    """2**62 - (-2**62) wraps in int64; reduced first, the difference is 2 mod 3, not 1."""
+    g = generate("path", 3)
+    f = PrimeField(3)
+    big = [np.array([2**62, 0, 0]), np.array([-(2**62), 0, 0])]
+    reduced = [w % 3 for w in big]
+    want = pairwise_distance(g, f, *reduced)
+    assert want.witness.entries == (2, 0, 0, 0, 0, 0)
+    assert key(pairwise_distance(g, f, *big)) == key(want)
+    assert key(code_distance(g, f, big).table[(1, 2)]) == key(want)

@@ -1,0 +1,82 @@
+"""The low-digit tables of the block search, at the edges of their dtypes.
+
+At p = 2 the masks are uint32 up to 32 vertices and uint64 above, so the
+searches below set bit 31 and bit 32 and stop on their first candidate.
+At odd p the odometer table reduces sums of two residues with an unsigned
+wrap instead of % p; it must equal the % p construction, also in uint16.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from diagdist import (
+    Multigraph,
+    PrimeField,
+    SearchConfig,
+    adjacency_matrix,
+    diagonal_distance,
+    generate,
+    pairwise_distance,
+)
+from diagdist import distance as D
+from helpers import random_multigraph
+
+FORCE = SearchConfig(force=True)
+
+
+@pytest.mark.parametrize("n, width", [(32, np.uint32), (33, np.uint64)])
+def test_unit_difference_at_the_top_vertex(n, width):
+    """d = e_n weighs 1 at x = 0: the top bit of the masks, found on the first candidate."""
+    g = generate("cycle", n)
+    f = PrimeField(2)
+    _, xl, zl = D._gray_table(adjacency_matrix(g, f), 12)
+    assert xl[0].dtype == zl[0].dtype == width
+    e = np.zeros(n, dtype=np.int64)
+    e[-1] = 1
+    rep = pairwise_distance(g, f, e, np.zeros(n, dtype=np.int64), FORCE)
+    assert (rep.distance, rep.vectors_examined) == (1, 1)
+    assert rep.witness.entries == tuple(e.tolist()) + (0,) * n
+
+
+def test_edgeless_graph_past_32_vertices():
+    g = Multigraph(40, np.zeros((40, 40), dtype=np.int64))
+    rep = diagonal_distance(g, PrimeField(2), FORCE)
+    assert (rep.distance, rep.vectors_examined) == (1, 1)
+    assert rep.witness.entries == (0,) * 40 + (1,) + (0,) * 39
+
+
+def modular_table(gamma, n, p, m):
+    """The odometer table built with % p at each digit, in int64."""
+    tab = np.zeros((n, 1), dtype=np.int64)
+    for j in range(m):
+        steps = (np.arange(p) * -gamma[:, j : j + 1]) % p
+        tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
+    for j in range(m):
+        tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
+    return tab
+
+
+def low_digits(n, p):
+    """m as the search picks it: the most low digits with p**m <= _BLOCK."""
+    m = 0
+    while m < n and p ** (m + 1) <= D._BLOCK:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize(
+    "p, n, block",
+    [(3, 9, None), (5, 6, None), (7, 5, None), (11, 4, None), (131, 3, 131**2), (257, 3, 257**2)],
+)
+def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
+    if block is not None:
+        monkeypatch.setattr(D, "_BLOCK", block)
+    gamma = adjacency_matrix(random_multigraph(random.Random(p), n, max_mult=2 * p), PrimeField(p))
+    m = low_digits(n, p)
+    assert m >= 1
+    tab = D._odometer_table(gamma, n, p, m)
+    assert tab.dtype == np.min_scalar_type(2 * p)
+    assert tab.shape == (n, p**m)
+    np.testing.assert_array_equal(tab, modular_table(gamma, n, p, m))
