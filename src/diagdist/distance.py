@@ -19,11 +19,13 @@ of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
 per graph and shared, with Lambda, by every difference a call searches; the
 high digits step through one block of p**m candidates at a time, and a few
 numpy operations weigh the whole block.  The search also takes a stack of
-r differences: each block is then weighed for all r rows in one pass, so
-code_distance pays the per-search Python cost once per stack of at most
-_ROWS differences, not once per difference.  Reported witnesses are the
-first minimizer in that fixed order, re-checked against Lambda (a stack's
-together, in one product), so equal inputs always produce identical
+r differences: each block is then weighed for all r rows in one pass, and
+one argmin per block with a masked update of the rows it improves keeps
+every row's best, so code_distance pays the per-search Python cost once
+per stack of up to _ROWS = 64 differences, not once per difference.
+Reported witnesses are the first minimizer in that fixed order, re-checked
+against Lambda and their weights recounted (a stack's together, in one
+product and one numpy count), so equal inputs always produce identical
 reports, and a row of a stack reports what its lone search would.
 
 Two exact exclusions skip blocks that cannot hold a new first minimizer
@@ -54,12 +56,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, _congruent_int64
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
-_ROWS = 16  # differences per block pass in code_distance; buffers hold _ROWS * _BLOCK entries
+# Differences per block pass in code_distance.  Buffers hold _ROWS * _BLOCK
+# entries: 1 MiB of uint32 masks at p = 2, and n * 256 KiB of bools at odd p.
+# A code of up to 12 codewords (at most 66 distinct nonzero differences)
+# needs one stack or two.
+_ROWS = 64
 
 
 class SearchTooLarge(Exception):
@@ -150,7 +156,10 @@ def build_lambda(gamma) -> np.ndarray:
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError(f"adjacency block must be square, got shape {gamma.shape}")
     n = gamma.shape[0]
-    return np.concatenate([np.eye(n, dtype=np.int64), gamma], axis=1)
+    lam = np.zeros((n, 2 * n), dtype=np.int64)
+    lam[:, n:] = gamma
+    lam.reshape(-1)[:: 2 * n + 1] = 1  # entry (i, i) sits at flat index i * (2n + 1)
+    return lam
 
 
 def chi_weight(k: SymplecticVector, f: PrimeField) -> int:
@@ -165,7 +174,7 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
     x runs over (Z/pZ)^n; the map x -> k is a bijection onto ker [I | gamma].
     """
     gamma = np.asarray(gamma, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64) % f.p
+    x = _congruent_int64(x, f.p) % f.p
     z = (-(gamma @ x)) % f.p
     return SymplecticVector.from_parts(z, x)
 
@@ -189,8 +198,8 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
 
 def _bitmasks(a: np.ndarray):
     """Each row of a (at most 64 columns) as an int with bit j set where its entry j is nonzero."""
-    bits = (a != 0).astype(np.uint64) << np.arange(a.shape[-1], dtype=np.uint64)
-    return bits.sum(axis=-1, dtype=np.uint64).tolist()  # distinct bits: the sum is their OR
+    bits = 1 << np.arange(a.shape[-1], dtype=np.uint64)
+    return ((a != 0) @ bits).tolist()  # distinct bits: the dot product is their OR
 
 
 def _gray_table(gamma: np.ndarray, m: int):
@@ -218,16 +227,18 @@ def _gray_blocks(table, n: int, d, m: int, hs):
     Block h holds the 2**m consecutive t = h * 2**m + lo; hs gives the
     ascending block indices to weigh, and one uint8 array is yielded per
     block.  A stack d of shape (r, n) gives the array a leading row axis,
-    shape (r, 2**m), so buffers hold at most _ROWS * _BLOCK entries; a 1-D
-    d gives shape (2**m,).  The array is reused, so it is valid until the
-    next block.  z and x are bitmasks; the low bits come from _gray_table,
-    and the high part is gray(h), reached from the last block's by one
-    column XOR per flipped bit.  The weight is popcount(z | x).
+    shape (r, 2**m), so buffers hold at most _ROWS * _BLOCK entries (1 MiB
+    of uint32 masks for a full stack of 64); a 1-D d gives shape (2**m,),
+    and its per-block operands stay Python ints.  The array is reused, so
+    it is valid until the next block.  z and x are bitmasks; the low bits
+    come from _gray_table, and the high part is gray(h), reached from the
+    last block's by one column XOR per flipped bit.  The weight is
+    popcount(z | x).
     """
     cols, xl, zl = table
     dt = xl[0].dtype.type
-    masks = _bitmasks(d)
-    zd = np.array(masks, dtype=dt)[:, None] if d.ndim == 2 else dt(masks)
+    masks = _bitmasks(d)  # a Python int for a 1-D d: each block's operands stay Python ints
+    zd = np.array(masks, dtype=dt)[:, None] if d.ndim == 2 else masks
     buf = np.empty(d.shape[:-1] + (1 << m,), dtype=dt)
     xb = np.empty(1 << m, dtype=dt)
     w = np.empty(buf.shape, dtype=np.uint8)
@@ -239,8 +250,8 @@ def _gray_blocks(table, n: int, d, m: int, hs):
             low = flips & -flips
             gz ^= cols[m + low.bit_length() - 1]
             flips ^= low
-        np.bitwise_or(xl[h & 1], dt(gh << m), out=xb)
-        np.bitwise_xor(zl[h & 1], zd ^ dt(gz), out=buf)
+        np.bitwise_or(xl[h & 1], gh << m, out=xb)
+        np.bitwise_xor(zl[h & 1], zd ^ gz, out=buf)
         np.bitwise_or(buf, xb, out=buf)
         np.bitwise_count(buf, out=w)
         yield w
@@ -253,10 +264,11 @@ def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
     an unsigned dtype s - p wraps above s when s < p.
     """
     dt = np.min_scalar_type(2 * p)  # holds the sum of two residues
-    tab = np.zeros((n, 1), dtype=dt)
-    for j in range(m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
-        steps = ((np.arange(p) * -gamma[:, j : j + 1]) % p).astype(dt)
-        s = tab[:, None, :] + steps[:, :, None]
+    # steps[j, i, v] = (-Gamma[i, j] v) mod p, the part of digit j = v in row i
+    steps = (gamma[:, :m].T[:, :, None] * -np.arange(p) % p).astype(dt, order="C")
+    tab = steps[0] if m else np.zeros((n, 1), dtype=dt)
+    for j in range(1, m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
+        s = tab[:, None, :] + steps[j][:, :, None]
         tab = np.minimum(s, s - dt.type(p)).reshape(n, -1)
     for j in range(m):
         tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
@@ -269,7 +281,8 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
     Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
     ascending block indices to weigh, and one array is yielded per block,
     with a leading row axis when d is a stack (so buffers hold at most
-    _ROWS times n * _BLOCK entries), reused like _gray_blocks.
+    _ROWS times n * _BLOCK entries, n * 256 KiB of bools for a full stack
+    of 64), reused like _gray_blocks.
     A block's target holds (Gamma x_hi - d) mod p for the high digits x_hi
     of h, and p where its own digit x_j is nonzero; tab (from
     _odometer_table) never holds p at the same j.  Vertex j counts exactly
@@ -325,7 +338,13 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     largest best weight among the rows (a row whose best is at or below a
     block's high support cannot improve on a strict <) and, for d = 0, the
     scalar symmetry, and stops once every row's best weight is 1; when
-    d = 0 the k = 0 candidate (weight 0) is not examined.
+    d = 0 the k = 0 candidate (weight 0) is not examined.  Per block, a
+    stack takes one argmin per row and updates the best weights and first
+    indices of the rows that improve on a strict < with numpy, recomputing
+    that largest best weight only when some row improved; a 1-D d keeps
+    scalar bookkeeping.  The witnesses are checked against Lambda in one
+    product and their chi-weights recounted with one numpy count, before
+    any report is built.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -341,9 +360,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         stack = d.ndim == 2
         if stack and not d.any(axis=1).all():
             raise ValueError("a stack of differences must not hold the zero difference")
-        skip_zero = not d.any()
+        skip_zero = not stack and not d.any()
         r = len(d) if stack else 1
-        best_w, best_t = [n + 1] * r, [0] * r
         top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
 
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
@@ -359,13 +377,21 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             blocks = _gray_blocks(table, n, d, m, hs)
         else:
             blocks = _odometer_blocks(gamma, table, n, p, d, m, hs)
-        for w in blocks:  # one argmin per block; the per-row compares are plain Python
-            if stack:
-                for j, i in enumerate(w.argmin(axis=1).tolist()):
-                    if w[j, i] < best_w[j]:
-                        best_w[j], best_t[j] = int(w[j, i]), h * p**m + i
-                top = max(best_w)
-            else:
+        if stack:  # per block: one argmin, a gather of the row minima, a masked update on <
+            rows = np.arange(r)
+            best_w, best_t = np.full(r, n + 1), np.zeros(r, dtype=np.int64)
+            for w in blocks:
+                i = w.argmin(axis=1)
+                wi = w[rows, i]
+                better = wi < best_w
+                if better.any():
+                    np.copyto(best_w, wi, where=better)
+                    np.copyto(best_t, i + h * p**m, where=better)
+                    top = int(best_w.max())
+            best_w, best_t = best_w.tolist(), best_t.tolist()
+        else:
+            best_w, best_t = [n + 1], [0]
+            for w in blocks:
                 if h == 0 and skip_zero:
                     w[0] = n + 1
                 i = int(w.argmin())
@@ -377,9 +403,10 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0
         dr = d.reshape(r, n)
         k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
-        witnesses = [SymplecticVector(tuple(e)) for e in k.tolist()]
-        if ((k @ lam.T - dr) % p).any() or [chi_weight(v, f) for v in witnesses] != best_w:
+        weights = np.count_nonzero(k[:, :n] | k[:, n:], axis=1)  # entries are reduced mod p
+        if ((k @ lam.T - dr) % p).any() or (weights != best_w).any():
             raise RuntimeError("witness failed re-verification")
+        witnesses = [SymplecticVector(tuple(e)) for e in k.tolist()]
         reports = [
             DistanceReport(bw, v, vectors_examined=(bt + 1 if bw == 1 else p**n) - skip_zero)
             for bw, bt, v in zip(best_w, best_t, witnesses)
@@ -414,8 +441,8 @@ def pairwise_distance(
     with d = cr - cs; when cr = cs this is exactly diagonal_distance.  The
     witness carries cs to cr (brute_force_pairwise's carries cr to cs).
     """
-    cr = np.asarray(cr, dtype=np.int64)
-    cs = np.asarray(cs, dtype=np.int64)
+    cr = _congruent_int64(cr, f.p)
+    cs = _congruent_int64(cs, f.p)
     if cr.shape != (g.n,) or cs.shape != (g.n,):
         raise ValueError(f"labellings must have length {g.n}")
     return _searcher(g, f, cfg)((cr % f.p - cs % f.p) % f.p)  # cr - cs may not fit int64
@@ -433,28 +460,32 @@ def code_distance(
     diagonal pairs included.  Each distinct difference cr - cs mod p is
     searched once, and pairs with equal differences share its report: d = 0
     alone, so the scalar symmetry applies and it gives every (r, r) entry,
-    and the distinct nonzero differences as stacks of at most _ROWS rows,
-    each weighed in one block pass.  Every report equals what
+    and the distinct nonzero differences as stacks of at most _ROWS = 64
+    rows, each weighed in one block pass: up to 12 codewords (at most 66
+    distinct nonzero differences) take one stack or two.  Every report equals what
     pairwise_distance gives for its pair.  The reported pair is the first
     minimizer in lexicographic scan order.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
-    words = [np.asarray(c, dtype=np.int64) for c in codewords]
+    words = [_congruent_int64(c, f.p) for c in codewords]
     if any(c.shape != (g.n,) for c in words):
         raise ValueError(f"labellings must have length {g.n}")
     search = _searcher(g, f, cfg)
+    k = len(words)
     reduced = np.array(words) % f.p  # reduced first: cr - cs may not fit int64
-    rs, ss = np.triu_indices(len(words))  # every pair r <= s, in scan order
-    diffs = (reduced[rs] - reduced[ss]) % f.p
-    first: dict[bytes, int] = {}  # the bytes of a difference -> the index of its first pair
-    which = [first.setdefault(d.tobytes(), i) for i, d in enumerate(diffs)]
+    pairs = [(r, s) for r in range(k) for s in range(r, k)]  # every pair r <= s, in scan order
+    diffs = ((reduced[:, None] - reduced) % f.p).reshape(k * k, g.n)  # row r * k + s: cr - cs
+    raw, size = diffs.tobytes(), diffs.strides[0]
+    first: dict[bytes, int] = {}  # the bytes of a difference -> its row for the first pair
+    rows = [r * k + s for r, s in pairs]
+    which = [first.setdefault(raw[i * size : (i + 1) * size], i) for i in rows]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
     reports = {0: search(diffs[0])}
     for c in range(1, len(distinct), _ROWS):
         chunk = distinct[c : c + _ROWS]
         reports.update(zip(chunk, search(diffs[chunk])))
-    table = {(r + 1, s + 1): reports[i] for r, s, i in zip(rs.tolist(), ss.tolist(), which)}
+    table = {(r + 1, s + 1): reports[i] for (r, s), i in zip(pairs, which)}
     best_pair = (1, 1)
     for pair, rep in table.items():  # insertion order is the scan order
         if rep.distance < table[best_pair].distance:

@@ -57,8 +57,27 @@ class PrimeField:
         return pow(int(a), -1, self.p)
 
 
+def _congruent_int64(c, p: int) -> np.ndarray:
+    """An int64 array congruent to the integers c mod p, wrapping none of them.
+
+    An int64 array comes back as it is, and one of another dtype cast, but
+    uint64 entries are first reduced in their own dtype and Python ints past
+    int64 as Python ints (numpy reads a list holding one as floats or
+    objects).  So 2**64 - 1, which is 0 mod 3, never becomes -1.
+    """
+    a = np.asarray(c)
+    if a.dtype == np.int64:
+        return a
+    if a.dtype == np.uint64:
+        return (a % np.uint64(p)).astype(np.int64)
+    if a.dtype == object or a.dtype.kind == "f" and not isinstance(c, np.ndarray):
+        exact = np.asarray(c, dtype=object)
+        return np.array([int(v) % p for v in exact.flat], dtype=np.int64).reshape(exact.shape)
+    return a.astype(np.int64)
+
+
 def _as_matrix(m, p: int) -> np.ndarray:
-    a = np.asarray(m, dtype=np.int64)
+    a = _congruent_int64(m, p)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     return a % p  # % always allocates, so callers' arrays are never touched
@@ -115,7 +134,7 @@ def solve(m, rhs, field: PrimeField) -> np.ndarray | None:
     the row count of m.
     """
     a = _as_matrix(m, field.p)
-    b = np.asarray(rhs, dtype=np.int64) % field.p
+    b = _congruent_int64(rhs, field.p) % field.p
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
     n = a.shape[1]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceReport, SearchTooLarge, SymplecticVector
-from .gfp import PrimeField
+from .gfp import PrimeField, _congruent_int64
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -187,8 +187,8 @@ def brute_force_pairwise(
     factors realize any translation), so the minimum exists.  The witness
     carries cr to cs, the opposite way to pairwise_distance's.
     """
-    cr = np.asarray(cr, dtype=np.int64) % f.p
-    cs = np.asarray(cs, dtype=np.int64) % f.p
+    cr = _congruent_int64(cr, f.p) % f.p
+    cs = _congruent_int64(cs, f.p) % f.p
     if cr.shape != (g.n,) or cs.shape != (g.n,):
         raise ValueError(f"labellings must have length {g.n}")
     return _brute_force(g, f, (cs - cr) % f.p, hard_cap)

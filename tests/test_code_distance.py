@@ -229,3 +229,56 @@ def test_differences_past_int64_are_taken_mod_p():
     assert want.witness.entries == (2, 0, 0, 0, 0, 0)
     assert key(pairwise_distance(g, f, *big)) == key(want)
     assert key(code_distance(g, f, big).table[(1, 2)]) == key(want)
+
+
+def full_code(rng, n, p, k=12):
+    """k labellings whose k (k - 1) / 2 differences cr - cs (r < s) are distinct and nonzero."""
+    while True:
+        words = [np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64) for _ in range(k)]
+        diffs = {((a - b) % p).tobytes() for r, a in enumerate(words) for b in words[r + 1 :]}
+        if len(diffs) == k * (k - 1) // 2 and np.zeros(n, dtype=np.int64).tobytes() not in diffs:
+            return words
+
+
+@pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
+@pytest.mark.parametrize("p, n", [(2, 8), (3, 5)])
+def test_twelve_codewords_fill_a_stack(monkeypatch, p, n, block):
+    """66 distinct nonzero differences: a stack of _ROWS = 64 rows and one of 2."""
+    monkeypatch.setattr(D, "_BLOCK", block)
+    rng = random.Random(6600 + p + block)
+    f = PrimeField(p)
+    g = random_multigraph(rng, n, max_mult=p)
+    words = full_code(rng, n, p)
+    res = code_distance(g, f, words)
+    assert [key(rep) for rep in res.table.values()] == one_pair_reports(g, f, words, res)
+
+
+@pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
+def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
+    """d = 0 alone, then the 66 nonzero differences as 64 rows and 2."""
+    assert D._ROWS == 64
+    shapes = spy_searches(monkeypatch, name)
+    rng = random.Random(64 + p)
+    n = 8 if p == 2 else 5
+    code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), full_code(rng, n, p))
+    assert shapes == [(n,), (64, n), (2, n)]
+
+
+@pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
+def test_forged_weight_in_row_40_of_a_full_stack_fails_reverification(monkeypatch, p, name):
+    real = getattr(D, name)
+    forged_rows = []
+
+    def forged(*args):
+        for w in real(*args):
+            if w.ndim == 2 and len(w) == D._ROWS:
+                w[40, -1] = 0  # no candidate of a nonzero difference has weight 0
+                forged_rows.append(len(w))
+            yield w
+
+    monkeypatch.setattr(D, name, forged)
+    rng = random.Random(40 + p)
+    n = 8 if p == 2 else 5
+    with pytest.raises(RuntimeError, match="re-verification"):
+        code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), full_code(rng, n, p))
+    assert forged_rows == [D._ROWS]

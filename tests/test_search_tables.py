@@ -4,6 +4,7 @@ At p = 2 the masks are uint32 up to 32 vertices and uint64 above, so the
 searches below set bit 31 and bit 32 and stop on their first candidate.
 At odd p the odometer table reduces sums of two residues with an unsigned
 wrap instead of % p; it must equal the % p construction, also in uint16.
+_bitmasks and build_lambda must equal their plain reference constructions.
 """
 
 import random
@@ -80,3 +81,38 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
     assert tab.dtype == np.min_scalar_type(2 * p)
     assert tab.shape == (n, p**m)
     np.testing.assert_array_equal(tab, modular_table(gamma, n, p, m))
+
+
+def folded_masks(a):
+    """Each row of a as a Python int, bit j set where entry j is nonzero."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in np.atleast_2d(a).tolist()]
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 62, 63])
+def test_bitmasks_equal_a_python_fold(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 3, size=(5, n))
+    a[0] = 0
+    a[1] = 1  # every bit, the top one included
+    assert D._bitmasks(a) == folded_masks(a)
+    assert all(type(v) is int for v in D._bitmasks(a))
+    for row in a:
+        got = D._bitmasks(row)
+        assert type(got) is int and [got] == folded_masks(row)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_build_lambda_equals_identity_then_gamma(n):
+    gamma = np.random.default_rng(n).integers(0, 7, size=(n, n))
+    want = np.concatenate([np.eye(n, dtype=np.int64), gamma], axis=1)
+    lam = D.build_lambda(gamma)
+    assert lam.dtype == want.dtype == np.int64
+    assert lam.shape == (n, 2 * n)
+    assert np.array_equal(lam, want)
+
+
+def test_build_lambda_shape_error_is_unchanged():
+    with pytest.raises(ValueError, match=r"adjacency block must be square, got shape \(2, 3\)"):
+        D.build_lambda(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"adjacency block must be square, got shape \(4,\)"):
+        D.build_lambda(np.zeros(4))
