@@ -94,10 +94,10 @@ def one_pair_reports(g, f, words, res):
     ]
 
 
-@pytest.mark.parametrize("rows", [1, 3, D._ROWS])
+@pytest.mark.parametrize("rows", [1, 3, 16, D._ROWS])
 @pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
 def test_batched_table_matches_one_pair_searches(monkeypatch, block, rows):
-    """Stacks of 1, 3 and _ROWS differences give every pair its one-pair report."""
+    """Stacks of 1, 3, 16 and _ROWS differences give every pair its one-pair report."""
     monkeypatch.setattr(D, "_BLOCK", block)
     monkeypatch.setattr(D, "_ROWS", rows)
     rng = random.Random(4000 + block + rows)
