@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _congruent_int64
+from .gfp import PrimeField, _as_matrix, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -164,17 +164,19 @@ def build_lambda(gamma) -> np.ndarray:
 
 def chi_weight(k: SymplecticVector, f: PrimeField) -> int:
     """Number of vertices i with z_i != 0 or x_i != 0 (entries taken mod p)."""
-    e, n, p = k.entries, k.n, f.p
-    return sum(1 for z, x in zip(e[:n], e[n:]) if z % p or x % p)
+    zx = _residues(k.entries, f.p).reshape(2, k.n)
+    return int(np.count_nonzero(zx[0] | zx[1]))
 
 
 def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
     """The kernel vector (-gamma x mod p | x) determined by the x-half.
 
     x runs over (Z/pZ)^n; the map x -> k is a bijection onto ker [I | gamma].
+    gamma and x are reduced mod p exactly, whatever their dtype or size, and
+    x must have length n.
     """
-    gamma = np.asarray(gamma, dtype=np.int64)
-    x = _congruent_int64(x, f.p) % f.p
+    gamma = _as_matrix(gamma, f.p)
+    x = _residues(x, f.p, len(gamma))
     z = (-(gamma @ x)) % f.p
     return SymplecticVector.from_parts(z, x)
 
@@ -441,11 +443,8 @@ def pairwise_distance(
     with d = cr - cs; when cr = cs this is exactly diagonal_distance.  The
     witness carries cs to cr (brute_force_pairwise's carries cr to cs).
     """
-    cr = _congruent_int64(cr, f.p)
-    cs = _congruent_int64(cs, f.p)
-    if cr.shape != (g.n,) or cs.shape != (g.n,):
-        raise ValueError(f"labellings must have length {g.n}")
-    return _searcher(g, f, cfg)((cr % f.p - cs % f.p) % f.p)  # cr - cs may not fit int64
+    cr, cs = _residues(cr, f.p, g.n), _residues(cs, f.p, g.n)
+    return _searcher(g, f, cfg)((cr - cs) % f.p)
 
 
 def code_distance(
@@ -468,12 +467,9 @@ def code_distance(
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
-    words = [_congruent_int64(c, f.p) for c in codewords]
-    if any(c.shape != (g.n,) for c in words):
-        raise ValueError(f"labellings must have length {g.n}")
+    reduced = np.array([_residues(c, f.p, g.n) for c in codewords])  # so cr - cs fits int64
     search = _searcher(g, f, cfg)
-    k = len(words)
-    reduced = np.array(words) % f.p  # reduced first: cr - cs may not fit int64
+    k = len(reduced)
     pairs = [(r, s) for r in range(k) for s in range(r, k)]  # every pair r <= s, in scan order
     diffs = ((reduced[:, None] - reduced) % f.p).reshape(k * k, g.n)  # row r * k + s: cr - cs
     raw, size = diffs.tobytes(), diffs.strides[0]
@@ -486,8 +482,5 @@ def code_distance(
         chunk = distinct[c : c + _ROWS]
         reports.update(zip(chunk, search(diffs[chunk])))
     table = {(r + 1, s + 1): reports[i] for (r, s), i in zip(pairs, which)}
-    best_pair = (1, 1)
-    for pair, rep in table.items():  # insertion order is the scan order
-        if rep.distance < table[best_pair].distance:
-            best_pair = pair
+    best_pair = min(table, key=lambda pr: table[pr].distance)  # the first minimizer in scan order
     return CodeDistanceResult(delta=table[best_pair].distance, pair=best_pair, table=table)

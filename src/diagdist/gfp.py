@@ -1,6 +1,8 @@
 """Exact dense linear algebra over Z/pZ for small primes.
 
 Matrices and vectors are numpy int64 arrays with entries kept in [0, p).
+Every caller's integers, here, in the search and in the oracle, are read
+through _residues, which reduces any numpy dtype or Python int exactly.
 Everything here is a pure function: inputs are never mutated, results are
 fresh arrays, so values can be shared freely across threads.
 """
@@ -57,30 +59,31 @@ class PrimeField:
         return pow(int(a), -1, self.p)
 
 
-def _congruent_int64(c, p: int) -> np.ndarray:
-    """An int64 array congruent to the integers c mod p, wrapping none of them.
+def _residues(c, p: int, n: int | None = None) -> np.ndarray:
+    """The integers c reduced exactly into [0, p), a fresh int64 array of shape (n,) if n is given.
 
-    An int64 array comes back as it is, and one of another dtype cast, but
-    uint64 entries are first reduced in their own dtype and Python ints past
-    int64 as Python ints (numpy reads a list holding one as floats or
-    objects).  So 2**64 - 1, which is 0 mod 3, never becomes -1.
+    numpy would cast a uint64 2**64 - 1 (0 mod 3) to -1, read a list holding
+    it as floats, and refuse a Python int past int64.  So uint64 is reduced
+    in its own dtype and Python ints as Python ints; int64 takes one % p.
     """
     a = np.asarray(c)
+    if n is not None and a.shape != (n,):
+        raise ValueError(f"labellings must have length {n}")
     if a.dtype == np.int64:
-        return a
+        return a % p  # % always allocates, so callers' arrays are never touched
     if a.dtype == np.uint64:
         return (a % np.uint64(p)).astype(np.int64)
     if a.dtype == object or a.dtype.kind == "f" and not isinstance(c, np.ndarray):
         exact = np.asarray(c, dtype=object)
         return np.array([int(v) % p for v in exact.flat], dtype=np.int64).reshape(exact.shape)
-    return a.astype(np.int64)
+    return a.astype(np.int64) % p
 
 
 def _as_matrix(m, p: int) -> np.ndarray:
-    a = _congruent_int64(m, p)
+    a = _residues(m, p)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a % p  # % always allocates, so callers' arrays are never touched
+    return a
 
 
 def rref(m, field: PrimeField) -> tuple[np.ndarray, list[int], int]:
@@ -134,7 +137,7 @@ def solve(m, rhs, field: PrimeField) -> np.ndarray | None:
     the row count of m.
     """
     a = _as_matrix(m, field.p)
-    b = _congruent_int64(rhs, field.p) % field.p
+    b = _residues(rhs, field.p)
     if b.shape != (a.shape[0],):
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.shape[0]},)")
     n = a.shape[1]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceReport, SearchTooLarge, SymplecticVector
-from .gfp import PrimeField, _congruent_int64
+from .gfp import PrimeField, _as_matrix, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -67,35 +67,39 @@ class OperatorWord:
 
 
 def apply_z(l, i: int, e: int, f: PrimeField) -> np.ndarray:
-    """Apply Z_i^e to a labelling: entry i gains e mod p.  i is 1-based."""
-    l = np.asarray(l, dtype=np.int64)
-    if not 1 <= i <= len(l):
-        raise IndexError(f"vertex index {i} out of range 1..{len(l)}")
-    out = l % f.p
-    out[i - 1] = (out[i - 1] + e) % f.p
+    """Apply Z_i^e to a labelling: entry i gains e mod p.  i is 1-based.
+
+    l and e are reduced mod p exactly, whatever their dtype or size.
+    """
+    out = _residues(l, f.p)
+    if not 1 <= i <= len(out):
+        raise IndexError(f"vertex index {i} out of range 1..{len(out)}")
+    out[i - 1] = (out[i - 1] + _residues(e, f.p)) % f.p
     return out
 
 
 def apply_x(l, i: int, e: int, gamma, f: PrimeField) -> np.ndarray:
-    """Apply X_i^e to a labelling: add e times column i of gamma, mod p."""
-    l = np.asarray(l, dtype=np.int64)
-    gamma = np.asarray(gamma, dtype=np.int64)
+    """Apply X_i^e to a labelling: add e times column i of gamma, mod p.
+
+    l, e and gamma are reduced mod p exactly, whatever their dtype or size.
+    """
+    l = _residues(l, f.p)
     if not 1 <= i <= len(l):
         raise IndexError(f"vertex index {i} out of range 1..{len(l)}")
-    return (l + e * gamma[:, i - 1]) % f.p
+    return (l + _residues(e, f.p) * _as_matrix(gamma, f.p)[:, i - 1]) % f.p
 
 
 def apply_word(w: OperatorWord, l, gamma, f: PrimeField) -> np.ndarray:
     """Apply every factor of the word in vertex order.
 
     All factors are commuting translations, so the order is immaterial, and
-    a factor with exponent 0 is the identity, so it is skipped.
+    a factor with exponent 0 is the identity, so it is skipped.  l, gamma
+    and the exponents are reduced mod p exactly, whatever their dtype or size.
     """
-    l = np.asarray(l, dtype=np.int64)
-    gamma = np.asarray(gamma, dtype=np.int64)
-    if w.n != len(l) or gamma.shape != (w.n, w.n):
+    out = _residues(l, f.p)
+    gamma = _as_matrix(gamma, f.p)
+    if w.n != len(out) or gamma.shape != (w.n, w.n):
         raise ValueError("word, labelling and adjacency dimensions disagree")
-    out = l % f.p
     for i, (z, x) in enumerate(w.exponents, start=1):
         if z:
             out = apply_z(out, i, z, f)
@@ -187,8 +191,5 @@ def brute_force_pairwise(
     factors realize any translation), so the minimum exists.  The witness
     carries cr to cs, the opposite way to pairwise_distance's.
     """
-    cr = _congruent_int64(cr, f.p) % f.p
-    cs = _congruent_int64(cs, f.p) % f.p
-    if cr.shape != (g.n,) or cs.shape != (g.n,):
-        raise ValueError(f"labellings must have length {g.n}")
+    cr, cs = _residues(cr, f.p, g.n), _residues(cs, f.p, g.n)
     return _brute_force(g, f, (cs - cr) % f.p, hard_cap)

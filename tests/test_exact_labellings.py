@@ -3,14 +3,19 @@
 numpy would wrap a uint64 entry 2**64 - 1 (0 mod 3) to -1 (2 mod 3) in a
 cast to int64, read a list holding it as floats, and refuse a Python int
 past 64 bits.  Every function that takes a labelling must give what it
-gives for the reduced one.
+gives for the reduced one, and so must every adjacency matrix and
+exponent the oracle's Z and X rules take.
 """
 
 import numpy as np
 import pytest
 
 from diagdist import (
+    OperatorWord,
     PrimeField,
+    apply_word,
+    apply_x,
+    apply_z,
     brute_force_pairwise,
     code_distance,
     generate,
@@ -105,3 +110,71 @@ def test_lengths_are_still_checked_first():
         brute_force_pairwise(g, F3, [0] * 5, np.zeros(6, dtype=np.uint64))
     with pytest.raises(ValueError, match="length 5"):
         code_distance(g, F3, [np.zeros(5), long])
+
+
+GAMMA = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+WORD = OperatorWord(((1, 2), (0, 1), (2, 0)))
+
+
+@pytest.mark.parametrize("name, c", INPUTS, ids=[name for name, _ in INPUTS])
+def test_apply_z(name, c):
+    assert np.array_equal(apply_z(c, 2, 1, F3), apply_z(reduced(c), 2, 1, F3))
+
+
+@pytest.mark.parametrize("name, c", INPUTS, ids=[name for name, _ in INPUTS])
+def test_apply_x(name, c):
+    assert np.array_equal(apply_x(c, 2, 2, GAMMA, F3), apply_x(reduced(c), 2, 2, GAMMA, F3))
+
+
+@pytest.mark.parametrize("name, c", INPUTS, ids=[name for name, _ in INPUTS])
+def test_apply_word(name, c):
+    assert np.array_equal(apply_word(WORD, c, GAMMA, F3), apply_word(WORD, reduced(c), GAMMA, F3))
+
+
+def unreduced_gamma(big, dtype=np.int64):
+    """big on the 1-2 edge: twice an int64 big overflows, and a uint64 2**64 - 1 casts to -1."""
+    return np.array([[0, big, 1], [big, 0, 2], [1, 2, 0]], dtype=dtype)
+
+
+GAMMAS = [
+    ("2**62", unreduced_gamma(2**62)),
+    ("2**63 - 1", unreduced_gamma(2**63 - 1)),
+    ("uint64 2**64 - 1", unreduced_gamma(TOP, np.uint64)),
+]
+
+
+def reduced_gamma(gamma, p=3):
+    return np.array([[int(v) % p for v in row] for row in gamma], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name, gamma", GAMMAS, ids=[name for name, _ in GAMMAS])
+def test_kernel_point_reduces_gamma(name, gamma):
+    x = [2, 2, 1]
+    assert kernel_point(gamma, x, F3) == kernel_point(reduced_gamma(gamma), x, F3)
+
+
+@pytest.mark.parametrize("name, gamma", GAMMAS, ids=[name for name, _ in GAMMAS])
+def test_apply_x_reduces_gamma(name, gamma):
+    l = [0, 1, 2]
+    assert np.array_equal(apply_x(l, 1, 2, gamma, F3), apply_x(l, 1, 2, reduced_gamma(gamma), F3))
+
+
+@pytest.mark.parametrize("name, gamma", GAMMAS, ids=[name for name, _ in GAMMAS])
+def test_apply_word_reduces_gamma(name, gamma):
+    w, l = OperatorWord(((0, 2), (1, 2), (0, 0))), [0, 1, 2]
+    assert np.array_equal(apply_word(w, l, gamma, F3), apply_word(w, l, reduced_gamma(gamma), F3))
+
+
+EXPONENTS = [2**70, np.uint64(TOP), -(2**65) - 1]
+
+
+@pytest.mark.parametrize("e", EXPONENTS, ids=["2**70", "uint64 2**64 - 1", "-(2**65) - 1"])
+def test_exponents_are_reduced(e):
+    l, e_red = [0, 1, 2], int(e) % 3
+    assert np.array_equal(apply_z(l, 1, e, F3), apply_z(l, 1, e_red, F3))
+    assert np.array_equal(apply_x(l, 1, e, GAMMA, F3), apply_x(l, 1, e_red, GAMMA, F3))
+
+
+def test_kernel_point_checks_the_length():
+    with pytest.raises(ValueError, match="labellings must have length 3"):
+        kernel_point(GAMMA, [1, 2], F3)
