@@ -22,11 +22,13 @@ numpy operations weigh the whole block.  The search also takes a stack of
 r differences: each block is then weighed for all r rows in one pass, and
 one argmin per block with a masked update of the rows it improves keeps
 every row's best, so code_distance pays the per-search Python cost once
-per stack of up to _ROWS = 64 differences, not once per difference.
-Reported witnesses are the first minimizer in that fixed order, re-checked
-against Lambda and their weights recounted (a stack's together, in one
-product and one numpy count), so equal inputs always produce identical
-reports, and a row of a stack reports what its lone search would.
+per stack of up to _ROWS = 64 differences, not once per difference.  Row
+0 of a stack may be d = 0, so a code's zero difference shares the first
+stack's pass.  Reported witnesses are the first minimizer in that fixed
+order, re-checked against Lambda and their weights recounted (a stack's
+together, in one product and one numpy count), so equal inputs always
+produce identical reports, and a row of a stack reports what its lone
+search would.
 
 Two exact exclusions skip blocks that cannot hold a new first minimizer
 (the lower-bound and projective ideas of Brouwer-Zimmermann search; Grassl,
@@ -43,7 +45,8 @@ Two exact exclusions skip blocks that cannot hold a new first minimizer
 * scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
   same as k, so the first minimizer has top nonzero digit 1, and only h = 0
   and the blocks h in [p**j, 2 p**j) are weighed.  At p = 2 that is every
-  block.
+  block.  A stack headed by d = 0 weighs every block for all its rows;
+  the other blocks can only tie row 0's first minimizer, never replace it.
 
 vectors_examined counts the candidates the fixed order accounted for,
 weighed or excluded, so its values are those of the unpruned walk.
@@ -63,8 +66,8 @@ DEFAULT_CANDIDATE_BUDGET = 1 << 24
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
 # Differences per block pass in code_distance.  Buffers hold _ROWS * _BLOCK
 # entries: 1 MiB of uint32 masks at p = 2, and n * 256 KiB of bools at odd p.
-# A code of up to 12 codewords (at most 66 distinct nonzero differences)
-# needs one stack or two.
+# d = 0 heads the first stack, so a code of up to 11 codewords (at most 55
+# distinct nonzero differences) takes one block pass, and 12 take two.
 _ROWS = 64
 
 
@@ -328,25 +331,50 @@ def _block_order(p: int, k: int, scalar: bool):
     return itertools.chain([0], *(range(p**j, 2 * p**j) for j in range(k)))
 
 
+def _reports(witnesses, weights, examined) -> list[DistanceReport]:
+    """One DistanceReport per row of a search, from lists of Python ints.
+
+    The search built each witness with 2n entries and re-verified it, so
+    the frozen classes' __init__ and __post_init__ (the length check) are
+    skipped: each instance comes from object.__new__ and gets its fields
+    from object.__setattr__, as __init__ gives them.  Field by field, not
+    as a fresh __dict__, which would more than double each pair's memory.
+    """
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for e, w, c in zip(witnesses, weights, examined):
+        v = new(SymplecticVector)
+        put(v, "entries", tuple(e))
+        rep = new(DistanceReport)
+        put(rep, "distance", w)
+        put(rep, "witness", v)
+        put(rep, "vectors_examined", c)
+        out.append(rep)
+    return out
+
+
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the low-digit table once.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
-    stack of shape (r, n) of distinct nonzero differences, each equal to
-    what search(row) reports.  A stack is weighed in one block pass, so its
-    buffers hold r times one difference's; code_distance keeps r <= _ROWS.
-    The pass weighs only the blocks that pass the support bound for the
-    largest best weight among the rows (a row whose best is at or below a
-    block's high support cannot improve on a strict <) and, for d = 0, the
-    scalar symmetry, and stops once every row's best weight is 1; when
-    d = 0 the k = 0 candidate (weight 0) is not examined.  Per block, a
+    stack of shape (r, n) of distinct differences, nonzero after row 0,
+    each equal to what search(row) reports.  A stack is weighed in one
+    block pass, so its buffers hold r times one difference's; code_distance
+    keeps r <= _ROWS.  The pass weighs only the blocks that pass the support
+    bound for the largest best weight among the rows (a row whose best is
+    at or below a block's high support cannot improve on a strict <) and,
+    for a 1-D d = 0, the scalar symmetry, and stops once every row's best
+    weight is 1.  When d = 0, alone or as row 0, its k = 0 candidate
+    (weight 0) is neither weighed nor counted in vectors_examined; a stack
+    walks blocks the symmetry would skip, but in them row 0 can only tie
+    its first minimizer, whose top nonzero digit is 1.  Per block, a
     stack takes one argmin per row and updates the best weights and first
     indices of the rows that improve on a strict < with numpy, recomputing
     that largest best weight only when some row improved; a 1-D d keeps
     scalar bookkeeping.  The witnesses are checked against Lambda in one
     product and their chi-weights recounted with one numpy count, before
-    any report is built.
+    any report is built, and the reports come from _reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -360,15 +388,15 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
 
     def search(d: np.ndarray):
         stack = d.ndim == 2
-        if stack and not d.any(axis=1).all():
-            raise ValueError("a stack of differences must not hold the zero difference")
-        skip_zero = not stack and not d.any()
+        if stack and not d[1:].any(axis=1).all():
+            raise ValueError("only row 0 of a stack of differences may hold the zero difference")
+        zero = not (d[0] if stack else d).any()  # d = 0, or a stack headed by it: skip k = 0
         r = len(d) if stack else 1
         top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
 
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
             nonlocal h
-            for h in _block_order(p, n - m, skip_zero):
+            for h in _block_order(p, n - m, zero and not stack):
                 if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
                     yield h
                 elif top == 1:  # every later block has support >= 1 too
@@ -383,6 +411,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             rows = np.arange(r)
             best_w, best_t = np.full(r, n + 1), np.zeros(r, dtype=np.int64)
             for w in blocks:
+                if h == 0 and zero:
+                    w[0, 0] = n + 1
                 i = w.argmin(axis=1)
                 wi = w[rows, i]
                 better = wi < best_w
@@ -394,7 +424,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         else:
             best_w, best_t = [n + 1], [0]
             for w in blocks:
-                if h == 0 and skip_zero:
+                if h == 0 and zero:
                     w[0] = n + 1
                 i = int(w.argmin())
                 if w[i] < top:
@@ -408,11 +438,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         weights = np.count_nonzero(k[:, :n] | k[:, n:], axis=1)  # entries are reduced mod p
         if ((k @ lam.T - dr) % p).any() or (weights != best_w).any():
             raise RuntimeError("witness failed re-verification")
-        witnesses = [SymplecticVector(tuple(e)) for e in k.tolist()]
-        reports = [
-            DistanceReport(bw, v, vectors_examined=(bt + 1 if bw == 1 else p**n) - skip_zero)
-            for bw, bt, v in zip(best_w, best_t, witnesses)
-        ]
+        examined = [bt + 1 if bw == 1 else p**n for bw, bt in zip(best_w, best_t)]
+        examined[0] -= zero  # the k = 0 candidate of d = 0 is not examined
+        reports = _reports(k.tolist(), best_w, examined)
         return reports if stack else reports[0]
 
     return search
@@ -457,13 +485,15 @@ def code_distance(
 
     delta = min over all pairs r <= s (1-based) of the pairwise distance,
     diagonal pairs included.  Each distinct difference cr - cs mod p is
-    searched once, and pairs with equal differences share its report: d = 0
-    alone, so the scalar symmetry applies and it gives every (r, r) entry,
-    and the distinct nonzero differences as stacks of at most _ROWS = 64
-    rows, each weighed in one block pass: up to 12 codewords (at most 66
-    distinct nonzero differences) take one stack or two.  Every report equals what
-    pairwise_distance gives for its pair.  The reported pair is the first
-    minimizer in lexicographic scan order.
+    searched once, and pairs with equal differences share its report.  The
+    distinct differences go in stacks of at most _ROWS = 64 rows, each
+    weighed in one block pass, with d = 0 (every (r, r) entry) at the head
+    of the first: up to 11 codewords (at most 55 distinct nonzero
+    differences) take one pass, and 12 take two, of 64 and 3 rows.  When
+    d = 0 is the only distinct difference (one codeword, or equal ones) it
+    is searched alone, so the scalar symmetry applies.  Every report equals
+    what pairwise_distance gives for its pair.  The reported pair is the
+    first minimizer in lexicographic scan order.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -477,10 +507,13 @@ def code_distance(
     rows = [r * k + s for r, s in pairs]
     which = [first.setdefault(raw[i * size : (i + 1) * size], i) for i in rows]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
-    reports = {0: search(diffs[0])}
-    for c in range(1, len(distinct), _ROWS):
-        chunk = distinct[c : c + _ROWS]
-        reports.update(zip(chunk, search(diffs[chunk])))
+    if len(distinct) == 1:  # d = 0 alone: the 1-D search keeps the scalar symmetry
+        reports = {0: search(diffs[0])}
+    else:  # d = 0 heads the first stack
+        reports = {}
+        for c in range(0, len(distinct), _ROWS):
+            chunk = distinct[c : c + _ROWS]
+            reports.update(zip(chunk, search(diffs[chunk])))
     table = {(r + 1, s + 1): reports[i] for (r, s), i in zip(pairs, which)}
     best_pair = min(table, key=lambda pr: table[pr].distance)  # the first minimizer in scan order
     return CodeDistanceResult(delta=table[best_pair].distance, pair=best_pair, table=table)

@@ -18,9 +18,10 @@ step.  A word is its 2n exponent digits z_1, x_1, ..., z_n, x_n; a block is
 every setting of the last k digits (the most with p**k <= _BLOCK, so a
 block may hold a vertex's x digit without its z digit), tabulated once per
 call, and each setting of the other digits translates that whole block.
-The winner is re-checked with apply_word and eta_sum.  It exists to
-cross-check the fast path on small instances; it shares none of the kernel
-search's machinery.
+Those translations are tabulated too, p**s settings of the last s outer
+digits at a time.  The winner is re-checked with apply_word and eta_sum.
+It exists to cross-check the fast path on small instances; it shares none
+of the kernel search's machinery.
 
 Convention: eta is evaluated on the formal exponents, even when column i of
 Gamma vanishes mod p and X_i therefore acts as the identity map (isolated
@@ -113,36 +114,70 @@ def eta_sum(w: OperatorWord) -> int:
     return sum(1 for pair in w.exponents if pair != (0, 0))
 
 
+def _digit_table(gamma, f: PrimeField, digits: range) -> np.ndarray:
+    """Column b: the labelling that setting b of the given digits gives the zero labelling.
+
+    Settings run in digit order (the first digit slowest); each column sums
+    one action per digit, taken from apply_z (even digit j, z of vertex
+    j // 2 + 1) or apply_x (odd j), and is reduced mod p.
+    """
+    n, p = len(gamma), f.p
+    zero = np.zeros(n, dtype=np.int64)
+    small = np.min_scalar_type(max(len(digits), 1) * (p - 1))  # holds any sum of the residues
+    table = np.zeros((n, 1), dtype=small)
+    for j in digits:
+        i = j // 2 + 1
+        acts = [apply_x(zero, i, e, gamma, f) if j % 2 else apply_z(zero, i, e, f) for e in range(p)]
+        table = (table[:, :, None] + np.array(acts, dtype=small).T[:, None, :]).reshape(n, -1)
+    return (table % small.type(p)).astype(np.min_scalar_type(p - 1))
+
+
+def _group_etas(sizes) -> np.ndarray:
+    """Number of nonzero groups in each setting of consecutive digit groups, the first slowest.
+
+    A group is a vertex's (z, x) pair, index z * p + x, of size p * p, or a
+    lone z or x digit of size p.
+    """
+    eta = np.zeros(1, dtype=np.int64)
+    for size in sizes:
+        eta = (eta[:, None] + (np.arange(size) != 0)).reshape(-1)
+    return eta
+
+
 def _word_blocks(gamma, f: PrimeField, target: np.ndarray, k: int):
     """All p**(2n) words in digit order, z_1 slowest, p**k of them per block.
 
     The block's labellings are tabulated once from each digit's factor
-    actions; each setting of the first 2n - k digits, applied to the zero
-    labelling with apply_word, translates them.  Yields (those digits, eta of
-    each block word), with n + 1 in place of eta where a word misses target.
+    actions, and so are the translations that the last s outer digits add
+    to them (the most, with p**s <= _BLOCK, that leave whole (z_i, x_i)
+    pairs before them), so no table outgrows n * _BLOCK entries.  Each
+    setting of those leading pairs, applied to the zero labelling with
+    apply_word, shifts the translations of p**s blocks.  Yields (the 2n - k
+    outer digits, eta of each block word), with n + 1 in place of eta where
+    a word misses target.
     """
     n, p = len(gamma), f.p
-    zero = np.zeros(n, dtype=np.int64)
-    small = np.min_scalar_type(max(k, 1) * (p - 1))  # holds a residue and any sum of k of them
-    labels = np.zeros((n, 1), dtype=small)  # column b is block word b's labelling
-    for j in reversed(range(2 * n - k, 2 * n)):  # digit j is z_i for even j, x_i for odd j
-        i = j // 2 + 1
-        acts = [apply_x(zero, i, e, gamma, f) if j % 2 else apply_z(zero, i, e, f) for e in range(p)]
-        labels = (np.array(acts, dtype=small).T[:, :, None] + labels[:, None, :]).reshape(n, -1)
-    labels = np.ascontiguousarray(labels % small.type(p))  # C order: each block's compare reduces whole rows
-    eta_in = np.zeros(1, dtype=np.int64)  # eta of the vertices wholly inside the block
-    for _ in range(k // 2):
-        eta_in = (eta_in[:, None] + (np.arange(p * p) != 0)).reshape(-1)  # pair index z * p + x
+    q = 2 * n - k  # digits outside the block
+    s = next(s for s in range(q, -1, -2) if p**s <= _BLOCK)  # s = 1 fits when q is odd: then p**k <= _BLOCK
+    labels = np.ascontiguousarray(_digit_table(gamma, f, range(q, 2 * n)))  # C order: whole-row compares
+    mid = _digit_table(gamma, f, range(q - s, q))
+    pairs = (p * p,) * (k // 2)
+    eta_in = _group_etas(pairs)  # eta of the vertices wholly inside the block
+    eta_mid = _group_etas((p * p,) * (s // 2) + (p,) * (s % 2))
     # For odd k the block opens with x_i, and z_i is the last outer digit.  When
-    # z_i != 0 the outer word's eta_sum counts vertex i, else the block does when x_i != 0.
-    split = ((np.arange(p) != 0)[:, None] + eta_in).reshape(-1) if k % 2 else eta_in
+    # z_i != 0 the outer eta counts vertex i, else the block does when x_i != 0.
+    split = _group_etas((p,) + pairs) if k % 2 else eta_in
     eta_by_z = (split, np.tile(eta_in, p) if k % 2 else eta_in)  # indexed by z_i != 0
-    for digits in itertools.product(range(p), repeat=2 * n - k):
-        padded = digits + (0,) * k
-        w = OperatorWord(tuple(zip(padded[0::2], padded[1::2])))
-        wanted = ((target - apply_word(w, zero, gamma, f)) % p).astype(small)
-        hits = (labels == wanted[:, None]).all(axis=0)
-        yield digits, np.where(hits, eta_by_z[bool(digits) and digits[-1] != 0] + eta_sum(w), n + 1)
+    zero = np.zeros(n, dtype=np.int64)
+    for top in itertools.product(range(p), repeat=q - s):
+        w = OperatorWord(tuple(zip(top[0::2], top[1::2])) + ((0, 0),) * (n - len(top) // 2))
+        wanted = (((target - apply_word(w, zero, gamma, f))[:, None] - mid) % p).T.astype(labels.dtype)
+        eta_top = eta_sum(w)
+        for b, tail in enumerate(itertools.product(range(p), repeat=s)):
+            digits = top + tail
+            hits = (labels == wanted[b][:, None]).all(axis=0)
+            eta = eta_by_z[bool(digits) and digits[-1] != 0] + (eta_top + eta_mid[b])
+            yield digits, np.where(hits, eta, n + 1)
 
 
 def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int) -> DistanceReport:

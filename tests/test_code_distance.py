@@ -127,7 +127,7 @@ def spy_searches(monkeypatch, name):
 
 @pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
 def test_one_block_pass_per_stack(monkeypatch, p, name):
-    """d = 0 alone, then ceil(distinct nonzero / _ROWS) stacks of at most _ROWS rows."""
+    """d = 0 heads the first of ceil((distinct nonzero + 1) / _ROWS) stacks, all full but the last."""
     monkeypatch.setattr(D, "_ROWS", 3)
     shapes = spy_searches(monkeypatch, name)
     rng = random.Random(11)
@@ -138,10 +138,10 @@ def test_one_block_pass_per_stack(monkeypatch, p, name):
     nonzero = len(distinct) - 1
     assert nonzero > 2 * D._ROWS  # several stacks, the last one maybe partial
     res = code_distance(random_multigraph(rng, n, max_mult=p), f, words)
-    assert len(shapes) <= -(-nonzero // D._ROWS) + 1
-    assert shapes[0] == (n,)
-    assert all(len(s) == 2 and s[0] <= D._ROWS and s[1] == n for s in shapes[1:])
-    assert sum(s[0] for s in shapes[1:]) == nonzero
+    full, rest = divmod(nonzero + 1, D._ROWS)
+    assert shapes == [(D._ROWS, n)] * full + [(rest, n)] * (rest > 0)
+    assert all(len(s) == 2 for s in shapes)
+    assert sum(s[0] for s in shapes) == nonzero + 1
     assert len(res.table) == len(words) * (len(words) + 1) // 2
 
 
@@ -255,13 +255,13 @@ def test_twelve_codewords_fill_a_stack(monkeypatch, p, n, block):
 
 @pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
 def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
-    """d = 0 alone, then the 66 nonzero differences as 64 rows and 2."""
+    """d = 0 and the 66 nonzero differences: a stack of 64 rows, d = 0 first, and one of 3."""
     assert D._ROWS == 64
     shapes = spy_searches(monkeypatch, name)
     rng = random.Random(64 + p)
     n = 8 if p == 2 else 5
     code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), full_code(rng, n, p))
-    assert shapes == [(n,), (64, n), (2, n)]
+    assert shapes == [(64, n), (3, n)]
 
 
 @pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])

@@ -132,3 +132,29 @@ def test_a_block_holds_a_lone_x_digit_above_p_64(monkeypatch):
     rep = brute_force_distance(generate("edgeless", 1), PrimeField(1021), hard_cap=1021**2)
     assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (0, 1), 1021**2)
     assert sizes == [1021] * 1021
+
+
+def test_outer_digits_are_tabulated_not_applied_per_block(monkeypatch):
+    """apply_word runs once per p**s blocks (one setting of the leading whole pairs), plus the re-check."""
+    calls = []
+    real = oracle.apply_word
+
+    def counted(*args):
+        calls.append(args[0].exponents)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "apply_word", counted)
+    g, f = generate("cycle", 6), PrimeField(2)
+    want = brute_force_distance(g, f)
+    assert len(calls) == 2  # 2**12 words: one block, no outer digit
+    calls.clear()
+    monkeypatch.setattr(oracle, "_BLOCK", 1 << 3)  # blocks of k = 3 digits; s = 3 outer digits tabulated
+    rep = brute_force_distance(g, f)
+    assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (
+        want.distance,
+        want.witness.entries,
+        want.vectors_examined,
+    )
+    tops = calls[:-1]
+    assert len(tops) == 2**6  # the leading 3 whole pairs
+    assert all(pairs[3:] == ((0, 0),) * 3 for pairs in tops)
