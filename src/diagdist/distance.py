@@ -19,16 +19,15 @@ of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
 per graph and shared, with Lambda, by every difference a call searches; the
 high digits step through one block of p**m candidates at a time, and a few
 numpy operations weigh the whole block.  The search also takes a stack of
-r differences: each block is then weighed for all r rows in one pass, and
-one argmin per block with a masked update of the rows it improves keeps
-every row's best, so code_distance pays the per-search Python cost once
-per stack of up to _ROWS = 64 differences, not once per difference.  Row
-0 of a stack may be d = 0, so a code's zero difference shares the first
-stack's pass.  Reported witnesses are the first minimizer in that fixed
-order, re-checked against Lambda and their weights recounted (a stack's
-together, in one product and one numpy count), so equal inputs always
-produce identical reports, and a row of a stack reports what its lone
-search would.
+r differences, each block weighed for all r rows in one pass, so
+code_distance pays the per-search Python cost once per stack of up to
+_ROWS = 64 differences, not once per difference; row 0 may be d = 0, so a
+code's zero difference shares the first stack's pass.  One driver keeps
+every row's best, for a stack and a lone difference alike.  Reported
+witnesses are the first minimizer in that fixed order, re-checked against
+Lambda and their weights recounted (a stack's together, in one product and
+one numpy count), so equal inputs always produce identical reports, and a
+row of a stack reports what its lone search would.
 
 Two exact exclusions skip blocks that cannot hold a new first minimizer
 (the lower-bound and projective ideas of Brouwer-Zimmermann search; Grassl,
@@ -38,15 +37,13 @@ Two exact exclusions skip blocks that cannot hold a new first minimizer
   in it weighs at least |supp x_hi|, so a block whose high support reaches
   the best weight found so far is skipped; a later tie never replaces the
   first minimizer.  The weight-1 early exit is the case of best weight 1.
-  A stack skips a block whose high support reaches the largest best weight
-  among its rows; a row whose best is already at or below that support
-  cannot improve on a strict <, so weighing the block for it changes no
-  report.
+  A stack takes the largest best weight among its rows: a row whose best
+  is at or below the high support cannot improve on a strict <.
 * scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
   same as k, so the first minimizer has top nonzero digit 1, and only h = 0
   and the blocks h in [p**j, 2 p**j) are weighed.  At p = 2 that is every
-  block.  A stack headed by d = 0 weighs every block for all its rows;
-  the other blocks can only tie row 0's first minimizer, never replace it.
+  block.  A stack of 2 or more rows headed by d = 0 weighs every block
+  for all of them; the others can only tie row 0's first minimizer.
 
 vectors_examined counts the candidates the fixed order accounted for,
 weighed or excluded, so its values are those of the unpruned walk.
@@ -59,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _as_matrix, _residues
+from .gfp import PrimeField, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -153,14 +150,33 @@ class CodeDistanceResult:
     table: dict[tuple[int, int], DistanceReport]
 
 
-def build_lambda(gamma) -> np.ndarray:
-    """The n x 2n block matrix [I_n | gamma]."""
-    gamma = np.asarray(gamma, dtype=np.int64)
+def _check_square(gamma: np.ndarray) -> None:
     if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
         raise ValueError(f"adjacency block must be square, got shape {gamma.shape}")
-    n = gamma.shape[0]
+
+
+def _fits_int64(v) -> bool:
+    try:
+        return int(v) == v and -(1 << 63) <= int(v) < 1 << 63
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
+        return False
+
+
+def build_lambda(gamma) -> np.ndarray:
+    """The n x 2n block matrix [I_n | gamma], for entries that int64 holds exactly.
+
+    Integral floats, as in np.zeros((3, 3)), pass; a uint64 2**64 - 1 or a
+    1.7 raise ValueError, where a plain cast would give -1 or 1.
+    """
+    a = np.asarray(gamma)
+    _check_square(a)
+    if not np.can_cast(a.dtype, np.int64):  # uint64, float or object: check every entry
+        a = np.asarray(gamma, dtype=object)  # a list's big ints as given, not read as floats
+        if not all(map(_fits_int64, a.flat)):
+            raise ValueError("adjacency entries must be integers that int64 holds exactly")
+    n = a.shape[0]
     lam = np.zeros((n, 2 * n), dtype=np.int64)
-    lam[:, n:] = gamma
+    lam[:, n:] = a
     lam.reshape(-1)[:: 2 * n + 1] = 1  # entry (i, i) sits at flat index i * (2n + 1)
     return lam
 
@@ -175,10 +191,11 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
     """The kernel vector (-gamma x mod p | x) determined by the x-half.
 
     x runs over (Z/pZ)^n; the map x -> k is a bijection onto ker [I | gamma].
-    gamma and x are reduced mod p exactly, whatever their dtype or size, and
-    x must have length n.
+    gamma and x are reduced mod p exactly, whatever their dtype or size;
+    gamma must be square and x must have length n.
     """
-    gamma = _as_matrix(gamma, f.p)
+    gamma = _residues(gamma, f.p)
+    _check_square(gamma)
     x = _residues(x, f.p, len(gamma))
     z = (-(gamma @ x)) % f.p
     return SymplecticVector.from_parts(z, x)
@@ -231,11 +248,9 @@ def _gray_blocks(table, n: int, d, m: int, hs):
 
     Block h holds the 2**m consecutive t = h * 2**m + lo; hs gives the
     ascending block indices to weigh, and one uint8 array is yielded per
-    block.  A stack d of shape (r, n) gives the array a leading row axis,
-    shape (r, 2**m), so buffers hold at most _ROWS * _BLOCK entries (1 MiB
-    of uint32 masks for a full stack of 64); a 1-D d gives shape (2**m,),
-    and its per-block operands stay Python ints.  The array is reused, so
-    it is valid until the next block.  z and x are bitmasks; the low bits
+    block: shape (2**m,) for a 1-D d, whose per-block operands stay Python
+    ints, and (r, 2**m) for a stack of r rows.  The array is reused, so it
+    is valid until the next block.  z and x are bitmasks; the low bits
     come from _gray_table, and the high part is gray(h), reached from the
     last block's by one column XOR per flipped bit.  The weight is
     popcount(z | x).
@@ -285,9 +300,7 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
 
     Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
     ascending block indices to weigh, and one array is yielded per block,
-    with a leading row axis when d is a stack (so buffers hold at most
-    _ROWS times n * _BLOCK entries, n * 256 KiB of bools for a full stack
-    of 64), reused like _gray_blocks.
+    with a leading row axis when d is a stack, reused like _gray_blocks.
     A block's target holds (Gamma x_hi - d) mod p for the high digits x_hi
     of h, and p where its own digit x_j is nonzero; tab (from
     _odometer_table) never holds p at the same j.  Vertex j counts exactly
@@ -361,20 +374,20 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     stack of shape (r, n) of distinct differences, nonzero after row 0,
     each equal to what search(row) reports.  A stack is weighed in one
     block pass, so its buffers hold r times one difference's; code_distance
-    keeps r <= _ROWS.  The pass weighs only the blocks that pass the support
-    bound for the largest best weight among the rows (a row whose best is
-    at or below a block's high support cannot improve on a strict <) and,
-    for a 1-D d = 0, the scalar symmetry, and stops once every row's best
-    weight is 1.  When d = 0, alone or as row 0, its k = 0 candidate
-    (weight 0) is neither weighed nor counted in vectors_examined; a stack
-    walks blocks the symmetry would skip, but in them row 0 can only tie
-    its first minimizer, whose top nonzero digit is 1.  Per block, a
-    stack takes one argmin per row and updates the best weights and first
-    indices of the rows that improve on a strict < with numpy, recomputing
-    that largest best weight only when some row improved; a 1-D d keeps
-    scalar bookkeeping.  The witnesses are checked against Lambda in one
-    product and their chi-weights recounted with one numpy count, before
-    any report is built, and the reports come from _reports.
+    keeps r <= _ROWS.  One loop keeps every row's best weight and first
+    index, in Python lists, for a 1-D d and a stack alike.  It weighs only
+    the blocks that pass the support bound for top, the largest best weight
+    (a row whose best is at or below a block's high support cannot improve
+    on a strict <), and, for d = 0 alone, the scalar symmetry; it stops
+    once top is 1.  A block whose flat minimum is at or above top improves
+    no row; only the others, about one per search, take an argmin per row.
+    A 1-D d stays 1-D in the block generators: as a (1, n) stack each block
+    costs more.  When d = 0, alone or as row 0, its k = 0 candidate
+    (weight 0) is neither weighed nor counted in vectors_examined; a longer
+    stack walks blocks the symmetry would skip, but in them row 0 can only
+    tie its first minimizer, whose top nonzero digit is 1.  The witnesses
+    are checked against Lambda in one product and their chi-weights
+    recounted with one numpy count before _reports builds the reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -383,57 +396,42 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     m = 0  # low digits per block
     while m < n and p ** (m + 1) <= _BLOCK:
         m += 1
+    size = p**m  # candidates per block
     table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
     powers = np.array([p**j for j in range(n) if p**j < 1 << 63], dtype=np.int64)
 
     def search(d: np.ndarray):
-        stack = d.ndim == 2
-        if stack and not d[1:].any(axis=1).all():
+        dr = d.reshape(-1, n)  # one row per difference, a view of d
+        nonzero = dr.any(axis=1).tolist()
+        if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
-        zero = not (d[0] if stack else d).any()  # d = 0, or a stack headed by it: skip k = 0
-        r = len(d) if stack else 1
+        r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
         top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
 
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
             nonlocal h
-            for h in _block_order(p, n - m, zero and not stack):
+            for h in _block_order(p, n - m, zero and r == 1):
                 if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
                     yield h
                 elif top == 1:  # every later block has support >= 1 too
                     return
 
         hs = weighed() if m < n else (0,)  # one block: always weighed, no filter to set up
-        if p == 2:
-            blocks = _gray_blocks(table, n, d, m, hs)
-        else:
-            blocks = _odometer_blocks(gamma, table, n, p, d, m, hs)
-        if stack:  # per block: one argmin, a gather of the row minima, a masked update on <
-            rows = np.arange(r)
-            best_w, best_t = np.full(r, n + 1), np.zeros(r, dtype=np.int64)
-            for w in blocks:
-                if h == 0 and zero:
-                    w[0, 0] = n + 1
-                i = w.argmin(axis=1)
-                wi = w[rows, i]
-                better = wi < best_w
-                if better.any():
-                    np.copyto(best_w, wi, where=better)
-                    np.copyto(best_t, i + h * p**m, where=better)
-                    top = int(best_w.max())
-            best_w, best_t = best_w.tolist(), best_t.tolist()
-        else:
-            best_w, best_t = [n + 1], [0]
-            for w in blocks:
-                if h == 0 and zero:
-                    w[0] = n + 1
-                i = int(w.argmin())
-                if w[i] < top:
-                    top = best_w[0] = int(w[i])
-                    best_t[0] = h * p**m + i
+        blocks = _gray_blocks(table, n, d, m, hs) if p == 2 else _odometer_blocks(gamma, table, n, p, d, m, hs)
+        best_w, best_t = [n + 1] * r, [0] * r
+        for w in blocks:
+            if h == 0 and zero:
+                w.flat[0] = n + 1
+            if w.item(w.argmin()) >= top:  # every row's best is at most top: none can improve
+                continue
+            wr = w.reshape(r, size)
+            for row, i in enumerate(wr.argmin(axis=1).tolist()):
+                if wr.item(row, i) < best_w[row]:
+                    best_w[row], best_t[row] = wr.item(row, i), h * size + i
+            top = max(best_w)
         xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.int64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
         k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0
-        dr = d.reshape(r, n)
         k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
         weights = np.count_nonzero(k[:, :n] | k[:, n:], axis=1)  # entries are reduced mod p
         if ((k @ lam.T - dr) % p).any() or (weights != best_w).any():
@@ -441,7 +439,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         examined = [bt + 1 if bw == 1 else p**n for bw, bt in zip(best_w, best_t)]
         examined[0] -= zero  # the k = 0 candidate of d = 0 is not examined
         reports = _reports(k.tolist(), best_w, examined)
-        return reports if stack else reports[0]
+        return reports if d.ndim == 2 else reports[0]
 
     return search
 
@@ -491,7 +489,8 @@ def code_distance(
     of the first: up to 11 codewords (at most 55 distinct nonzero
     differences) take one pass, and 12 take two, of 64 and 3 rows.  When
     d = 0 is the only distinct difference (one codeword, or equal ones) it
-    is searched alone, so the scalar symmetry applies.  Every report equals
+    is searched alone, as a 1-D d: a (1, n) stack of it took 10-20% longer,
+    from its 2-D per-block operations.  Every report equals
     what pairwise_distance gives for its pair.  The reported pair is the
     first minimizer in lexicographic scan order.
     """
@@ -507,7 +506,7 @@ def code_distance(
     rows = [r * k + s for r, s in pairs]
     which = [first.setdefault(raw[i * size : (i + 1) * size], i) for i in rows]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
-    if len(distinct) == 1:  # d = 0 alone: the 1-D search keeps the scalar symmetry
+    if len(distinct) == 1:  # d = 0 alone: the 1-D search, faster per block than a (1, n) stack
         reports = {0: search(diffs[0])}
     else:  # d = 0 heads the first stack
         reports = {}

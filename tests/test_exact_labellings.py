@@ -4,7 +4,8 @@ numpy would wrap a uint64 entry 2**64 - 1 (0 mod 3) to -1 (2 mod 3) in a
 cast to int64, read a list holding it as floats, and refuse a Python int
 past 64 bits.  Every function that takes a labelling must give what it
 gives for the reduced one, and so must every adjacency matrix and
-exponent the oracle's Z and X rules take.
+exponent the oracle's Z and X rules take.  build_lambda does not reduce:
+it refuses any entry that int64 does not hold exactly.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from diagdist import (
     apply_x,
     apply_z,
     brute_force_pairwise,
+    build_lambda,
     code_distance,
     generate,
     kernel_point,
@@ -178,3 +180,52 @@ def test_exponents_are_reduced(e):
 def test_kernel_point_checks_the_length():
     with pytest.raises(ValueError, match="labellings must have length 3"):
         kernel_point(GAMMA, [1, 2], F3)
+
+
+def test_build_lambda_keeps_integral_entries():
+    want = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.int64)
+    for gamma in (
+        [[0, 1], [1, 0]],
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0, 1], [1, 0]], dtype=np.uint64),
+        np.array([[0, 1], [1, 0]], dtype=object),
+        np.array([[False, True], [True, False]]),
+    ):
+        lam = build_lambda(gamma)
+        assert lam.dtype == np.int64 and np.array_equal(lam, want)
+    assert np.array_equal(build_lambda(np.zeros((3, 3))), np.eye(3, 6, dtype=np.int64))
+    big = build_lambda([[2**63 - 1, 0.0], [-(2**63), 2**62 + 1]])  # the floats would round 2**62 + 1
+    assert big[:, 2:].tolist() == [[2**63 - 1, 0], [-(2**63), 2**62 + 1]]
+
+
+NOT_INT64 = [
+    ("uint64 2**64 - 1", np.array([[0, TOP], [TOP, 0]], dtype=np.uint64)),
+    ("uint64 2**63", np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)),
+    ("float 1.7", np.array([[0, 1.7], [1.7, 0]])),
+    ("float 2**63", np.array([[0, 2.0**63], [2.0**63, 0]])),
+    ("nan", np.array([[0, np.nan], [np.nan, 0]])),
+    ("inf", np.array([[0, np.inf], [np.inf, 0]])),
+    ("Python int 2**63", [[0, 2**63], [2**63, 0]]),
+    ("Python int past 64 bits", [[0, 2**70], [2**70, 0]]),
+    ("Python int below int64", [[0, -(2**63) - 1], [-(2**63) - 1, 0]]),
+    ("float in a list", [[0, 0.5], [1, 0]]),
+    ("strings", np.array([["0", "1"], ["1", "0"]])),
+    ("None", [[0, None], [None, 0]]),
+]
+
+
+@pytest.mark.parametrize("name, gamma", NOT_INT64, ids=[name for name, _ in NOT_INT64])
+def test_build_lambda_refuses_entries_int64_does_not_hold(name, gamma):
+    with pytest.raises(ValueError, match="integers that int64 holds exactly"):
+        build_lambda(gamma)
+
+
+def test_build_lambda_checks_the_shape_first():
+    with pytest.raises(ValueError, match=r"adjacency block must be square, got shape \(2, 3\)"):
+        build_lambda([[0, 1.5, 2**70], [0, 0, 0]])
+
+
+@pytest.mark.parametrize("gamma", [np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3), np.zeros((3, 3, 1))])
+def test_kernel_point_refuses_a_non_square_gamma(gamma):
+    with pytest.raises(ValueError, match=r"adjacency block must be square, got shape"):
+        kernel_point(gamma, [1, 2, 0], F3)

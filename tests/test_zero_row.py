@@ -223,3 +223,43 @@ def test_search_reports_equal_rebuilt_ones():
         again = DistanceReport(rep.distance, SymplecticVector(rep.witness.entries), rep.vectors_examined)
         assert rep == again and hash(rep) == hash(again)
         assert pickle.loads(pickle.dumps(rep)) == again
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (5, 4)])
+def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
+    """A (1, n) stack of d = 0 weighs the blocks a 1-D d = 0 does, and reports what diagonal_distance does."""
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # one low digit at p = 3 and 5
+    walks = spy_walk(monkeypatch, "_odometer_blocks")
+    rng = random.Random(190 + p)
+    f = PrimeField(p)
+    g = random_multigraph(rng, n, max_mult=p)
+    want = diagonal_distance(g, f)
+    [(shape, lone)] = walks
+    assert shape == (n,)
+    walks.clear()
+    [got] = D._searcher(g, f, D.SearchConfig())(np.zeros((1, n), dtype=np.int64))
+    assert key(got) == key(want)
+    assert walks == [((1, n), lone)]
+    assert set(lone) <= set(D._block_order(p, n - 1, True))
+    # the support bound alone would weigh a block whose top digit is not 1
+    assert any(top_digit(h, p) > 1 and D._high_support(h, p) < want.distance for h in range(p ** (n - 1)))
+
+
+@pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
+def test_a_one_row_stack_reports_what_its_1d_search_does(monkeypatch, block):
+    """d and the same row as a (1, n) stack give identical reports, for d = 0 and d != 0."""
+    monkeypatch.setattr(D, "_BLOCK", block)
+    rng = random.Random(2400 + block)
+    for p, ns in SIZES:
+        f = PrimeField(p)
+        for n in ns:
+            g = random_multigraph(rng, n, max_mult=p)
+            for graph in (g, isolating(g, rng.randrange(n), p, rng)):
+                search = D._searcher(graph, f, D.SearchConfig())
+                for row in [[0] * n] + nonzero_rows(rng, n, p, 4):
+                    d = np.array(row, dtype=np.int64)
+                    lone = search(d)
+                    [stacked] = search(d[None, :])
+                    assert type(lone) is DistanceReport
+                    assert key(stacked) == key(lone), (p, n, block, row)
+                    assert stacked == lone
