@@ -16,7 +16,8 @@ the x-half alone: k = (-Gamma x | x).  The search therefore enumerates all
 p**n choices of x instead of spanning a 2n-column basis: in Gray-code order
 for p = 2, in odometer order (digit 1 fastest) for p >= 3.  The m low digits
 of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
-per graph and shared, with Lambda, by every difference a call searches; the
+per graph and shared, with Lambda, by every difference a call searches
+(what depends on p and m alone is built once per process); the
 high digits step through one block of p**m candidates at a time, and a few
 numpy operations weigh the whole block.  The search also takes a stack of
 r differences, each block weighed for all r rows in one pass, so
@@ -51,6 +52,7 @@ weighed or excluded, so its values are those of the unpruned walk.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -218,10 +220,30 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
         )
 
 
+_BITS = 1 << np.arange(64, dtype=np.uint64)  # bit j at entry j, shared read-only by every search
+_BITS.setflags(write=False)
+
+
 def _bitmasks(a: np.ndarray):
     """Each row of a (at most 64 columns) as an int with bit j set where its entry j is nonzero."""
-    bits = 1 << np.arange(a.shape[-1], dtype=np.uint64)
-    return ((a != 0) @ bits).tolist()  # distinct bits: the dot product is their OR
+    return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
+
+
+@functools.lru_cache(maxsize=16)
+def _gray_codes(m: int, dt) -> tuple[np.ndarray, np.ndarray]:
+    """gray(lo) for lo = 0 .. 2**m - 1, and its twin with bit m - 1 flipped.
+
+    They depend on (m, dt) alone, so each process builds them once and
+    every search shares them read-only.  At the default _BLOCK a search
+    takes m <= 12, so the memo holds at most 13 keys, under 0.2 MiB;
+    maxsize bounds it whatever _BLOCK is.
+    """
+    lo = np.arange(1 << m, dtype=dt)
+    xl0 = lo ^ (lo >> dt(1))
+    codes = (xl0, xl0 ^ dt(1 << (m - 1)))
+    for a in codes:
+        a.setflags(write=False)
+    return codes
 
 
 def _gray_table(gamma: np.ndarray, m: int):
@@ -230,17 +252,15 @@ def _gray_table(gamma: np.ndarray, m: int):
     With t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit
     m - 1 flipped when h is odd, and the high bits are gray(h).  The masks
     are uint32 when n <= 32 and uint64 above that: the narrower width
-    halves the memory every block operation reads and writes.
+    halves the memory every block operation reads and writes.  The gray
+    codes come from _gray_codes, read-only; only z depends on Gamma.
     """
     dt = np.uint32 if gamma.shape[0] <= 32 else np.uint64
     cols = _bitmasks(gamma.T)
-    size = 1 << m
-    lo = np.arange(size, dtype=dt)
-    xl0 = lo ^ (lo >> dt(1))  # gray(lo), lo = 0 .. 2**m - 1
-    zl0 = np.zeros(size, dtype=dt)  # Gamma gray(lo)
+    zl0 = np.zeros(1 << m, dtype=dt)  # Gamma gray(lo)
     for i in range(m):  # gray codes of i + 1 bits are those of i bits, then reversed with bit i set
-        np.bitwise_xor(zl0[: 1 << i][::-1], dt(cols[i]), out=zl0[1 << i : 2 << i])
-    return cols, (xl0, xl0 ^ dt(1 << (m - 1))), (zl0, zl0 ^ dt(cols[m - 1]))
+        np.bitwise_xor(zl0[: 1 << i][::-1], dt(cols[i]), zl0[1 << i : 2 << i])
+    return cols, _gray_codes(m, dt), (zl0, zl0 ^ dt(cols[m - 1]))
 
 
 def _gray_blocks(table, n: int, d, m: int, hs):
@@ -270,10 +290,10 @@ def _gray_blocks(table, n: int, d, m: int, hs):
             low = flips & -flips
             gz ^= cols[m + low.bit_length() - 1]
             flips ^= low
-        np.bitwise_or(xl[h & 1], gh << m, out=xb)
-        np.bitwise_xor(zl[h & 1], zd ^ gz, out=buf)
-        np.bitwise_or(buf, xb, out=buf)
-        np.bitwise_count(buf, out=w)
+        np.bitwise_or(xl[h & 1], gh << m, xb)
+        np.bitwise_xor(zl[h & 1], zd ^ gz, buf)
+        np.bitwise_or(buf, xb, buf)
+        np.bitwise_count(buf, w)
         yield w
 
 
@@ -310,12 +330,15 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
     tabs = tab.reshape(tab.shape[:1] + (1,) * len(lead) + tab.shape[1:])
     neq = np.empty(tab.shape[:1] + lead + tab.shape[1:], dtype=bool)
     w = np.empty(lead + tab.shape[1:], dtype=np.min_scalar_type(n + 1))
+    ghi, pw = gamma[:, m:], [p**j for j in range(n - m)]
     for h in hs:
-        xh = np.array([h // p**j % p for j in range(n - m)], dtype=np.int64)
-        target = ((gamma[:, m:] @ xh - d) % p).T  # vertex axis first
-        target[m:][xh != 0] = p
-        np.not_equal(tabs, target.astype(tab.dtype)[..., None], out=neq)
-        np.add.reduce(neq, axis=0, dtype=w.dtype, out=w)
+        digits = [h // q % p for q in pw]
+        target = ((ghi @ np.array(digits, dtype=np.int64) - d) % p).T  # vertex axis first
+        hot = [m + j for j, v in enumerate(digits) if v]
+        if hot:
+            target[hot] = p
+        np.not_equal(tabs, target.astype(tab.dtype)[..., None], neq)
+        np.add.reduce(neq, 0, w.dtype, w)
         yield w
 
 
@@ -366,8 +389,31 @@ def _reports(witnesses, weights, examined) -> list[DistanceReport]:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _layout(p: int, block: int) -> tuple[int, np.ndarray]:
+    """The most low digits a block of at most block candidates holds, and every p**j below 2**63.
+
+    A search takes min(low, n) low digits and the first n powers, which
+    expand its witnesses' x digits.  Both depend on (p, block) alone, so
+    each process builds them once; the powers are read-only, and there are
+    at most 63 of them.  maxsize bounds the memo, however many primes and
+    block sizes a process searches with.
+    """
+    low = 0
+    while p ** (low + 1) <= block:
+        low += 1
+    powers = np.array([p**j for j in range(63) if p**j < 1 << 63], dtype=np.int64)  # p >= 2: j < 63
+    powers.setflags(write=False)
+    return low, powers
+
+
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the low-digit table once.
+
+    What depends on p and _BLOCK alone, the low digits per block and the
+    witness's digit powers (_layout), and at p = 2 the Gray codes of the
+    low digits (_gray_codes), is built once per process and shared
+    read-only; _BLOCK is read at each call.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -387,22 +433,21 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     stack walks blocks the symmetry would skip, but in them row 0 can only
     tie its first minimizer, whose top nonzero digit is 1.  The witnesses
     are checked against Lambda in one product and their chi-weights
-    recounted with one numpy count before _reports builds the reports.
+    recounted in one numpy sum, compared with the best weights as lists,
+    before _reports builds the reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
-    m = 0  # low digits per block
-    while m < n and p ** (m + 1) <= _BLOCK:
-        m += 1
+    low, powers = _layout(p, _BLOCK)
+    m, powers = min(low, n), powers[:n]  # low digits per block, and the witness's digit powers
     size = p**m  # candidates per block
     table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
-    powers = np.array([p**j for j in range(n) if p**j < 1 << 63], dtype=np.int64)
 
     def search(d: np.ndarray):
         dr = d.reshape(-1, n)  # one row per difference, a view of d
-        nonzero = dr.any(axis=1).tolist()
+        nonzero = np.logical_or.reduce(dr, axis=1).tolist()
         if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
         r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
@@ -411,7 +456,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
             nonlocal h
             for h in _block_order(p, n - m, zero and r == 1):
-                if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
+                # |supp x_hi|, inline at p = 2; a later tie never replaces the first minimizer
+                if ((h ^ h >> 1).bit_count() if p == 2 else _high_support(h, p)) < top:
                     yield h
                 elif top == 1:  # every later block has support >= 1 too
                     return
@@ -433,8 +479,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
         k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0
         k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
-        weights = np.count_nonzero(k[:, :n] | k[:, n:], axis=1)  # entries are reduced mod p
-        if ((k @ lam.T - dr) % p).any() or (weights != best_w).any():
+        weights = ((k[:, :n] | k[:, n:]) != 0).sum(axis=1).tolist()  # entries are reduced mod p
+        if ((k @ lam.T - dr) % p).any() or weights != best_w:
             raise RuntimeError("witness failed re-verification")
         examined = [bt + 1 if bw == 1 else p**n for bw, bt in zip(best_w, best_t)]
         examined[0] -= zero  # the k = 0 candidate of d = 0 is not examined

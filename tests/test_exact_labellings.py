@@ -26,6 +26,7 @@ from diagdist import (
     rref,
     solve,
 )
+from diagdist.gfp import _residues
 
 F3 = PrimeField(3)
 TOP = 2**64 - 1  # 0 mod 3
@@ -229,3 +230,41 @@ def test_build_lambda_checks_the_shape_first():
 def test_kernel_point_refuses_a_non_square_gamma(gamma):
     with pytest.raises(ValueError, match=r"adjacency block must be square, got shape"):
         kernel_point(gamma, [1, 2, 0], F3)
+
+
+# Floats that no integer equals: a cast to int64 would truncate them, or
+# turn them into an arbitrary int64 with only a RuntimeWarning.
+NOT_INTEGRAL = [
+    ("float in a list", [1.7, 0, 0]),
+    ("float array", np.array([1.7, 2.2, 0.0])),
+    ("float32 array", np.array([0.5, 0, 0], dtype=np.float32)),
+    ("nan", np.array([np.nan, 0, 0])),
+    ("inf", np.array([0, -np.inf, 0])),
+]
+
+
+@pytest.mark.parametrize("name, c", NOT_INTEGRAL, ids=[name for name, _ in NOT_INTEGRAL])
+def test_non_integral_entries_are_refused(name, c):
+    g = generate("path", 3)
+    zero = np.zeros(3, dtype=np.int64)
+    for call in (
+        lambda: pairwise_distance(g, F3, c, zero),
+        lambda: pairwise_distance(g, F3, zero, c),
+        lambda: brute_force_pairwise(g, F3, c, zero),
+        lambda: code_distance(g, F3, [zero, c]),
+        lambda: kernel_point(GAMMA, c, F3),
+        lambda: apply_z(c, 1, 1, F3),
+    ):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            call()
+
+
+def test_integral_floats_are_reduced_exactly():
+    """3e19 is 0 mod 5; cast to int64 it would overflow."""
+    assert _residues(np.array([3e19]), 5).tolist() == [0]
+    big = np.array([3e19, -(2.0**70), 2.0**64 + 2.0**12])
+    assert _residues(big, 7).tolist() == [int(v) % 7 for v in big.tolist()]
+    assert _residues([3e19, 2**70, -1.0], 7).tolist() == [3 * 10**19 % 7, 2**70 % 7, 6]
+    g = generate("path", 3)
+    cr = np.array([3e19, 0.0, -2.0], dtype=np.float64)  # (0, 0, 1) mod 3: 3e19 = 3 * 1e19
+    assert key(pairwise_distance(g, F3, cr, np.zeros(3))) == key(pairwise_distance(g, F3, [0, 0, 1], [0, 0, 0]))

@@ -17,6 +17,7 @@ from diagdist import (
     PrimeField,
     SearchConfig,
     adjacency_matrix,
+    code_distance,
     diagonal_distance,
     generate,
     pairwise_distance,
@@ -116,3 +117,63 @@ def test_build_lambda_shape_error_is_unchanged():
         D.build_lambda(np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"adjacency block must be square, got shape \(4,\)"):
         D.build_lambda(np.zeros(4))
+
+
+def block_spy(monkeypatch):
+    """Record the shape of every block the two generators yield."""
+    shapes = []
+    for name in ("_gray_blocks", "_odometer_blocks"):
+
+        def spy(*args, real=getattr(D, name)):
+            for w in real(*args):
+                shapes.append(w.shape)
+                yield w
+
+        monkeypatch.setattr(D, name, spy)
+    return shapes
+
+
+def report_key(rep):
+    return (rep.distance, rep.witness.entries, rep.vectors_examined)
+
+
+@pytest.mark.parametrize("p, n", [(2, 13), (3, 8), (5, 5)])
+def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
+    """The memoized tables follow _BLOCK: each search equals a fresh one, block shapes included."""
+    rng = random.Random(n)
+    f = PrimeField(p)
+    g = random_multigraph(rng, n, max_mult=p - 1)
+    words = [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)]
+    shapes = block_spy(monkeypatch)
+
+    def searches():
+        shapes.clear()
+        res = code_distance(g, f, words)
+        reps = [diagonal_distance(g, f), pairwise_distance(g, f, words[0], words[1])]
+        return [report_key(r) for r in reps + list(res.table.values())], list(shapes)
+
+    def fresh(block):
+        monkeypatch.setattr(D, "_BLOCK", block)
+        D._layout.cache_clear()
+        D._gray_codes.cache_clear()
+        return searches()
+
+    want = {block: fresh(block) for block in (1 << 3, 1 << 12)}
+    assert want[1 << 3][0] == want[1 << 12][0]  # the block size never shows in a report
+    assert max(s[-1] for s in want[1 << 3][1]) <= 1 << 3 < max(s[-1] for s in want[1 << 12][1])
+    D._layout.cache_clear()
+    D._gray_codes.cache_clear()
+    for block in (1 << 12, 1 << 3, 1 << 12):
+        monkeypatch.setattr(D, "_BLOCK", block)
+        assert searches() == want[block]
+
+
+def test_memoized_tables_are_shared_and_read_only():
+    f = PrimeField(2)
+    _, xl, _ = D._gray_table(adjacency_matrix(generate("cycle", 6), f), 6)
+    assert xl is D._gray_table(adjacency_matrix(generate("complete", 6), f), 6)[1]
+    _, powers = D._layout(3, D._BLOCK)
+    assert powers.tolist() == [3**j for j in range(40)]  # 3**39 < 2**63 < 3**40
+    for a in (*xl, powers, powers[:5]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
