@@ -12,27 +12,43 @@ kernel.  The distance between two labellings cr, cs replaces the kernel by
 the solution set of ``Lambda k = cr - cs``.
 
 Because of the identity block, the kernel is parameterized in closed form by
-the x-half alone: k = (-Gamma x | x).  The search therefore enumerates all
-p**n choices of x instead of spanning a 2n-column basis: in Gray-code order
-for p = 2, in odometer order (digit 1 fastest) for p >= 3.  The m low digits
-of x, with p**m <= _BLOCK, contribute to Gamma x through a table built once
-per graph and shared, with Lambda, by every difference a call searches
-(what depends on p and m alone is built once per process); the
-high digits step through one block of p**m candidates at a time, and a few
-numpy operations weigh the whole block.  The search also takes a stack of
-r differences, each block weighed for all r rows in one pass, so
+the x-half alone: k = (-Gamma x | x).  The search therefore ranges over the
+p**n choices of x instead of spanning a 2n-column basis.  Its reported
+witness is the first minimizer in a fixed order of x: Gray-code order
+(x = gray(t), t = 0, 1, ...) for p = 2, odometer order (digit 1 fastest)
+for p >= 3.  The witness is re-checked against Lambda and its weight
+recounted (a stack's together, in one product and one numpy count), so
+equal inputs always produce identical reports, and a row of a stack
+reports what its lone search would.  The search also takes a stack of r
+differences, each chunk weighed for all r rows in one pass, so
 code_distance pays the per-search Python cost once per stack of up to
 _ROWS = 64 differences, not once per difference; row 0 may be d = 0, so a
-code's zero difference shares the first stack's pass.  One driver keeps
-every row's best, for a stack and a lone difference alike.  Reported
-witnesses are the first minimizer in that fixed order, re-checked against
-Lambda and their weights recounted (a stack's together, in one product and
-one numpy count), so equal inputs always produce identical reports, and a
-row of a stack reports what its lone search would.
+code's zero difference shares the first stack's pass.
 
+At p = 2 the search walks x by support level s = 0, 1, 2, ...  Every
+candidate weighs at least |supp x|, so a row whose best weight is below
+the next level is done, and the walk ends after level w*, the best
+weight, with every minimizer seen: the x-half information set and lower
+bound of Brouwer-Zimmermann search (Grassl, "Searching for linear codes
+with large minimum distance", 2006; White and Grassl, ISIT 2006).  Of a
+row's least-weight candidates it keeps the least Gray rank
+t = gray^-1(x), which is exactly the first minimizer of the Gray-code
+order.  Candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
+The pattern tables, every subset of a level as a mask with its Gray rank
+(linear over GF(2)), depend on n and _BLOCK alone and are built once per
+process; Gamma x of each table walked is built per graph from the Gamma x
+of every x within each run of m consecutive vertices, m = log2(_BLOCK).  Small consecutive levels
+share one chunk.  A level of more than _BLOCK subsets is walked as
+products of two band tables, with the vertices above both bands walked in
+Python, so no chunk holds more than _BLOCK candidates per row.
+
+At odd p the m low digits of x, with p**m <= _BLOCK, contribute to
+Gamma x through a table built once per graph and shared, with Lambda, by
+every difference a call searches (what depends on p and m alone is built
+once per process); the high digits step through one block of p**m
+candidates at a time, and a few numpy operations weigh the whole block.
 Two exact exclusions skip blocks that cannot hold a new first minimizer
-(the lower-bound and projective ideas of Brouwer-Zimmermann search; Grassl,
-"Searching for linear codes with large minimum distance", 2006):
+(the lower-bound and projective ideas of Brouwer-Zimmermann search):
 
 * support bound: a block fixes the high digits x_hi, and every candidate
   in it weighs at least |supp x_hi|, so a block whose high support reaches
@@ -42,18 +58,21 @@ Two exact exclusions skip blocks that cannot hold a new first minimizer
   is at or below the high support cannot improve on a strict <.
 * scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
   same as k, so the first minimizer has top nonzero digit 1, and only h = 0
-  and the blocks h in [p**j, 2 p**j) are weighed.  At p = 2 that is every
-  block.  A stack of 2 or more rows headed by d = 0 weighs every block
-  for all of them; the others can only tie row 0's first minimizer.
+  and the blocks h in [p**j, 2 p**j) are weighed.  A stack of 2 or more
+  rows headed by d = 0 weighs every block for all of them; the others can
+  only tie row 0's first minimizer.
 
 vectors_examined counts the candidates the fixed order accounted for,
-weighed or excluded, so its values are those of the unpruned walk.
+weighed or excluded, so its values are those of the walk that weighs
+every candidate in that order: p**n, less the zero candidate of d = 0, or
+up to the witness on a weight-1 exit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,72 +248,76 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
+@functools.lru_cache(maxsize=64)
+def _patterns(lo: int, hi: int, a: int, b: int, dt) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset of range(lo, hi) with a to b vertices, as bitmasks, and their Gray ranks.
+
+    The Gray rank t = gray^-1(x) is linear over GF(2): the XOR of its
+    vertices' ranks, rank(e_j) = 2**(j + 1) - 1.  Both arrays are sorted by
+    rank, so a first argmin over a table is its least-rank minimizer.
+    They depend on the arguments alone, so each process builds them once
+    and every search shares them read-only; callers keep a table at most
+    _BLOCK subsets long, and maxsize bounds the memo.
+    """
+    k = hi - lo
+    masks, ranks = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
+    for s in range(1, b + 1):  # s-subsets, smallest vertex descending: those above u lead level s - 1
+        heads = range(k - s, -1, -1)
+        counts = [math.comb(k - 1 - u, s - 1) for u in heads]
+        bits = np.repeat(_BITS[lo : hi][list(heads)], counts)
+        masks.append(np.concatenate([masks[-1][:c] for c in counts]) | bits)
+        ranks.append(np.concatenate([ranks[-1][:c] for c in counts]) ^ (bits << np.uint64(1)) - np.uint64(1))
+    masks, ranks = np.concatenate(masks[a:]).astype(dt), np.concatenate(ranks[a:]).astype(dt)
+    order = np.argsort(ranks)
+    masks, ranks = masks[order], ranks[order]
+    for t in (masks, ranks):
+        t.setflags(write=False)
+    return masks, ranks
+
+
 @functools.lru_cache(maxsize=16)
-def _gray_codes(m: int, dt) -> tuple[np.ndarray, np.ndarray]:
-    """gray(lo) for lo = 0 .. 2**m - 1, and its twin with bit m - 1 flipped.
+def _level_plan(n: int, block: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The support levels of n vertices in walking order, and the band width for levels past block.
 
-    They depend on (m, dt) alone, so each process builds them once and
-    every search shares them read-only.  At the default _BLOCK a search
-    takes m <= 12, so the memo holds at most 13 keys, under 0.2 MiB;
-    maxsize bounds it whatever _BLOCK is.
+    Each entry (a, b) is a run of consecutive levels a..b that one table of
+    at most block subsets holds.  Consecutive levels share a run while it
+    holds at most block // n subsets: at n = 10..13 that is levels 0..3 or
+    0..4, which nearly every row of a code's stack walks, and a run as long
+    as a block would weigh, for all 64 rows, levels that most rows never
+    reach.  A level of more than block subsets stands alone, as (s, s), and
+    is walked as products of two band tables (see walk in _searcher).  The
+    band width is the most vertices whose every level fits block.
     """
-    lo = np.arange(1 << m, dtype=dt)
-    xl0 = lo ^ (lo >> dt(1))
-    codes = (xl0, xl0 ^ dt(1 << (m - 1)))
-    for a in codes:
-        a.setflags(write=False)
-    return codes
+    runs, s = [], 0
+    while s <= n:
+        a, size = s, math.comb(n, s)
+        s += 1
+        if size <= block:
+            while s <= n and size + math.comb(n, s) <= block // n:
+                size += math.comb(n, s)
+                s += 1
+        runs.append((a, s - 1))
+    width = 1
+    while math.comb(width + 1, (width + 1) // 2) <= block:
+        width += 1
+    return tuple(runs), width
 
 
-def _gray_table(gamma: np.ndarray, m: int):
-    """Gamma's columns as bitmasks, and gray(lo) with its part of z per parity of h.
+def _level_blocks(d, dt, chunks):
+    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk.
 
-    With t = h * 2**m + lo, the low bits of gray(t) are gray(lo) with bit
-    m - 1 flipped when h is odd, and the high bits are gray(h).  The masks
-    are uint32 when n <= 32 and uint64 above that: the narrower width
-    halves the memory every block operation reads and writes.  The gray
-    codes come from _gray_codes, read-only; only z depends on Gamma.
+    chunks yields (x, gz, rows): equal-length arrays of dtype dt, the
+    bitmasks of x and of Gamma x, and for a stack the indices of the rows to
+    weigh (None for a 1-D d).  One uint8 array is yielded per chunk: shape
+    (c,) for a 1-D d, whose mask stays a Python int, and (len(rows), c) for
+    a stack.  The weight is popcount((d ^ Gamma x) | x).
     """
-    dt = np.uint32 if gamma.shape[0] <= 32 else np.uint64
-    cols = _bitmasks(gamma.T)
-    zl0 = np.zeros(1 << m, dtype=dt)  # Gamma gray(lo)
-    for i in range(m):  # gray codes of i + 1 bits are those of i bits, then reversed with bit i set
-        np.bitwise_xor(zl0[: 1 << i][::-1], dt(cols[i]), zl0[1 << i : 2 << i])
-    return cols, _gray_codes(m, dt), (zl0, zl0 ^ dt(cols[m - 1]))
-
-
-def _gray_blocks(table, n: int, d, m: int, hs):
-    """Chi-weights of (d - Gamma x | x) for x = gray(t), t in block h.
-
-    Block h holds the 2**m consecutive t = h * 2**m + lo; hs gives the
-    ascending block indices to weigh, and one uint8 array is yielded per
-    block: shape (2**m,) for a 1-D d, whose per-block operands stay Python
-    ints, and (r, 2**m) for a stack of r rows.  The array is reused, so it
-    is valid until the next block.  z and x are bitmasks; the low bits
-    come from _gray_table, and the high part is gray(h), reached from the
-    last block's by one column XOR per flipped bit.  The weight is
-    popcount(z | x).
-    """
-    cols, xl, zl = table
-    dt = xl[0].dtype.type
-    masks = _bitmasks(d)  # a Python int for a 1-D d: each block's operands stay Python ints
+    masks = _bitmasks(d)
     zd = np.array(masks, dtype=dt)[:, None] if d.ndim == 2 else masks
-    buf = np.empty(d.shape[:-1] + (1 << m,), dtype=dt)
-    xb = np.empty(1 << m, dtype=dt)
-    w = np.empty(buf.shape, dtype=np.uint8)
-    gz = gh = 0  # Gamma gray(h) and gray(h), high parts, of the last block weighed
-    for h in hs:
-        flips = (h ^ h >> 1) ^ gh
-        gh ^= flips
-        while flips:
-            low = flips & -flips
-            gz ^= cols[m + low.bit_length() - 1]
-            flips ^= low
-        np.bitwise_or(xl[h & 1], gh << m, xb)
-        np.bitwise_xor(zl[h & 1], zd ^ gz, buf)
-        np.bitwise_or(buf, xb, buf)
-        np.bitwise_count(buf, w)
-        yield w
+    for x, gz, rows in chunks:
+        z = np.bitwise_xor(gz, zd if rows is None else zd[rows])
+        np.bitwise_or(z, x, z)
+        yield np.bitwise_count(z)
 
 
 def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
@@ -320,7 +343,8 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
 
     Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
     ascending block indices to weigh, and one array is yielded per block,
-    with a leading row axis when d is a stack, reused like _gray_blocks.
+    with a leading row axis when d is a stack.  The array is reused, so it
+    is valid until the next block.
     A block's target holds (Gamma x_hi - d) mod p for the high digits x_hi
     of h, and p where its own digit x_j is nonzero; tab (from
     _odometer_table) never holds p at the same j.  Vertex j counts exactly
@@ -343,9 +367,7 @@ def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: i
 
 
 def _high_support(h: int, p: int) -> int:
-    """|supp x_hi| in block h: the set bits of gray(h) at p = 2, else h's nonzero base-p digits."""
-    if p == 2:
-        return (h ^ h >> 1).bit_count()
+    """|supp x_hi| in block h at odd p: the nonzero base-p digits of h."""
     s = 0
     while h:
         h, r = divmod(h, p)
@@ -408,33 +430,39 @@ def _layout(p: int, block: int) -> tuple[int, np.ndarray]:
 
 
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
-    """Check the budget and build Gamma, Lambda and the low-digit table once.
+    """Check the budget and build Gamma, Lambda and the per-graph tables once.
 
     What depends on p and _BLOCK alone, the low digits per block and the
-    witness's digit powers (_layout), and at p = 2 the Gray codes of the
-    low digits (_gray_codes), is built once per process and shared
-    read-only; _BLOCK is read at each call.
+    witness's digit powers (_layout), and at p = 2 the pattern tables
+    (_patterns) and the level plan (_level_plan), is built once per process
+    and shared read-only; _BLOCK is read at each call.  Per graph, p = 2
+    builds Gamma x for every x within each run of m consecutive vertices,
+    and from them, on first use, Gamma x of each pattern table walked; odd
+    p builds the low-digit table.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
     stack of shape (r, n) of distinct differences, nonzero after row 0,
     each equal to what search(row) reports.  A stack is weighed in one
-    block pass, so its buffers hold r times one difference's; code_distance
-    keeps r <= _ROWS.  One loop keeps every row's best weight and first
-    index, in Python lists, for a 1-D d and a stack alike.  It weighs only
-    the blocks that pass the support bound for top, the largest best weight
-    (a row whose best is at or below a block's high support cannot improve
-    on a strict <), and, for d = 0 alone, the scalar symmetry; it stops
-    once top is 1.  A block whose flat minimum is at or above top improves
-    no row; only the others, about one per search, take an argmin per row.
-    A 1-D d stays 1-D in the block generators: as a (1, n) stack each block
-    costs more.  When d = 0, alone or as row 0, its k = 0 candidate
-    (weight 0) is neither weighed nor counted in vectors_examined; a longer
-    stack walks blocks the symmetry would skip, but in them row 0 can only
-    tie its first minimizer, whose top nonzero digit is 1.  The witnesses
-    are checked against Lambda in one product and their chi-weights
-    recounted in one numpy sum, compared with the best weights as lists,
-    before _reports builds the reports.
+    pass, so its buffers hold r times one difference's; code_distance keeps
+    r <= _ROWS.  A 1-D d stays 1-D in the weighers, with Python ints for
+    its best: as a (1, n) stack each chunk costs more.  At p = 2 (walk) a
+    stack keeps its rows' best weights and least ranks in arrays, updated
+    per chunk with one argmin per row and np.where, and weighs only the
+    rows that the chunk's level may still improve.  At odd p
+    (enumerate_blocks) one loop keeps every row's best weight and first
+    index in Python lists.  It weighs only the blocks that pass the support
+    bound for top, the largest best weight (a row whose best is at or below
+    a block's high support cannot improve on a strict <), and, for d = 0
+    alone, the scalar symmetry; it stops once top is 1.  A block whose flat
+    minimum is at or above top improves no row; only the others, about one
+    per search, take an argmin per row.  When d = 0, alone or as row 0, its
+    k = 0 candidate (weight 0) is neither weighed nor counted in
+    vectors_examined; at odd p a longer stack walks blocks the symmetry
+    would skip, but in them row 0 can only tie its first minimizer, whose
+    top nonzero digit is 1.  The witnesses are checked against Lambda in
+    one product and their chi-weights recounted in one numpy sum, compared
+    with the best weights as lists, before _reports builds the reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
@@ -442,30 +470,120 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     lam = build_lambda(gamma)
     low, powers = _layout(p, _BLOCK)
     m, powers = min(low, n), powers[:n]  # low digits per block, and the witness's digit powers
-    size = p**m  # candidates per block
-    table = _gray_table(gamma, m) if p == 2 else _odometer_table(gamma, n, p, m)
+    if p == 2:
+        dt = np.uint32 if n <= 32 else np.uint64
+        cols = _bitmasks(gamma.T)  # Gamma's columns as masks
+        parts = []  # parts[j][y]: Gamma x for x = y << (j * m), every x within vertices j * m .. j * m + m - 1
+        for lo in range(0, n, m):
+            part = np.zeros(1 << min(m, n - lo), dtype=dt)
+            for i in range(len(part).bit_length() - 1):  # y with bit i set: the y below, plus column lo + i
+                np.bitwise_xor(part[: 1 << i], cols[lo + i], part[1 << i : 2 << i])
+            parts.append(part)
+        tables = {}  # each pattern table walked, with its Gamma x, keyed like _patterns
+    else:
+        table = _odometer_table(gamma, n, p, m)
 
-    def search(d: np.ndarray):
-        dr = d.reshape(-1, n)  # one row per difference, a view of d
-        nonzero = np.logical_or.reduce(dr, axis=1).tolist()
-        if not all(nonzero[1:]):
-            raise ValueError("only row 0 of a stack of differences may hold the zero difference")
-        r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
+    def patterns(*key):
+        """A pattern table's masks and Gray ranks, and its Gamma x, built on first use."""
+        if key not in tables:
+            masks, ranks = _patterns(*key, dt)
+            gz = parts[0].take(masks & len(parts[0]) - 1)
+            for j, part in enumerate(parts[1:], 1):
+                gz ^= part.take(masks >> j * m & len(part) - 1)
+            tables[key] = masks, ranks, gz
+        return tables[key]
+
+    def walk(d, r, zero):
+        """Best weight and least Gray rank among its ties, per row, walking x by support level.
+
+        Each candidate weighs at least |supp x|, so a row whose best weight
+        is below level a is done: it drops out of the stack's later chunks,
+        and the walk ends when every row has.  Every chunk lists its
+        candidates by ascending Gray rank, so a row's first argmin in a chunk
+        is its least rank among the chunk's ties; a tie with an earlier chunk
+        goes to the lesser rank.
+        """
+        runs, width = _level_plan(n, _BLOCK)
+        w0 = min(n, width)  # a level past _BLOCK: x = A | B | C, with A and B from tables of the
+        w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
+        top, rank_at, rows = n + 1, None, None  # for the chunk being weighed: its ranks, and its rows
+
+        def chunks():
+            nonlocal rank_at, rows
+            for a, b in runs:
+                if a > top:  # every row's best is below level a
+                    return
+                if d.ndim == 2:
+                    rows = np.flatnonzero(best_w >= a)  # the rows that level a may improve
+                if math.comb(n, a) <= _BLOCK:  # levels a..b in one table
+                    x, rk, gz = patterns(0, n, a, b)
+                    rank_at = rk.__getitem__
+                    yield x, gz, rows
+                    continue
+                for c in range(min(a, n - w0 - w1) + 1):
+                    for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
+                        # each vertex of B flips every bit of rank(A), each of C every bit of
+                        # rank(A | B): reversed tables keep the chunk in ascending rank
+                        x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in patterns(0, w0, a - c - j, a - c - j))
+                        x1, r1, g1 = (t[:: (-1) ** c] for t in patterns(w0, w0 + w1, j, j))
+                        size, step = len(x0), _BLOCK // len(x0)
+                        for high in itertools.combinations(range(w0 + w1, n), c):
+                            cx = cg = cr = 0
+                            for v in high:
+                                cx, cg, cr = cx | 1 << v, cg ^ cols[v], cr ^ (2 << v) - 1
+                            for i in range(0, len(x1), step):
+                                xi, gi, ri = x1[i : i + step], g1[i : i + step], r1[i : i + step]
+                                if c:
+                                    xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
+                                rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
+                                yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
+
+        weights = _level_blocks(d, dt, chunks())
+        if d.ndim == 1:  # one row: Python ints
+            best_w, best_t = n + 1, 0
+            for w in weights:
+                if zero:  # the k = 0 candidate of d = 0 leads the first chunk, with rank 0
+                    w[0], zero = n + 1, False
+                i = w.argmin()
+                if w.item(i) <= best_w:
+                    t = int(rank_at(i))
+                    if w.item(i) < best_w or t < best_t:
+                        best_w, best_t = w.item(i), t
+                        top = best_w
+            return [best_w], [best_t]
+        best_w = np.full(r, n + 1, dtype=np.int64)
+        best_t = np.zeros(r, dtype=dt)
+        for w in weights:
+            if zero:  # the first chunk weighs every row
+                w[0, 0], zero = n + 1, False
+            i = w.argmin(axis=1)
+            least, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
+            hit = least <= bw
+            if not hit.any():
+                continue
+            t = rank_at(i)
+            better = hit & ((least < bw) | (t < bt))
+            best_w[rows] = np.where(better, least, bw)
+            best_t[rows] = np.where(better, t, bt)
+            top = int(best_w.max())
+        return best_w.tolist(), best_t.tolist()
+
+    def enumerate_blocks(d, r, zero):
+        """Best weight and first index per row, over the odometer blocks the exclusions leave."""
         top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
 
         def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
             nonlocal h
             for h in _block_order(p, n - m, zero and r == 1):
-                # |supp x_hi|, inline at p = 2; a later tie never replaces the first minimizer
-                if ((h ^ h >> 1).bit_count() if p == 2 else _high_support(h, p)) < top:
+                if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
                     yield h
                 elif top == 1:  # every later block has support >= 1 too
                     return
 
         hs = weighed() if m < n else (0,)  # one block: always weighed, no filter to set up
-        blocks = _gray_blocks(table, n, d, m, hs) if p == 2 else _odometer_blocks(gamma, table, n, p, d, m, hs)
+        size = p**m  # candidates per block
         best_w, best_t = [n + 1] * r, [0] * r
-        for w in blocks:
+        for w in _odometer_blocks(gamma, table, n, p, d, m, hs):
             if h == 0 and zero:
                 w.flat[0] = n + 1
             if w.item(w.argmin()) >= top:  # every row's best is at most top: none can improve
@@ -475,6 +593,15 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                 if wr.item(row, i) < best_w[row]:
                     best_w[row], best_t[row] = wr.item(row, i), h * size + i
             top = max(best_w)
+        return best_w, best_t
+
+    def search(d: np.ndarray):
+        dr = d.reshape(-1, n)  # one row per difference, a view of d
+        nonzero = np.logical_or.reduce(dr, axis=1).tolist()
+        if not all(nonzero[1:]):
+            raise ValueError("only row 0 of a stack of differences may hold the zero difference")
+        r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
+        best_w, best_t = (walk if p == 2 else enumerate_blocks)(d, r, zero)
         xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.int64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
         k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0

@@ -64,11 +64,13 @@ def _residues(c, p: int, n: int | None = None) -> np.ndarray:
 
     numpy would cast a uint64 2**64 - 1 (0 mod 3) to -1, read a list holding
     it as floats, and refuse a Python int past int64.  So uint64 is reduced
-    in its own dtype, and Python ints and floats one by one as Python
-    numbers; int64 takes one % p.  A cast would also truncate 1.7 to 1 and
-    turn NaN, or a float past 2**63, into an arbitrary int64, so a float
-    must be integral and finite (ValueError otherwise), as in np.zeros(n),
-    and 3e19 reduces as the integer it is.
+    in its own dtype, and Python ints, floats and complex numbers one by one
+    as Python numbers; int64 takes one % p.  A cast would also truncate 1.7
+    to 1, turn NaN, or a float past 2**63, into an arbitrary int64, and drop
+    the imaginary part of 1+2j, so a float must be integral and finite, and
+    a complex number must have a zero imaginary part and an integral real
+    one (ValueError otherwise), as in np.zeros(n), and 3e19 reduces as the
+    integer it is.
     """
     a = np.asarray(c)
     if n is not None and a.shape != (n,):
@@ -77,13 +79,14 @@ def _residues(c, p: int, n: int | None = None) -> np.ndarray:
         return a % p  # % always allocates, so callers' arrays are never touched
     if a.dtype == np.uint64:
         return (a % np.uint64(p)).astype(np.int64)
-    if a.dtype == object or a.dtype.kind == "f":
+    if a.dtype == object or a.dtype.kind in "fc":
         exact = np.asarray(c, dtype=object)
         out = []
         for v in exact.flat:
-            if v % 1:  # a fraction, NaN or an infinity: no residue to give
+            real = v.real if isinstance(v, (complex, np.complexfloating)) else v
+            if real % 1 or real != v:  # a fraction, NaN, an infinity or a nonzero imaginary part
                 raise ValueError(f"entries must be integers, got {v!r}")
-            out.append(int(v) % p)
+            out.append(int(real) % p)
         return np.array(out, dtype=np.int64).reshape(exact.shape)
     return a.astype(np.int64) % p
 

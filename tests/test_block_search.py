@@ -146,14 +146,14 @@ def test_small_blocks_match_oracle(monkeypatch):
 
 
 def test_forged_weight_fails_reverification(monkeypatch):
-    real = D._gray_blocks
+    real = D._level_blocks
 
     def forged(*args):
         for w in real(*args):
             w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
             yield w
 
-    monkeypatch.setattr(D, "_gray_blocks", forged)
+    monkeypatch.setattr(D, "_level_blocks", forged)
     with pytest.raises(RuntimeError, match="re-verification"):
         diagonal_distance(generate("cycle", 5), F2)
 

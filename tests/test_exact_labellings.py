@@ -268,3 +268,43 @@ def test_integral_floats_are_reduced_exactly():
     g = generate("path", 3)
     cr = np.array([3e19, 0.0, -2.0], dtype=np.float64)  # (0, 0, 1) mod 3: 3e19 = 3 * 1e19
     assert key(pairwise_distance(g, F3, cr, np.zeros(3))) == key(pairwise_distance(g, F3, [0, 0, 1], [0, 0, 0]))
+
+
+# Complex labellings: a cast to int64 drops the imaginary part with only a
+# ComplexWarning, so 1+2j would be read as 1.
+NOT_REAL = [
+    ("complex array", np.array([1 + 2j, 0, 0])),
+    ("complex in a list", [0, 1 + 2j, 0]),
+    ("complex64 array", np.array([0, 0, 2 - 1j], dtype=np.complex64)),
+    ("complex scalar in an object array", np.array([np.complex64(1j), 0, 0], dtype=object)),
+]
+
+
+@pytest.mark.parametrize("name, c", NOT_REAL, ids=[name for name, _ in NOT_REAL])
+def test_complex_entries_are_refused(name, c):
+    g = generate("path", 3)
+    zero = np.zeros(3, dtype=np.int64)
+    for call in (
+        lambda: pairwise_distance(g, F3, c, zero),
+        lambda: pairwise_distance(g, F3, zero, c),
+        lambda: brute_force_pairwise(g, F3, c, zero),
+        lambda: code_distance(g, F3, [zero, c]),
+        lambda: kernel_point(GAMMA, c, F3),
+        lambda: apply_z(c, 1, 1, F3),
+    ):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            call()
+
+
+def test_real_complex_entries_are_reduced_as_their_real_part(recwarn):
+    """4+0j is the integer 4, 1 mod 3, read without a ComplexWarning."""
+    g = generate("path", 3)
+    c = np.array([4 + 0j, 0, -1 + 0j])
+    want = reduced([4, 0, -1])
+    assert _residues(c, 3).tolist() == want.tolist()
+    assert key(pairwise_distance(g, F3, c, np.zeros(3))) == key(pairwise_distance(g, F3, want, [0, 0, 0]))
+    assert key(code_distance(g, F3, [c, want]).table[(1, 2)]) == key(pairwise_distance(g, F3, want, want))
+    assert np.array_equal(apply_z(c, 1, 1, F3), apply_z(want, 1, 1, F3))
+    assert not [w for w in recwarn if issubclass(w.category, np.exceptions.ComplexWarning)]
+    with pytest.raises(ValueError, match=r"entries must be integers, got \(1\.5\+0j\)"):
+        _residues([1.5 + 0j, 0, 0], 3)

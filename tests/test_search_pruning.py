@@ -8,7 +8,9 @@ digits already reaches the best weight found, and for d = 0 skips the
 blocks whose top nonzero high digit is not 1.  It must report the same
 distance, witness and vectors_examined at the default block, at 2**3 and
 at 2**1, where odd p has m = 0 and the bound skips single candidates.
-The spies below show that blocks really are skipped, and which.
+At p = 2 the search walks x by support level instead of by block; the
+spies below show which blocks an odd-p search skips, and which levels a
+p = 2 search weighs.
 """
 
 import random
@@ -215,25 +217,50 @@ def assert_bound_rule(hs, p, m, k, rep):
     assert [h for h in hs if h > hw] == [h for h in below if h > hw]
 
 
-def test_support_bound_skips_blocks_at_p2(monkeypatch):
-    """G(20, 1/2) has 256 blocks of 2**12; the bound skips those of high support >= the best weight.
+def weighed_supports(monkeypatch):
+    """Spy on D._level_blocks: the x bitmasks of every chunk it is handed, in order."""
+    real = D._level_blocks
+    chunks = []
 
-    How many remain depends on the distance and on how early it is found:
-    93 when distance 4 is found early (seed 12), 162 when it is found late
-    (seed 0), 163 at distance 5 and 219 at distance 6.
+    def spy(*args):
+        def recorded(order):
+            for chunk in order:
+                chunks.append(chunk[0].tolist())  # chunk[0]: the bitmasks of x
+                yield chunk
+
+        yield from real(*args[:-1], recorded(args[-1]))
+
+    monkeypatch.setattr(D, "_level_blocks", spy)
+    return chunks
+
+
+def test_support_bound_skips_blocks_at_p2(monkeypatch):
+    """G(20, 1/2): every x of support at most the distance is weighed once, and no other.
+
+    Each candidate weighs at least |supp x|, so the walk over support levels
+    stops after level w* = the distance.  The old block walk weighed 93,
+    162, 163 and 219 blocks of 2**12 on these graphs; the level walk weighs
+    sum(C(20, s) for s <= w*) candidates: 6196 at distance 4, 21700 at 5
+    and 60460 at 6.
     """
-    hs = weighed_blocks(monkeypatch, "_gray_blocks")
+    chunks = weighed_supports(monkeypatch)
     f = PrimeField(2)
     counts = {}
     for seed, distance in ((12, 4), (0, 4), (2, 5), (1, 6)):
-        hs.clear()
+        chunks.clear()
         rep = diagonal_distance(g20(seed), f)
         assert rep.distance == distance
         assert rep.vectors_examined == 2**20 - 1
-        assert_bound_rule(hs, 2, 12, 8, rep)
-        counts[seed] = len(hs)
-    assert counts[12] < 256 // 2
-    assert counts == {12: 93, 0: 162, 2: 163, 1: 219}
+        xs = [x for chunk in chunks for x in chunk]
+        assert len(xs) == len(set(xs))  # no candidate is weighed twice
+        levels = [{bin(x).count("1") for x in chunk} for chunk in chunks]
+        assert [max(s) for s in levels] == sorted(max(s) for s in levels)  # levels ascend
+        assert set().union(*levels) == set(range(distance + 1))  # no level above w* is weighed
+        assert sorted(xs) == sorted(x for x in range(1 << 20) if bin(x).count("1") <= distance)
+        x = sum(1 << j for j, v in enumerate(rep.witness.x) if v)
+        assert x in xs
+        counts[seed] = len(xs)
+    assert counts == {12: 6196, 0: 6196, 2: 21700, 1: 60460}
 
 
 @pytest.mark.parametrize("p, n", [(3, 7), (5, 5)])
@@ -255,8 +282,8 @@ def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
 
 
 def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):
-    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # the 5-cycle spans four blocks of 2**3
-    real = D._gray_blocks
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # the 5-cycle's levels 2 and 3 take two chunks each
+    real = D._level_blocks
     weighed = []
 
     def forged(*args):
@@ -266,7 +293,7 @@ def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):
                 w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
             yield w
 
-    monkeypatch.setattr(D, "_gray_blocks", forged)
+    monkeypatch.setattr(D, "_level_blocks", forged)
     with pytest.raises(RuntimeError, match="re-verification"):
         diagonal_distance(generate("cycle", 5), PrimeField(2))
-    assert weighed == [8, 8, 8]
+    assert weighed == [1, 5, 6, 4]  # levels 0 and 1, then level 2's two chunks; level 3 is past the forged best

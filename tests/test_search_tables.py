@@ -29,17 +29,28 @@ FORCE = SearchConfig(force=True)
 
 
 @pytest.mark.parametrize("n, width", [(32, np.uint32), (33, np.uint64)])
-def test_unit_difference_at_the_top_vertex(n, width):
+def test_unit_difference_at_the_top_vertex(monkeypatch, n, width):
     """d = e_n weighs 1 at x = 0: the top bit of the masks, found on the first candidate."""
     g = generate("cycle", n)
     f = PrimeField(2)
-    _, xl, zl = D._gray_table(adjacency_matrix(g, f), 12)
-    assert xl[0].dtype == zl[0].dtype == width
+    dtypes = []
+    real = D._level_blocks
+
+    def spy(*args):
+        def recorded(chunks):
+            for chunk in chunks:
+                dtypes.append((chunk[0].dtype, chunk[1].dtype))  # the masks of x and of Gamma x
+                yield chunk
+
+        yield from real(*args[:-1], recorded(args[-1]))
+
+    monkeypatch.setattr(D, "_level_blocks", spy)
     e = np.zeros(n, dtype=np.int64)
     e[-1] = 1
     rep = pairwise_distance(g, f, e, np.zeros(n, dtype=np.int64), FORCE)
     assert (rep.distance, rep.vectors_examined) == (1, 1)
     assert rep.witness.entries == tuple(e.tolist()) + (0,) * n
+    assert dtypes and set(dtypes) == {(np.dtype(width), np.dtype(width))}
 
 
 def test_edgeless_graph_past_32_vertices():
@@ -122,7 +133,7 @@ def test_build_lambda_shape_error_is_unchanged():
 def block_spy(monkeypatch):
     """Record the shape of every block the two generators yield."""
     shapes = []
-    for name in ("_gray_blocks", "_odometer_blocks"):
+    for name in ("_level_blocks", "_odometer_blocks"):
 
         def spy(*args, real=getattr(D, name)):
             for w in real(*args):
@@ -155,25 +166,42 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
     def fresh(block):
         monkeypatch.setattr(D, "_BLOCK", block)
         D._layout.cache_clear()
-        D._gray_codes.cache_clear()
+        D._patterns.cache_clear()
+        D._level_plan.cache_clear()
         return searches()
 
     want = {block: fresh(block) for block in (1 << 3, 1 << 12)}
     assert want[1 << 3][0] == want[1 << 12][0]  # the block size never shows in a report
     assert max(s[-1] for s in want[1 << 3][1]) <= 1 << 3 < max(s[-1] for s in want[1 << 12][1])
     D._layout.cache_clear()
-    D._gray_codes.cache_clear()
+    D._patterns.cache_clear()
+    D._level_plan.cache_clear()
     for block in (1 << 12, 1 << 3, 1 << 12):
         monkeypatch.setattr(D, "_BLOCK", block)
         assert searches() == want[block]
 
 
-def test_memoized_tables_are_shared_and_read_only():
+def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     f = PrimeField(2)
-    _, xl, _ = D._gray_table(adjacency_matrix(generate("cycle", 6), f), 6)
-    assert xl is D._gray_table(adjacency_matrix(generate("complete", 6), f), 6)[1]
+    handed = []
+    real = D._level_blocks
+
+    def spy(*args):
+        def recorded(chunks):
+            for chunk in chunks:
+                handed.append(chunk[0])  # the masks of x
+                yield chunk
+
+        yield from real(*args[:-1], recorded(args[-1]))
+
+    monkeypatch.setattr(D, "_level_blocks", spy)
+    diagonal_distance(generate("cycle", 6), f)
+    diagonal_distance(generate("complete", 6), f)
+    masks, ranks = D._patterns(0, 6, 0, 6, np.uint32)  # n = 6: every level in one table
+    assert handed == [masks, masks] and all(x is masks for x in handed)  # shared by both graphs
+    assert D._patterns(0, 6, 0, 6, np.uint32)[1] is ranks
     _, powers = D._layout(3, D._BLOCK)
     assert powers.tolist() == [3**j for j in range(40)]  # 3**39 < 2**63 < 3**40
-    for a in (*xl, powers, powers[:5]):
+    for a in (masks, ranks, powers, powers[:5]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1

@@ -132,7 +132,7 @@ def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
         assert all(key(rep) == key(want) for rep in res.table.values())
 
 
-@pytest.mark.parametrize("p, name", [(2, "_gray_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
 def test_forged_weight_in_row_0_of_a_merged_stack_fails_reverification(monkeypatch, p, name):
     real = getattr(D, name)
     forged = []
@@ -156,13 +156,13 @@ FORGE_ROW_0_UNDER_O = """
 import numpy as np
 from diagdist import PrimeField, code_distance, generate
 from diagdist import distance as D
-real = D._gray_blocks
+real = D._level_blocks
 def forged(*args):
     for w in real(*args):
         if w.ndim == 2:
             w[0, -1] = 0
         yield w
-D._gray_blocks = forged
+D._level_blocks = forged
 words = [np.eye(5, dtype=np.int64)[i] for i in range(3)]
 try:
     code_distance(generate("cycle", 5), PrimeField(2), words)
