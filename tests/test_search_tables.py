@@ -1,4 +1,4 @@
-"""The low-digit tables of the block search, at the edges of their dtypes.
+"""The search tables, at the edges of their dtypes.
 
 At p = 2 the masks are uint32 up to 32 vertices and uint64 above, so the
 searches below set bit 31 and bit 32 and stop on their first candidate.
@@ -28,29 +28,35 @@ from helpers import random_multigraph
 FORCE = SearchConfig(force=True)
 
 
-@pytest.mark.parametrize("n, width", [(32, np.uint32), (33, np.uint64)])
-def test_unit_difference_at_the_top_vertex(monkeypatch, n, width):
-    """d = e_n weighs 1 at x = 0: the top bit of the masks, found on the first candidate."""
-    g = generate("cycle", n)
-    f = PrimeField(2)
-    dtypes = []
+def handed_chunks(monkeypatch):
+    """Spy on D._level_blocks: every (x, Gamma x, rows) chunk it is handed, in order."""
     real = D._level_blocks
+    chunks = []
 
     def spy(*args):
-        def recorded(chunks):
-            for chunk in chunks:
-                dtypes.append((chunk[0].dtype, chunk[1].dtype))  # the masks of x and of Gamma x
+        def recorded(order):
+            for chunk in order:
+                chunks.append(chunk)
                 yield chunk
 
         yield from real(*args[:-1], recorded(args[-1]))
 
     monkeypatch.setattr(D, "_level_blocks", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("n, width", [(32, np.uint32), (33, np.uint64)])
+def test_unit_difference_at_the_top_vertex(monkeypatch, n, width):
+    """d = e_n weighs 1 at x = 0: the top bit of the masks, found on the first candidate."""
+    g = generate("cycle", n)
+    f = PrimeField(2)
+    chunks = handed_chunks(monkeypatch)
     e = np.zeros(n, dtype=np.int64)
     e[-1] = 1
     rep = pairwise_distance(g, f, e, np.zeros(n, dtype=np.int64), FORCE)
     assert (rep.distance, rep.vectors_examined) == (1, 1)
     assert rep.witness.entries == tuple(e.tolist()) + (0,) * n
-    assert dtypes and set(dtypes) == {(np.dtype(width), np.dtype(width))}
+    assert chunks and {(x.dtype, gz.dtype) for x, gz, _ in chunks} == {(np.dtype(width), np.dtype(width))}
 
 
 def test_edgeless_graph_past_32_vertices():
@@ -183,22 +189,11 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
 
 def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     f = PrimeField(2)
-    handed = []
-    real = D._level_blocks
-
-    def spy(*args):
-        def recorded(chunks):
-            for chunk in chunks:
-                handed.append(chunk[0])  # the masks of x
-                yield chunk
-
-        yield from real(*args[:-1], recorded(args[-1]))
-
-    monkeypatch.setattr(D, "_level_blocks", spy)
+    chunks = handed_chunks(monkeypatch)
     diagonal_distance(generate("cycle", 6), f)
     diagonal_distance(generate("complete", 6), f)
     masks, ranks = D._patterns(0, 6, 0, 6, np.uint32)  # n = 6: every level in one table
-    assert handed == [masks, masks] and all(x is masks for x in handed)  # shared by both graphs
+    assert len(chunks) == 2 and all(x is masks for x, _, _ in chunks)  # shared by both graphs
     assert D._patterns(0, 6, 0, 6, np.uint32)[1] is ranks
     _, powers = D._layout(3, D._BLOCK)
     assert powers.tolist() == [3**j for j in range(40)]  # 3**39 < 2**63 < 3**40
