@@ -36,8 +36,11 @@ t = gray^-1(x), which is exactly the first minimizer of the Gray-code
 order.  Candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 The pattern tables, every subset of a level as a mask with its Gray rank
 (linear over GF(2)), depend on n and _BLOCK alone and are built once per
-process; Gamma x of each table walked is built per graph from the Gamma x
-of every x within each run of m consecutive vertices, m = log2(_BLOCK).  Small consecutive levels
+process, level by level: a level s <= k/2 of k vertices extends level
+s - 1, and a level above k/2 complements level k - s, so no table is
+built through one longer than itself.  Per graph, Gamma x of a level
+follows the same path, one gather and one XOR from the level it extends
+or complements, and only for the levels walked.  Small consecutive levels
 share one chunk.  A level of more than _BLOCK subsets is walked as
 products of two band tables, with the vertices above both bands walked in
 Python, so no chunk holds more than _BLOCK candidates per row.
@@ -248,31 +251,68 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
-@functools.lru_cache(maxsize=64)
-def _patterns(lo: int, hi: int, a: int, b: int, dt) -> tuple[np.ndarray, np.ndarray]:
-    """Every subset of range(lo, hi) with a to b vertices, as bitmasks, and their Gray ranks.
+@functools.lru_cache(maxsize=128)
+def _level(lo: int, hi: int, s: int, dt):
+    """The s-subsets of range(lo, hi) by ascending Gray rank: (masks, ranks, src, vertex).
 
     The Gray rank t = gray^-1(x) is linear over GF(2): the XOR of its
-    vertices' ranks, rank(e_j) = 2**(j + 1) - 1.  Both arrays are sorted by
-    rank, so a first argmin over a table is its least-rank minimizer.
-    They depend on the arguments alone, so each process builds them once
-    and every search shares them read-only; callers keep a table at most
-    _BLOCK subsets long, and maxsize bounds the memo.
+    vertices' ranks, rank(e_j) = 2**(j + 1) - 1.  With k = hi - lo, a level
+    s <= k / 2 extends each subset of level s - 1 by every vertex above its
+    top one: entry i is entry src[i] of level s - 1 plus vertex[i], its top
+    vertex.  A level s > k / 2 holds the complements in range(lo, hi) of
+    level k - s: entry i is the complement of its entry src[i], and vertex
+    is None.  So Gamma x of a level is one gather and one XOR from a level
+    no longer than it, and building a level only builds such levels: no
+    array here is longer than the level asked for.  src and vertex stay
+    intp: take casts a narrower index at about twice the cost.  The arrays
+    depend on the arguments alone; each process builds them once, every
+    search shares them read-only, and maxsize bounds the memo.
     """
     k = hi - lo
-    masks, ranks = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.uint64)]
-    for s in range(1, b + 1):  # s-subsets, smallest vertex descending: those above u lead level s - 1
-        heads = range(k - s, -1, -1)
-        counts = [math.comb(k - 1 - u, s - 1) for u in heads]
-        bits = np.repeat(_BITS[lo : hi][list(heads)], counts)
-        masks.append(np.concatenate([masks[-1][:c] for c in counts]) | bits)
-        ranks.append(np.concatenate([ranks[-1][:c] for c in counts]) ^ (bits << np.uint64(1)) - np.uint64(1))
-    masks, ranks = np.concatenate(masks[a:]).astype(dt), np.concatenate(ranks[a:]).astype(dt)
+    if s == 0:
+        masks = ranks = np.zeros(1, dtype=dt)
+        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1, dtype=np.intp)
+    elif 2 * s > k:
+        cm, cr = _level(lo, hi, k - s, dt)[:2]
+        full = (1 << hi) - (1 << lo)
+        rank_full = functools.reduce(int.__xor__, [(2 << v) - 1 for v in range(lo, hi)])
+        ranks = cr ^ dt(rank_full)
+        src, vertex = np.argsort(ranks), None
+        masks, ranks = (cm ^ dt(full))[src], ranks[src]
+    else:
+        pm, pr, _, top = _level(lo, hi, s - 1, dt)
+        counts = hi - 1 - top  # the vertices above each subset's top one
+        src = np.repeat(np.arange(len(pm)), counts)
+        vertex = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts - top - 1, counts)
+        bits = _BITS[vertex].astype(dt)
+        ranks = pr[src] ^ (bits << 1) - 1  # bit 31 of uint32 shifts out: the rank wraps to 2**32 - 1
+        order = np.argsort(ranks)
+        masks, ranks, src, vertex = (pm[src] | bits)[order], ranks[order], src[order], vertex[order]
+    for t in (masks, ranks, src, vertex):
+        if t is not None:
+            t.setflags(write=False)
+    return masks, ranks, src, vertex
+
+
+@functools.lru_cache(maxsize=64)
+def _patterns(lo: int, hi: int, a: int, b: int, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every subset of range(lo, hi) with a to b vertices, as bitmasks, their Gray ranks, and their order.
+
+    Both arrays are sorted by rank, so a first argmin over the table is its
+    least-rank minimizer.  Entry i is entry order[i] of the levels a..b of
+    _level laid end to end; order is None for a single level, which is
+    _level's own arrays.  Callers keep a table at most _BLOCK subsets long,
+    and maxsize bounds the memo.
+    """
+    levels = [_level(lo, hi, s, dt) for s in range(a, b + 1)]
+    if a == b:
+        return levels[0][0], levels[0][1], None
+    ranks = np.concatenate([lv[1] for lv in levels])
     order = np.argsort(ranks)
-    masks, ranks = masks[order], ranks[order]
-    for t in (masks, ranks):
+    masks, ranks = np.concatenate([lv[0] for lv in levels])[order], ranks[order]
+    for t in (masks, ranks, order):
         t.setflags(write=False)
-    return masks, ranks
+    return masks, ranks, order
 
 
 @functools.lru_cache(maxsize=16)
@@ -436,9 +476,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     witness's digit powers (_layout), and at p = 2 the pattern tables
     (_patterns) and the level plan (_level_plan), is built once per process
     and shared read-only; _BLOCK is read at each call.  Per graph, p = 2
-    builds Gamma x for every x within each run of m consecutive vertices,
-    and from them, on first use, Gamma x of each pattern table walked; odd
-    p builds the low-digit table.
+    builds Gamma x of each level and pattern table walked, on first use;
+    odd p builds the low-digit table.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -446,7 +485,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     each equal to what search(row) reports.  A stack is weighed in one
     pass, so its buffers hold r times one difference's; code_distance keeps
     r <= _ROWS.  A 1-D d stays 1-D in the weighers, with Python ints for
-    its best: as a (1, n) stack each chunk costs more.  At p = 2 (walk) a
+    its best: as a (1, n) stack, with a stack's array bookkeeping, the
+    lone searches of diag-gf2 took about a third longer.  At p = 2 (walk) a
     stack keeps its rows' best weights and least ranks in arrays, updated
     per chunk with one argmin per row and np.where, and weighs only the
     rows that the chunk's level may still improve.  At odd p
@@ -473,24 +513,34 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         cols = _bitmasks(gamma.T)  # Gamma's columns as masks
-        parts = []  # parts[j][y]: Gamma x for x = y << (j * m), every x within vertices j * m .. j * m + m - 1
-        for lo in range(0, n, m):
-            part = np.zeros(1 << min(m, n - lo), dtype=dt)
-            for i in range(len(part).bit_length() - 1):  # y with bit i set: the y below, plus column lo + i
-                np.bitwise_xor(part[: 1 << i], cols[lo + i], part[1 << i : 2 << i])
-            parts.append(part)
-        tables = {}  # each pattern table walked, with its Gamma x, keyed like _patterns
+        colv = np.array(cols, dtype=dt)
+        tables = {}  # Gamma x of each level and pattern table walked, keyed like _level and _patterns
     else:
         table = _odometer_table(gamma, n, p, m)
+
+    def gamma_x(lo, hi, s):
+        """Gamma x of _level(lo, hi, s), built on first use with the levels it is built from.
+
+        A loop, not a recursion: a nested function that calls itself is a
+        reference cycle, which would keep every table until the collector runs.
+        """
+        k = hi - lo
+        for j in range(min(s, k - s) + 1):  # level s, or the level whose complements it holds, and those below
+            if (lo, hi, j) not in tables:
+                _, _, src, vertex = _level(lo, hi, j, dt)
+                tables[lo, hi, j] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex) if j else np.zeros(1, dtype=dt)
+        if (lo, hi, s) not in tables:  # the complements of level k - s: Gamma of range(lo, hi), less Gamma y
+            src = _level(lo, hi, s, dt)[2]
+            tables[lo, hi, s] = (tables[lo, hi, k - s] ^ dt(functools.reduce(int.__xor__, cols[lo:hi]))).take(src)
+        return tables[lo, hi, s]
 
     def patterns(*key):
         """A pattern table's masks and Gray ranks, and its Gamma x, built on first use."""
         if key not in tables:
-            masks, ranks = _patterns(*key, dt)
-            gz = parts[0].take(masks & len(parts[0]) - 1)
-            for j, part in enumerate(parts[1:], 1):
-                gz ^= part.take(masks >> j * m & len(part) - 1)
-            tables[key] = masks, ranks, gz
+            masks, ranks, order = _patterns(*key, dt)
+            lo, hi, a, b = key
+            gz = [gamma_x(lo, hi, s) for s in range(a, b + 1)]
+            tables[key] = masks, ranks, gz[0] if order is None else np.concatenate(gz).take(order)
         return tables[key]
 
     def walk(d, r, zero):

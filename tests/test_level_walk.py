@@ -4,17 +4,20 @@ The walk weighs x in order of |supp x| and keeps, among a row's least
 weights, the least Gray rank, so it must report what the Gray-code walk
 reported: the same distance, witness and vectors_examined.  The G(32, 1/2)
 case was recorded from the Gray-code block walk, which took about 0.65 s
-on it.  The fuzz runs lone, stacked and zero-headed searches at three
-block sizes against test_search_pruning's unpruned reference, and checks
-that no chunk holds more than _BLOCK candidates per row.
+on it.  An edgeless graph with d = all ones walks every level, the top
+ones included, in bounded memory.  The fuzz runs lone, stacked and
+zero-headed searches at three block sizes against test_search_pruning's
+unpruned reference, and checks that no chunk holds more than _BLOCK
+candidates per row.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diagdist import Multigraph, PrimeField, SearchConfig, diagonal_distance
+from diagdist import Multigraph, PrimeField, SearchConfig, diagonal_distance, pairwise_distance
 from diagdist import distance as D
 from test_search_pruning import reference
 
@@ -38,6 +41,30 @@ def test_forced_g32_reports_what_the_gray_walk_did():
     x = [j for j, v in enumerate(rep.witness.x) if v]
     assert (z, x) == ([1, 12, 15, 16, 20, 29], [16, 29])
     assert set(rep.witness.entries) == {0, 1}
+
+
+def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
+    """d = all ones weighs n at every x of an edgeless graph, so the walk reaches level n.
+
+    The least rank among the ties is x = 0.  The top levels, of a few
+    subsets each, are built as complements of the bottom ones, never
+    through the 2**n subsets below them, so the search's memory stays near
+    its per-chunk buffers and tables of at most _BLOCK entries: about
+    0.7 MiB at its peak, where one 2**24-entry table of uint32 takes 64 MiB.
+    """
+    n = 24
+    g = Multigraph(n, np.zeros((n, n), dtype=np.int64))
+    D._level.cache_clear()  # build every table under the trace
+    D._patterns.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = pairwise_distance(g, F2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), SearchConfig(force=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.distance, rep.vectors_examined) == (n, 2**n)
+    assert rep.witness.entries == (1,) * n + (0,) * n
+    assert peak < 4 << 20
 
 
 def chunk_spy(monkeypatch):

@@ -4,9 +4,13 @@ At p = 2 the masks are uint32 up to 32 vertices and uint64 above, so the
 searches below set bit 31 and bit 32 and stop on their first candidate.
 At odd p the odometer table reduces sums of two residues with an unsigned
 wrap instead of % p; it must equal the % p construction, also in uint16.
-_bitmasks and build_lambda must equal their plain reference constructions.
+_bitmasks and build_lambda must equal their plain reference constructions,
+and each p = 2 level of subsets its rank-sorted subsets.  A search's
+tables must be freed when it returns, with no reference cycle.
 """
 
+import gc
+import itertools
 import random
 
 import numpy as np
@@ -192,11 +196,75 @@ def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     chunks = handed_chunks(monkeypatch)
     diagonal_distance(generate("cycle", 6), f)
     diagonal_distance(generate("complete", 6), f)
-    masks, ranks = D._patterns(0, 6, 0, 6, np.uint32)  # n = 6: every level in one table
+    masks, ranks, order = D._patterns(0, 6, 0, 6, np.uint32)  # n = 6: every level in one table
     assert len(chunks) == 2 and all(x is masks for x, _, _ in chunks)  # shared by both graphs
     assert D._patterns(0, 6, 0, 6, np.uint32)[1] is ranks
+    level = D._level(0, 6, 2, np.uint32)
+    assert D._level(0, 6, 2, np.uint32)[0] is level[0]
     _, powers = D._layout(3, D._BLOCK)
     assert powers.tolist() == [3**j for j in range(40)]  # 3**39 < 2**63 < 3**40
-    for a in (masks, ranks, powers, powers[:5]):
+    for a in (masks, ranks, order, *level, powers, powers[:5]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+
+
+def gray_rank(x):
+    """gray^-1(x): the t with t ^ (t >> 1) == x."""
+    t = 0
+    while x:
+        t ^= x
+        x >>= 1
+    return t
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 7), (3, 11), (24, 32), (27, 35)])
+def test_levels_hold_every_subset_by_gray_rank(lo, hi):
+    """Each level is its subsets sorted by Gray rank, and src and vertex rebuild it.
+
+    (24, 32) sets bit 31 of uint32, whose rank 2**32 - 1 wraps in the
+    shift; (27, 35) crosses into uint64.
+    """
+    dt = np.uint32 if hi <= 32 else np.uint64
+    k = hi - lo
+    for s in range(k + 1):
+        masks, ranks, src, vertex = D._level(lo, hi, s, dt)
+        subsets = [sum(1 << v for v in c) for c in itertools.combinations(range(lo, hi), s)]
+        want = sorted((gray_rank(x), x) for x in subsets)
+        assert masks.dtype == ranks.dtype == dt
+        assert ranks.tolist() == [t for t, _ in want]
+        assert masks.tolist() == [x for _, x in want]
+        if s == 0:
+            continue
+        if 2 * s > k:  # the complements of level k - s
+            assert vertex is None
+            other = D._level(lo, hi, k - s, dt)[0].tolist()
+            assert masks.tolist() == [other[i] ^ (1 << hi) - (1 << lo) for i in src.tolist()]
+        else:  # level s - 1 plus a vertex above its top one
+            below = D._level(lo, hi, s - 1, dt)[0].tolist()
+            for x, i, v in zip(masks.tolist(), src.tolist(), vertex.tolist()):
+                assert x == below[i] | 1 << v and 1 << v > below[i]
+
+
+def test_searches_leave_no_reference_cycles():
+    """A search's per-graph tables are freed when it returns, not when the collector runs.
+
+    A nested function of the searcher that calls itself is a reference
+    cycle: it kept each search's tables alive until the next collection,
+    and the benchmark's peak memory grew with the number of passes.
+    """
+    rng = random.Random(8)
+    n = 12
+    gc.collect()
+    gc.disable()
+    try:
+        for p in (2, 3):
+            f = PrimeField(p)
+            g = random_multigraph(rng, n if p == 2 else 6, max_mult=p)
+            diagonal_distance(g, f)
+            words = [np.array([rng.randrange(p) for _ in range(g.n)]) for _ in range(4)]
+            code_distance(g, f, words)
+        edgeless = Multigraph(n, np.zeros((n, n), dtype=np.int64))  # every level, the complements too
+        pairwise_distance(edgeless, PrimeField(2), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
