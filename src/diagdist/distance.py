@@ -25,48 +25,39 @@ code_distance pays the per-search Python cost once per stack of up to
 _ROWS = 64 differences, not once per difference; row 0 may be d = 0, so a
 code's zero difference shares the first stack's pass.
 
-At p = 2 the search walks x by support level s = 0, 1, 2, ...  Every
-candidate weighs at least |supp x|, so a row whose best weight is below
-the next level is done, and the walk ends after level w*, the best
-weight, with every minimizer seen: the x-half information set and lower
-bound of Brouwer-Zimmermann search (Grassl, "Searching for linear codes
-with large minimum distance", 2006; White and Grassl, ISIT 2006).  Of a
-row's least-weight candidates it keeps the least Gray rank
-t = gray^-1(x), which is exactly the first minimizer of the Gray-code
-order.  Candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
-The pattern tables, every subset of a level as a mask with its Gray rank
-(linear over GF(2)), depend on n and _BLOCK alone and are built once per
-process, level by level: a level s <= k/2 of k vertices extends level
-s - 1, and a level above k/2 complements level k - s, so no table is
-built through one longer than itself.  Per graph, Gamma x of a level
-follows the same path, one gather and one XOR from the level it extends
-or complements, and only for the levels walked.  Small consecutive levels
-share one chunk.  A level of more than _BLOCK subsets is walked as
-products of two band tables, with the vertices above both bands walked in
-Python, so no chunk holds more than _BLOCK candidates per row.
+At every p the search walks x by support level s = 0, 1, 2, ...  A level
+holds every x with |supp x| = s, and at odd p every nonzero value on each
+support.  Every candidate weighs at least |supp x|, so a row whose best
+weight is below the next level is done, and the walk ends after level w*,
+the best weight, with every minimizer seen: the x-half information set and
+lower bound of Brouwer-Zimmermann search (Grassl, "Searching for linear
+codes with large minimum distance", 2006; White and Grassl, ISIT 2006).
+Of a row's least-weight candidates it keeps the least rank t, which is
+exactly the first minimizer of the fixed order: the Gray rank
+t = gray^-1(x) at p = 2, linear over GF(2), and the odometer index
+t = sum x_j p**j at odd p, held exactly in uint64 below p**n < 2**64.
+The level tables, every x of a level with its rank, depend on n, p and
+_BLOCK alone and are built once per process from the level below (at
+p = 2 a level above k/2 of k vertices complements level k - s instead, so
+no table is built through one longer than itself).  Per graph, Gamma x of
+a level follows the same path, one gather and one XOR or add from the
+level it is built from, and only for the levels walked.  Small
+consecutive levels share one chunk.  A level of more than _BLOCK
+candidates is walked as products of two band tables, with the vertices
+above both bands, and their values, walked in Python, so no chunk holds
+more than _BLOCK candidates per row.
 
-At odd p the m low digits of x, with p**m <= _BLOCK, contribute to
-Gamma x through a table built once per graph and shared, with Lambda, by
-every difference a call searches (what depends on p and m alone is built
-once per process); the high digits step through one block of p**m
-candidates at a time, and a few numpy operations weigh the whole block.
-Two exact exclusions skip blocks that cannot hold a new first minimizer
-(the lower-bound and projective ideas of Brouwer-Zimmermann search):
-
-* support bound: a block fixes the high digits x_hi, and every candidate
-  in it weighs at least |supp x_hi|, so a block whose high support reaches
-  the best weight found so far is skipped; a later tie never replaces the
-  first minimizer.  The weight-1 early exit is the case of best weight 1.
-  A stack takes the largest best weight among its rows: a row whose best
-  is at or below the high support cannot improve on a strict <.
-* scalar symmetry: for d = 0 the kernel is F_p-linear and c k weighs the
-  same as k, so the first minimizer has top nonzero digit 1, and only h = 0
-  and the blocks h in [p**j, 2 p**j) are weighed.  A stack of 2 or more
-  rows headed by d = 0 weighs every block for all of them; the others can
-  only tie row 0's first minimizer.
+At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
+At odd p they are residue tables, vertex axis first, weighed by counting
+the vertices where Gamma x differs from d, with a mark where x_j != 0 so
+that vertex always counts.  For d = 0 the kernel is F_p-linear and c k
+weighs what k does, so the first minimizer has top digit 1: a lone d = 0
+search weighs, in the levels it walks alone or as band products, only the
+x whose top digit is 1 (the projective idea of Brouwer-Zimmermann
+search).
 
 vectors_examined counts the candidates the fixed order accounted for,
-weighed or excluded, so its values are those of the walk that weighs
+weighed or left out by the walk, so its values are those of the walk that weighs
 every candidate in that order: p**n, less the zero candidate of d = 0, or
 up to the witness on a weight-1 exit.
 """
@@ -80,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _residues
+from .gfp import PrimeField, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -155,9 +146,9 @@ class DistanceReport:
     distance is the minimum chi-weight found (1 <= distance <= n), witness a
     vector achieving it (the first in the fixed order), vectors_examined the
     number of candidates the fixed order accounted for, whether weighed or
-    excluded by the support bound or the scalar symmetry: p**n, less the
-    zero candidate when d = 0, or up to the witness when the weight-1 early
-    exit fires.  Its values are those of the walk that weighs every block.
+    left out by the walk by support level: p**n, less the zero candidate
+    when d = 0, or up to the witness when the best weight is 1.  Its values
+    are those of a walk that weighs every candidate in the fixed order.
     """
 
     distance: int
@@ -179,13 +170,6 @@ def _check_square(gamma: np.ndarray) -> None:
         raise ValueError(f"adjacency block must be square, got shape {gamma.shape}")
 
 
-def _fits_int64(v) -> bool:
-    try:
-        return int(v) == v and -(1 << 63) <= int(v) < 1 << 63
-    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
-        return False
-
-
 def build_lambda(gamma) -> np.ndarray:
     """The n x 2n block matrix [I_n | gamma], for entries that int64 holds exactly.
 
@@ -194,10 +178,7 @@ def build_lambda(gamma) -> np.ndarray:
     """
     a = np.asarray(gamma)
     _check_square(a)
-    if not np.can_cast(a.dtype, np.int64):  # uint64, float or object: check every entry
-        a = np.asarray(gamma, dtype=object)  # a list's big ints as given, not read as floats
-        if not all(map(_fits_int64, a.flat)):
-            raise ValueError("adjacency entries must be integers that int64 holds exactly")
+    a = _int64s(gamma, "adjacency entries")
     n = a.shape[0]
     lam = np.zeros((n, 2 * n), dtype=np.int64)
     lam[:, n:] = a
@@ -228,18 +209,19 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
 def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
     if p == 2 and n >= 64:
         raise SearchTooLarge(f"n = {n} exceeds the 63 vertices that uint64 bitmasks hold at p = 2")
-    if cfg.force:
-        return
-    cap = cfg.vertex_cap(p)
-    if n > cap:
-        raise SearchTooLarge(
-            f"n = {n} exceeds the vertex cap {cap} for p = {p}; "
-            f"raise max_vertices or set force"
-        )
-    if p**n > DEFAULT_CANDIDATE_BUDGET:
-        raise SearchTooLarge(
-            f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
-        )
+    if not cfg.force:
+        cap = cfg.vertex_cap(p)
+        if n > cap:
+            raise SearchTooLarge(
+                f"n = {n} exceeds the vertex cap {cap} for p = {p}; "
+                f"raise max_vertices or set force"
+            )
+        if p**n > DEFAULT_CANDIDATE_BUDGET:
+            raise SearchTooLarge(
+                f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
+            )
+    if p**n >= 1 << 64:  # reached only when forced: the ranks t < p**n are held in uint64
+        raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
 
 
 _BITS = 1 << np.arange(64, dtype=np.uint64)  # bit j at entry j, shared read-only by every search
@@ -252,26 +234,48 @@ def _bitmasks(a: np.ndarray):
 
 
 @functools.lru_cache(maxsize=128)
-def _level(lo: int, hi: int, s: int, dt):
-    """The s-subsets of range(lo, hi) by ascending Gray rank: (masks, ranks, src, vertex).
+def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
+    """The x on range(lo, hi) with s nonzero entries, by ascending rank: (masks, ranks, src, vertex).
 
-    The Gray rank t = gray^-1(x) is linear over GF(2): the XOR of its
-    vertices' ranks, rank(e_j) = 2**(j + 1) - 1.  With k = hi - lo, a level
-    s <= k / 2 extends each subset of level s - 1 by every vertex above its
-    top one: entry i is entry src[i] of level s - 1 plus vertex[i], its top
-    vertex.  A level s > k / 2 holds the complements in range(lo, hi) of
-    level k - s: entry i is the complement of its entry src[i], and vertex
-    is None.  So Gamma x of a level is one gather and one XOR from a level
-    no longer than it, and building a level only builds such levels: no
-    array here is longer than the level asked for.  src and vertex stay
-    intp: take casts a narrower index at about twice the cost.  The arrays
-    depend on the arguments alone; each process builds them once, every
-    search shares them read-only, and maxsize bounds the memo.
+    At p = 2 the masks are bitmasks of dtype dt, and the Gray rank
+    t = gray^-1(x) is linear over GF(2): the XOR of its vertices' ranks,
+    rank(e_j) = 2**(j + 1) - 1.  With k = hi - lo, a level s <= k / 2
+    extends each subset of level s - 1 by every vertex above its top one:
+    entry i is entry src[i] of level s - 1 plus vertex[i], its top vertex.
+    A level s > k / 2 holds the complements in range(lo, hi) of level
+    k - s: entry i is the complement of its entry src[i], and vertex is
+    None.  So Gamma x of a level is one gather and one XOR from a level no
+    longer than it, and building a level only builds such levels.
+
+    At odd p the masks are bools of shape (k, len), True where x_j != 0
+    (row j - lo), and the rank is the odometer index t = sum x_j p**j, of
+    dtype dt.  Entry i is entry src[i] of level s - 1 plus the digit v at a
+    vertex j above its top one, and vertex[i] = j (p - 1) + v - 1 is its
+    column of the searcher's column multiples.  The x of level s - 1 whose
+    top vertex is below j have t < p**j, a prefix of that level, so the
+    level lists, for j and then v ascending, that prefix plus v p**j: in
+    ascending order with no sort.  With one, only v = 1 is taken: the x
+    whose top digit is 1, a 1 / (p - 1) share of the level.
+
+    src and vertex stay intp: take casts a narrower index at about twice
+    the cost.  The arrays depend on the arguments alone; each process
+    builds them once, every search shares them read-only, and maxsize
+    bounds the memo.
     """
     k = hi - lo
     if s == 0:
-        masks = ranks = np.zeros(1, dtype=dt)
-        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1, dtype=np.intp)
+        masks = np.zeros((k, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
+        ranks = np.zeros(1, dtype=dt)
+        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1 if p == 2 else 0, dtype=np.intp)
+    elif p > 2:
+        pm, pr = _level(lo, hi, s - 1, dt, p)[:2]
+        tops, vs = [p**j for j in range(lo, hi)], range(1, 2 if one else p)
+        counts = np.searchsorted(pr, np.array(tops, dtype=dt)).repeat(len(vs))  # per (j, v): the x below vertex j
+        src = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        vertex = np.array([j * (p - 1) + v - 1 for j in range(lo, hi) for v in vs], dtype=np.intp).repeat(counts)
+        ranks = pr[src] + np.array([v * q for q in tops for v in vs], dtype=dt).repeat(counts)
+        masks = pm[:, src]
+        masks[vertex // (p - 1) - lo, np.arange(len(src))] = True
     elif 2 * s > k:
         cm, cr = _level(lo, hi, k - s, dt)[:2]
         full = (1 << hi) - (1 << lo)
@@ -295,56 +299,67 @@ def _level(lo: int, hi: int, s: int, dt):
 
 
 @functools.lru_cache(maxsize=64)
-def _patterns(lo: int, hi: int, a: int, b: int, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every subset of range(lo, hi) with a to b vertices, as bitmasks, their Gray ranks, and their order.
+def _patterns(lo: int, hi: int, a: int, b: int, *kind) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Every x on range(lo, hi) with a to b nonzero entries, as _level's masks, their ranks, and their order.
 
+    kind is what follows s in the _level calls: (dt,) at p = 2, (dt, p) at odd p.
     Both arrays are sorted by rank, so a first argmin over the table is its
     least-rank minimizer.  Entry i is entry order[i] of the levels a..b of
-    _level laid end to end; order is None for a single level, which is
-    _level's own arrays.  Callers keep a table at most _BLOCK subsets long,
-    and maxsize bounds the memo.
+    _level laid end to end (along the last axis); order is None for a
+    single level, which is _level's own arrays.  Callers keep a table at
+    most _BLOCK candidates long, and maxsize bounds the memo.
     """
-    levels = [_level(lo, hi, s, dt) for s in range(a, b + 1)]
+    levels = [_level(lo, hi, s, *kind) for s in range(a, b + 1)]
     if a == b:
         return levels[0][0], levels[0][1], None
     ranks = np.concatenate([lv[1] for lv in levels])
     order = np.argsort(ranks)
-    masks, ranks = np.concatenate([lv[0] for lv in levels])[order], ranks[order]
+    masks, ranks = np.concatenate([lv[0] for lv in levels], axis=-1).take(order, axis=-1), ranks[order]
     for t in (masks, ranks, order):
         t.setflags(write=False)
     return masks, ranks, order
 
 
 @functools.lru_cache(maxsize=16)
-def _level_plan(n: int, block: int) -> tuple[tuple[tuple[int, int], ...], int]:
+def _level_plan(n: int, p: int, block: int) -> tuple[tuple[tuple[int, int | None], ...], int]:
     """The support levels of n vertices in walking order, and the band width for levels past block.
 
-    Each entry (a, b) is a run of consecutive levels a..b that one table of
-    at most block subsets holds.  Consecutive levels share a run while it
-    holds at most block // n subsets: at n = 10..13 that is levels 0..3 or
-    0..4, which nearly every row of a code's stack walks, and a run as long
-    as a block would weigh, for all 64 rows, levels that most rows never
-    reach.  A level of more than block subsets stands alone, as (s, s), and
-    is walked as products of two band tables (see walk in _searcher).  The
-    band width is the most vertices whose every level fits block.
+    Level s holds C(n, s) (p - 1)**s candidates.  Each entry (a, b) is a
+    run of consecutive levels a..b that one table of at most block
+    candidates holds.  Consecutive levels share a run while it holds at
+    most block // n candidates: at p = 2 and n = 10..13 that is levels 0..3
+    or 0..4, which nearly every row of a code's stack walks, and a run as
+    long as a block would weigh, for all 64 rows, levels that most rows
+    never reach.  An entry (s, None) is a level walked as products of two
+    band tables (see walk in _searcher): at p = 2 a level of more than
+    block subsets, and at odd p every level from the first such one on,
+    since an odd-p level is built from the level below, and the top
+    levels, small again, would be built through the large ones (at p = 2
+    they are complements).  The band width is the most vertices whose
+    every level fits block: 0 when one vertex's p - 1 values do not.
     """
-    runs, s = [], 0
+
+    def size(s):
+        return math.comb(n, s) * (p - 1) ** s
+
+    runs, s, small = [], 0, True
     while s <= n:
-        a, size = s, math.comb(n, s)
+        a, total = s, size(s)
         s += 1
-        if size <= block:
-            while s <= n and size + math.comb(n, s) <= block // n:
-                size += math.comb(n, s)
+        small = total <= block and (small or p == 2)
+        if small:
+            while s <= n and total + size(s) <= block // n:
+                total += size(s)
                 s += 1
-        runs.append((a, s - 1))
-    width = 1
-    while math.comb(width + 1, (width + 1) // 2) <= block:
+        runs.append((a, s - 1 if small else None))
+    width = 0
+    while all(math.comb(width + 1, j) * (p - 1) ** j <= block for j in range(width + 2)):
         width += 1
     return tuple(runs), width
 
 
 def _level_blocks(d, dt, chunks):
-    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk.
+    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk, at p = 2.
 
     chunks yields (x, gz, rows): equal-length arrays of dtype dt, the
     bitmasks of x and of Gamma x, and for a stack the indices of the rows to
@@ -360,73 +375,30 @@ def _level_blocks(d, dt, chunks):
         yield np.bitwise_count(z)
 
 
-def _odometer_table(gamma: np.ndarray, n: int, p: int, m: int) -> np.ndarray:
-    """Column lo holds (-Gamma x_lo) mod p for the low m digits, p where x_j != 0.
+def _residue_blocks(d, p: int, chunks):
+    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk, at odd p.
 
-    A sum s of two residues is below 2p, so min(s, s - p) reduces it: in
-    an unsigned dtype s - p wraps above s when s < p.
+    chunks yields (lo, hi, rows).  A chunk's candidates are x_hi + x_lo, on
+    disjoint vertices, x_hi major.  lo, of shape (n, c0), holds Gamma x_lo
+    mod p, and p where x_lo is nonzero; hi, of shape (n, c1), holds
+    -Gamma x_hi mod p, and a mark in [2p, 3p] where x_hi is nonzero, or is
+    None for the one x_hi = 0; rows are as at p = 2.  The target
+    d - Gamma x_hi mod p is min(s, s - p) of s = d + hi, where a mark stays
+    at or above p, and
+    vertex j counts where lo and the target differ: z_j != 0, or a mark on
+    either side (the marks of x_lo and x_hi never share a vertex).  One
+    uint8 array is yielded per chunk: shape
+    (c1 c0,) for a 1-D d and (len(rows), c1 c0) for a stack.
     """
-    dt = np.min_scalar_type(2 * p)  # holds the sum of two residues
-    # steps[j, i, v] = (-Gamma[i, j] v) mod p, the part of digit j = v in row i
-    steps = (gamma[:, :m].T[:, :, None] * -np.arange(p) % p).astype(dt, order="C")
-    tab = steps[0] if m else np.zeros((n, 1), dtype=dt)
-    for j in range(1, m):  # digit j becomes the slowest: column v * p**j + r has x_j = v
-        s = tab[:, None, :] + steps[j][:, :, None]
-        tab = np.minimum(s, s - dt.type(p)).reshape(n, -1)
-    for j in range(m):
-        tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
-    return tab
-
-
-def _odometer_blocks(gamma: np.ndarray, tab: np.ndarray, n: int, p: int, d, m: int, hs):
-    """Chi-weights of (d - Gamma x | x) for x = t in base p, digit 1 fastest.
-
-    Block h holds the p**m consecutive t = h * p**m + lo; hs gives the
-    ascending block indices to weigh, and one array is yielded per block,
-    with a leading row axis when d is a stack.  The array is reused, so it
-    is valid until the next block.
-    A block's target holds (Gamma x_hi - d) mod p for the high digits x_hi
-    of h, and p where its own digit x_j is nonzero; tab (from
-    _odometer_table) never holds p at the same j.  Vertex j counts exactly
-    where the two differ, so no add or mod runs per candidate.
-    """
-    lead = d.shape[:-1]  # () for one difference, (r,) for a stack
-    tabs = tab.reshape(tab.shape[:1] + (1,) * len(lead) + tab.shape[1:])
-    neq = np.empty(tab.shape[:1] + lead + tab.shape[1:], dtype=bool)
-    w = np.empty(lead + tab.shape[1:], dtype=np.min_scalar_type(n + 1))
-    ghi, pw = gamma[:, m:], [p**j for j in range(n - m)]
-    for h in hs:
-        digits = [h // q % p for q in pw]
-        target = ((ghi @ np.array(digits, dtype=np.int64) - d) % p).T  # vertex axis first
-        hot = [m + j for j, v in enumerate(digits) if v]
-        if hot:
-            target[hot] = p
-        np.not_equal(tabs, target.astype(tab.dtype)[..., None], neq)
-        np.add.reduce(neq, 0, w.dtype, w)
-        yield w
-
-
-def _high_support(h: int, p: int) -> int:
-    """|supp x_hi| in block h at odd p: the nonzero base-p digits of h."""
-    s = 0
-    while h:
-        h, r = divmod(h, p)
-        s += r != 0
-    return s
-
-
-def _block_order(p: int, k: int, scalar: bool):
-    """Indices of the p**k blocks in ascending order that may hold the first minimizer.
-
-    With scalar (d = 0) the search set is F_p-linear, so c * x weighs the
-    same as x, and of a minimizer's multiples the one with top nonzero
-    digit 1 comes first in odometer order.  Only h = 0 and the blocks whose
-    top nonzero high digit is 1, h in [p**j, 2 * p**j), can hold it.  At
-    p = 2 these ranges cover every block.
-    """
-    if not scalar:
-        return range(p**k)
-    return itertools.chain([0], *(range(p**j, 2 * p**j) for j in range(k)))
+    lead = (1,) * (d.ndim - 1)  # the row axis of a stack
+    dv = d.T.astype(np.min_scalar_type(4 * p))[..., None]  # vertex axis first: (n, 1) or (n, r, 1)
+    for lo, hi, rows in chunks:
+        t = dv if rows is None else dv[:, rows]
+        if hi is not None:
+            t = t + hi.reshape(hi.shape[:1] + lead + hi.shape[1:])
+            t = np.minimum(t, t - p)
+        neq = t[..., None] != lo.reshape(lo.shape[:1] + lead + (1,) + lo.shape[1:])
+        yield np.add.reduce(neq, 0, np.uint8).reshape(neq.shape[1:-2] + (-1,))
 
 
 def _reports(witnesses, weights, examined) -> list[DistanceReport]:
@@ -452,32 +424,25 @@ def _reports(witnesses, weights, examined) -> list[DistanceReport]:
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(p: int, block: int) -> tuple[int, np.ndarray]:
-    """The most low digits a block of at most block candidates holds, and every p**j below 2**63.
+def _powers(p: int) -> np.ndarray:
+    """Every p**j below 2**64, as read-only uint64: the digit weights that expand a rank into x.
 
-    A search takes min(low, n) low digits and the first n powers, which
-    expand its witnesses' x digits.  Both depend on (p, block) alone, so
-    each process builds them once; the powers are read-only, and there are
-    at most 63 of them.  maxsize bounds the memo, however many primes and
-    block sizes a process searches with.
+    It depends on p alone, so each process builds it once; maxsize bounds
+    the memo, however many primes a process searches with.
     """
-    low = 0
-    while p ** (low + 1) <= block:
-        low += 1
-    powers = np.array([p**j for j in range(63) if p**j < 1 << 63], dtype=np.int64)  # p >= 2: j < 63
+    powers = np.array([p**j for j in range(64) if p**j < 1 << 64], dtype=np.uint64)
     powers.setflags(write=False)
-    return low, powers
+    return powers
 
 
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the per-graph tables once.
 
-    What depends on p and _BLOCK alone, the low digits per block and the
-    witness's digit powers (_layout), and at p = 2 the pattern tables
-    (_patterns) and the level plan (_level_plan), is built once per process
-    and shared read-only; _BLOCK is read at each call.  Per graph, p = 2
-    builds Gamma x of each level and pattern table walked, on first use;
-    odd p builds the low-digit table.
+    What depends on p and _BLOCK alone, the level and pattern tables
+    (_level, _patterns), the level plan (_level_plan) and the witness's
+    digit powers (_powers), is built once per process and shared
+    read-only; _BLOCK is read at each call.  Per graph, Gamma x of each
+    level and pattern table walked is built on first use.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -486,77 +451,107 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     pass, so its buffers hold r times one difference's; code_distance keeps
     r <= _ROWS.  A 1-D d stays 1-D in the weighers, with Python ints for
     its best: as a (1, n) stack, with a stack's array bookkeeping, the
-    lone searches of diag-gf2 took about a third longer.  At p = 2 (walk) a
-    stack keeps its rows' best weights and least ranks in arrays, updated
-    per chunk with one argmin per row and np.where, and weighs only the
-    rows that the chunk's level may still improve.  At odd p
-    (enumerate_blocks) one loop keeps every row's best weight and first
-    index in Python lists.  It weighs only the blocks that pass the support
-    bound for top, the largest best weight (a row whose best is at or below
-    a block's high support cannot improve on a strict <), and, for d = 0
-    alone, the scalar symmetry; it stops once top is 1.  A block whose flat
-    minimum is at or above top improves no row; only the others, about one
-    per search, take an argmin per row.  When d = 0, alone or as row 0, its
+    lone searches of diag-gf2 took about a third longer.  walk keeps a
+    stack's best weights and least ranks in arrays, updated per chunk with
+    one argmin per row and np.where, and weighs only the rows that the
+    chunk's level may still improve.  When d = 0, alone or as row 0, its
     k = 0 candidate (weight 0) is neither weighed nor counted in
-    vectors_examined; at odd p a longer stack walks blocks the symmetry
-    would skip, but in them row 0 can only tie its first minimizer, whose
-    top nonzero digit is 1.  The witnesses are checked against Lambda in
-    one product and their chi-weights recounted in one numpy sum, compared
+    vectors_examined.  At odd p a lone d = 0, 1-D or a one-row stack,
+    weighs only the x whose top digit is 1 in the levels it walks alone or
+    as band products; a longer stack headed by d = 0 weighs every x for
+    all its rows, and there row 0 can only tie its first minimizer.  The witnesses are checked against Lambda in one
+    product and their chi-weights recounted in one numpy sum, compared
     with the best weights as lists, before _reports builds the reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
-    low, powers = _layout(p, _BLOCK)
-    m, powers = min(low, n), powers[:n]  # low digits per block, and the witness's digit powers
+    powers = _powers(p)[:n]  # p**n < 2**64: every digit of a rank
+    tables = {}  # Gamma x of each level and pattern table walked, keyed like _level and _patterns
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
+        kind = (dt,)  # the level tables' key after s: masks and ranks of dtype dt
         cols = _bitmasks(gamma.T)  # Gamma's columns as masks
         colv = np.array(cols, dtype=dt)
-        tables = {}  # Gamma x of each level and pattern table walked, keyed like _level and _patterns
+        level0 = np.zeros(1, dtype=dt)  # Gamma x of x = 0
     else:
-        table = _odometer_table(gamma, n, p, m)
+        dt = np.min_scalar_type(4 * p)  # holds d + 3p, the most the weigher reduces
+        kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
+        level0 = np.zeros((n, 1), dtype=dt)
+        colv = None  # column j (p - 1) + v - 1: v Gamma[:, j] mod p, built when a table first needs it
 
-    def gamma_x(lo, hi, s):
-        """Gamma x of _level(lo, hi, s), built on first use with the levels it is built from.
+    def gamma_x(lo, hi, s, one=False):
+        """Gamma x of _level(lo, hi, s, .., one), built on first use with the levels it is built from.
 
         A loop, not a recursion: a nested function that calls itself is a
         reference cycle, which would keep every table until the collector runs.
         """
+        nonlocal colv
         k = hi - lo
-        for j in range(min(s, k - s) + 1):  # level s, or the level whose complements it holds, and those below
-            if (lo, hi, j) not in tables:
-                _, _, src, vertex = _level(lo, hi, j, dt)
-                tables[lo, hi, j] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex) if j else np.zeros(1, dtype=dt)
-        if (lo, hi, s) not in tables:  # the complements of level k - s: Gamma of range(lo, hi), less Gamma y
+        for j in range(min(s, k - s) + 1 if p == 2 else s + 1):  # level s, or the one it complements, and those below
+            top1 = (True,) if one and j == s > 0 else ()  # at odd p, level s of top digit 1
+            key = (lo, hi, j, *top1)
+            if key not in tables:
+                _, _, src, vertex = _level(lo, hi, j, *kind, *top1)
+                if not j:
+                    tables[lo, hi, j] = level0
+                elif p == 2:
+                    tables[lo, hi, j] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex)
+                else:
+                    if colv is None:  # p - 1 <= _BLOCK here: one vertex's values fit a table
+                        colv = ((gamma[:, :, None] * np.arange(1, p)).reshape(n, -1) % p).astype(dt)
+                    gz = tables[lo, hi, j - 1].take(src, axis=1)
+                    gz += colv.take(vertex, axis=1)
+                    tables[key] = np.minimum(gz, gz - p, out=gz)  # a sum of two residues is below 2p
+        if p == 2 and (lo, hi, s) not in tables:  # the complements of level k - s: Gamma of range(lo, hi), less Gamma y
             src = _level(lo, hi, s, dt)[2]
             tables[lo, hi, s] = (tables[lo, hi, k - s] ^ dt(functools.reduce(int.__xor__, cols[lo:hi]))).take(src)
-        return tables[lo, hi, s]
+        return tables[key] if p > 2 else tables[lo, hi, s]
 
-    def patterns(*key):
-        """A pattern table's masks and Gray ranks, and its Gamma x, built on first use."""
+    def patterns(lo, hi, a, b, one=False):
+        """A pattern table's masks and ranks, and its Gamma x, built on first use."""
+        key = lo, hi, a, b, one
         if key not in tables:
-            masks, ranks, order = _patterns(*key, dt)
-            lo, hi, a, b = key
-            gz = [gamma_x(lo, hi, s) for s in range(a, b + 1)]
-            tables[key] = masks, ranks, gz[0] if order is None else np.concatenate(gz).take(order)
+            masks, ranks, order = _patterns(lo, hi, a, b, *kind, *((True,) if one else ()))
+            gz = [gamma_x(lo, hi, s, one) for s in range(a, b + 1)]
+            tables[key] = masks, ranks, gz[0] if order is None else np.concatenate(gz, axis=-1).take(order, axis=-1)
         return tables[key]
 
+    def factor(*key, high=False):
+        """At odd p, a pattern table as a factor of the weigher, with its ranks, built on first use.
+
+        key is patterns'.  The low factor holds Gamma x mod p, and p where x
+        is nonzero; the high factor holds -Gamma x mod p, and 3p where x is
+        nonzero.
+        """
+        fkey = (high, *key)
+        if fkey not in tables:
+            marks, ranks, gz = patterns(*key)
+            if high:
+                gz = p - gz  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
+                np.minimum(gz, gz - p, out=gz)
+            else:
+                gz = gz.copy()
+            np.copyto(gz[key[0] : key[1]], dt.type(3 * p if high else p), where=marks)
+            tables[fkey] = gz, ranks
+        return tables[fkey]
+
     def walk(d, r, zero):
-        """Best weight and least Gray rank among its ties, per row, walking x by support level.
+        """Best weight and least rank among its ties, per row, walking x by support level.
 
         Each candidate weighs at least |supp x|, so a row whose best weight
         is below level a is done: it drops out of the stack's later chunks,
         and the walk ends when every row has.  Every chunk lists its
-        candidates by ascending Gray rank, so a row's first argmin in a chunk
-        is its least rank among the chunk's ties; a tie with an earlier chunk
+        candidates by ascending rank, so a row's first argmin in a chunk is
+        its least rank among the chunk's ties; a tie with an earlier chunk
         goes to the lesser rank.
         """
-        runs, width = _level_plan(n, _BLOCK)
-        w0 = min(n, width)  # a level past _BLOCK: x = A | B | C, with A and B from tables of the
+        runs, width = _level_plan(n, p, _BLOCK)
+        w0 = min(n, width)  # a level past _BLOCK: x = A + B + C, with A and B from tables of the
         w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
         top, rank_at, rows = n + 1, None, None  # for the chunk being weighed: its ranks, and its rows
+        one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
 
         def chunks():
             nonlocal rank_at, rows
@@ -565,30 +560,50 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     return
                 if d.ndim == 2:
                     rows = np.flatnonzero(best_w >= a)  # the rows that level a may improve
-                if math.comb(n, a) <= _BLOCK:  # levels a..b in one table
-                    x, rk, gz = patterns(0, n, a, b)
+                if b is not None:  # levels a..b in one table
+                    x, rk, gz = patterns(0, n, a, b) if p == 2 else (*factor(0, n, a, b, one and a == b), None)
                     rank_at = rk.__getitem__
                     yield x, gz, rows
                     continue
                 for c in range(min(a, n - w0 - w1) + 1):
                     for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
-                        # each vertex of B flips every bit of rank(A), each of C every bit of
-                        # rank(A | B): reversed tables keep the chunk in ascending rank
-                        x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in patterns(0, w0, a - c - j, a - c - j))
-                        x1, r1, g1 = (t[:: (-1) ** c] for t in patterns(w0, w0 + w1, j, j))
-                        size, step = len(x0), _BLOCK // len(x0)
+                        if p == 2:  # each vertex of B flips every bit of rank(A), each of C every bit of
+                            # rank(A | B): reversed tables keep the chunk in ascending rank
+                            x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in patterns(0, w0, a - c - j, a - c - j))
+                            x1, r1, g1 = (t[:: (-1) ** c] for t in patterns(w0, w0 + w1, j, j))
+                        else:  # t(A + B + C) = t(A) + t(B) + t(C): the high-major product is in order
+                            x0, r0 = factor(0, w0, a - c - j, a - c - j, one and not (c or j))
+                            g1, r1 = factor(w0, w0 + w1, j, j, one and not c, high=True)
+                        size, step = len(r0), _BLOCK // len(r0)
                         for high in itertools.combinations(range(w0 + w1, n), c):
-                            cx = cg = cr = 0
-                            for v in high:
-                                cx, cg, cr = cx | 1 << v, cg ^ cols[v], cr ^ (2 << v) - 1
-                            for i in range(0, len(x1), step):
-                                xi, gi, ri = x1[i : i + step], g1[i : i + step], r1[i : i + step]
-                                if c:
-                                    xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
-                                rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
-                                yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
+                            # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2
+                            values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p)] * (c > 0)
+                            for digits in itertools.product(*values):
+                                if p == 2:
+                                    cx = cg = cr = 0
+                                    for v in high:
+                                        cx, cg, cr = cx | 1 << v, cg ^ cols[v], cr ^ (2 << v) - 1
+                                elif c:  # C's ranks, and -Gamma x_C mod p
+                                    cr = sum(v * p**u for u, v in zip(high, digits))
+                                    cg = (-(gamma[:, high] @ digits) % p).astype(dt)[:, None]
+                                for i in range(0, len(r1), step):
+                                    ri = r1[i : i + step]
+                                    if p == 2:
+                                        xi, gi = x1[i : i + step], g1[i : i + step]
+                                        if c:
+                                            xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
+                                        rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
+                                        yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
+                                    else:
+                                        hi = g1[:, i : i + step] if c or j else None  # None: x_hi = 0
+                                        if c:  # a mark 3p stays at 2p or above
+                                            ri, hi = ri + cr, hi + cg
+                                            hi = np.minimum(hi, hi - p, out=hi)
+                                            hi[high, :] = 2 * p
+                                        rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] + r0[k % size]
+                                        yield x0, hi, rows
 
-        weights = _level_blocks(d, dt, chunks())
+        weights = _level_blocks(d, dt, chunks()) if p == 2 else _residue_blocks(d, p, chunks())
         if d.ndim == 1:  # one row: Python ints
             best_w, best_t = n + 1, 0
             for w in weights:
@@ -602,7 +617,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                         top = best_w
             return [best_w], [best_t]
         best_w = np.full(r, n + 1, dtype=np.int64)
-        best_t = np.zeros(r, dtype=dt)
+        best_t = np.zeros(r, dtype=kind[0])
         for w in weights:
             if zero:  # the first chunk weighs every row
                 w[0, 0], zero = n + 1, False
@@ -618,43 +633,16 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             top = int(best_w.max())
         return best_w.tolist(), best_t.tolist()
 
-    def enumerate_blocks(d, r, zero):
-        """Best weight and first index per row, over the odometer blocks the exclusions leave."""
-        top, h = n + 1, 0  # top = max(best_w): only a block below it can improve a row
-
-        def weighed():  # the blocks that may hold a new first minimizer, h kept for the driver
-            nonlocal h
-            for h in _block_order(p, n - m, zero and r == 1):
-                if _high_support(h, p) < top:  # a later tie never replaces the first minimizer
-                    yield h
-                elif top == 1:  # every later block has support >= 1 too
-                    return
-
-        hs = weighed() if m < n else (0,)  # one block: always weighed, no filter to set up
-        size = p**m  # candidates per block
-        best_w, best_t = [n + 1] * r, [0] * r
-        for w in _odometer_blocks(gamma, table, n, p, d, m, hs):
-            if h == 0 and zero:
-                w.flat[0] = n + 1
-            if w.item(w.argmin()) >= top:  # every row's best is at most top: none can improve
-                continue
-            wr = w.reshape(r, size)
-            for row, i in enumerate(wr.argmin(axis=1).tolist()):
-                if wr.item(row, i) < best_w[row]:
-                    best_w[row], best_t[row] = wr.item(row, i), h * size + i
-            top = max(best_w)
-        return best_w, best_t
-
     def search(d: np.ndarray):
         dr = d.reshape(-1, n)  # one row per difference, a view of d
         nonzero = np.logical_or.reduce(dr, axis=1).tolist()
         if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
         r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
-        best_w, best_t = (walk if p == 2 else enumerate_blocks)(d, r, zero)
-        xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.int64)
+        best_w, best_t = walk(d, r, zero)
+        xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.uint64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
-        k[:, n : n + len(powers)] = xi[:, None] // powers % p  # xi < 2**63: higher digits are 0
+        k[:, n:] = xi[:, None] // powers % p
         k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
         weights = ((k[:, :n] | k[:, n:]) != 0).sum(axis=1).tolist()  # entries are reduced mod p
         if ((k @ lam.T - dr) % p).any() or weights != best_w:
@@ -672,9 +660,9 @@ def diagonal_distance(
 ) -> DistanceReport:
     """Exact minimum chi-weight over the nonzero kernel of [I | Gamma].
 
-    Accounts for all p**n - 1 nonzero kernel points, weighing those the
-    exclusions leave; raises SearchTooLarge when p**n exceeds the configured
-    budget and cfg.force is unset.
+    Accounts for all p**n - 1 nonzero kernel points, weighing those up to
+    the distance's support level; raises SearchTooLarge when p**n exceeds
+    the configured budget and cfg.force is unset, or reaches 2**64.
     """
     return _searcher(g, f, cfg)(np.zeros(g.n, dtype=np.int64))
 

@@ -2,7 +2,10 @@
 
 Matrices and vectors are numpy int64 arrays with entries kept in [0, p).
 Every caller's integers, here, in the search and in the oracle, are read
-through _residues, which reduces any numpy dtype or Python int exactly.
+through _residues, which reduces any numpy dtype or Python int exactly;
+integers that are kept unreduced (a multigraph's multiplicities, the Gamma
+block of build_lambda) are read through _int64s, which refuses any entry
+that int64 does not hold exactly.
 Everything here is a pure function: inputs are never mutated, results are
 fresh arrays, so values can be shared freely across threads.
 """
@@ -89,6 +92,29 @@ def _residues(c, p: int, n: int | None = None) -> np.ndarray:
             out.append(int(real) % p)
         return np.array(out, dtype=np.int64).reshape(exact.shape)
     return a.astype(np.int64) % p
+
+
+def _fits_int64(v) -> bool:
+    try:
+        return int(v) == v and -(1 << 63) <= int(v) < 1 << 63
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, complex numbers, non-numbers
+        return False
+
+
+def _int64s(c, what: str) -> np.ndarray:
+    """The entries of c as an int64 array (c itself when it is one), each an integer that int64 holds exactly.
+
+    Integral floats, as in np.zeros((3, 3)), pass.  A cast would read a
+    uint64 2**64 - 1 as -1 and 2.9 as 2, and a Python int past 64 bits or
+    a complex number would raise OverflowError or TypeError: here each
+    raises ValueError, naming what.
+    """
+    a = np.asarray(c)
+    if not np.can_cast(a.dtype, np.int64):  # uint64, float, complex or object: check every entry
+        a = np.asarray(c, dtype=object)  # a list's big ints as given, not read as floats
+        if not all(map(_fits_int64, a.flat)):
+            raise ValueError(f"{what} must be integers that int64 holds exactly")
+    return np.asarray(a, dtype=np.int64)
 
 
 def _as_matrix(m, p: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, _int64s
 
 FAMILIES = ("cycle", "path", "complete", "edgeless")
 INT64_MAX = (1 << 63) - 1  # multiplicities are stored as int64
@@ -56,7 +56,7 @@ class Multigraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("vertex count must be >= 1")
-        m = np.asarray(self.mult, dtype=np.int64).copy()
+        m = _int64s(self.mult, "edge multiplicities").copy()  # the caller's array stays writable
         if m.shape != (self.n, self.n):
             raise ValueError(f"multiplicity matrix has shape {m.shape}, expected ({self.n}, {self.n})")
         if (m < 0).any():

@@ -194,15 +194,15 @@ def test_gf2_bitmask_width_is_guarded():
 
 def test_blocks_never_exceed_the_block_size(monkeypatch):
     sizes = []
-    real = D._odometer_blocks
+    real = D._residue_blocks
 
     def spy(*args):
         for w in real(*args):
-            sizes.append(w.size)
+            sizes.append(w.shape[-1])  # candidates per row
             yield w
 
-    monkeypatch.setattr(D, "_odometer_blocks", spy)
-    f = PrimeField(4099)  # above _BLOCK, so each block holds one candidate
+    monkeypatch.setattr(D, "_residue_blocks", spy)
+    f = PrimeField(4099)  # above _BLOCK: one vertex's values overflow a chunk, so the walk takes them one by one
     force = SearchConfig(force=True)
     rep = diagonal_distance(generate("edgeless", 1), f)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 1))
@@ -210,6 +210,7 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 0, 1, 0))
     rep = pairwise_distance(generate("path", 2), f, [5, 4098], [2, 0], force)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 4099, (3, 0, 4098, 0))
-    assert max(sizes) == 1
+    assert max(sizes) <= D._BLOCK
+    sizes.clear()
     diagonal_distance(generate("cycle", 9), PrimeField(3))
-    assert max(sizes) == 3**7 <= D._BLOCK
+    assert sizes == [163, 336]  # levels 0..2 in one table; level 3's 672 x, of which half have top digit 1

@@ -125,7 +125,7 @@ def spy_searches(monkeypatch, name):
     return shapes
 
 
-@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_one_block_pass_per_stack(monkeypatch, p, name):
     """d = 0 heads the first of ceil((distinct nonzero + 1) / _ROWS) stacks, all full but the last."""
     monkeypatch.setattr(D, "_ROWS", 3)
@@ -159,7 +159,7 @@ def test_pairs_with_equal_differences_share_one_report():
     assert len({id(rep) for rep in res.table.values()}) == len(by_difference)
 
 
-@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_a_later_row_fails_reverification(monkeypatch, p, name):
     real = getattr(D, name)
     forged_rows = []
@@ -253,7 +253,7 @@ def test_twelve_codewords_fill_a_stack(monkeypatch, p, n, block):
     assert [key(rep) for rep in res.table.values()] == one_pair_reports(g, f, words, res)
 
 
-@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
     """d = 0 and the 66 nonzero differences: a stack of 64 rows, d = 0 first, and one of 3."""
     assert D._ROWS == 64
@@ -264,7 +264,7 @@ def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
     assert shapes == [(64, n), (3, n)]
 
 
-@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_row_40_of_a_full_stack_fails_reverification(monkeypatch, p, name):
     real = getattr(D, name)
     forged_rows = []

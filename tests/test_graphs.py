@@ -337,3 +337,26 @@ def test_symmetry_check_finds_one_asymmetric_entry_in_any_tile():
             bad[u, v] += 1
             with pytest.raises(ValueError, match="^multiplicity matrix must be symmetric$"):
                 Multigraph(n, bad)
+
+
+INEXACT_MULTIPLICITIES = [
+    ("float 2.9", [[0, 2.9], [2.9, 0]]),  # a cast reads 2: distance 2 at p = 3
+    ("uint64 2**64 - 1", np.array([[0, 2**64 - 1], [2**64 - 1, 0]], dtype=np.uint64)),  # a cast reads -1
+    ("Python int 2**64", [[0, 2**64], [2**64, 0]]),  # a cast raises OverflowError
+    ("complex", [[0, 1 + 0j], [1 + 0j, 0]]),  # a cast raises TypeError
+]
+
+
+@pytest.mark.parametrize("name, mult", INEXACT_MULTIPLICITIES, ids=[name for name, _ in INEXACT_MULTIPLICITIES])
+def test_multiplicities_int64_does_not_hold_exactly_are_refused(name, mult):
+    with pytest.raises(ValueError, match="^edge multiplicities must be integers that int64 holds exactly$"):
+        Multigraph(2, mult)
+
+
+def test_integral_float_multiplicities_are_read_exactly():
+    g = Multigraph(3, np.array([[0, 2.0, 0], [2.0, 0, 1], [0, 1, 0]]))
+    assert g.mult.dtype == np.int64 and g.mult.tolist() == [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+    assert Multigraph(3, np.zeros((3, 3))) == generate("edgeless", 3)
+    mult = np.array([[0, 3], [3, 0]])
+    Multigraph(2, mult)
+    assert mult.flags.writeable  # the caller's array is copied, not frozen

@@ -1,16 +1,15 @@
-"""The pruned block search against the unpruned one it replaced.
+"""The pruned searches against the unpruned block search they replaced.
 
 reference() is the block search as it was before blocks were skipped: it
 weighs every one of the p**n candidates in the same fixed order (Gray code
 at p = 2, odometer at odd p) and keeps the first minimum, stopping only at
-weight 1.  The pruned search skips a block when the support of its high x
-digits already reaches the best weight found, and for d = 0 skips the
-blocks whose top nonzero high digit is not 1.  It must report the same
-distance, witness and vectors_examined at the default block, at 2**3 and
-at 2**1, where odd p has m = 0 and the bound skips single candidates.
-At p = 2 the search walks x by support level instead of by block; the
-spies below show which blocks an odd-p search skips, and which levels a
-p = 2 search weighs.
+weight 1.  The search walks x by support level instead, stops after the
+level equal to the best weight, and for d = 0 at odd p weighs, in the
+levels it walks alone, only the x whose top digit is 1.  It must report
+the same distance, witness and vectors_examined at the default block, at
+2**3 and at 2**1.  The spies below show which levels and supports a search
+weighs: at p = 2 every x as a bitmask, at odd p the support of every
+candidate, read from the marks the weigher is handed.
 """
 
 import random
@@ -154,37 +153,53 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
     assert {w for p, dkind, w in seen if dkind == "random"} >= {1, 2, 3}
 
 
-def weighed_blocks(monkeypatch, name):
-    """Spy on D.<name>: the block indices it is handed, in the order it weighs them."""
-    real = getattr(D, name)
-    hs = []
+def weighed_odd_supports(monkeypatch):
+    """Spy on D._residue_blocks: per chunk, the support of each candidate as a bitmask, in order.
 
-    def spy(*args):
-        def recorded(order):
-            for h in order:
-                hs.append(h)
-                yield h
+    The low factor holds p where x_lo is nonzero, and the high factor 2p
+    to 3p where x_hi is nonzero; a chunk's candidates are high-major.
+    """
+    real = D._residue_blocks
+    chunks = []
 
-        yield from real(*args[:-1], recorded(args[-1]))
+    def spy(d, p, order):
+        def recorded():
+            for lo, hi, rows in order:
+                bits = 1 << np.arange(len(lo))
+                low = ((lo == p).T @ bits).tolist()
+                high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
+                chunks.append([h | lw for h in high for lw in low])
+                yield lo, hi, rows
 
-    monkeypatch.setattr(D, name, spy)
-    return hs
+        yield from real(d, p, recorded())
+
+    monkeypatch.setattr(D, "_residue_blocks", spy)
+    return chunks
 
 
-def high_support(h, p):
-    """|supp x_hi| of block h, by a route of its own: Gray code bits at p = 2, base-p digits else."""
-    if p == 2:
-        return bin(h ^ (h >> 1)).count("1")
-    return sum(1 for c in np.base_repr(h, p) if c != "0")
+def supports_up_to(n, w, per_support):
+    """Every support of at most w of n vertices, each per_support(size) times, sorted."""
+    return sorted(x for x in range(1 << n) if bin(x).count("1") <= w for _ in range(per_support(bin(x).count("1"))))
 
 
 def test_scalar_symmetry_skips_blocks_at_odd_p(monkeypatch):
-    hs = weighed_blocks(monkeypatch, "_odometer_blocks")
-    g = generate("cycle", 9)
-    rep = diagonal_distance(g, PrimeField(3))  # m = 7: nine blocks of 3**7
-    assert (rep.distance, rep.vectors_examined) == (3, 3**9 - 1)
-    assert len(hs) <= 5
-    assert set(hs) <= {0, 1, 3, 4, 5}  # the high digit pairs (0, 0), (1, 0), (0, 1), (1, 1), (2, 1)
+    """d = 0: c x weighs what x does, so of each x's multiples only the one with top digit 1 is weighed.
+
+    At _BLOCK = 2**3 every level is walked alone, so every level is
+    filtered: each support s <= w* is weighed (p - 1)**(s - 1) times.
+    """
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)
+    chunks = weighed_odd_supports(monkeypatch)
+    for n, p, distance in ((9, 3, 3), (6, 5, 3)):
+        chunks.clear()
+        rep = diagonal_distance(generate("cycle", n), PrimeField(p))
+        assert (rep.distance, rep.vectors_examined) == (distance, p**n - 1)
+        xs = [x for chunk in chunks for x in chunk]
+        assert sorted(xs) == supports_up_to(n, distance, lambda s: (p - 1) ** max(s - 1, 0))
+        levels = [max(bin(x).count("1") for x in chunk) for chunk in chunks]
+        assert levels == sorted(levels)
+        top = max(j for j, v in enumerate(rep.witness.x) if v)
+        assert rep.witness.x[top] == 1
 
 
 def g20(seed):
@@ -195,26 +210,6 @@ def g20(seed):
         for v in range(u + 1, 20):
             mult[u, v] = mult[v, u] = rng.random() < 0.5
     return Multigraph(20, mult)
-
-
-def witness_block(rep, p, m):
-    """The index of the block that holds the witness, from its x-half."""
-    t = sum(x * p**j for j, x in enumerate(rep.witness.x))
-    if p == 2:  # invert the Gray code
-        shift = 1
-        while t >> shift:
-            t ^= t >> shift
-            shift <<= 1
-    return t // p**m
-
-
-def assert_bound_rule(hs, p, m, k, rep):
-    """Every block below the distance is weighed; after the witness's block, no other."""
-    hw = witness_block(rep, p, m)
-    below = [h for h in range(p**k) if high_support(h, p) < rep.distance]
-    assert hs == sorted(set(hs)) and hw in hs
-    assert set(below) <= set(hs)
-    assert [h for h in hs if h > hw] == [h for h in below if h > hw]
 
 
 def weighed_supports(monkeypatch):
@@ -265,20 +260,32 @@ def test_support_bound_skips_blocks_at_p2(monkeypatch):
 
 @pytest.mark.parametrize("p, n", [(3, 7), (5, 5)])
 def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
-    """d != 0 has no scalar symmetry, so only the support bound skips blocks."""
-    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # m = 1: p**(n - 1) blocks of p
-    hs = weighed_blocks(monkeypatch, "_odometer_blocks")
+    """d != 0 has no scalar symmetry: every x of support at most w* is weighed once, and no other.
+
+    At _BLOCK = 2**3 the levels past level 0 are products of two band
+    tables, with the vertices above both bands, and their values, walked
+    in Python.
+    """
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)
+    chunks = weighed_odd_supports(monkeypatch)
     f = PrimeField(p)
+    walked = set()
     for seed in range(6):
         g, d = make_case(p, n, "dense", "random", seed)
         if not d.any():
             continue
-        hs.clear()
+        chunks.clear()
         rep = search(g, f, d)
         assert report(rep) == reference(g, f, d)
-        assert_bound_rule(hs, p, 1, n - 1, rep)
-        if rep.distance > 1:  # blocks whose top high digit is 2 or more are weighed too
-            assert any(h >= 2 * p ** (len(np.base_repr(h, p)) - 1) for h in hs)
+        xs = [x for chunk in chunks for x in chunk]
+        assert sorted(xs) == supports_up_to(n, rep.distance, lambda s: (p - 1) ** s)
+        levels = [{bin(x).count("1") for x in chunk} for chunk in chunks]
+        assert all(len(s) == 1 for s in levels[1:])  # past level 0, one level per chunk
+        assert [max(s) for s in levels] == sorted(max(s) for s in levels)
+        walked.add(rep.distance)
+        width = D._level_plan(n, p, D._BLOCK)[1]
+        assert any(x >> 2 * width for x in xs)  # vertices above both bands
+    assert max(walked) >= 2  # products of two band tables
 
 
 def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):

@@ -2,11 +2,13 @@
 
 At p = 2 the masks are uint32 up to 32 vertices and uint64 above, so the
 searches below set bit 31 and bit 32 and stop on their first candidate.
-At odd p the odometer table reduces sums of two residues with an unsigned
-wrap instead of % p; it must equal the % p construction, also in uint16.
-_bitmasks and build_lambda must equal their plain reference constructions,
-and each p = 2 level of subsets its rank-sorted subsets.  A search's
-tables must be freed when it returns, with no reference cycle.
+At odd p the residue tables reduce sums with an unsigned wrap instead of
+% p, in uint8 and in uint16: every candidate they weigh must weigh what
+the % p construction gives, and each level must hold every x of its
+support size by odometer index, up to ranks past 2**63.  _bitmasks and
+build_lambda must equal their plain reference constructions, and each
+p = 2 level of subsets its rank-sorted subsets.  A search's tables must be
+freed when it returns, with no reference cycle.
 """
 
 import gc
@@ -70,23 +72,42 @@ def test_edgeless_graph_past_32_vertices():
     assert rep.witness.entries == (0,) * 40 + (1,) + (0,) * 39
 
 
-def modular_table(gamma, n, p, m):
-    """The odometer table built with % p at each digit, in int64."""
-    tab = np.zeros((n, 1), dtype=np.int64)
-    for j in range(m):
-        steps = (np.arange(p) * -gamma[:, j : j + 1]) % p
-        tab = ((tab[:, None, :] + steps[:, :, None]) % p).reshape(n, -1)
-    for j in range(m):
-        tab[j].reshape(p ** (m - 1 - j), p, p**j)[:, 1:, :] = p
-    return tab
+def odd_chunks(monkeypatch):
+    """Spy on D._residue_blocks: per chunk, its factors, its rows and the weights it yields."""
+    real = D._residue_blocks
+    seen = []
+
+    def spy(d, p, chunks):
+        handed = []
+
+        def recorded():
+            for chunk in chunks:
+                handed.append(chunk)
+                yield chunk
+
+        for w, chunk in zip(real(d, p, recorded()), handed):  # the weigher takes each chunk before its weights
+            seen.append((*chunk, w.copy()))
+            yield w
+
+    monkeypatch.setattr(D, "_residue_blocks", spy)
+    return seen
 
 
-def low_digits(n, p):
-    """m as the search picks it: the most low digits with p**m <= _BLOCK."""
-    m = 0
-    while m < n and p ** (m + 1) <= D._BLOCK:
-        m += 1
-    return m
+def modular_weights(gamma, p, d, w):
+    """{(support bitmask, weight): count} over every x with at most w nonzero digits, by % p in int64."""
+    n = len(gamma)
+    out = {}
+    for s in range(w + 1):
+        for support in itertools.combinations(range(n), s):
+            xs = np.zeros(((p - 1) ** s, n), dtype=np.int64)
+            if s:
+                xs[:, support] = np.array(list(itertools.product(range(1, p), repeat=s)))
+            z = (d - xs @ gamma.T) % p
+            weights = np.count_nonzero(z | xs, axis=1)
+            mask = sum(1 << v for v in support)
+            for weight, count in zip(*np.unique(weights, return_counts=True)):
+                out[mask, int(weight)] = out.get((mask, int(weight)), 0) + int(count)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -94,15 +115,71 @@ def low_digits(n, p):
     [(3, 9, None), (5, 6, None), (7, 5, None), (11, 4, None), (131, 3, 131**2), (257, 3, 257**2)],
 )
 def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
+    """Every candidate the residue tables weigh, in odometer order, weighs what % p gives.
+
+    A stack of four differences, each with two nonzero entries, so no row
+    walks past level 2; at p = 131 and 257, level 2 is a product of two
+    band tables.  Per row, the supports weighed and their weights must be
+    those of every x with at most w* nonzero digits.
+    """
     if block is not None:
         monkeypatch.setattr(D, "_BLOCK", block)
-    gamma = adjacency_matrix(random_multigraph(random.Random(p), n, max_mult=2 * p), PrimeField(p))
-    m = low_digits(n, p)
-    assert m >= 1
-    tab = D._odometer_table(gamma, n, p, m)
-    assert tab.dtype == np.min_scalar_type(2 * p)
-    assert tab.shape == (n, p**m)
-    np.testing.assert_array_equal(tab, modular_table(gamma, n, p, m))
+    f = PrimeField(p)
+    rng = random.Random(p)
+    gamma = adjacency_matrix(random_multigraph(rng, n, max_mult=2 * p), f)
+    rows = {}
+    while len(rows) < 4:
+        d = [0] * n
+        for v in rng.sample(range(n), 2):
+            d[v] = rng.randrange(1, p)
+        rows.setdefault(tuple(d), None)
+    stack = np.array(list(rows), dtype=np.int64)
+    seen = odd_chunks(monkeypatch)
+    reps = D._searcher(Multigraph(n, gamma), f, SearchConfig(force=True))(stack)
+    dt = np.min_scalar_type(4 * p)
+    assert dt == (np.uint8 if p < 64 else np.uint16)
+    got = [{} for _ in stack]
+    bits = 1 << np.arange(n)
+    for lo, hi, live, w in seen:
+        assert lo.dtype == dt and (hi is None or hi.dtype == dt)
+        assert w.shape[-1] <= D._BLOCK
+        high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
+        masks = [h | x for h in high for x in ((lo == p).T @ bits).tolist()]
+        for r, weights in zip(live, w.tolist()):
+            for pair in zip(masks, weights):
+                got[r][pair] = got[r].get(pair, 0) + 1
+    for r, rep in enumerate(reps):
+        assert rep.distance <= 2
+        assert got[r] == modular_weights(gamma, p, stack[r], rep.distance), (p, r)
+
+
+@pytest.mark.parametrize("lo, hi, p", [(0, 0, 3), (0, 5, 3), (2, 6, 5), (3, 6, 7), (1, 3, 131), (36, 40, 3)])
+def test_odd_levels_hold_every_x_by_odometer_index(lo, hi, p):
+    """Each level is its x sorted by t = sum x_j p**j, and src and vertex rebuild it.
+
+    (36, 40) at p = 3 holds ranks past 2**63, up to 3**40 - 1.  With one,
+    a level holds only the x whose top digit is 1.
+    """
+    k = hi - lo
+    for s in range(k + 1):
+        for one in (False, True):
+            masks, ranks, src, vertex = D._level(lo, hi, s, np.uint64, p, one)
+            want = []
+            for support in itertools.combinations(range(lo, hi), s):
+                for digits in itertools.product(range(1, p), repeat=s):
+                    if not (one and s and digits[-1] != 1):
+                        want.append((sum(v * p**j for j, v in zip(support, digits)), support))
+            want.sort()
+            assert ranks.dtype == np.uint64
+            assert ranks.tolist() == [t for t, _ in want]
+            assert masks.shape == (k, len(want))
+            assert [tuple(lo + np.flatnonzero(col)) for col in masks.T] == [sup for _, sup in want]
+            if s == 0:
+                continue
+            below = D._level(lo, hi, s - 1, np.uint64, p)[1].tolist()
+            for t, i, col in zip(ranks.tolist(), src.tolist(), vertex.tolist()):
+                j, v = divmod(col, p - 1)
+                assert t == below[i] + (v + 1) * p**j and below[i] < p**j
 
 
 def folded_masks(a):
@@ -143,7 +220,7 @@ def test_build_lambda_shape_error_is_unchanged():
 def block_spy(monkeypatch):
     """Record the shape of every block the two generators yield."""
     shapes = []
-    for name in ("_level_blocks", "_odometer_blocks"):
+    for name in ("_level_blocks", "_residue_blocks"):
 
         def spy(*args, real=getattr(D, name)):
             for w in real(*args):
@@ -175,7 +252,7 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
 
     def fresh(block):
         monkeypatch.setattr(D, "_BLOCK", block)
-        D._layout.cache_clear()
+        D._powers.cache_clear()
         D._patterns.cache_clear()
         D._level_plan.cache_clear()
         return searches()
@@ -183,7 +260,7 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
     want = {block: fresh(block) for block in (1 << 3, 1 << 12)}
     assert want[1 << 3][0] == want[1 << 12][0]  # the block size never shows in a report
     assert max(s[-1] for s in want[1 << 3][1]) <= 1 << 3 < max(s[-1] for s in want[1 << 12][1])
-    D._layout.cache_clear()
+    D._powers.cache_clear()
     D._patterns.cache_clear()
     D._level_plan.cache_clear()
     for block in (1 << 12, 1 << 3, 1 << 12):
@@ -201,8 +278,8 @@ def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     assert D._patterns(0, 6, 0, 6, np.uint32)[1] is ranks
     level = D._level(0, 6, 2, np.uint32)
     assert D._level(0, 6, 2, np.uint32)[0] is level[0]
-    _, powers = D._layout(3, D._BLOCK)
-    assert powers.tolist() == [3**j for j in range(40)]  # 3**39 < 2**63 < 3**40
+    powers = D._powers(3)
+    assert powers.tolist() == [3**j for j in range(41)]  # 3**40 < 2**64 < 3**41
     for a in (masks, ranks, order, *level, powers, powers[:5]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1

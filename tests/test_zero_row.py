@@ -3,11 +3,13 @@
 code_distance puts the zero difference first in its first stack, so a code
 takes one block pass, not a lone d = 0 search and then its stacks.  Row 0
 of such a stack must report exactly what diagonal_distance reports, though
-the stack walks blocks that the scalar symmetry lets a lone d = 0 search
-skip.  A code whose only difference is zero still gets the lone search.
+the stack weighs candidates that the scalar symmetry lets a lone d = 0
+search skip.  A code whose only difference is zero still gets the lone
+search.
 """
 
 import dataclasses
+import math
 import os
 import pickle
 import random
@@ -81,49 +83,48 @@ def test_row_0_reports_what_diagonal_distance_does(monkeypatch, block):
     assert early_exits >= 6  # the isolated vertices' weight-1 exit fires in row 0
 
 
-def spy_walk(monkeypatch, name):
-    """Spy on D.<name>: per search, the shape of its d and the block indices it weighed."""
-    real = getattr(D, name)
+def spy_walk(monkeypatch):
+    """Spy on D._residue_blocks: per search, the shape of its d and the support of every candidate, as bitmasks."""
+    real = D._residue_blocks
     walks = []
 
-    def spy(*args):
+    def spy(d, p, chunks):
         weighed = []
 
-        def record(hs):
-            for h in hs:
-                weighed.append(h)
-                yield h
+        def record():
+            for lo, hi, rows in chunks:
+                bits = 1 << np.arange(len(lo))
+                high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
+                weighed.extend(h | x for h in high for x in ((lo == p).T @ bits).tolist())
+                yield lo, hi, rows
 
-        walks.append((np.shape(args[-3]), weighed))
-        yield from real(*args[:-1], record(args[-1]))
+        walks.append((np.shape(d), weighed))
+        yield from real(d, p, record())
 
-    monkeypatch.setattr(D, name, spy)
+    monkeypatch.setattr(D, "_residue_blocks", spy)
     return walks
 
 
-def top_digit(h, p):
-    while h >= p:
-        h //= p
-    return h
+def scalar_supports(n, p, w):
+    """The supports a lone d = 0 walk weighs up to level w: each s-support (p - 1)**(s - 1) times, x = 0 once."""
+    sizes = [bin(x).count("1") for x in range(1 << n)]
+    return sorted(x for x in range(1 << n) if sizes[x] <= w for _ in range((p - 1) ** max(sizes[x] - 1, 0)))
 
 
 @pytest.mark.parametrize("p, n", [(3, 5), (5, 4)])
 def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
-    """One codeword, or equal ones: a 1-D search over the blocks whose top nonzero digit is 1."""
-    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # one low digit at p = 3 and 5
-    m = 1
-    walks = spy_walk(monkeypatch, "_odometer_blocks")
+    """One codeword, or equal ones: a 1-D search that weighs only the x whose top digit is 1."""
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # every level walked alone, so every level is filtered
+    walks = spy_walk(monkeypatch)
     rng = random.Random(90 + p)
     f = PrimeField(p)
     g = random_multigraph(rng, n, max_mult=p)
     want = diagonal_distance(g, f)
     [(shape, lone)] = walks
     assert shape == (n,)
-    scalar = set(D._block_order(p, n - m, True))
-    assert set(lone) <= scalar
-    assert len(scalar) < p ** (n - m)
-    # the support bound alone would weigh a block whose top digit is not 1
-    assert any(top_digit(h, p) > 1 and D._high_support(h, p) < want.distance for h in range(p ** (n - m)))
+    assert sorted(lone) == scalar_supports(n, p, want.distance)
+    # the support bound alone would weigh every value on each support
+    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(want.distance + 1))
     w = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
     for words in ([w], [w, w + p, w]):
         walks.clear()
@@ -132,7 +133,7 @@ def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
         assert all(key(rep) == key(want) for rep in res.table.values())
 
 
-@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_odometer_blocks")])
+@pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_row_0_of_a_merged_stack_fails_reverification(monkeypatch, p, name):
     real = getattr(D, name)
     forged = []
@@ -227,9 +228,9 @@ def test_search_reports_equal_rebuilt_ones():
 
 @pytest.mark.parametrize("p, n", [(3, 5), (5, 4)])
 def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
-    """A (1, n) stack of d = 0 weighs the blocks a 1-D d = 0 does, and reports what diagonal_distance does."""
-    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # one low digit at p = 3 and 5
-    walks = spy_walk(monkeypatch, "_odometer_blocks")
+    """A (1, n) stack of d = 0 weighs the candidates a 1-D d = 0 does, and reports what diagonal_distance does."""
+    monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # every level walked alone, so every level is filtered
+    walks = spy_walk(monkeypatch)
     rng = random.Random(190 + p)
     f = PrimeField(p)
     g = random_multigraph(rng, n, max_mult=p)
@@ -240,9 +241,9 @@ def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
     [got] = D._searcher(g, f, D.SearchConfig())(np.zeros((1, n), dtype=np.int64))
     assert key(got) == key(want)
     assert walks == [((1, n), lone)]
-    assert set(lone) <= set(D._block_order(p, n - 1, True))
-    # the support bound alone would weigh a block whose top digit is not 1
-    assert any(top_digit(h, p) > 1 and D._high_support(h, p) < want.distance for h in range(p ** (n - 1)))
+    assert sorted(lone) == scalar_supports(n, p, want.distance)
+    # the support bound alone would weigh every value on each support
+    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(want.distance + 1))
 
 
 @pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
