@@ -57,9 +57,9 @@ x whose top digit is 1 (the projective idea of Brouwer-Zimmermann
 search).
 
 vectors_examined counts the candidates the fixed order accounted for,
-weighed or left out by the walk, so its values are those of the walk that weighs
-every candidate in that order: p**n, less the zero candidate of d = 0, or
-up to the witness on a weight-1 exit.
+weighed or left out by the walk, so its values are those of a walk that
+weighs every candidate in that order: p**n, less the zero candidate of
+d = 0, or up to the witness on a weight-1 exit.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ def build_lambda(gamma) -> np.ndarray:
     """
     a = np.asarray(gamma)
     _check_square(a)
-    a = _int64s(gamma, "adjacency entries")
+    if not np.can_cast(a.dtype, np.int64):  # uint64, float, complex or object: check every entry
+        a = _int64s(gamma, "adjacency entries")
     n = a.shape[0]
     lam = np.zeros((n, 2 * n), dtype=np.int64)
     lam[:, n:] = a
@@ -209,19 +210,20 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
 def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
     if p == 2 and n >= 64:
         raise SearchTooLarge(f"n = {n} exceeds the 63 vertices that uint64 bitmasks hold at p = 2")
-    if not cfg.force:
-        cap = cfg.vertex_cap(p)
-        if n > cap:
-            raise SearchTooLarge(
-                f"n = {n} exceeds the vertex cap {cap} for p = {p}; "
-                f"raise max_vertices or set force"
-            )
-        if p**n > DEFAULT_CANDIDATE_BUDGET:
-            raise SearchTooLarge(
-                f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
-            )
-    if p**n >= 1 << 64:  # reached only when forced: the ranks t < p**n are held in uint64
-        raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
+    if cfg.force:
+        if p**n >= 1 << 64:  # the ranks t < p**n are held in uint64; unforced, the budget refuses first
+            raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
+        return
+    cap = cfg.vertex_cap(p)
+    if n > cap:
+        raise SearchTooLarge(
+            f"n = {n} exceeds the vertex cap {cap} for p = {p}; "
+            f"raise max_vertices or set force"
+        )
+    if p**n > DEFAULT_CANDIDATE_BUDGET:
+        raise SearchTooLarge(
+            f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
+        )
 
 
 _BITS = 1 << np.arange(64, dtype=np.uint64)  # bit j at entry j, shared read-only by every search
@@ -266,7 +268,7 @@ def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
     if s == 0:
         masks = np.zeros((k, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
         ranks = np.zeros(1, dtype=dt)
-        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1 if p == 2 else 0, dtype=np.intp)
+        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1, dtype=np.intp)
     elif p > 2:
         pm, pr = _level(lo, hi, s - 1, dt, p)[:2]
         tops, vs = [p**j for j in range(lo, hi)], range(1, 2 if one else p)
@@ -302,8 +304,8 @@ def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
 def _patterns(lo: int, hi: int, a: int, b: int, *kind) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Every x on range(lo, hi) with a to b nonzero entries, as _level's masks, their ranks, and their order.
 
-    kind is what follows s in the _level calls: (dt,) at p = 2, (dt, p) at odd p.
-    Both arrays are sorted by rank, so a first argmin over the table is its
+    kind is what follows s in the _level calls: (dt,) at p = 2, and (dt, p)
+    or (dt, p, True) at odd p.  Both arrays are sorted by rank, so a first argmin over the table is its
     least-rank minimizer.  Entry i is entry order[i] of the levels a..b of
     _level laid end to end (along the last axis); order is None for a
     single level, which is _level's own arrays.  Callers keep a table at
@@ -490,10 +492,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         nonlocal colv
         k = hi - lo
         for j in range(min(s, k - s) + 1 if p == 2 else s + 1):  # level s, or the one it complements, and those below
-            top1 = (True,) if one and j == s > 0 else ()  # at odd p, level s of top digit 1
-            key = (lo, hi, j, *top1)
+            key = (lo, hi, j, True) if one and j == s > 0 else (lo, hi, j)  # at odd p, level s of top digit 1
             if key not in tables:
-                _, _, src, vertex = _level(lo, hi, j, *kind, *top1)
+                _, _, src, vertex = _level(lo, hi, j, *kind, *key[3:])
                 if not j:
                     tables[lo, hi, j] = level0
                 elif p == 2:
@@ -566,6 +567,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     yield x, gz, rows
                     continue
                 for c in range(min(a, n - w0 - w1) + 1):
+                    # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2
+                    values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p)] * (c > 0)
                     for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
                         if p == 2:  # each vertex of B flips every bit of rank(A), each of C every bit of
                             # rank(A | B): reversed tables keep the chunk in ascending rank
@@ -576,8 +579,6 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                             g1, r1 = factor(w0, w0 + w1, j, j, one and not c, high=True)
                         size, step = len(r0), _BLOCK // len(r0)
                         for high in itertools.combinations(range(w0 + w1, n), c):
-                            # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2
-                            values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p)] * (c > 0)
                             for digits in itertools.product(*values):
                                 if p == 2:
                                     cx = cg = cr = 0

@@ -102,9 +102,10 @@ def _fits_int64(v) -> bool:
 
 
 def _int64s(c, what: str) -> np.ndarray:
-    """The entries of c as an int64 array (c itself when it is one), each an integer that int64 holds exactly.
+    """The entries of c as int64, each an integer that int64 holds exactly.
 
-    Integral floats, as in np.zeros((3, 3)), pass.  A cast would read a
+    An int64 array comes back as itself.  Integral floats, as in
+    np.zeros((3, 3)), pass.  A cast would read a
     uint64 2**64 - 1 as -1 and 2.9 as 2, and a Python int past 64 bits or
     a complex number would raise OverflowError or TypeError: here each
     raises ValueError, naming what.
