@@ -386,11 +386,10 @@ def _residue_blocks(d, p: int, chunks):
     -Gamma x_hi mod p, and a mark in [2p, 3p] where x_hi is nonzero, or is
     None for the one x_hi = 0; rows are as at p = 2.  The target
     d - Gamma x_hi mod p is min(s, s - p) of s = d + hi, where a mark stays
-    at or above p, and
-    vertex j counts where lo and the target differ: z_j != 0, or a mark on
-    either side (the marks of x_lo and x_hi never share a vertex).  One
-    uint8 array is yielded per chunk: shape
-    (c1 c0,) for a 1-D d and (len(rows), c1 c0) for a stack.
+    at or above p, and vertex j counts where lo and the target differ:
+    z_j != 0, or a mark on either side (the marks of x_lo and x_hi never
+    share a vertex).  One uint8 array is yielded per chunk: shape (c1 c0,)
+    for a 1-D d and (len(rows), c1 c0) for a stack.
     """
     lead = (1,) * (d.ndim - 1)  # the row axis of a stack
     dv = d.T.astype(np.min_scalar_type(4 * p))[..., None]  # vertex axis first: (n, 1) or (n, r, 1)
@@ -470,7 +469,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
     powers = _powers(p)[:n]  # p**n < 2**64: every digit of a rank
-    tables = {}  # Gamma x of each level and pattern table walked, keyed like _level and _patterns
+    tables = {}  # Gamma x of each level and pattern table walked, and at odd p its factors
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         kind = (dt,)  # the level tables' key after s: masks and ranks of dtype dt
