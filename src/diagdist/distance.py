@@ -37,15 +37,14 @@ exactly the first minimizer of the fixed order: the Gray rank
 t = gray^-1(x) at p = 2, linear over GF(2), and the odometer index
 t = sum x_j p**j at odd p, held exactly in uint64 below p**n < 2**64.
 The level tables, every x of a level with its rank, depend on n, p and
-_BLOCK alone and are built once per process from the level below (at
-p = 2 a level above k/2 of k vertices complements level k - s instead, so
-no table is built through one longer than itself).  Per graph, Gamma x of
-a level follows the same path, one gather and one XOR or add from the
-level it is built from, and only for the levels walked.  Small
-consecutive levels share one chunk.  A level of more than _BLOCK
-candidates is walked as products of two band tables, with the vertices
-above both bands, and their values, walked in Python, so no chunk holds
-more than _BLOCK candidates per row.
+_BLOCK alone and are built once per process, by one recipe at every p,
+each from the level below.  Per graph, Gamma x of a level follows the
+same path, one gather and one XOR or add from the level below, and only
+for the levels walked.  Small consecutive levels share one chunk.  From
+the first level of more than _BLOCK candidates on, every level is walked
+as products of two band tables, with the vertices above both bands, and
+their values, walked in Python, so no chunk holds more than _BLOCK
+candidates per row and no table is built through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -239,64 +238,50 @@ def _bitmasks(a: np.ndarray):
 def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
     """The x on range(lo, hi) with s nonzero entries, by ascending rank: (masks, ranks, src, vertex).
 
-    At p = 2 the masks are bitmasks of dtype dt, and the Gray rank
-    t = gray^-1(x) is linear over GF(2): the XOR of its vertices' ranks,
-    rank(e_j) = 2**(j + 1) - 1.  With k = hi - lo, a level s <= k / 2
-    extends each subset of level s - 1 by every vertex above its top one:
-    entry i is entry src[i] of level s - 1 plus vertex[i], its top vertex.
-    A level s > k / 2 holds the complements in range(lo, hi) of level
-    k - s: entry i is the complement of its entry src[i], and vertex is
-    None.  So Gamma x of a level is one gather and one XOR from a level no
-    longer than it, and building a level only builds such levels.
+    At p = 2 the masks are bitmasks of dtype dt, and the rank is the Gray
+    rank t = gray^-1(x), linear over GF(2): the XOR of its vertices' ranks,
+    rank(e_j) = 2**(j + 1) - 1.  At odd p the masks are bools of shape
+    (hi - lo, len), True where x_j != 0 (row j - lo), and the rank is the
+    odometer index t = sum x_j p**j.  Ranks are of dtype dt.
 
-    At odd p the masks are bools of shape (k, len), True where x_j != 0
-    (row j - lo), and the rank is the odometer index t = sum x_j p**j, of
-    dtype dt.  Entry i is entry src[i] of level s - 1 plus the digit v at a
-    vertex j above its top one, and vertex[i] = j (p - 1) + v - 1 is its
-    column of the searcher's column multiples.  The x of level s - 1 whose
-    top vertex is below j have t < p**j, a prefix of that level, so the
-    level lists, for j and then v ascending, that prefix plus v p**j: in
-    ascending order with no sort.  With one, only v = 1 is taken: the x
-    whose top digit is 1, a 1 / (p - 1) share of the level.
+    One recipe builds every level s >= 1 at every p.  Entry i is entry
+    src[i] of level s - 1 plus the digit v at a vertex j above its top
+    one, and vertex[i] = j (p - 1) + v - 1 is its column of the searcher's
+    column multiples (j itself at p = 2).  The x of level s - 1 whose top
+    vertex is below j have t < p**j, a prefix of that level, so the level
+    lists, for j and then v ascending, that prefix with v at j: in
+    ascending order with no sort.  At odd p adding v at j adds v p**j to
+    each rank, so the prefix keeps its order.  At p = 2 it maps rank
+    t < 2**j to 2**(j + 1) - 1 - t, so the prefix is taken reversed.  With
+    one, only v = 1 is taken: the x whose top digit is 1, a 1 / (p - 1)
+    share of the level.  So Gamma x of a level is one gather and one XOR
+    or add from the level below.
 
     src and vertex stay intp: take casts a narrower index at about twice
     the cost.  The arrays depend on the arguments alone; each process
     builds them once, every search shares them read-only, and maxsize
     bounds the memo.
     """
-    k = hi - lo
     if s == 0:
-        masks = np.zeros((k, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
+        masks = np.zeros((hi - lo, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
         ranks = np.zeros(1, dtype=dt)
-        src, vertex = np.zeros(1, dtype=np.intp), np.full(1, lo - 1, dtype=np.intp)
-    elif p > 2:
-        pm, pr = _level(lo, hi, s - 1, dt, p)[:2]
+        src = vertex = np.zeros(1, dtype=np.intp)
+    else:
+        pm, pr = (_level(lo, hi, s - 1, dt, p) if p > 2 else _level(lo, hi, s - 1, dt))[:2]  # the searcher's keys
         tops, vs = [p**j for j in range(lo, hi)], range(1, 2 if one else p)
         counts = np.searchsorted(pr, np.array(tops, dtype=dt)).repeat(len(vs))  # per (j, v): the x below vertex j
-        src = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # the place in its group
+        src = at if p > 2 else np.repeat(counts - 1, counts) - at  # at p = 2 the prefix reversed
         vertex = np.array([j * (p - 1) + v - 1 for j in range(lo, hi) for v in vs], dtype=np.intp).repeat(counts)
-        ranks = pr[src] + np.array([v * q for q in tops for v in vs], dtype=dt).repeat(counts)
-        masks = pm[:, src]
-        masks[vertex // (p - 1) - lo, np.arange(len(src))] = True
-    elif 2 * s > k:
-        cm, cr = _level(lo, hi, k - s, dt)[:2]
-        full = (1 << hi) - (1 << lo)
-        rank_full = functools.reduce(int.__xor__, [(2 << v) - 1 for v in range(lo, hi)])
-        ranks = cr ^ dt(rank_full)
-        src, vertex = np.argsort(ranks), None
-        masks, ranks = (cm ^ dt(full))[src], ranks[src]
-    else:
-        pm, pr, _, top = _level(lo, hi, s - 1, dt)
-        counts = hi - 1 - top  # the vertices above each subset's top one
-        src = np.repeat(np.arange(len(pm)), counts)
-        vertex = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts - top - 1, counts)
-        bits = _BITS[vertex].astype(dt)
-        ranks = pr[src] ^ (bits << 1) - 1  # bit 31 of uint32 shifts out: the rank wraps to 2**32 - 1
-        order = np.argsort(ranks)
-        masks, ranks, src, vertex = (pm[src] | bits)[order], ranks[order], src[order], vertex[order]
+        if p > 2:
+            ranks = pr[src] + np.array([v * q for q in tops for v in vs], dtype=dt).repeat(counts)
+            masks = pm[:, src]
+            masks[vertex // (p - 1) - lo, np.arange(len(src))] = True
+        else:
+            ranks = pr[src] ^ np.array([2 * q - 1 for q in tops], dtype=dt).repeat(counts)
+            masks = pm[src] | np.array(tops, dtype=dt).repeat(counts)
     for t in (masks, ranks, src, vertex):
-        if t is not None:
-            t.setflags(write=False)
+        t.setflags(write=False)
     return masks, ranks, src, vertex
 
 
@@ -333,12 +318,12 @@ def _level_plan(n: int, p: int, block: int) -> tuple[tuple[tuple[int, int | None
     or 0..4, which nearly every row of a code's stack walks, and a run as
     long as a block would weigh, for all 64 rows, levels that most rows
     never reach.  An entry (s, None) is a level walked as products of two
-    band tables (see walk in _searcher): at p = 2 a level of more than
-    block subsets, and at odd p every level from the first such one on,
-    since an odd-p level is built from the level below, and the top
-    levels, small again, would be built through the large ones (at p = 2
-    they are complements).  The band width is the most vertices whose
-    every level fits block: 0 when one vertex's p - 1 values do not.
+    band tables (see walk in _searcher): every level from the first one of
+    more than block candidates on, since a level is built from the level
+    below, and the top levels, small again, would be built through the
+    large ones.  The band width is the most vertices whose every level
+    fits block: 0 when one vertex's p - 1 values do not, and then the walk
+    takes the top vertex's values in slices of block.
     """
 
     def size(s):
@@ -348,7 +333,7 @@ def _level_plan(n: int, p: int, block: int) -> tuple[tuple[tuple[int, int | None
     while s <= n:
         a, total = s, size(s)
         s += 1
-        small = total <= block and (small or p == 2)
+        small = small and total <= block
         if small:
             while s <= n and total + size(s) <= block // n:
                 total += size(s)
@@ -483,31 +468,27 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         colv = None  # column j (p - 1) + v - 1: v Gamma[:, j] mod p, built when a table first needs it
 
     def gamma_x(lo, hi, s, one=False):
-        """Gamma x of _level(lo, hi, s, .., one), built on first use with the levels it is built from.
+        """Gamma x of _level(lo, hi, s, .., one), built on first use, each level from the one below.
 
         A loop, not a recursion: a nested function that calls itself is a
         reference cycle, which would keep every table until the collector runs.
         """
         nonlocal colv
-        k = hi - lo
-        for j in range(min(s, k - s) + 1 if p == 2 else s + 1):  # level s, or the one it complements, and those below
+        for j in range(s + 1):  # level s and those below it
             key = (lo, hi, j, True) if one and j == s > 0 else (lo, hi, j)  # at odd p, level s of top digit 1
             if key not in tables:
                 _, _, src, vertex = _level(lo, hi, j, *kind, *key[3:])
                 if not j:
-                    tables[lo, hi, j] = level0
+                    tables[key] = level0
                 elif p == 2:
-                    tables[lo, hi, j] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex)
+                    tables[key] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex)
                 else:
                     if colv is None:  # p - 1 <= _BLOCK here: one vertex's values fit a table
                         colv = ((gamma[:, :, None] * np.arange(1, p)).reshape(n, -1) % p).astype(dt)
                     gz = tables[lo, hi, j - 1].take(src, axis=1)
                     gz += colv.take(vertex, axis=1)
                     tables[key] = np.minimum(gz, gz - p, out=gz)  # a sum of two residues is below 2p
-        if p == 2 and (lo, hi, s) not in tables:  # the complements of level k - s: Gamma of range(lo, hi), less Gamma y
-            src = _level(lo, hi, s, dt)[2]
-            tables[lo, hi, s] = (tables[lo, hi, k - s] ^ dt(functools.reduce(int.__xor__, cols[lo:hi]))).take(src)
-        return tables[key] if p > 2 else tables[lo, hi, s]
+        return tables[key]
 
     def patterns(lo, hi, a, b, one=False):
         """A pattern table's masks and ranks, and its Gamma x, built on first use."""
@@ -566,8 +547,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     yield x, gz, rows
                     continue
                 for c in range(min(a, n - w0 - w1) + 1):
-                    # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2
-                    values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p)] * (c > 0)
+                    # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2.  At width 0
+                    # (p - 1 > _BLOCK) the top vertex's values go a slice of _BLOCK at a time, from these starts
+                    values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p, 1 if width else _BLOCK)] * (c > 0)
                     for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
                         if p == 2:  # each vertex of B flips every bit of rank(A), each of C every bit of
                             # rank(A | B): reversed tables keep the chunk in ascending rank
@@ -586,6 +568,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                 elif c:  # C's ranks, and -Gamma x_C mod p
                                     cr = sum(v * p**u for u, v in zip(high, digits))
                                     cg = (-(gamma[:, high] @ digits) % p).astype(dt)[:, None]
+                                    if not width:  # as the B table, the slice's offsets m from its start
+                                        u, m = high[-1], np.arange(min(_BLOCK, values[-1].stop - digits[-1]))
+                                        r1, g1 = m.astype(np.uint64) * p**u, (np.outer(gamma[:, u], -m) % p).astype(dt)
                                 for i in range(0, len(r1), step):
                                     ri = r1[i : i + step]
                                     if p == 2:

@@ -27,6 +27,7 @@ from diagdist import (
     SearchTooLarge,
     brute_force_distance,
     brute_force_pairwise,
+    code_distance,
     diagonal_distance,
     generate,
     pairwise_distance,
@@ -202,7 +203,7 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
             yield w
 
     monkeypatch.setattr(D, "_residue_blocks", spy)
-    f = PrimeField(4099)  # above _BLOCK: one vertex's values overflow a chunk, so the walk takes them one by one
+    f = PrimeField(4099)  # above _BLOCK: one vertex's values overflow a chunk, so the walk takes them in slices
     force = SearchConfig(force=True)
     rep = diagonal_distance(generate("edgeless", 1), f)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 1))
@@ -214,3 +215,32 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     sizes.clear()
     diagonal_distance(generate("cycle", 9), PrimeField(3))
     assert sizes == [163, 336]  # levels 0..2 in one table; level 3's 672 x, of which half have top digit 1
+
+
+def test_one_vertex_values_past_the_block_go_in_slices(monkeypatch):
+    """At p - 1 > _BLOCK the band width is 0: level 1 takes its p - 1 values in slices of _BLOCK.
+
+    One chunk per value took 1.9 s for the pairwise search at p = 65,521,
+    and 3.3 s for the code.  The reports are those of that walk.
+    """
+    chunks = []
+    real = D._residue_blocks
+
+    def spy(*args):
+        for w in real(*args):
+            chunks.append(w.shape[-1])
+            yield w
+
+    monkeypatch.setattr(D, "_residue_blocks", spy)
+    p = 65521
+    f, g = PrimeField(p), generate("edgeless", 1)
+    assert D._level_plan(1, p, D._BLOCK) == (((0, 0), (1, None)), 0)
+    most = -(-(p - 1) // D._BLOCK) + 1  # level 0's one chunk, then level 1's slices
+    rep = pairwise_distance(g, f, [1], [0])
+    assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (1, 0), 1)
+    assert len(chunks) <= most and max(chunks) <= D._BLOCK
+    chunks.clear()
+    res = code_distance(g, f, [[0], [1]])
+    got = {pair: (r.distance, r.witness.entries, r.vectors_examined) for pair, r in res.table.items()}
+    assert got == {(1, 1): (1, (0, 1), 1), (1, 2): (1, (p - 1, 0), 1), (2, 2): (1, (0, 1), 1)}
+    assert len(chunks) <= most and max(chunks) <= D._BLOCK

@@ -47,10 +47,11 @@ def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
     """d = all ones weighs n at every x of an edgeless graph, so the walk reaches level n.
 
     The least rank among the ties is x = 0.  The top levels, of a few
-    subsets each, are built as complements of the bottom ones, never
-    through the 2**n subsets below them, so the search's memory stays near
-    its per-chunk buffers and tables of at most _BLOCK entries: about
-    0.7 MiB at its peak, where one 2**24-entry table of uint32 takes 64 MiB.
+    subsets each, are walked as band products like the large levels below
+    them, never built through the 2**n subsets below them, so the search's
+    memory stays near its per-chunk buffers and tables of at most _BLOCK
+    entries: about 0.7 MiB at its peak, where one 2**24-entry table of
+    uint32 takes 64 MiB.
     """
     n = 24
     g = Multigraph(n, np.zeros((n, n), dtype=np.int64))

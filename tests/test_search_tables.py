@@ -13,6 +13,7 @@ freed when it returns, with no reference cycle.
 
 import gc
 import itertools
+import math
 import random
 
 import numpy as np
@@ -298,12 +299,11 @@ def gray_rank(x):
 def test_levels_hold_every_subset_by_gray_rank(lo, hi):
     """Each level is its subsets sorted by Gray rank, and src and vertex rebuild it.
 
-    (24, 32) sets bit 31 of uint32, whose rank 2**32 - 1 wraps in the
-    shift; (27, 35) crosses into uint64.
+    (24, 32) sets bit 31 of uint32, whose rank is 2**32 - 1; (27, 35)
+    crosses into uint64.
     """
     dt = np.uint32 if hi <= 32 else np.uint64
-    k = hi - lo
-    for s in range(k + 1):
+    for s in range(hi - lo + 1):
         masks, ranks, src, vertex = D._level(lo, hi, s, dt)
         subsets = [sum(1 << v for v in c) for c in itertools.combinations(range(lo, hi), s)]
         want = sorted((gray_rank(x), x) for x in subsets)
@@ -312,14 +312,23 @@ def test_levels_hold_every_subset_by_gray_rank(lo, hi):
         assert masks.tolist() == [x for _, x in want]
         if s == 0:
             continue
-        if 2 * s > k:  # the complements of level k - s
-            assert vertex is None
-            other = D._level(lo, hi, k - s, dt)[0].tolist()
-            assert masks.tolist() == [other[i] ^ (1 << hi) - (1 << lo) for i in src.tolist()]
-        else:  # level s - 1 plus a vertex above its top one
-            below = D._level(lo, hi, s - 1, dt)[0].tolist()
-            for x, i, v in zip(masks.tolist(), src.tolist(), vertex.tolist()):
-                assert x == below[i] | 1 << v and 1 << v > below[i]
+        below = D._level(lo, hi, s - 1, dt)[0].tolist()  # level s - 1 plus a vertex above its top one
+        for x, i, v in zip(masks.tolist(), src.tolist(), vertex.tolist()):
+            assert x == below[i] | 1 << v and 1 << v > below[i]
+
+
+def test_levels_past_the_block_are_walked_as_band_products():
+    """From the first level past _BLOCK on, every level is band products, the small top ones too.
+
+    So no level table is built through a larger one, at any p.  At p = 2
+    and n = 24 that first level is C(24, 4) = 10,626.
+    """
+    runs, width = D._level_plan(24, 2, D._BLOCK)
+    assert runs == ((0, 1), (2, 2), (3, 3)) + tuple((s, None) for s in range(4, 25))
+    assert width == 14  # C(14, 7) = 3,432 fits a block, and C(15, 7) does not
+    runs = D._level_plan(12, 3, D._BLOCK)[0]
+    first = next(s for s in range(13) if math.comb(12, s) * 2**s > D._BLOCK)
+    assert runs[-(13 - first) :] == tuple((s, None) for s in range(first, 13))
 
 
 def test_searches_leave_no_reference_cycles():
@@ -340,7 +349,7 @@ def test_searches_leave_no_reference_cycles():
             diagonal_distance(g, f)
             words = [np.array([rng.randrange(p) for _ in range(g.n)]) for _ in range(4)]
             code_distance(g, f, words)
-        edgeless = Multigraph(n, np.zeros((n, n), dtype=np.int64))  # every level, the complements too
+        edgeless = Multigraph(n, np.zeros((n, n), dtype=np.int64))  # every level, each built from the one below
         pairwise_distance(edgeless, PrimeField(2), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
         assert gc.collect() == 0
     finally:
