@@ -36,15 +36,19 @@ Of a row's least-weight candidates it keeps the least rank t, which is
 exactly the first minimizer of the fixed order: the Gray rank
 t = gray^-1(x) at p = 2, linear over GF(2), and the odometer index
 t = sum x_j p**j at odd p, held exactly in uint64 below p**n < 2**64.
-The level tables, every x of a level with its rank, depend on n, p and
+Only level w* can tie the best, and a tie must have a lower rank to win,
+so a row is also done before level w* when its best rank is at most that
+level's least.  The level tables, every x of a level with its rank, and
+for each table the columns of each x's nonzero digits, depend on n, p and
 _BLOCK alone and are built once per process, by one recipe at every p,
-each from the level below.  Per graph, Gamma x of a level follows the
-same path, one gather and one XOR or add from the level below, and only
-for the levels walked.  Small consecutive levels share one chunk.  From
-the first level of more than _BLOCK candidates on, every level is walked
-as products of two band tables, with the vertices above both bands, and
-their values, walked in Python, so no chunk holds more than _BLOCK
-candidates per row and no table is built through a larger one.
+each from the level below.  Per graph, Gamma x of a table is one gather
+of those columns from a table of Gamma's columns and their multiples, and
+one XOR or add mod p, only for the tables walked.  Small consecutive
+levels share one chunk.  From the first level of more than _BLOCK
+candidates on, every level is walked as products of two band tables,
+with the vertices above both bands, and their values, walked in Python,
+so no chunk holds more than _BLOCK candidates per row and no table is
+built through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -246,16 +250,16 @@ def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
 
     One recipe builds every level s >= 1 at every p.  Entry i is entry
     src[i] of level s - 1 plus the digit v at a vertex j above its top
-    one, and vertex[i] = j (p - 1) + v - 1 is its column of the searcher's
-    column multiples (j itself at p = 2).  The x of level s - 1 whose top
-    vertex is below j have t < p**j, a prefix of that level, so the level
-    lists, for j and then v ascending, that prefix with v at j: in
-    ascending order with no sort.  At odd p adding v at j adds v p**j to
-    each rank, so the prefix keeps its order.  At p = 2 it maps rank
-    t < 2**j to 2**(j + 1) - 1 - t, so the prefix is taken reversed.  With
-    one, only v = 1 is taken: the x whose top digit is 1, a 1 / (p - 1)
-    share of the level.  So Gamma x of a level is one gather and one XOR
-    or add from the level below.
+    one, and vertex[i] = j (p - 1) + v - 1 (j itself at p = 2) is one
+    less than its entry in the searcher's column table.  The x of level
+    s - 1 whose top vertex is below j have t < p**j, a prefix of that
+    level, so the level lists, for j and then v ascending, that prefix
+    with v at j: in ascending order with no sort.  At odd p adding v at j
+    adds v p**j to each rank, so the prefix keeps its order.  At p = 2 it
+    maps rank t < 2**j to 2**(j + 1) - 1 - t, so the prefix is taken
+    reversed.  With one, only v = 1 is taken: the x whose top digit is 1,
+    a 1 / (p - 1) share of the level.  So the digit columns of a level
+    (_columns) are one gather from the level below, and one more row.
 
     src and vertex stay intp: take casts a narrower index at about twice
     the cost.  The arrays depend on the arguments alone; each process
@@ -305,6 +309,71 @@ def _patterns(lo: int, hi: int, a: int, b: int, *kind) -> tuple[np.ndarray, np.n
     for t in (masks, ranks, order):
         t.setflags(write=False)
     return masks, ranks, order
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(lo: int, hi: int, a: int, b: int, *kind) -> np.ndarray:
+    """For each x of _patterns(lo, hi, a, b, *kind), in its order, the columns of its nonzero digits.
+
+    Shape (max(b, 1), len), of intp.  The digit v at vertex j is entry
+    1 + j (p - 1) + v - 1 of the searcher's column table, which holds
+    v Gamma[:, j] mod p there (the bit mask of Gamma[:, j] at 1 + j when
+    p = 2), and entry 0, a zero column, pads the rows of the x with fewer
+    than max(b, 1) nonzero digits: level 0, of one x with none, needs one
+    row.
+    So Gamma x of a table is one take and one XOR or add down the rows.
+    A level's rows follow _level's recipe: those of entry src[i] of the
+    level below, from its own memo entry, and vertex[i] + 1.  A run of
+    levels pads each level's rows and lays them out in the run's order.
+    The table depends on the arguments alone; each process builds it
+    once, every search shares it read-only, and maxsize bounds the memo.
+    """
+    if a < b:
+        levels = [_columns(lo, hi, s, s, *kind) for s in range(a, b + 1)]
+        pad = [np.zeros((b - len(t), t.shape[1]), dtype=np.intp) for t in levels]
+        idx = np.concatenate([np.concatenate(t) for t in zip(pad, levels)], axis=1)
+        idx = idx.take(_patterns(lo, hi, a, b, *kind)[2], axis=1)
+    elif b == 0:
+        idx = np.zeros((1, 1), dtype=np.intp)
+    else:
+        src, vertex = _level(lo, hi, b, *kind)[2:]
+        idx = np.empty((b, len(src)), dtype=np.intp)
+        np.add(vertex, 1, out=idx[-1])
+        if b > 1:  # the level below, of every top digit
+            _columns(lo, hi, b - 1, b - 1, *kind[:2]).take(src, axis=1, out=idx[:-1])
+    idx.setflags(write=False)
+    return idx
+
+
+def _gamma_x(colv: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """Gamma x of each x whose digit columns idx lists (_columns), from a graph's column table colv.
+
+    One take and one reduction down the rows of idx: at p = 2 an XOR of
+    the bitmasks colv holds, and at odd p, where colv holds one column of
+    Gamma's multiples per row (each row a contiguous run of n residues),
+    an add in a dtype that holds a sum of len(idx) residues, taken mod p
+    by subtracting p times each power of two that fits, largest first
+    (an unsigned min(s, s - m p) per power: numpy's % on small unsigned
+    integers costs several times as much), and laid out vertex axis
+    first.  The result is fresh, so a caller may write into it.
+    """
+    if p == 2:
+        return np.bitwise_xor.reduce(colv.take(idx), axis=0)
+    total = np.promote_types(np.min_scalar_type(len(idx) * (p - 1)), colv.dtype)
+    gz = np.add.reduce(colv.take(idx, axis=0), axis=0, dtype=total)  # shape (len, n)
+    m = 1 << (len(idx) * (p - 1) // p).bit_length() >> 1  # the largest power of 2 with m p <= the largest sum, or 0
+    while m:  # each step leaves every sum below m p
+        np.minimum(gz, gz - m * p, out=gz)
+        m >>= 1
+    return np.ascontiguousarray(gz.T, dtype=colv.dtype)
+
+
+def _least_rank(p: int, s: int) -> int:
+    """The least rank in level s: that of the x with digit 1 at vertices 0 .. s - 1, and 0 elsewhere.
+
+    gray^-1 of 2**s - 1 at p = 2, and sum p**j over j < s at odd p.
+    """
+    return 2 ** (s + 1) // 3 if p == 2 else (p**s - 1) // (p - 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -392,21 +461,40 @@ def _reports(witnesses, weights, examined) -> list[DistanceReport]:
 
     The search built each witness with 2n entries and re-verified it, so
     the frozen classes' __init__ and __post_init__ (the length check) are
-    skipped: each instance comes from object.__new__ and gets its fields
-    from object.__setattr__, as __init__ gives them.  Field by field, not
-    as a fresh __dict__, which would more than double each pair's memory.
+    skipped: each instance comes from object.__new__ and gets the fields
+    __init__ gives it.  The vector's one field goes in by
+    object.__setattr__, and the report's three by item into its __dict__,
+    which keeps the class's shared keys: on Python 3.11 that dict, made on
+    first access, adds about 64 bytes to a report whose values would
+    otherwise sit inline, and a code-pairs pass took about 2% less time.
+    A fresh dict per instance would more than double each pair's memory.
     """
     new, put = object.__new__, object.__setattr__
     out = []
-    for e, w, c in zip(witnesses, weights, examined):
+    for e, w, c in zip(map(tuple, witnesses), weights, examined):
         v = new(SymplecticVector)
-        put(v, "entries", tuple(e))
+        put(v, "entries", e)
         rep = new(DistanceReport)
-        put(rep, "distance", w)
-        put(rep, "witness", v)
-        put(rep, "vectors_examined", c)
+        fields = rep.__dict__
+        fields["distance"] = w
+        fields["witness"] = v
+        fields["vectors_examined"] = c
         out.append(rep)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Every pair r <= s of k codewords in scan order, 1-based, and its r and its s, 0-based, as arrays.
+
+    It depends on k alone, so each process builds it once per k, shared
+    read-only; maxsize bounds the memo.
+    """
+    pairs = [(r, s) for r in range(k) for s in range(r, k)]
+    first, second = (np.array(t, dtype=np.intp) for t in zip(*pairs))
+    for t in (first, second):
+        t.setflags(write=False)
+    return tuple((r + 1, s + 1) for r, s in pairs), first, second
 
 
 @functools.lru_cache(maxsize=16)
@@ -425,10 +513,12 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the per-graph tables once.
 
     What depends on p and _BLOCK alone, the level and pattern tables
-    (_level, _patterns), the level plan (_level_plan) and the witness's
-    digit powers (_powers), is built once per process and shared
-    read-only; _BLOCK is read at each call.  Per graph, Gamma x of each
-    level and pattern table walked is built on first use.
+    (_level, _patterns) and their digit columns (_columns), the level plan
+    (_level_plan) and the witness's digit powers (_powers), is built once
+    per process and shared read-only; _BLOCK is read at each call.  Per
+    graph, the column table (0, then Gamma's columns and, at odd p, their
+    multiples) is built once, and Gamma x of each pattern table walked on
+    first use, by one gather (_gamma_x).
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -454,98 +544,81 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
     powers = _powers(p)[:n]  # p**n < 2**64: every digit of a rank
-    tables = {}  # Gamma x of each level and pattern table walked, and at odd p its factors
+    tables = {}  # at p = 2 each pattern table walked with its Gamma x, and at odd p each factor
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         kind = (dt,)  # the level tables' key after s: masks and ranks of dtype dt
         cols = _bitmasks(gamma.T)  # Gamma's columns as masks
-        colv = np.array(cols, dtype=dt)
-        level0 = np.zeros(1, dtype=dt)  # Gamma x of x = 0
+        colv = np.array([0] + cols, dtype=dt)  # the column table: 0, then column j at 1 + j
     else:
         dt = np.min_scalar_type(4 * p)  # holds d + 3p, the most the weigher reduces
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
-        level0 = np.zeros((n, 1), dtype=dt)
-        colv = None  # column j (p - 1) + v - 1: v Gamma[:, j] mod p, built when a table first needs it
+        colv = np.zeros((1, n), dtype=dt)  # past _BLOCK (width 0) only level 0 is gathered
+        if p - 1 <= _BLOCK:  # row 1 + j (p - 1) + v - 1: v Gamma[:, j] mod p
+            colv = np.concatenate([colv, (gamma.T[:, None] * np.arange(1, p)[:, None] % p).reshape(-1, n).astype(dt)])
 
-    def gamma_x(lo, hi, s, one=False):
-        """Gamma x of _level(lo, hi, s, .., one), built on first use, each level from the one below.
-
-        A loop, not a recursion: a nested function that calls itself is a
-        reference cycle, which would keep every table until the collector runs.
-        """
-        nonlocal colv
-        for j in range(s + 1):  # level s and those below it
-            key = (lo, hi, j, True) if one and j == s > 0 else (lo, hi, j)  # at odd p, level s of top digit 1
-            if key not in tables:
-                _, _, src, vertex = _level(lo, hi, j, *kind, *key[3:])
-                if not j:
-                    tables[key] = level0
-                elif p == 2:
-                    tables[key] = tables[lo, hi, j - 1].take(src) ^ colv.take(vertex)
-                else:
-                    if colv is None:  # p - 1 <= _BLOCK here: one vertex's values fit a table
-                        colv = ((gamma[:, :, None] * np.arange(1, p)).reshape(n, -1) % p).astype(dt)
-                    gz = tables[lo, hi, j - 1].take(src, axis=1)
-                    gz += colv.take(vertex, axis=1)
-                    tables[key] = np.minimum(gz, gz - p, out=gz)  # a sum of two residues is below 2p
-        return tables[key]
-
-    def patterns(lo, hi, a, b, one=False):
-        """A pattern table's masks and ranks, and its Gamma x, built on first use."""
-        key = lo, hi, a, b, one
+    def patterns(lo, hi, a, b):
+        """At p = 2, a pattern table's masks and ranks, and its Gamma x, built on first use."""
+        key = lo, hi, a, b
         if key not in tables:
-            masks, ranks, order = _patterns(lo, hi, a, b, *kind, *((True,) if one else ()))
-            gz = [gamma_x(lo, hi, s, one) for s in range(a, b + 1)]
-            tables[key] = masks, ranks, gz[0] if order is None else np.concatenate(gz, axis=-1).take(order, axis=-1)
+            tables[key] = *_patterns(*key, dt)[:2], _gamma_x(colv, _columns(*key, dt), p)
         return tables[key]
 
-    def factor(*key, high=False):
+    def factor(lo, hi, a, b, one=False, high=False):
         """At odd p, a pattern table as a factor of the weigher, with its ranks, built on first use.
 
-        key is patterns'.  The low factor holds Gamma x mod p, and p where x
-        is nonzero; the high factor holds -Gamma x mod p, and 3p where x is
-        nonzero.
+        The low factor holds Gamma x mod p, and p where x is nonzero; the
+        high factor holds -Gamma x mod p, and 3p where x is nonzero.
         """
-        fkey = (high, *key)
-        if fkey not in tables:
-            marks, ranks, gz = patterns(*key)
+        key = (lo, hi, a, b, *kind, *((True,) if one else ()))
+        if (high, key) not in tables:
+            marks, ranks = _patterns(*key)[:2]
+            gz = _gamma_x(colv, _columns(*key), p)
             if high:
-                gz = p - gz  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
+                np.subtract(p, gz, out=gz)  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
                 np.minimum(gz, gz - p, out=gz)
-            else:
-                gz = gz.copy()
-            np.copyto(gz[key[0] : key[1]], dt.type(3 * p if high else p), where=marks)
-            tables[fkey] = gz, ranks
-        return tables[fkey]
+            np.copyto(gz[lo:hi], dt.type(3 * p if high else p), where=marks)
+            tables[high, key] = gz, ranks
+        return tables[high, key]
 
     def walk(d, r, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
 
         Each candidate weighs at least |supp x|, so a row whose best weight
-        is below level a is done: it drops out of the stack's later chunks,
-        and the walk ends when every row has.  Every chunk lists its
-        candidates by ascending rank, so a row's first argmin in a chunk is
-        its least rank among the chunk's ties; a tie with an earlier chunk
-        goes to the lesser rank.
+        is below level a is done, and only level a can tie a best of weight
+        a, with a rank no less than the level's least (_least_rank): a row
+        is also done when its best weight is a and its best rank at most
+        that.  A done row drops out of the stack's later chunks, checked at
+        each run's start and after each chunk, and the walk ends when every
+        row has.  Every chunk lists its candidates by ascending rank, so a
+        row's first argmin in a chunk is its least rank among the chunk's
+        ties; a tie with an earlier chunk goes to the lesser rank.
         """
         runs, width = _level_plan(n, p, _BLOCK)
         w0 = min(n, width)  # a level past _BLOCK: x = A + B + C, with A and B from tables of the
         w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
-        top, rank_at, rows = n + 1, None, None  # for the chunk being weighed: its ranks, and its rows
+        rank_at = rows = band = None  # for the chunk being weighed: its ranks, its rows, and its band level
+        over = False  # set by the weighing below when no row may still improve in the band level
         one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
 
+        def done(a, least):
+            """Whether no row may still improve at level a, whose least rank is least."""
+            return best_w < a or best_w == a and best_t <= least if d.ndim == 1 else not len(rows)
+
         def chunks():
-            nonlocal rank_at, rows
+            nonlocal rank_at, rows, band
             for a, b in runs:
-                if a > top:  # every row's best is below level a
+                least = _least_rank(p, a)
+                if d.ndim == 2:  # the rows that level a may improve: best weight a, if at a rank above least
+                    rows = np.flatnonzero(best_w - (best_t <= least) >= a)
+                if done(a, least):
                     return
-                if d.ndim == 2:
-                    rows = np.flatnonzero(best_w >= a)  # the rows that level a may improve
                 if b is not None:  # levels a..b in one table
                     x, rk, gz = patterns(0, n, a, b) if p == 2 else (*factor(0, n, a, b, one and a == b), None)
                     rank_at = rk.__getitem__
                     yield x, gz, rows
                     continue
+                band = a, least  # a level of many chunks: rows may be done before its last
                 for c in range(min(a, n - w0 - w1) + 1):
                     # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2.  At width 0
                     # (p - 1 > _BLOCK) the top vertex's values go a slice of _BLOCK at a time, from these starts
@@ -579,6 +652,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                             xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
                                         rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
                                         yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
+                                        if over:
+                                            return
                                     else:
                                         hi = g1[:, i : i + step] if c or j else None  # None: x_hi = 0
                                         if c:  # a mark 3p stays at 2p or above
@@ -587,6 +662,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                             hi[high, :] = 2 * p
                                         rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] + r0[k % size]
                                         yield x0, hi, rows
+                                        if over:
+                                            return
 
         weights = _level_blocks(d, dt, chunks()) if p == 2 else _residue_blocks(d, p, chunks())
         if d.ndim == 1:  # one row: Python ints
@@ -599,7 +676,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     t = int(rank_at(i))
                     if w.item(i) < best_w or t < best_t:
                         best_w, best_t = w.item(i), t
-                        top = best_w
+                        if band is not None:
+                            over = done(*band)
             return [best_w], [best_t]
         best_w = np.full(r, n + 1, dtype=np.int64)
         best_t = np.zeros(r, dtype=kind[0])
@@ -607,15 +685,19 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             if zero:  # the first chunk weighs every row
                 w[0, 0], zero = n + 1, False
             i = w.argmin(axis=1)
-            least, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
-            hit = least <= bw
+            low, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
+            hit = low <= bw
             if not hit.any():
                 continue
             t = rank_at(i)
-            better = hit & ((least < bw) | (t < bt))
-            best_w[rows] = np.where(better, least, bw)
+            better = hit & ((low < bw) | (t < bt))
+            best_w[rows] = np.where(better, low, bw)
             best_t[rows] = np.where(better, t, bt)
-            top = int(best_w.max())
+            if band is not None:  # a row done within a band level drops out of its later chunks
+                fin = better & (low == band[0]) & (t <= band[1])
+                if fin.any():
+                    rows = rows[~fin]
+                    over = done(*band)
         return best_w.tolist(), best_t.tolist()
 
     def search(d: np.ndarray):
@@ -683,7 +765,10 @@ def code_distance(
     distinct differences go in stacks of at most _ROWS = 64 rows, each
     weighed in one block pass, with d = 0 (every (r, r) entry) at the head
     of the first: up to 11 codewords (at most 55 distinct nonzero
-    differences) take one pass, and 12 take two, of 64 and 3 rows.  When
+    differences) take one pass, and 12 take two, of 64 and 3 rows.  The
+    searcher is built first: its budget check guarantees p**n < 2**64, so
+    each difference is keyed exactly by the integer sum d_j p**j, and the
+    pairs come from a memo per number of codewords (_pairs).  When
     d = 0 is the only distinct difference (one codeword, or equal ones) it
     is searched alone, as a 1-D d: a (1, n) stack of it took 10-20% longer,
     from its 2-D per-block operations.  Every report equals
@@ -692,15 +777,15 @@ def code_distance(
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
-    reduced = np.array([_residues(c, f.p, g.n) for c in codewords])  # so cr - cs fits int64
-    search = _searcher(g, f, cfg)
-    k = len(reduced)
-    pairs = [(r, s) for r in range(k) for s in range(r, k)]  # every pair r <= s, in scan order
-    diffs = ((reduced[:, None] - reduced) % f.p).reshape(k * k, g.n)  # row r * k + s: cr - cs
-    raw, size = diffs.tobytes(), diffs.strides[0]
-    first: dict[bytes, int] = {}  # the bytes of a difference -> its row for the first pair
-    rows = [r * k + s for r, s in pairs]
-    which = [first.setdefault(raw[i * size : (i + 1) * size], i) for i in rows]
+    n, p = g.n, f.p
+    search = _searcher(g, f, cfg)  # its budget check guarantees p**n < 2**64, so the keys below are exact
+    reduced = np.array([_residues(c, p, n) for c in codewords])  # so cr - cs fits int64
+    pairs, first_word, second_word = _pairs(len(reduced))
+    diffs = reduced.take(first_word, axis=0) - reduced.take(second_word, axis=0)  # row i: the difference of pairs[i]
+    diffs %= p
+    keys = (diffs.astype(np.uint64) @ _powers(p)[:n]).tolist()  # sum d_j p**j: one int per difference
+    first: dict[int, int] = {}  # the key of a difference -> the index of its first pair
+    which = [first.setdefault(key, i) for i, key in enumerate(keys)]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
     if len(distinct) == 1:  # d = 0 alone: the 1-D search, faster per block than a (1, n) stack
         reports = {0: search(diffs[0])}
@@ -709,6 +794,7 @@ def code_distance(
         for c in range(0, len(distinct), _ROWS):
             chunk = distinct[c : c + _ROWS]
             reports.update(zip(chunk, search(diffs[chunk])))
-    table = {(r + 1, s + 1): reports[i] for (r, s), i in zip(pairs, which)}
-    best_pair = min(table, key=lambda pr: table[pr].distance)  # the first minimizer in scan order
-    return CodeDistanceResult(delta=table[best_pair].distance, pair=best_pair, table=table)
+    table = dict(zip(pairs, map(reports.__getitem__, which)))
+    dist = [rep.distance for rep in table.values()]
+    i = dist.index(min(dist))  # the first minimizer in scan order
+    return CodeDistanceResult(delta=dist[i], pair=pairs[i], table=table)

@@ -58,3 +58,25 @@ def random_connected_graph(rng, n):
         if u != v:
             mult[u, v] = mult[v, u] = 1
     return Multigraph(n, mult)
+
+
+def last_level(rep, p: int) -> int:
+    """The last support level a search walks to reach rep, when no chunk of that level holds the witness.
+
+    Only level w* = rep.distance can tie the best weight, and a tie must
+    have a lower rank to win, so the walk skips level w* when the
+    witness's rank is below the least rank of level w*, that of the x
+    with digit 1 at vertices 0 .. w* - 1: the Gray rank at p = 2, the
+    odometer index at odd p.
+    """
+
+    def rank(x):
+        if p > 2:
+            return sum(v * p**j for j, v in enumerate(x))
+        t, mask = 0, sum(1 << j for j, v in enumerate(x) if v)
+        while mask:  # gray^-1: the XOR of every right shift
+            t, mask = t ^ mask, mask >> 1
+        return t
+
+    w = rep.distance
+    return w - (rank(rep.witness.x) < rank([1] * w))

@@ -213,7 +213,10 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 4099, (3, 0, 4098, 0))
     assert max(sizes) <= D._BLOCK
     sizes.clear()
-    diagonal_distance(generate("cycle", 9), PrimeField(3))
+    mult = generate("cycle", 9).mult.copy()  # with chords, so no x below level 3 weighs 3 at a rank below its least, 13
+    mult[[0, 1, 2, 6, 8, 6], [6, 8, 6, 0, 1, 2]] = 1
+    rep = diagonal_distance(Multigraph(9, mult), PrimeField(3))
+    assert rep.distance == 3 and rep.witness.x == (0, 0, 0, 1, 0, 0, 0, 0, 0)  # rank 27
     assert sizes == [163, 336]  # levels 0..2 in one table; level 3's 672 x, of which half have top digit 1
 
 
@@ -244,3 +247,32 @@ def test_one_vertex_values_past_the_block_go_in_slices(monkeypatch):
     got = {pair: (r.distance, r.witness.entries, r.vectors_examined) for pair, r in res.table.items()}
     assert got == {(1, 1): (1, (0, 1), 1), (1, 2): (1, (p - 1, 0), 1), (2, 2): (1, (0, 1), 1)}
     assert len(chunks) <= most and max(chunks) <= D._BLOCK
+
+
+def test_a_row_whose_best_no_x_of_the_next_level_can_beat_is_done(monkeypatch):
+    """A best of weight a ends a row before level a when its rank is at most the level's least.
+
+    At p = 16,777,213 a one-vertex edgeless graph's d = 1 weighs 1 at x = 0,
+    rank 0, and the code's d = 0 weighs 1 at x = 1, rank 1, the least rank
+    of level 1, in level 1's first slice.  The walk used to weigh all 4,096
+    slices of level 1 for both, about half a second each.
+    """
+    chunks = []
+    real = D._residue_blocks
+
+    def spy(*args):
+        for w in real(*args):
+            chunks.append(w.shape)
+            yield w
+
+    monkeypatch.setattr(D, "_residue_blocks", spy)
+    p = 16777213
+    f, g = PrimeField(p), generate("edgeless", 1)
+    rep = pairwise_distance(g, f, [1], [0])
+    assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (1, 0), 1)
+    assert chunks == [(1,)]  # level 0 alone
+    chunks.clear()
+    res = code_distance(g, f, [[0], [1]])
+    got = {pair: (r.distance, r.witness.entries, r.vectors_examined) for pair, r in res.table.items()}
+    assert got == {(1, 1): (1, (0, 1), 1), (1, 2): (1, (p - 1, 0), 1), (2, 2): (1, (0, 1), 1)}
+    assert chunks == [(2, 1), (1, D._BLOCK)]  # level 0, then level 1's first slice for row 0 alone

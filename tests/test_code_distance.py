@@ -159,6 +159,32 @@ def test_pairs_with_equal_differences_share_one_report():
     assert len({id(rep) for rep in res.table.values()}) == len(by_difference)
 
 
+def test_differences_that_differ_at_the_top_vertex_keep_their_own_reports():
+    """Each difference is keyed by sum d_j p**j in uint64: at p = 3 and n = 40 the top digit weighs 3**39.
+
+    On an edgeless graph each difference's report has witness (d | 0), so
+    two differences merged into one key would give one of them the
+    other's witness.  Differences that differ only in the top digit, and
+    (in the low digit) in the last place a float64 key would hold, stay apart.
+    """
+    n, p = 40, 3
+    g = generate("edgeless", n)
+    words = [np.zeros(n, dtype=np.int64) for _ in range(4)]
+    words[1][[0, -1]] = 1, 2
+    words[2][[0, -1]] = 1, 1  # words[0] - words[1] and words[0] - words[2] differ only at vertex 40
+    words[3][[0, -1]] = 2, 2  # and words[0] - words[3] from words[0] - words[1] only at vertex 1
+    res = code_distance(g, PrimeField(p), words, D.SearchConfig(force=True))
+    by_difference = {}
+    for (r, s), rep in res.table.items():
+        d = tuple(((words[r - 1] - words[s - 1]) % p).tolist())
+        by_difference.setdefault(d, set()).add(id(rep))
+        if r < s:
+            assert (rep.distance, rep.witness.entries) == (np.count_nonzero(d), d + (0,) * n), (r, s)
+    assert len(by_difference) == 6  # d = 0 and five distinct differences
+    assert len({id(rep) for rep in res.table.values()}) == 6
+    assert all(len(ids) == 1 for ids in by_difference.values())
+
+
 @pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_a_later_row_fails_reverification(monkeypatch, p, name):
     real = getattr(D, name)

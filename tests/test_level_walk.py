@@ -4,8 +4,8 @@ The walk weighs x in order of |supp x| and keeps, among a row's least
 weights, the least Gray rank, so it must report what the Gray-code walk
 reported: the same distance, witness and vectors_examined.  The G(32, 1/2)
 case was recorded from the Gray-code block walk, which took about 0.65 s
-on it.  An edgeless graph with d = all ones walks every level, the top
-ones included, in bounded memory.  The fuzz runs lone, stacked and
+on it.  An edgeless graph with d = all ones walks every level but level
+n, the top ones included, in bounded memory.  The fuzz runs lone, stacked and
 zero-headed searches at three block sizes against test_search_pruning's
 unpruned reference, and checks that no chunk holds more than _BLOCK
 candidates per row.
@@ -44,19 +44,22 @@ def test_forced_g32_reports_what_the_gray_walk_did():
 
 
 def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
-    """d = all ones weighs n at every x of an edgeless graph, so the walk reaches level n.
+    """d = all ones weighs n at every x of an edgeless graph, so the walk reaches level n - 1.
 
-    The least rank among the ties is x = 0.  The top levels, of a few
+    The least rank among the ties is x = 0, below every rank of level n,
+    so only level n is left out.  The top levels, of a few
     subsets each, are walked as band products like the large levels below
     them, never built through the 2**n subsets below them, so the search's
     memory stays near its per-chunk buffers and tables of at most _BLOCK
-    entries: about 0.7 MiB at its peak, where one 2**24-entry table of
+    entries: about 1.7 MiB at its peak, 0.9 MiB of it the digit columns
+    of every level of a 14-vertex band, where one 2**24-entry table of
     uint32 takes 64 MiB.
     """
     n = 24
     g = Multigraph(n, np.zeros((n, n), dtype=np.int64))
     D._level.cache_clear()  # build every table under the trace
     D._patterns.cache_clear()
+    D._columns.cache_clear()
     tracemalloc.start()
     try:
         rep = pairwise_distance(g, F2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), SearchConfig(force=True))

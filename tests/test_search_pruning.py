@@ -4,12 +4,14 @@ reference() is the block search as it was before blocks were skipped: it
 weighs every one of the p**n candidates in the same fixed order (Gray code
 at p = 2, odometer at odd p) and keeps the first minimum, stopping only at
 weight 1.  The search walks x by support level instead, stops after the
-level equal to the best weight, and for d = 0 at odd p weighs, in the
-levels it walks alone, only the x whose top digit is 1.  It must report
-the same distance, witness and vectors_examined at the default block, at
-2**3 and at 2**1.  The spies below show which levels and supports a search
-weighs: at p = 2 every x as a bitmask, at odd p the support of every
-candidate, read from the marks the weigher is handed.
+level equal to the best weight (or before it, when no x of that level
+can beat the best rank: helpers.last_level), and for d = 0 at odd p
+weighs, in the levels it walks alone, only the x whose top digit is 1.
+It must report the same distance, witness and vectors_examined at the
+default block, at 2**3 and at 2**1.  The spies below show which levels
+and supports a search weighs: at p = 2 every x as a bitmask, at odd p
+the support of every candidate, read from the marks the weigher is
+handed.
 """
 
 import random
@@ -26,6 +28,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
+from helpers import last_level
 
 REF_BLOCK = 1 << 12
 BLOCKS = (D._BLOCK, 1 << 3, 1 << 1)
@@ -186,7 +189,9 @@ def test_scalar_symmetry_skips_blocks_at_odd_p(monkeypatch):
     """d = 0: c x weighs what x does, so of each x's multiples only the one with top digit 1 is weighed.
 
     At _BLOCK = 2**3 every level is walked alone, so every level is
-    filtered: each support s <= w* is weighed (p - 1)**(s - 1) times.
+    filtered: each support s up to the last level walked is weighed
+    (p - 1)**(s - 1) times.  On these cycles that is level w* - 1: the best,
+    x = e_1 at rank 1, is below the least rank of level w*.
     """
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)
     chunks = weighed_odd_supports(monkeypatch)
@@ -195,7 +200,8 @@ def test_scalar_symmetry_skips_blocks_at_odd_p(monkeypatch):
         rep = diagonal_distance(generate("cycle", n), PrimeField(p))
         assert (rep.distance, rep.vectors_examined) == (distance, p**n - 1)
         xs = [x for chunk in chunks for x in chunk]
-        assert sorted(xs) == supports_up_to(n, distance, lambda s: (p - 1) ** max(s - 1, 0))
+        assert last_level(rep, p) == distance - 1
+        assert sorted(xs) == supports_up_to(n, distance - 1, lambda s: (p - 1) ** max(s - 1, 0))
         levels = [max(bin(x).count("1") for x in chunk) for chunk in chunks]
         assert levels == sorted(levels)
         top = max(j for j, v in enumerate(rep.witness.x) if v)
@@ -260,7 +266,7 @@ def test_support_bound_skips_blocks_at_p2(monkeypatch):
 
 @pytest.mark.parametrize("p, n", [(3, 7), (5, 5)])
 def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
-    """d != 0 has no scalar symmetry: every x of support at most w* is weighed once, and no other.
+    """d != 0 has no scalar symmetry: every x up to the last level walked is weighed once, and no other.
 
     At _BLOCK = 2**3 the levels past level 0 are products of two band
     tables, with the vertices above both bands, and their values, walked
@@ -278,11 +284,11 @@ def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
         rep = search(g, f, d)
         assert report(rep) == reference(g, f, d)
         xs = [x for chunk in chunks for x in chunk]
-        assert sorted(xs) == supports_up_to(n, rep.distance, lambda s: (p - 1) ** s)
+        assert sorted(xs) == supports_up_to(n, last_level(rep, p), lambda s: (p - 1) ** s)
         levels = [{bin(x).count("1") for x in chunk} for chunk in chunks]
         assert all(len(s) == 1 for s in levels[1:])  # past level 0, one level per chunk
         assert [max(s) for s in levels] == sorted(max(s) for s in levels)
-        walked.add(rep.distance)
+        walked.add(last_level(rep, p))
         width = D._level_plan(n, p, D._BLOCK)[1]
         assert any(x >> 2 * width for x in xs)  # vertices above both bands
     assert max(walked) >= 2  # products of two band tables
@@ -303,4 +309,4 @@ def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):
     monkeypatch.setattr(D, "_level_blocks", forged)
     with pytest.raises(RuntimeError, match="re-verification"):
         diagonal_distance(generate("cycle", 5), PrimeField(2))
-    assert weighed == [1, 5, 6, 4]  # levels 0 and 1, then level 2's two chunks; level 3 is past the forged best
+    assert weighed == [1, 5, 6]  # levels 0 and 1, then level 2's first chunk: the rest is past the forged best

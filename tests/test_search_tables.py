@@ -30,7 +30,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import random_multigraph
+from helpers import last_level, random_multigraph
 
 FORCE = SearchConfig(force=True)
 
@@ -118,20 +118,24 @@ def modular_weights(gamma, p, d, w):
 def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
     """Every candidate the residue tables weigh, in odometer order, weighs what % p gives.
 
-    A stack of four differences, each with two nonzero entries, so no row
-    walks past level 2; at p = 131 and 257, level 2 is a product of two
-    band tables.  Per row, the supports weighed and their weights must be
-    those of every x with at most w* nonzero digits.
+    A stack of four differences, each with three nonzero entries, so x = 0
+    weighs 3 at rank 0 and no row walks past level 2.  Vertex 0 is
+    isolated, so the x on vertex 0 alone, of ranks below p, weigh 3 too,
+    and rows walk level 2 (at p = 131 and 257 a product of two band
+    tables).  Per row, the supports weighed and their weights must be
+    those of every x up to the last level weighed, which is no lower than
+    helpers.last_level gives.
     """
     if block is not None:
         monkeypatch.setattr(D, "_BLOCK", block)
     f = PrimeField(p)
     rng = random.Random(p)
     gamma = adjacency_matrix(random_multigraph(rng, n, max_mult=2 * p), f)
+    gamma[0, :] = gamma[:, 0] = 0
     rows = {}
     while len(rows) < 4:
         d = [0] * n
-        for v in rng.sample(range(n), 2):
+        for v in rng.sample(range(n), 3):
             d[v] = rng.randrange(1, p)
         rows.setdefault(tuple(d), None)
     stack = np.array(list(rows), dtype=np.int64)
@@ -149,9 +153,11 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
         for r, weights in zip(live, w.tolist()):
             for pair in zip(masks, weights):
                 got[r][pair] = got[r].get(pair, 0) + 1
+    levels = [max(bin(mask).count("1") for mask, _ in weighed) for weighed in got]  # the last level weighed
+    assert max(levels) == 2
     for r, rep in enumerate(reps):
-        assert rep.distance <= 2
-        assert got[r] == modular_weights(gamma, p, stack[r], rep.distance), (p, r)
+        assert last_level(rep, p) <= levels[r]
+        assert got[r] == modular_weights(gamma, p, stack[r], levels[r]), (p, r)
 
 
 @pytest.mark.parametrize("lo, hi, p", [(0, 0, 3), (0, 5, 3), (2, 6, 5), (3, 6, 7), (1, 3, 131), (36, 40, 3)])
@@ -255,6 +261,7 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
         monkeypatch.setattr(D, "_BLOCK", block)
         D._powers.cache_clear()
         D._patterns.cache_clear()
+        D._columns.cache_clear()
         D._level_plan.cache_clear()
         return searches()
 
@@ -263,6 +270,7 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
     assert max(s[-1] for s in want[1 << 3][1]) <= 1 << 3 < max(s[-1] for s in want[1 << 12][1])
     D._powers.cache_clear()
     D._patterns.cache_clear()
+    D._columns.cache_clear()
     D._level_plan.cache_clear()
     for block in (1 << 12, 1 << 3, 1 << 12):
         monkeypatch.setattr(D, "_BLOCK", block)
@@ -281,7 +289,11 @@ def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     assert D._level(0, 6, 2, np.uint32)[0] is level[0]
     powers = D._powers(3)
     assert powers.tolist() == [3**j for j in range(41)]  # 3**40 < 2**64 < 3**41
-    for a in (masks, ranks, order, *level, powers, powers[:5]):
+    columns = D._columns(0, 6, 0, 6, np.uint32)
+    assert D._columns(0, 6, 0, 6, np.uint32) is columns
+    pairs, first, second = D._pairs(4)
+    assert D._pairs(4)[1] is first
+    for a in (masks, ranks, order, *level, powers, powers[:5], columns, first, second):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
 
@@ -354,3 +366,89 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def gathers(monkeypatch):
+    """Spy on D._columns and D._gamma_x: the table key and a copy of Gamma x of every table a search gathers."""
+    real_columns, real_gamma_x = D._columns, D._gamma_x
+    keys, seen = {}, []
+
+    def columns(*key):
+        idx = real_columns(*key)
+        keys[id(idx)] = key, idx  # idx held, so its id stays its own
+        return idx
+
+    def gamma_x(colv, idx, p):
+        gz = real_gamma_x(colv, idx, p)
+        seen.append((keys[id(idx)][0], gz.copy()))  # a copy: the factors write their marks into gz
+        return gz
+
+    monkeypatch.setattr(D, "_columns", columns)
+    monkeypatch.setattr(D, "_gamma_x", gamma_x)
+    return seen
+
+
+def direct_gamma_x(gamma, p, key):
+    """Gamma x mod p, shape (n, len), for every x of D._patterns(*key), each x expanded from its rank."""
+    ranks = D._patterns(*key)[1].astype(np.uint64)
+    n = len(gamma)
+    if p == 2:  # the Gray rank t gives x = t ^ t >> 1
+        xs = ((ranks ^ ranks >> np.uint64(1))[None, :] >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
+    else:  # the odometer index t = sum x_j p**j
+        xs = ranks[None, :] // D._powers(p)[:n, None] % np.uint64(p)
+    return gamma @ xs.astype(np.int64) % p
+
+
+GATHER_SIZES = {2: (1, 5, 12, 24), 3: (1, 4, 9, 12), 5: (1, 3, 6, 8), 7: (2, 5, 6), 4099: (1, 2)}
+
+
+@pytest.mark.parametrize("p", GATHER_SIZES)
+def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
+    """Gamma x of every table a search walks is one gather through _columns: it must equal x Gamma mod p.
+
+    At _BLOCK = 2**3 and 2**12 the searches walk merged runs, single
+    levels, at odd p the levels of top digit 1 of a lone d = 0, and both
+    band factors.  At p - 1 > _BLOCK (p = 4099) they walk level 0 alone,
+    of every vertex and of the empty bands, which needs the zero column.
+    """
+    seen = gathers(monkeypatch)
+    f, force = PrimeField(p), SearchConfig(force=True)
+    walked = set()
+    for block in (1 << 3, 1 << 12):
+        monkeypatch.setattr(D, "_BLOCK", block)
+        rng = random.Random(p * block)
+        for n in GATHER_SIZES[p]:
+            if block < 1 << 12 and n > 9:
+                continue  # chunks of 8 candidates: too many to walk
+            g = random_multigraph(rng, n, max_mult=min(p - 1, 3))
+            gamma = adjacency_matrix(g, f)
+            seen.clear()
+            diagonal_distance(g, f, force)
+            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force)
+            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)], force)
+            assert seen
+            for key, gz in seen:
+                want = direct_gamma_x(gamma, p, key)
+                if p == 2:  # bit j of each mask is row j
+                    gz = gz[None, :].astype(np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & np.uint64(1)
+                assert gz.shape == want.shape and (gz == want).all(), (block, key)
+                lo, hi, a, b = key[:4]
+                walked.add((a, b) if p > 2 ** 12 else "merged" if a < b else "one" if key[-1] is True else "level")
+                walked.add("band" if (lo, hi) != (0, n) else "")
+                walked.add("high band" if lo > 0 else "")
+    if p > 2**12:
+        assert walked == {(0, 0), "band", ""}
+    else:
+        assert {"merged", "level", "band", "high band"} <= walked
+        assert ("one" in walked) == (p > 2)
+
+
+@pytest.mark.parametrize("p, most", [(2, 15), (3, 9), (5, 6), (7, 5)])
+def test_least_rank_is_the_first_of_each_level(p, most):
+    """The walk reads a level's least rank from _least_rank, never from the level: they must agree."""
+    kind = (np.uint32,) if p == 2 else (np.uint64, p)
+    for n in range(most + 1):
+        for s in range(n + 1):
+            assert D._level(0, n, s, *kind)[1][0] == D._least_rank(p, s), (n, s)
+            if p > 2 and s:  # the x of top digit 1 start with the same x
+                assert D._level(0, n, s, *kind, True)[1][0] == D._least_rank(p, s), (n, s)

@@ -32,7 +32,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import random_multigraph
+from helpers import last_level, random_multigraph
 
 SIZES = [(2, (3, 6, 10)), (3, (2, 4, 7)), (5, (2, 3, 5))]
 
@@ -122,9 +122,9 @@ def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
     want = diagonal_distance(g, f)
     [(shape, lone)] = walks
     assert shape == (n,)
-    assert sorted(lone) == scalar_supports(n, p, want.distance)
+    assert sorted(lone) == scalar_supports(n, p, last_level(want, p))
     # the support bound alone would weigh every value on each support
-    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(want.distance + 1))
+    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(last_level(want, p) + 1))
     w = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
     for words in ([w], [w, w + p, w]):
         walks.clear()
@@ -241,9 +241,9 @@ def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
     [got] = D._searcher(g, f, D.SearchConfig())(np.zeros((1, n), dtype=np.int64))
     assert key(got) == key(want)
     assert walks == [((1, n), lone)]
-    assert sorted(lone) == scalar_supports(n, p, want.distance)
+    assert sorted(lone) == scalar_supports(n, p, last_level(want, p))
     # the support bound alone would weigh every value on each support
-    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(want.distance + 1))
+    assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(last_level(want, p) + 1))
 
 
 @pytest.mark.parametrize("block", [D._BLOCK, 1 << 3, 1 << 1])
