@@ -38,17 +38,17 @@ t = gray^-1(x) at p = 2, linear over GF(2), and the odometer index
 t = sum x_j p**j at odd p, held exactly in uint64 below p**n < 2**64.
 Only level w* can tie the best, and a tie must have a lower rank to win,
 so a row is also done before level w* when its best rank is at most that
-level's least.  The level tables, every x of a level with its rank, and
-for each table the columns of each x's nonzero digits, depend on n, p and
-_BLOCK alone and are built once per process, by one recipe at every p,
-each from the level below.  Per graph, Gamma x of a table is one gather
-of those columns from a table of Gamma's columns and their multiples, and
-one XOR or add mod p, only for the tables walked.  Small consecutive
-levels share one chunk.  From the first level of more than _BLOCK
-candidates on, every level is walked as products of two band tables,
-with the vertices above both bands, and their values, walked in Python,
-so no chunk holds more than _BLOCK candidates per row and no table is
-built through a larger one.
+level's least.  The pattern tables (_table), every x of a level or a run
+of levels with its rank and the columns of its nonzero digits, depend on
+n, p and _BLOCK alone and are built once per process in one memo, each
+level by one recipe at every p from the level below.  Per graph, Gamma x
+of a table is one gather of those columns from a table of Gamma's columns
+and their multiples, and one XOR or add mod p, only for the tables
+walked.  Small consecutive levels share one chunk.  From the first level
+of more than _BLOCK candidates on, every level is walked as products of
+two band tables, with the vertices above both bands, and their values,
+walked in Python, so no chunk holds more than _BLOCK candidates per row
+and no table is built through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -96,7 +96,8 @@ class SearchConfig:
 
     max_vertices of None means the per-prime default (24 for p = 2, 12
     otherwise).  force disables both the vertex cap and the global
-    candidate budget.
+    candidate budget, but never admits p**n >= 2**64, past the uint64
+    ranks of the search: at p = 2, n >= 64 is always refused.
     """
 
     max_vertices: int | None = None
@@ -238,40 +239,57 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
-@functools.lru_cache(maxsize=128)
-def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
-    """The x on range(lo, hi) with s nonzero entries, by ascending rank: (masks, ranks, src, vertex).
+@functools.lru_cache(maxsize=192)
+def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
     At p = 2 the masks are bitmasks of dtype dt, and the rank is the Gray
     rank t = gray^-1(x), linear over GF(2): the XOR of its vertices' ranks,
     rank(e_j) = 2**(j + 1) - 1.  At odd p the masks are bools of shape
     (hi - lo, len), True where x_j != 0 (row j - lo), and the rank is the
-    odometer index t = sum x_j p**j.  Ranks are of dtype dt.
+    odometer index t = sum x_j p**j.  Ranks are of dtype dt.  Sorted by
+    rank, a first argmin over the table is its least-rank minimizer.
 
-    One recipe builds every level s >= 1 at every p.  Entry i is entry
-    src[i] of level s - 1 plus the digit v at a vertex j above its top
-    one, and vertex[i] = j (p - 1) + v - 1 (j itself at p = 2) is one
-    less than its entry in the searcher's column table.  The x of level
-    s - 1 whose top vertex is below j have t < p**j, a prefix of that
-    level, so the level lists, for j and then v ascending, that prefix
-    with v at j: in ascending order with no sort.  At odd p adding v at j
-    adds v p**j to each rank, so the prefix keeps its order.  At p = 2 it
-    maps rank t < 2**j to 2**(j + 1) - 1 - t, so the prefix is taken
-    reversed.  With one, only v = 1 is taken: the x whose top digit is 1,
-    a 1 / (p - 1) share of the level.  So the digit columns of a level
-    (_columns) are one gather from the level below, and one more row.
+    columns, of shape (max(b, 1), len) and of intp, lists each x's nonzero
+    digits: the digit v at vertex j is entry 1 + j (p - 1) + v - 1 of the
+    searcher's column table, which holds v Gamma[:, j] mod p there (the
+    bit mask of Gamma[:, j] at 1 + j when p = 2), and entry 0, a zero
+    column, pads at the front the rows of the x with fewer than max(b, 1)
+    nonzero digits.  So Gamma x of a table is one take and one XOR or add
+    down the rows (_gamma_x).  take casts a narrower index at about twice
+    the cost, so the columns stay intp.
 
-    src and vertex stay intp: take casts a narrower index at about twice
-    the cost.  The arrays depend on the arguments alone; each process
-    builds them once, every search shares them read-only, and maxsize
-    bounds the memo.
+    Level 0 is the zero x, with one zero column.  One recipe builds every
+    level s >= 1 at every p, from level s - 1 (of every top digit).  Its
+    entry i is entry src[i] of level s - 1 plus the digit v at a vertex j
+    above that entry's top one, whose column vertex[i] + 1 ends the entry's
+    columns.  The x of level s - 1 whose top vertex is below j have
+    t < p**j, a prefix of that level, so the level lists, for j and then v
+    ascending, that prefix with v at j: in ascending order with no sort.
+    At odd p adding v at j adds v p**j to each rank, so the prefix keeps
+    its order.  At p = 2 it maps rank t < 2**j to 2**(j + 1) - 1 - t, so
+    the prefix is taken reversed.  With one, only v = 1 is taken: the x
+    whose top digit is 1, a 1 / (p - 1) share of the level.  A run a < b
+    lays its levels end to end, columns padded, and sorts them by rank.
+
+    Callers keep a table at most _BLOCK candidates long, and pass every
+    argument by position, so each table has one key.  The arrays depend on
+    the arguments alone; each process builds them once, every search
+    shares them read-only, and maxsize bounds the memo.
     """
-    if s == 0:
+    if a < b:
+        levels = [_table(lo, hi, s, s, dt, p, one) for s in range(a, b + 1)]
+        ranks = np.concatenate([lv[1] for lv in levels])
+        order = np.argsort(ranks)
+        masks, ranks = np.concatenate([lv[0] for lv in levels], axis=-1).take(order, axis=-1), ranks[order]
+        columns = np.concatenate([np.pad(lv[2], ((b - len(lv[2]), 0), (0, 0))) for lv in levels], axis=1)
+        columns = columns.take(order, axis=1)
+    elif b == 0:
         masks = np.zeros((hi - lo, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
         ranks = np.zeros(1, dtype=dt)
-        src = vertex = np.zeros(1, dtype=np.intp)
+        columns = np.zeros((1, 1), dtype=np.intp)
     else:
-        pm, pr = (_level(lo, hi, s - 1, dt, p) if p > 2 else _level(lo, hi, s - 1, dt))[:2]  # the searcher's keys
+        pm, pr, pc = _table(lo, hi, b - 1, b - 1, dt, p, False)
         tops, vs = [p**j for j in range(lo, hi)], range(1, 2 if one else p)
         counts = np.searchsorted(pr, np.array(tops, dtype=dt)).repeat(len(vs))  # per (j, v): the x below vertex j
         at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # the place in its group
@@ -284,69 +302,17 @@ def _level(lo: int, hi: int, s: int, dt, p: int = 2, one: bool = False):
         else:
             ranks = pr[src] ^ np.array([2 * q - 1 for q in tops], dtype=dt).repeat(counts)
             masks = pm[src] | np.array(tops, dtype=dt).repeat(counts)
-    for t in (masks, ranks, src, vertex):
+        columns = np.empty((b, len(src)), dtype=np.intp)
+        np.add(vertex, 1, out=columns[-1])
+        if b > 1:  # level 0's zero column is not carried
+            pc.take(src, axis=1, out=columns[:-1])
+    for t in (masks, ranks, columns):
         t.setflags(write=False)
-    return masks, ranks, src, vertex
-
-
-@functools.lru_cache(maxsize=64)
-def _patterns(lo: int, hi: int, a: int, b: int, *kind) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Every x on range(lo, hi) with a to b nonzero entries, as _level's masks, their ranks, and their order.
-
-    kind is what follows s in the _level calls: (dt,) at p = 2, and (dt, p)
-    or (dt, p, True) at odd p.  Both arrays are sorted by rank, so a first argmin over the table is its
-    least-rank minimizer.  Entry i is entry order[i] of the levels a..b of
-    _level laid end to end (along the last axis); order is None for a
-    single level, which is _level's own arrays.  Callers keep a table at
-    most _BLOCK candidates long, and maxsize bounds the memo.
-    """
-    levels = [_level(lo, hi, s, *kind) for s in range(a, b + 1)]
-    if a == b:
-        return levels[0][0], levels[0][1], None
-    ranks = np.concatenate([lv[1] for lv in levels])
-    order = np.argsort(ranks)
-    masks, ranks = np.concatenate([lv[0] for lv in levels], axis=-1).take(order, axis=-1), ranks[order]
-    for t in (masks, ranks, order):
-        t.setflags(write=False)
-    return masks, ranks, order
-
-
-@functools.lru_cache(maxsize=64)
-def _columns(lo: int, hi: int, a: int, b: int, *kind) -> np.ndarray:
-    """For each x of _patterns(lo, hi, a, b, *kind), in its order, the columns of its nonzero digits.
-
-    Shape (max(b, 1), len), of intp.  The digit v at vertex j is entry
-    1 + j (p - 1) + v - 1 of the searcher's column table, which holds
-    v Gamma[:, j] mod p there (the bit mask of Gamma[:, j] at 1 + j when
-    p = 2), and entry 0, a zero column, pads the rows of the x with fewer
-    than max(b, 1) nonzero digits: level 0, of one x with none, needs one
-    row.
-    So Gamma x of a table is one take and one XOR or add down the rows.
-    A level's rows follow _level's recipe: those of entry src[i] of the
-    level below, from its own memo entry, and vertex[i] + 1.  A run of
-    levels pads each level's rows and lays them out in the run's order.
-    The table depends on the arguments alone; each process builds it
-    once, every search shares it read-only, and maxsize bounds the memo.
-    """
-    if a < b:
-        levels = [_columns(lo, hi, s, s, *kind) for s in range(a, b + 1)]
-        pad = [np.zeros((b - len(t), t.shape[1]), dtype=np.intp) for t in levels]
-        idx = np.concatenate([np.concatenate(t) for t in zip(pad, levels)], axis=1)
-        idx = idx.take(_patterns(lo, hi, a, b, *kind)[2], axis=1)
-    elif b == 0:
-        idx = np.zeros((1, 1), dtype=np.intp)
-    else:
-        src, vertex = _level(lo, hi, b, *kind)[2:]
-        idx = np.empty((b, len(src)), dtype=np.intp)
-        np.add(vertex, 1, out=idx[-1])
-        if b > 1:  # the level below, of every top digit
-            _columns(lo, hi, b - 1, b - 1, *kind[:2]).take(src, axis=1, out=idx[:-1])
-    idx.setflags(write=False)
-    return idx
+    return masks, ranks, columns
 
 
 def _gamma_x(colv: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
-    """Gamma x of each x whose digit columns idx lists (_columns), from a graph's column table colv.
+    """Gamma x of each x whose digit columns idx lists (_table's columns), from a graph's column table colv.
 
     One take and one reduction down the rows of idx: at p = 2 an XOR of
     the bitmasks colv holds, and at odd p, where colv holds one column of
@@ -512,13 +478,13 @@ def _powers(p: int) -> np.ndarray:
 def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the per-graph tables once.
 
-    What depends on p and _BLOCK alone, the level and pattern tables
-    (_level, _patterns) and their digit columns (_columns), the level plan
-    (_level_plan) and the witness's digit powers (_powers), is built once
-    per process and shared read-only; _BLOCK is read at each call.  Per
-    graph, the column table (0, then Gamma's columns and, at odd p, their
-    multiples) is built once, and Gamma x of each pattern table walked on
-    first use, by one gather (_gamma_x).
+    What depends on p and _BLOCK alone, the pattern tables and their digit
+    columns (_table), the level plan (_level_plan) and the witness's digit
+    powers (_powers), is built once per process and shared read-only;
+    _BLOCK is read at each call.  Per graph, the column table (0, then
+    Gamma's columns and, at odd p, their multiples) is built once, and
+    Gamma x of each pattern table walked on first use, by one gather
+    (_gamma_x).
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -547,7 +513,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     tables = {}  # at p = 2 each pattern table walked with its Gamma x, and at odd p each factor
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
-        kind = (dt,)  # the level tables' key after s: masks and ranks of dtype dt
+        kind = (dt, p)  # the pattern tables' key after b: masks and ranks of dtype dt
         cols = _bitmasks(gamma.T)  # Gamma's columns as masks
         colv = np.array([0] + cols, dtype=dt)  # the column table: 0, then column j at 1 + j
     else:
@@ -561,7 +527,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         """At p = 2, a pattern table's masks and ranks, and its Gamma x, built on first use."""
         key = lo, hi, a, b
         if key not in tables:
-            tables[key] = *_patterns(*key, dt)[:2], _gamma_x(colv, _columns(*key, dt), p)
+            masks, ranks, columns = _table(*key, *kind, False)
+            tables[key] = masks, ranks, _gamma_x(colv, columns, p)
         return tables[key]
 
     def factor(lo, hi, a, b, one=False, high=False):
@@ -570,10 +537,10 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         The low factor holds Gamma x mod p, and p where x is nonzero; the
         high factor holds -Gamma x mod p, and 3p where x is nonzero.
         """
-        key = (lo, hi, a, b, *kind, *((True,) if one else ()))
+        key = lo, hi, a, b, *kind, one
         if (high, key) not in tables:
-            marks, ranks = _patterns(*key)[:2]
-            gz = _gamma_x(colv, _columns(*key), p)
+            marks, ranks, columns = _table(*key)
+            gz = _gamma_x(colv, columns, p)
             if high:
                 np.subtract(p, gz, out=gz)  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
                 np.minimum(gz, gz - p, out=gz)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from diagdist import Multigraph, PrimeField, adjacency_matrix
+from diagdist import distance as D
 
 # Lambda = [I | Gamma] of the 5-cycle 1-2-3-4-5-1; the standard worked example.
 CYCLE5_LAMBDA = [
@@ -80,3 +81,9 @@ def last_level(rep, p: int) -> int:
 
     w = rep.distance
     return w - (rank(rep.witness.x) < rank([1] * w))
+
+
+def clear_memos():
+    """Empty the search's process-wide memos, so the next search builds every table it uses afresh."""
+    for memo in (D._table, D._level_plan, D._powers, D._pairs):
+        memo.cache_clear()

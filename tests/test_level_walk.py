@@ -19,6 +19,7 @@ import pytest
 
 from diagdist import Multigraph, PrimeField, SearchConfig, diagonal_distance, pairwise_distance
 from diagdist import distance as D
+from helpers import clear_memos
 from test_search_pruning import reference
 
 F2 = PrimeField(2)
@@ -51,15 +52,13 @@ def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
     subsets each, are walked as band products like the large levels below
     them, never built through the 2**n subsets below them, so the search's
     memory stays near its per-chunk buffers and tables of at most _BLOCK
-    entries: about 1.7 MiB at its peak, 0.9 MiB of it the digit columns
-    of every level of a 14-vertex band, where one 2**24-entry table of
-    uint32 takes 64 MiB.
+    entries: about 1.4 MiB at its peak, most of it the tables, digit
+    columns included, of every level of a 14-vertex band, where one
+    2**24-entry table of uint32 takes 64 MiB.
     """
     n = 24
     g = Multigraph(n, np.zeros((n, n), dtype=np.int64))
-    D._level.cache_clear()  # build every table under the trace
-    D._patterns.cache_clear()
-    D._columns.cache_clear()
+    clear_memos()  # build every table under the trace
     tracemalloc.start()
     try:
         rep = pairwise_distance(g, F2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), SearchConfig(force=True))

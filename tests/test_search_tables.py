@@ -7,11 +7,14 @@ At odd p the residue tables reduce sums with an unsigned wrap instead of
 the % p construction gives, and each level must hold every x of its
 support size by odometer index, up to ranks past 2**63.  _bitmasks and
 build_lambda must equal their plain reference constructions, and each
-p = 2 level of subsets its rank-sorted subsets.  A search's tables must be
-freed when it returns, with no reference cycle.
+p = 2 level of subsets its rank-sorted subsets.  Every table's digit
+columns must give back its x, and every caller must ask for a table by
+one key.  A search's tables must be freed when it returns, with no
+reference cycle.
 """
 
 import gc
+import inspect
 import itertools
 import math
 import random
@@ -30,7 +33,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import last_level, random_multigraph
+from helpers import clear_memos, last_level, random_multigraph
 
 FORCE = SearchConfig(force=True)
 
@@ -162,7 +165,7 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
 
 @pytest.mark.parametrize("lo, hi, p", [(0, 0, 3), (0, 5, 3), (2, 6, 5), (3, 6, 7), (1, 3, 131), (36, 40, 3)])
 def test_odd_levels_hold_every_x_by_odometer_index(lo, hi, p):
-    """Each level is its x sorted by t = sum x_j p**j, and src and vertex rebuild it.
+    """Each level is its x sorted by t = sum x_j p**j, and its digit columns give back each x.
 
     (36, 40) at p = 3 holds ranks past 2**63, up to 3**40 - 1.  With one,
     a level holds only the x whose top digit is 1.
@@ -170,7 +173,7 @@ def test_odd_levels_hold_every_x_by_odometer_index(lo, hi, p):
     k = hi - lo
     for s in range(k + 1):
         for one in (False, True):
-            masks, ranks, src, vertex = D._level(lo, hi, s, np.uint64, p, one)
+            masks, ranks, columns = D._table(lo, hi, s, s, np.uint64, p, one)
             want = []
             for support in itertools.combinations(range(lo, hi), s):
                 for digits in itertools.product(range(1, p), repeat=s):
@@ -181,12 +184,43 @@ def test_odd_levels_hold_every_x_by_odometer_index(lo, hi, p):
             assert ranks.tolist() == [t for t, _ in want]
             assert masks.shape == (k, len(want))
             assert [tuple(lo + np.flatnonzero(col)) for col in masks.T] == [sup for _, sup in want]
-            if s == 0:
-                continue
-            below = D._level(lo, hi, s - 1, np.uint64, p)[1].tolist()
-            for t, i, col in zip(ranks.tolist(), src.tolist(), vertex.tolist()):
-                j, v = divmod(col, p - 1)
-                assert t == below[i] + (v + 1) * p**j and below[i] < p**j
+            digits = held_digits(columns, s, p)
+            assert [sum(v * p**j for j, v in x) for x in digits] == ranks.tolist()
+            assert [tuple(j for j, _ in x) for x in digits] == [sup for _, sup in want]
+
+
+def held_digits(columns, s, p):
+    """Each x's (vertex, digit) pairs, from its column entries 1 + j (p - 1) + v - 1, after the zero padding.
+
+    columns must hold max(s, 1) rows of intp, each x with s nonzero
+    entries, padded with 0 only at the front.
+    """
+    assert columns.dtype == np.intp and len(columns) == max(s, 1)
+    out = []
+    for col in columns.T.tolist():
+        pad = len(col) - s
+        assert col[:pad] == [0] * pad and all(col[pad:])
+        out.append([(j, v + 1) for j, v in (divmod(c - 1, p - 1) for c in col[pad:])])
+    return out
+
+
+@pytest.mark.parametrize(
+    "lo, hi, a, b, dt, p",
+    [(0, 7, 0, 3, np.uint32, 2), (3, 11, 1, 4, np.uint32, 2), (0, 6, 0, 2, np.uint64, 3), (2, 6, 1, 3, np.uint64, 5)],
+)
+def test_a_run_is_its_levels_in_rank_order(lo, hi, a, b, dt, p):
+    """A run of levels a..b holds their x by rank, each with its level's columns padded at the front to b rows."""
+    masks, ranks, columns = D._table(lo, hi, a, b, dt, p, False)
+    want = []
+    for s in range(a, b + 1):
+        m, r, c = D._table(lo, hi, s, s, dt, p, False)
+        padded = np.concatenate((np.zeros((b - len(c), c.shape[1]), dtype=np.intp), c))
+        want += zip(r.tolist(), (m.T if p > 2 else m).tolist(), padded.T.tolist())
+    want.sort()
+    assert ranks.dtype == dt
+    assert ranks.tolist() == [t for t, _, _ in want]
+    assert (masks.T if p > 2 else masks).tolist() == [x for _, x, _ in want]
+    assert columns.dtype == np.intp and columns.T.tolist() == [c for _, _, c in want]
 
 
 def folded_masks(a):
@@ -259,19 +293,13 @@ def test_switching_the_block_size_in_one_process(monkeypatch, p, n):
 
     def fresh(block):
         monkeypatch.setattr(D, "_BLOCK", block)
-        D._powers.cache_clear()
-        D._patterns.cache_clear()
-        D._columns.cache_clear()
-        D._level_plan.cache_clear()
+        clear_memos()
         return searches()
 
     want = {block: fresh(block) for block in (1 << 3, 1 << 12)}
     assert want[1 << 3][0] == want[1 << 12][0]  # the block size never shows in a report
     assert max(s[-1] for s in want[1 << 3][1]) <= 1 << 3 < max(s[-1] for s in want[1 << 12][1])
-    D._powers.cache_clear()
-    D._patterns.cache_clear()
-    D._columns.cache_clear()
-    D._level_plan.cache_clear()
+    clear_memos()
     for block in (1 << 12, 1 << 3, 1 << 12):
         monkeypatch.setattr(D, "_BLOCK", block)
         assert searches() == want[block]
@@ -282,18 +310,17 @@ def test_memoized_tables_are_shared_and_read_only(monkeypatch):
     chunks = handed_chunks(monkeypatch)
     diagonal_distance(generate("cycle", 6), f)
     diagonal_distance(generate("complete", 6), f)
-    masks, ranks, order = D._patterns(0, 6, 0, 6, np.uint32)  # n = 6: every level in one table
+    masks, ranks, columns = D._table(0, 6, 0, 6, np.uint32, 2, False)  # n = 6: every level in one table
     assert len(chunks) == 2 and all(x is masks for x, _, _ in chunks)  # shared by both graphs
-    assert D._patterns(0, 6, 0, 6, np.uint32)[1] is ranks
-    level = D._level(0, 6, 2, np.uint32)
-    assert D._level(0, 6, 2, np.uint32)[0] is level[0]
+    assert D._table(0, 6, 0, 6, np.uint32, 2, False)[1] is ranks
+    assert D._table(0, 6, 0, 6, np.uint32, 2, False)[2] is columns
+    level = D._table(0, 6, 2, 2, np.uint32, 2, False)
+    assert D._table(0, 6, 2, 2, np.uint32, 2, False)[0] is level[0]
     powers = D._powers(3)
     assert powers.tolist() == [3**j for j in range(41)]  # 3**40 < 2**64 < 3**41
-    columns = D._columns(0, 6, 0, 6, np.uint32)
-    assert D._columns(0, 6, 0, 6, np.uint32) is columns
     pairs, first, second = D._pairs(4)
     assert D._pairs(4)[1] is first
-    for a in (masks, ranks, order, *level, powers, powers[:5], columns, first, second):
+    for a in (masks, ranks, columns, *level, powers, powers[:5], first, second):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
 
@@ -309,24 +336,22 @@ def gray_rank(x):
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 7), (3, 11), (24, 32), (27, 35)])
 def test_levels_hold_every_subset_by_gray_rank(lo, hi):
-    """Each level is its subsets sorted by Gray rank, and src and vertex rebuild it.
+    """Each level is its subsets sorted by Gray rank, and its digit columns give back each subset.
 
     (24, 32) sets bit 31 of uint32, whose rank is 2**32 - 1; (27, 35)
     crosses into uint64.
     """
     dt = np.uint32 if hi <= 32 else np.uint64
     for s in range(hi - lo + 1):
-        masks, ranks, src, vertex = D._level(lo, hi, s, dt)
+        masks, ranks, columns = D._table(lo, hi, s, s, dt, 2, False)
         subsets = [sum(1 << v for v in c) for c in itertools.combinations(range(lo, hi), s)]
         want = sorted((gray_rank(x), x) for x in subsets)
         assert masks.dtype == ranks.dtype == dt
         assert ranks.tolist() == [t for t, _ in want]
         assert masks.tolist() == [x for _, x in want]
-        if s == 0:
-            continue
-        below = D._level(lo, hi, s - 1, dt)[0].tolist()  # level s - 1 plus a vertex above its top one
-        for x, i, v in zip(masks.tolist(), src.tolist(), vertex.tolist()):
-            assert x == below[i] | 1 << v and 1 << v > below[i]
+        held = [sum(1 << j for j, _ in x) for x in held_digits(columns, s, 2)]
+        assert held == masks.tolist()
+        assert [gray_rank(x) for x in held] == ranks.tolist()
 
 
 def test_levels_past_the_block_are_walked_as_band_products():
@@ -369,28 +394,28 @@ def test_searches_leave_no_reference_cycles():
 
 
 def gathers(monkeypatch):
-    """Spy on D._columns and D._gamma_x: the table key and a copy of Gamma x of every table a search gathers."""
-    real_columns, real_gamma_x = D._columns, D._gamma_x
+    """Spy on D._table and D._gamma_x: the table key and a copy of Gamma x of every table a search gathers."""
+    real_table, real_gamma_x = D._table, D._gamma_x
     keys, seen = {}, []
 
-    def columns(*key):
-        idx = real_columns(*key)
-        keys[id(idx)] = key, idx  # idx held, so its id stays its own
-        return idx
+    def table(*key):
+        t = real_table(*key)
+        keys[id(t[2])] = key, t  # the columns held, so their id stays their own
+        return t
 
     def gamma_x(colv, idx, p):
         gz = real_gamma_x(colv, idx, p)
         seen.append((keys[id(idx)][0], gz.copy()))  # a copy: the factors write their marks into gz
         return gz
 
-    monkeypatch.setattr(D, "_columns", columns)
+    monkeypatch.setattr(D, "_table", table)
     monkeypatch.setattr(D, "_gamma_x", gamma_x)
     return seen
 
 
 def direct_gamma_x(gamma, p, key):
-    """Gamma x mod p, shape (n, len), for every x of D._patterns(*key), each x expanded from its rank."""
-    ranks = D._patterns(*key)[1].astype(np.uint64)
+    """Gamma x mod p, shape (n, len), for every x of D._table(*key), each x expanded from its rank."""
+    ranks = D._table(*key)[1].astype(np.uint64)
     n = len(gamma)
     if p == 2:  # the Gray rank t gives x = t ^ t >> 1
         xs = ((ranks ^ ranks >> np.uint64(1))[None, :] >> np.arange(n, dtype=np.uint64)[:, None]) & np.uint64(1)
@@ -404,7 +429,7 @@ GATHER_SIZES = {2: (1, 5, 12, 24), 3: (1, 4, 9, 12), 5: (1, 3, 6, 8), 7: (2, 5, 
 
 @pytest.mark.parametrize("p", GATHER_SIZES)
 def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
-    """Gamma x of every table a search walks is one gather through _columns: it must equal x Gamma mod p.
+    """Gamma x of every table a search walks is one gather of _table's columns: it must equal x Gamma mod p.
 
     At _BLOCK = 2**3 and 2**12 the searches walk merged runs, single
     levels, at odd p the levels of top digit 1 of a lone d = 0, and both
@@ -446,9 +471,43 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
 @pytest.mark.parametrize("p, most", [(2, 15), (3, 9), (5, 6), (7, 5)])
 def test_least_rank_is_the_first_of_each_level(p, most):
     """The walk reads a level's least rank from _least_rank, never from the level: they must agree."""
-    kind = (np.uint32,) if p == 2 else (np.uint64, p)
+    dt = np.uint32 if p == 2 else np.uint64
     for n in range(most + 1):
         for s in range(n + 1):
-            assert D._level(0, n, s, *kind)[1][0] == D._least_rank(p, s), (n, s)
+            assert D._table(0, n, s, s, dt, p, False)[1][0] == D._least_rank(p, s), (n, s)
             if p > 2 and s:  # the x of top digit 1 start with the same x
-                assert D._level(0, n, s, *kind, True)[1][0] == D._least_rank(p, s), (n, s)
+                assert D._table(0, n, s, s, dt, p, True)[1][0] == D._least_rank(p, s), (n, s)
+
+
+def test_every_table_is_asked_for_by_one_key(monkeypatch):
+    """Each table is asked for with one argument tuple, by the searcher and by _table's own recursion.
+
+    The memo keys on the raw arguments, so two forms of one table's key,
+    such as (dt,) and (dt, 2) at p = 2, would build and hold it twice.
+    The recursion looks _table up as a global, so the recorder sees its
+    calls too; the memos are emptied first, so every parent is asked for.
+    """
+    real = D._table
+    signature = inspect.signature(real)
+    forms = {}
+
+    def recorder(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        lo, hi, a, b, dt, p, one = bound.args
+        forms.setdefault((lo, hi, a, b, np.dtype(dt), p, bool(one)), set()).add((args, tuple(kwargs.items())))
+        return real(*args, **kwargs)
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", recorder)
+    rng = random.Random(19)
+    for p, sizes in ((2, (12, 20)), (3, (8,)), (5, (6,))):
+        f = PrimeField(p)
+        for n in sizes:
+            g = random_multigraph(rng, n, max_mult=p - 1)
+            diagonal_distance(g, f, FORCE)
+            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), FORCE)
+            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(4)], FORCE)
+    assert {key[5] for key in forms} == {2, 3, 5}
+    assert any(key[2] < key[3] for key in forms) and any(key[6] for key in forms)  # runs, and top digit 1
+    assert {key: raw for key, raw in forms.items() if len(raw) > 1} == {}
