@@ -55,9 +55,8 @@ At odd p they are residue tables, vertex axis first, weighed by counting
 the vertices where Gamma x differs from d, with a mark where x_j != 0 so
 that vertex always counts.  For d = 0 the kernel is F_p-linear and c k
 weighs what k does, so the first minimizer has top digit 1: a lone d = 0
-search weighs, in the levels it walks alone or as band products, only the
-x whose top digit is 1 (the projective idea of Brouwer-Zimmermann
-search).
+search weighs only the x whose top digit is 1, on every level (the
+projective idea of Brouwer-Zimmermann search).
 
 vectors_examined counts the candidates the fixed order accounted for,
 weighed or left out by the walk, so its values are those of a walk that
@@ -342,7 +341,7 @@ def _least_rank(p: int, s: int) -> int:
     return 2 ** (s + 1) // 3 if p == 2 else (p**s - 1) // (p - 1)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)  # one plan per (n, p) class searched: each a small tuple
 def _level_plan(n: int, p: int, block: int) -> tuple[tuple[tuple[int, int | None], ...], int]:
     """The support levels of n vertices in walking order, and the band width for levels past block.
 
@@ -483,8 +482,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     powers (_powers), is built once per process and shared read-only;
     _BLOCK is read at each call.  Per graph, the column table (0, then
     Gamma's columns and, at odd p, their multiples) is built once, and
-    Gamma x of each pattern table walked on first use, by one gather
-    (_gamma_x).
+    gathered builds Gamma x of each pattern table walked on first use, by
+    one gather (_gamma_x), in one memo keyed alike at every p.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -499,18 +498,18 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     chunk's level may still improve.  When d = 0, alone or as row 0, its
     k = 0 candidate (weight 0) is neither weighed nor counted in
     vectors_examined.  At odd p a lone d = 0, 1-D or a one-row stack,
-    weighs only the x whose top digit is 1 in the levels it walks alone or
-    as band products; a longer stack headed by d = 0 weighs every x for
-    all its rows, and there row 0 can only tie its first minimizer.  The witnesses are checked against Lambda in one
-    product and their chi-weights recounted in one numpy sum, compared
-    with the best weights as lists, before _reports builds the reports.
+    weighs only the x whose top digit is 1; a longer stack headed by d = 0
+    weighs every x for all its rows, and there row 0 can only tie its first
+    minimizer.  The witnesses are checked against Lambda in one product
+    and their chi-weights recounted in one numpy sum, compared with the
+    best weights as lists, before _reports builds the reports.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
     powers = _powers(p)[:n]  # p**n < 2**64: every digit of a rank
-    tables = {}  # at p = 2 each pattern table walked with its Gamma x, and at odd p each factor
+    tables = {}  # each pattern table walked, with its Gamma x
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         kind = (dt, p)  # the pattern tables' key after b: masks and ranks of dtype dt
@@ -523,30 +522,25 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         if p - 1 <= _BLOCK:  # row 1 + j (p - 1) + v - 1: v Gamma[:, j] mod p
             colv = np.concatenate([colv, (gamma.T[:, None] * np.arange(1, p)[:, None] % p).reshape(-1, n).astype(dt)])
 
-    def patterns(lo, hi, a, b):
-        """At p = 2, a pattern table's masks and ranks, and its Gamma x, built on first use."""
-        key = lo, hi, a, b
-        if key not in tables:
-            masks, ranks, columns = _table(*key, *kind, False)
-            tables[key] = masks, ranks, _gamma_x(colv, columns, p)
-        return tables[key]
+    def gathered(lo, hi, a, b, one=False, high=False):
+        """A pattern table's masks and ranks, and its Gamma x, built on first use.
 
-    def factor(lo, hi, a, b, one=False, high=False):
-        """At odd p, a pattern table as a factor of the weigher, with its ranks, built on first use.
-
-        The low factor holds Gamma x mod p, and p where x is nonzero; the
-        high factor holds -Gamma x mod p, and 3p where x is nonzero.
+        At odd p Gamma x is a factor of the weigher: the low factor holds
+        Gamma x mod p, and p where x is nonzero; the high factor holds
+        -Gamma x mod p, and 3p where x is nonzero.  p = 2 has no marks and
+        no high factor.
         """
-        key = lo, hi, a, b, *kind, one
-        if (high, key) not in tables:
-            marks, ranks, columns = _table(*key)
+        key = lo, hi, a, b, one, high
+        if key not in tables:
+            masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
             gz = _gamma_x(colv, columns, p)
-            if high:
-                np.subtract(p, gz, out=gz)  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
-                np.minimum(gz, gz - p, out=gz)
-            np.copyto(gz[lo:hi], dt.type(3 * p if high else p), where=marks)
-            tables[high, key] = gz, ranks
-        return tables[high, key]
+            if p > 2:
+                if high:
+                    np.subtract(p, gz, out=gz)  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
+                    np.minimum(gz, gz - p, out=gz)
+                np.copyto(gz[lo:hi], dt.type(3 * p if high else p), where=masks)
+            tables[key] = masks, ranks, gz
+        return tables[key]
 
     def walk(d, r, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
@@ -555,49 +549,55 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         is below level a is done, and only level a can tie a best of weight
         a, with a rank no less than the level's least (_least_rank): a row
         is also done when its best weight is a and its best rank at most
-        that.  A done row drops out of the stack's later chunks, checked at
-        each run's start and after each chunk, and the walk ends when every
-        row has.  Every chunk lists its candidates by ascending rank, so a
-        row's first argmin in a chunk is its least rank among the chunk's
+        that.  done is the only stop test: chunks asks it at each run's
+        start and before every chunk of a band level, and for a stack it
+        also sets rows, the rows the chunk weighs, so a done row drops out
+        of the later chunks and the walk ends when every row has.  Within a
+        level a candidate weighs at least a, so the consumers below only
+        keep bests.  Every chunk lists its candidates by ascending rank, so
+        a row's first argmin in a chunk is its least rank among the chunk's
         ties; a tie with an earlier chunk goes to the lesser rank.
         """
         runs, width = _level_plan(n, p, _BLOCK)
         w0 = min(n, width)  # a level past _BLOCK: x = A + B + C, with A and B from tables of the
         w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
-        rank_at = rows = band = None  # for the chunk being weighed: its ranks, its rows, and its band level
-        over = False  # set by the weighing below when no row may still improve in the band level
+        rank_at = rows = None  # for the chunk being weighed: its ranks and its rows
         one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
 
         def done(a, least):
-            """Whether no row may still improve at level a, whose least rank is least."""
-            return best_w < a or best_w == a and best_t <= least if d.ndim == 1 else not len(rows)
+            """Whether no row may still improve at level a, whose least rank is least.
+
+            For a stack, rows becomes the rows that may: best weight a, if at a rank above least.
+            """
+            nonlocal rows
+            if d.ndim == 1:
+                return best_w < a or best_w == a and best_t <= least
+            rows = np.flatnonzero(best_w - (best_t <= least) >= a)
+            return not len(rows)
 
         def chunks():
-            nonlocal rank_at, rows, band
+            nonlocal rank_at
             for a, b in runs:
                 least = _least_rank(p, a)
-                if d.ndim == 2:  # the rows that level a may improve: best weight a, if at a rank above least
-                    rows = np.flatnonzero(best_w - (best_t <= least) >= a)
                 if done(a, least):
                     return
                 if b is not None:  # levels a..b in one table
-                    x, rk, gz = patterns(0, n, a, b) if p == 2 else (*factor(0, n, a, b, one and a == b), None)
+                    x, rk, gz = gathered(0, n, a, b, one)
                     rank_at = rk.__getitem__
-                    yield x, gz, rows
+                    yield (x, gz, rows) if p == 2 else (gz, None, rows)
                     continue
-                band = a, least  # a level of many chunks: rows may be done before its last
                 for c in range(min(a, n - w0 - w1) + 1):
                     # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2.  At width 0
                     # (p - 1 > _BLOCK) the top vertex's values go a slice of _BLOCK at a time, from these starts
                     values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p, 1 if width else _BLOCK)] * (c > 0)
                     for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
+                        x0, r0, g0 = gathered(0, w0, a - c - j, a - c - j, one and not (c or j))
+                        x1, r1, g1 = gathered(w0, w0 + w1, j, j, one and not c, high=True)
                         if p == 2:  # each vertex of B flips every bit of rank(A), each of C every bit of
-                            # rank(A | B): reversed tables keep the chunk in ascending rank
-                            x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in patterns(0, w0, a - c - j, a - c - j))
-                            x1, r1, g1 = (t[:: (-1) ** c] for t in patterns(w0, w0 + w1, j, j))
-                        else:  # t(A + B + C) = t(A) + t(B) + t(C): the high-major product is in order
-                            x0, r0 = factor(0, w0, a - c - j, a - c - j, one and not (c or j))
-                            g1, r1 = factor(w0, w0 + w1, j, j, one and not c, high=True)
+                            # rank(A | B): reversed tables keep the chunk in ascending rank.  At odd p,
+                            # t(A + B + C) = t(A) + t(B) + t(C): the high-major product is in order
+                            x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in (x0, r0, g0))
+                            x1, r1, g1 = (t[:: (-1) ** c] for t in (x1, r1, g1))
                         size, step = len(r0), _BLOCK // len(r0)
                         for high in itertools.combinations(range(w0 + w1, n), c):
                             for digits in itertools.product(*values):
@@ -612,6 +612,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                         u, m = high[-1], np.arange(min(_BLOCK, values[-1].stop - digits[-1]))
                                         r1, g1 = m.astype(np.uint64) * p**u, (np.outer(gamma[:, u], -m) % p).astype(dt)
                                 for i in range(0, len(r1), step):
+                                    if done(a, least):
+                                        return
                                     ri = r1[i : i + step]
                                     if p == 2:
                                         xi, gi = x1[i : i + step], g1[i : i + step]
@@ -619,8 +621,6 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                             xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
                                         rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
                                         yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
-                                        if over:
-                                            return
                                     else:
                                         hi = g1[:, i : i + step] if c or j else None  # None: x_hi = 0
                                         if c:  # a mark 3p stays at 2p or above
@@ -628,9 +628,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                             hi = np.minimum(hi, hi - p, out=hi)
                                             hi[high, :] = 2 * p
                                         rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] + r0[k % size]
-                                        yield x0, hi, rows
-                                        if over:
-                                            return
+                                        yield g0, hi, rows
 
         weights = _level_blocks(d, dt, chunks()) if p == 2 else _residue_blocks(d, p, chunks())
         if d.ndim == 1:  # one row: Python ints
@@ -643,8 +641,6 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     t = int(rank_at(i))
                     if w.item(i) < best_w or t < best_t:
                         best_w, best_t = w.item(i), t
-                        if band is not None:
-                            over = done(*band)
             return [best_w], [best_t]
         best_w = np.full(r, n + 1, dtype=np.int64)
         best_t = np.zeros(r, dtype=kind[0])
@@ -660,11 +656,6 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             better = hit & ((low < bw) | (t < bt))
             best_w[rows] = np.where(better, low, bw)
             best_t[rows] = np.where(better, t, bt)
-            if band is not None:  # a row done within a band level drops out of its later chunks
-                fin = better & (low == band[0]) & (t <= band[1])
-                if fin.any():
-                    rows = rows[~fin]
-                    over = done(*band)
         return best_w.tolist(), best_t.tolist()
 
     def search(d: np.ndarray):
@@ -735,12 +726,12 @@ def code_distance(
     differences) take one pass, and 12 take two, of 64 and 3 rows.  The
     searcher is built first: its budget check guarantees p**n < 2**64, so
     each difference is keyed exactly by the integer sum d_j p**j, and the
-    pairs come from a memo per number of codewords (_pairs).  When
-    d = 0 is the only distinct difference (one codeword, or equal ones) it
-    is searched alone, as a 1-D d: a (1, n) stack of it took 10-20% longer,
-    from its 2-D per-block operations.  Every report equals
-    what pairwise_distance gives for its pair.  The reported pair is the
-    first minimizer in lexicographic scan order.
+    pairs come from a memo per number of codewords (_pairs).  A code
+    whose only distinct difference is d = 0 (one codeword, or equal ones)
+    is a one-row stack, which weighs only the x whose top digit is 1, as
+    diagonal_distance does.  Every report equals what pairwise_distance
+    gives for its pair.  The reported pair is the first minimizer in
+    lexicographic scan order.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -753,14 +744,11 @@ def code_distance(
     keys = (diffs.astype(np.uint64) @ _powers(p)[:n]).tolist()  # sum d_j p**j: one int per difference
     first: dict[int, int] = {}  # the key of a difference -> the index of its first pair
     which = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference
-    if len(distinct) == 1:  # d = 0 alone: the 1-D search, faster per block than a (1, n) stack
-        reports = {0: search(diffs[0])}
-    else:  # d = 0 heads the first stack
-        reports = {}
-        for c in range(0, len(distinct), _ROWS):
-            chunk = distinct[c : c + _ROWS]
-            reports.update(zip(chunk, search(diffs[chunk])))
+    distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference, heads the first stack
+    reports = {}
+    for c in range(0, len(distinct), _ROWS):
+        chunk = distinct[c : c + _ROWS]
+        reports.update(zip(chunk, search(diffs[chunk])))
     table = dict(zip(pairs, map(reports.__getitem__, which)))
     dist = [rep.distance for rep in table.values()]
     i = dist.index(min(dist))  # the first minimizer in scan order

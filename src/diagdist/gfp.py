@@ -12,6 +12,7 @@ fresh arrays, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,17 @@ P_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/pZ.  Construction fails unless p is a prime below P_LIMIT."""
+    """The field Z/pZ.  Construction fails unless p is a prime below P_LIMIT.
+
+    p is read through operator.index and kept as a Python int, so a numpy
+    integer prime searches as the int does; a float, a string or None is
+    refused with ValueError.
+    """
 
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _index(self.p, "p"))
         if self.p >= P_LIMIT:
             raise ValueError(f"{self.p} is not below 2**24")
         if not is_prime(self.p):
@@ -60,6 +67,14 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
         return pow(int(a), -1, self.p)
+
+
+def _index(v, name: str) -> int:
+    """v as a Python int, through operator.index: numpy integers pass, anything else raises ValueError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
 
 
 def _residues(c, p: int, n: int | None = None) -> np.ndarray:

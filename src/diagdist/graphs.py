@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfp import PrimeField, _int64s
+from .gfp import PrimeField, _index, _int64s
 
 FAMILIES = ("cycle", "path", "complete", "edgeless")
 INT64_MAX = (1 << 63) - 1  # multiplicities are stored as int64
@@ -54,6 +54,7 @@ class Multigraph:
     mult: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.n = _index(self.n, "vertex count")  # a Python int: numpy integers pass, floats do not
         if self.n < 1:
             raise ValueError("vertex count must be >= 1")
         m = _int64s(self.mult, "edge multiplicities").copy()  # the caller's array stays writable

@@ -1,10 +1,20 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from diagdist import PrimeField, is_prime, kernel_basis, rref, solve
-from helpers import CYCLE5_KERNEL, CYCLE5_LAMBDA
+from diagdist import (
+    PrimeField,
+    code_distance,
+    diagonal_distance,
+    is_prime,
+    kernel_basis,
+    pairwise_distance,
+    rref,
+    solve,
+)
+from helpers import CYCLE5_KERNEL, CYCLE5_LAMBDA, random_labelling, random_multigraph
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -174,6 +184,37 @@ def test_prime_field_bound():
     for p in (16777259, 4294967311, 2**61 - 1):
         with pytest.raises(ValueError, match=r"not below 2\*\*24"):
             PrimeField(p)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_numpy_integer_prime_searches_as_the_int_does(dtype, p):
+    """The prime is kept as a Python int: the search's bit_length and p**j never see a numpy scalar."""
+    f = PrimeField(dtype(p))
+    assert type(f.p) is int and f == PrimeField(p)
+    rng = random.Random(40 + p)
+    n = 6
+    g = random_multigraph(rng, n, max_mult=p - 1)
+    words = [random_labelling(rng, n, p) for _ in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a wrapped uint8 power warns before it overflows
+        got = [
+            diagonal_distance(g, f),
+            pairwise_distance(g, f, words[0], words[1]),
+            code_distance(g, f, words),
+        ]
+    want = [
+        diagonal_distance(g, PrimeField(p)),
+        pairwise_distance(g, PrimeField(p), words[0], words[1]),
+        code_distance(g, PrimeField(p), words),
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("p", [3.0, np.float64(5.0), "3", None, 3 + 0j])
+def test_a_prime_that_is_not_an_integer_is_refused(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        PrimeField(p)
 
 
 def reference_rref(m, p):

@@ -37,6 +37,14 @@ def test_multigraph_validation():
         Multigraph(3, np.zeros((2, 2)))  # wrong shape
 
 
+@pytest.mark.parametrize("n", [5.0, "5", None])
+def test_a_vertex_count_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        Multigraph(n, np.zeros((5, 5), dtype=np.int64))
+    g = Multigraph(np.int16(5), np.zeros((5, 5), dtype=np.int64))
+    assert type(g.n) is int and g == generate("edgeless", 5)
+
+
 def test_multigraph_is_read_only():
     g = generate("cycle", 4)
     with pytest.raises(ValueError):

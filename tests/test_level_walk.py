@@ -8,16 +8,19 @@ on it.  An edgeless graph with d = all ones walks every level but level
 n, the top ones included, in bounded memory.  The fuzz runs lone, stacked and
 zero-headed searches at three block sizes against test_search_pruning's
 unpruned reference, and checks that no chunk holds more than _BLOCK
-candidates per row.
+candidates per row.  A replay of every chunk's weights checks that each
+chunk weighs exactly the rows its level may still improve, so a row done
+inside a level of many chunks drops out of the rest.
 """
 
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diagdist import Multigraph, PrimeField, SearchConfig, diagonal_distance, pairwise_distance
+from diagdist import Multigraph, PrimeField, SearchConfig, code_distance, diagonal_distance, pairwise_distance
 from diagdist import distance as D
 from helpers import clear_memos
 from test_search_pruning import reference
@@ -142,3 +145,98 @@ def test_level_walk_matches_the_unpruned_gray_walk(monkeypatch, block):
     assert all(len(s) == 1 or s[0] <= 5 for s in shapes)  # rows first: at most the 5 rows searched
     assert any(len(s) == 2 and s[0] < 4 for s in shapes)  # a row whose best is below a level drops out
     assert {d for kind, d in kinds if kind == "isolated"} == {1}
+
+
+def chunk_log(monkeypatch):
+    """Spy on D._level_blocks: per chunk, [x, rows, weights], the weights kept by reference.
+
+    The walk masks d = 0's k = 0 candidate in the first chunk's weights in
+    place, after the weigher yields them, so a reference sees that mask.
+    """
+    real = D._level_blocks
+    log = []
+
+    def spy(d, dt, chunks):
+        def recorded():
+            for x, gz, rows in chunks:
+                log.append([x, rows])
+                yield x, gz, rows
+
+        for w in real(d, dt, recorded()):
+            log[-1].append(w)
+            yield w
+
+    monkeypatch.setattr(D, "_level_blocks", spy)
+    return log
+
+
+def gray_ranks(x):
+    """gray^-1 of each uint32 mask: the XOR of every right shift."""
+    t = x.astype(np.uint64)
+    for s in (1, 2, 4, 8, 16):
+        t ^= t >> np.uint64(s)
+    return t
+
+
+def replay(log, r):
+    """Check each chunk's rows against the bests before it, and return every row's best weight and rank.
+
+    Before a chunk of level a, exactly the rows whose best weight is
+    above a, or equal to a at a rank above the level's least, may still
+    improve; a lone d must be such a row.  After it, each handed row takes
+    its first argmin, at its Gray rank, on a lower weight or on an equal
+    weight at a lower rank.
+    """
+    best_w, best_t = np.full(r, 10**6), np.zeros(r, dtype=np.uint64)
+    drops = 0
+    level = handed = None
+    for x, rows, w in log:
+        a = int(np.bitwise_count(x).min())
+        expected = np.flatnonzero(best_w - (best_t <= D._least_rank(2, a)) >= a)
+        if rows is None:
+            assert expected.tolist() == [0]
+            rows, w = np.zeros(1, dtype=np.intp), w[None]
+        else:
+            assert rows.tolist() == expected.tolist(), a
+        drops += a == level and len(rows) < handed
+        level, handed = a, len(rows)
+        i = w.argmin(axis=1)
+        low, t = w[np.arange(len(rows)), i].astype(np.int64), gray_ranks(x[i])
+        better = (low < best_w[rows]) | (low == best_w[rows]) & (t < best_t[rows])
+        best_w[rows[better]], best_t[rows[better]] = low[better], t[better]
+    return best_w.tolist(), best_t.tolist(), drops
+
+
+@pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 12])
+@pytest.mark.parametrize("n", [8, 11, 14, 17])
+def test_each_chunk_weighs_exactly_the_rows_its_level_may_improve(monkeypatch, block, n):
+    """Rows drop out of a band level's later chunks as soon as they are done, and no sooner."""
+    monkeypatch.setattr(D, "_BLOCK", block)
+    log = chunk_log(monkeypatch)
+    rng = random.Random(f"rows/{block}/{n}")
+    g = gnp(n, rng.randrange(10**6))
+    gamma = g.mult % 2
+    # words 1-3 differ from word 0 by Gamma x for the least x of levels 1-3, which weighs its level at
+    # most: such a row is done at the first chunk of its level, and drops out of the level's later chunks
+    words = [np.zeros(n, dtype=np.int64)] + [gamma[:, :a].sum(axis=1) % 2 for a in (1, 2, 3)]
+    words += [np.array([rng.randrange(2) for _ in range(n)], dtype=np.int64) for _ in range(5)]
+    firsts = {}  # each distinct difference's first pair: the code's stack, d = 0 first
+    for r in range(9):
+        for s in range(r, 9):
+            firsts.setdefault(tuple((words[r] - words[s]) % 2), (r + 1, s + 1))
+    searches = [
+        lambda: [diagonal_distance(g, F2)],
+        lambda: [pairwise_distance(g, F2, words[0], words[1])],
+        lambda: list(map(code_distance(g, F2, words).table.__getitem__, firsts.values())),
+    ]
+    bits = 1 << np.arange(n, dtype=np.uint32)
+    drops = 0
+    for search in searches:
+        log.clear()
+        reps = search()
+        best_w, best_t, dropped = replay(log, len(reps))
+        assert best_w == [rep.distance for rep in reps]
+        assert best_t == gray_ranks(np.array([rep.witness.x for rep in reps]) @ bits).tolist()
+        drops += dropped
+    if math.comb(n, 3) > block:  # level 3 is walked as band products
+        assert drops  # some row is done inside a band level

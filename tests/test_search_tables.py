@@ -511,3 +511,17 @@ def test_every_table_is_asked_for_by_one_key(monkeypatch):
     assert {key[5] for key in forms} == {2, 3, 5}
     assert any(key[2] < key[3] for key in forms) and any(key[6] for key in forms)  # runs, and top digit 1
     assert {key: raw for key, raw in forms.items() if len(raw) > 1} == {}
+
+
+# The (p, n) classes of the benchmark's in-process workloads (diag-gf2, diag-oddp and code-pairs), every seed.
+WORKLOAD_CLASSES = [(2, n) for n in (*range(10, 19), 20)] + [(3, n) for n in range(7, 12)] + [(5, 6), (5, 7), (7, 5), (7, 6)]
+
+
+def test_every_workload_class_keeps_its_level_plan():
+    """A process that searches every class of the workloads, twice, builds each level plan once."""
+    clear_memos()
+    for _ in range(2):
+        for p, n in WORKLOAD_CLASSES:
+            diagonal_distance(generate("cycle", n), PrimeField(p))
+    info = D._level_plan.cache_info()
+    assert info.misses == info.currsize == len(WORKLOAD_CLASSES)

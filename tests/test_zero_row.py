@@ -4,8 +4,8 @@ code_distance puts the zero difference first in its first stack, so a code
 takes one block pass, not a lone d = 0 search and then its stacks.  Row 0
 of such a stack must report exactly what diagonal_distance reports, though
 the stack weighs candidates that the scalar symmetry lets a lone d = 0
-search skip.  A code whose only difference is zero still gets the lone
-search.
+search skip.  A code whose only difference is zero searches it as a
+one-row stack, which keeps the lone search's scalar filter.
 """
 
 import dataclasses
@@ -113,7 +113,7 @@ def scalar_supports(n, p, w):
 
 @pytest.mark.parametrize("p, n", [(3, 5), (5, 4)])
 def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
-    """One codeword, or equal ones: a 1-D search that weighs only the x whose top digit is 1."""
+    """One codeword, or equal ones: a one-row stack that weighs only the x whose top digit is 1."""
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # every level walked alone, so every level is filtered
     walks = spy_walk(monkeypatch)
     rng = random.Random(90 + p)
@@ -129,7 +129,7 @@ def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
     for words in ([w], [w, w + p, w]):
         walks.clear()
         res = code_distance(g, f, words)
-        assert walks == [((n,), lone)]
+        assert walks == [((1, n), lone)]
         assert all(key(rep) == key(want) for rep in res.table.values())
 
 
