@@ -45,10 +45,12 @@ level by one recipe at every p from the level below.  Per graph, Gamma x
 of a table is one gather of those columns from a table of Gamma's columns
 and their multiples, and one XOR or add mod p, only for the tables
 walked.  Small consecutive levels share one chunk.  From the first level
-of more than _BLOCK candidates on, every level is walked as products of
-two band tables, with the vertices above both bands, and their values,
-walked in Python, so no chunk holds more than _BLOCK candidates per row
-and no table is built through a larger one.
+of more than _BLOCK walked candidates on, or whose level below holds
+more than _BLOCK, every level is walked as products of two band tables,
+with the vertices above both bands, and their values, walked in Python,
+so no chunk holds more than _BLOCK candidates per row and no table is
+built through a larger one.  A lone d = 0 search at odd p counts, of
+each level, the share of top digit 1 it walks (below).
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _int64s, _residues
+from .gfp import PrimeField, _index, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -94,17 +96,21 @@ class SearchConfig:
     """Caps on the p**n exhaustive search.
 
     max_vertices of None means the per-prime default (24 for p = 2, 12
-    otherwise).  force disables both the vertex cap and the global
-    candidate budget, but never admits p**n >= 2**64, past the uint64
-    ranks of the search: at p = 2, n >= 64 is always refused.
+    otherwise).  Else it is read through operator.index and kept as a
+    Python int, as PrimeField.p is: a float or a string raises ValueError.
+    force disables both the vertex cap and the global candidate budget,
+    but never admits p**n >= 2**64, past the uint64 ranks of the search:
+    at p = 2, n >= 64 is always refused.
     """
 
     max_vertices: int | None = None
     force: bool = False
 
     def __post_init__(self):
-        if self.max_vertices is not None and self.max_vertices < 1:
-            raise ValueError("max_vertices must be >= 1")
+        if self.max_vertices is not None:
+            object.__setattr__(self, "max_vertices", _index(self.max_vertices, "max_vertices"))
+            if self.max_vertices < 1:
+                raise ValueError("max_vertices must be >= 1")
 
     def vertex_cap(self, p: int) -> int:
         return self.max_vertices if self.max_vertices is not None else 24 if p == 2 else 12
@@ -341,33 +347,41 @@ def _least_rank(p: int, s: int) -> int:
     return 2 ** (s + 1) // 3 if p == 2 else (p**s - 1) // (p - 1)
 
 
-@functools.lru_cache(maxsize=64)  # one plan per (n, p) class searched: each a small tuple
-def _level_plan(n: int, p: int, block: int) -> tuple[tuple[tuple[int, int | None], ...], int]:
-    """The support levels of n vertices in walking order, and the band width for levels past block.
+@functools.lru_cache(maxsize=64)  # one plan per (n, p, one) class searched: each a small tuple
+def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tuple[int, int | None], ...], int]:
+    """The support levels of n vertices in walking order, and the band width for band levels.
 
-    Level s holds C(n, s) (p - 1)**s candidates.  Each entry (a, b) is a
-    run of consecutive levels a..b that one table of at most block
-    candidates holds.  Consecutive levels share a run while it holds at
-    most block // n candidates: at p = 2 and n = 10..13 that is levels 0..3
+    Level s holds C(n, s) (p - 1)**s candidates.  With one (the scalar
+    symmetry of a lone d = 0 search at odd p) a level s >= 1 walks only
+    its x of top digit 1, a 1 / (p - 1) share, and counts that share;
+    but not when p - 1 > block, where the searcher's column table holds no
+    multiples and the top vertex's values go in slices.  Each entry (a, b)
+    is a run of consecutive levels a..b that one table of at most block
+    walked candidates holds: a level is one table while its walked share
+    is at most block and the full level below it, which _table builds it
+    from, is too.  Consecutive levels share a run while their full sizes
+    sum to at most block // n: at p = 2 and n = 10..13 that is levels 0..3
     or 0..4, which nearly every row of a code's stack walks, and a run as
     long as a block would weigh, for all 64 rows, levels that most rows
-    never reach.  An entry (s, None) is a level walked as products of two
-    band tables (see walk in _searcher): every level from the first one of
-    more than block candidates on, since a level is built from the level
-    below, and the top levels, small again, would be built through the
-    large ones.  The band width is the most vertices whose every level
-    fits block: 0 when one vertex's p - 1 values do not, and then the walk
-    takes the top vertex's values in slices of block.
+    never reach.  Merging by walked shares made lone searches that stop
+    before a merged level slower.  An entry (s, None) is a level walked as
+    products of two band tables (see walk in _searcher): every level from
+    the first one that is not one table on, since a level is built from
+    the level below, and the top levels, small again, would be built
+    through the large ones.  The band width is the most vertices whose
+    every level fits block: 0 when one vertex's p - 1 values do not, and
+    then the walk takes the top vertex's values in slices of block.
     """
 
     def size(s):
         return math.comb(n, s) * (p - 1) ** s
 
+    share = p - 1 if one and p - 1 <= block else 1  # a level s >= 1 walks size(s) // share candidates
     runs, s, small = [], 0, True
     while s <= n:
         a, total = s, size(s)
         s += 1
-        small = small and total <= block
+        small = small and (a == 0 or total // share <= block and size(a - 1) <= block)
         if small:
             while s <= n and total + size(s) <= block // n:
                 total += size(s)
@@ -498,7 +512,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     chunk's level may still improve.  When d = 0, alone or as row 0, its
     k = 0 candidate (weight 0) is neither weighed nor counted in
     vectors_examined.  At odd p a lone d = 0, 1-D or a one-row stack,
-    weighs only the x whose top digit is 1; a longer stack headed by d = 0
+    weighs only the x whose top digit is 1, and its level plan counts
+    that share of each level, so a level whose share fits _BLOCK is one
+    table even when the full level is not; a longer stack headed by d = 0
     weighs every x for all its rows, and there row 0 can only tie its first
     minimizer.  The witnesses are checked against Lambda in one product
     and their chi-weights recounted in one numpy sum, compared with the
@@ -556,13 +572,15 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         level a candidate weighs at least a, so the consumers below only
         keep bests.  Every chunk lists its candidates by ascending rank, so
         a row's first argmin in a chunk is its least rank among the chunk's
-        ties; a tie with an earlier chunk goes to the lesser rank.
+        ties; a tie with an earlier chunk goes to the lesser rank.  The
+        runs and band levels come from _level_plan, which is told one, so
+        a lone d = 0 at odd p sizes each level by the candidates it walks.
         """
-        runs, width = _level_plan(n, p, _BLOCK)
-        w0 = min(n, width)  # a level past _BLOCK: x = A + B + C, with A and B from tables of the
+        one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
+        runs, width = _level_plan(n, p, _BLOCK, one)
+        w0 = min(n, width)  # a band level: x = A + B + C, with A and B from tables of the
         w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
         rank_at = rows = None  # for the chunk being weighed: its ranks and its rows
-        one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
 
         def done(a, least):
             """Whether no row may still improve at level a, whose least rank is least.
@@ -737,7 +755,13 @@ def code_distance(
         raise ValueError("need at least one codeword")
     n, p = g.n, f.p
     search = _searcher(g, f, cfg)  # its budget check guarantees p**n < 2**64, so the keys below are exact
-    reduced = np.array([_residues(c, p, n) for c in codewords])  # so cr - cs fits int64
+    words = [np.asarray(c) for c in codewords]
+    dt = words[0].dtype
+    if dt.kind in "biu" and all(w.dtype == dt and w.shape == (n,) for w in words):  # one integer dtype
+        reduced = _residues(np.array(words), p)  # one reduction, exact in any one dtype
+    else:  # int64 and uint64 stack as float64, and a list past int64 reads as floats: each as given
+        reduced = np.array([_residues(c, p, n) for c in codewords])
+    # reduced is int64 in [0, p), so cr - cs fits int64
     pairs, first_word, second_word = _pairs(len(reduced))
     diffs = reduced.take(first_word, axis=0) - reduced.take(second_word, axis=0)  # row i: the difference of pairs[i]
     diffs %= p

@@ -484,3 +484,9 @@ def test_max_n_below_one_is_a_usage_error(capsys, cycle5_file, value):
         assert (code, out) == (1, ""), command
         assert err.endswith(f"diagdist {command}: error: argument --max-n: max_vertices must be >= 1\n")
     assert run(capsys, "distance", cycle5_file, "--max-n", "x")[0] == 1
+
+
+def test_max_n_that_is_not_an_integer_is_a_usage_error(capsys, cycle5_file):
+    code, out, err = run(capsys, "distance", cycle5_file, "--max-n", "2.5")
+    assert (code, out) == (1, "")
+    assert err.endswith("diagdist distance: error: argument --max-n: '2.5' is not an integer\n")

@@ -174,6 +174,20 @@ def test_search_config_validation():
         SearchConfig(max_vertices=0)
 
 
+@pytest.mark.parametrize("value", ["3", 2.5, 3.0])
+def test_a_max_vertices_that_is_not_an_integer_is_refused(value):
+    """A string raised TypeError from the comparison, and 2.5 was taken as a fractional cap."""
+    with pytest.raises(ValueError, match=f"max_vertices must be an integer, got {value!r}"):
+        SearchConfig(max_vertices=value)
+
+
+def test_a_numpy_integer_max_vertices_is_read_as_an_int():
+    cfg = SearchConfig(max_vertices=np.int64(5))
+    assert type(cfg.max_vertices) is int and cfg.vertex_cap(3) == 5
+    with pytest.raises(SearchTooLarge, match="n = 6 exceeds the vertex cap 5"):
+        diagonal_distance(generate("cycle", 6), F3, cfg)
+
+
 def test_pairwise_equal_codewords_is_diagonal():
     g = generate("cycle", 5)
     c = np.array([1, 1, 0, 1, 0], dtype=np.int64)

@@ -88,6 +88,33 @@ def test_code_distance():
     }
 
 
+# (name, codewords of length 3): code_distance reduces codewords of one integer dtype in one call, and
+# the rest one at a time, so each mix must give what the reduced codewords give
+CODES = [
+    ("int64 and uint64 holding 2**64 - 1", [np.array([TOP, 0, 0], dtype=np.uint64), np.array([1, 2, 0]), np.array([2, 2, 1])]),
+    ("uint64 only", [np.array([TOP, 1, 0], dtype=np.uint64), np.array([2**63 + 1, 0, TOP - 1], dtype=np.uint64)]),
+    ("Python-int lists", [[1, 2, 0], [2, 2, 1], [0, 1, 1], [1, 2, 0]]),
+    ("Python-int lists read as floats", [[TOP, 0, 0], [0, 1, 2**64 - 2]]),
+    ("a list of a big int and a float", [[TOP, 1.0, 0], [0, 0, 0]]),
+    ("int8 arrays", [np.array([-128, 127, -1], dtype=np.int8), np.array([5, 0, 1], dtype=np.int8)]),
+]
+
+
+@pytest.mark.parametrize("name, words", CODES, ids=[name for name, _ in CODES])
+def test_codewords_reduce_as_their_residues(name, words):
+    res = code_distance(generate("cycle", 3), F3, words)
+    want = code_distance(generate("cycle", 3), F3, [reduced(c) for c in words])
+    assert (res.delta, res.pair) == (want.delta, want.pair)
+    assert {pair: key(rep) for pair, rep in res.table.items()} == {pair: key(rep) for pair, rep in want.table.items()}
+
+
+def test_a_short_codeword_is_refused():
+    g = generate("cycle", 3)
+    for words in ([np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)], [[0, 1], [1, 0]], [[0, 1, 2], [1]]):
+        with pytest.raises(ValueError, match="labellings must have length 3"):
+            code_distance(g, F3, words)
+
+
 @pytest.mark.parametrize("name, c", INPUTS, ids=[name for name, _ in INPUTS])
 def test_kernel_point(name, c):
     gamma = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])

@@ -8,9 +8,14 @@ odometer block search, which took about 2 s on it.  Ranks are exact up to
 p**n < 2**64, and a forced search past that is refused.  The fuzz runs
 lone, stacked and zero-headed searches at three block sizes against
 test_search_pruning's unpruned reference, and checks that no chunk holds
-more than _BLOCK candidates per row.
+more than _BLOCK candidates per row.  A lone d = 0 search sizes its
+levels by the x of top digit 1 it walks: its plans are pinned, and its
+reports, and those of forced reach cases, match reports recorded while
+every level was sized by its full count.
 """
 
+import hashlib
+import math
 import random
 
 import numpy as np
@@ -21,12 +26,14 @@ from diagdist import (
     PrimeField,
     SearchConfig,
     SearchTooLarge,
+    code_distance,
     diagonal_distance,
     pairwise_distance,
     serialize,
 )
 from diagdist import distance as D
 from diagdist.cli import main
+from helpers import clear_memos, random_multigraph
 from test_search_pruning import reference
 
 FORCE = SearchConfig(force=True)
@@ -34,7 +41,11 @@ FORCE = SearchConfig(force=True)
 
 def uniform(n, p, seed):
     """Multiplicities drawn uniformly from 0..p-1 by random.Random(seed), in (u, v) order, u < v."""
-    rng = random.Random(seed)
+    return drawn(random.Random(seed), n, p)
+
+
+def drawn(rng, n, p):
+    """Multiplicities drawn uniformly from 0..p-1 by rng, in (u, v) order, u < v."""
     mult = np.zeros((n, n), dtype=np.int64)
     for u in range(n):
         for v in range(u + 1, n):
@@ -159,3 +170,139 @@ def test_odd_walk_matches_the_unpruned_odometer(monkeypatch, block):
     assert all(len(s) == 1 or s[0] <= 5 for s in shapes)  # rows first: at most the 5 rows searched
     assert any(len(s) == 2 and s[0] < 4 for s in shapes)  # a row whose best is below a level drops out
     assert {d for kind, d in kinds if kind == "isolated"} == {1}
+
+
+def bands(a, n):
+    """Levels a..n, each walked as band products."""
+    return tuple((s, None) for s in range(a, n + 1))
+
+
+def test_a_lone_level_is_one_table_while_its_walked_share_fits_a_block():
+    """A lone d = 0 at odd p weighs 1 / (p - 1) of each level, and the plan sizes its levels by that share.
+
+    A level is one table while its walked share fits a block and the full
+    level below it, which the table is built from, does too; every later
+    level is band products.  At p = 7, n = 6 level 3 walks 720 of 4,320
+    candidates, and level 4, 3,240 of 19,440, is built from the full level
+    3, past a block.  The plans of a search that weighs every x, and those
+    of the forced reach cases, whose first band level's share is past a
+    block, are as before.
+    """
+    block = D._BLOCK
+    assert block == 1 << 12
+    cases = {  # (p, n, the level that becomes one table): the runs of the plan that weighs every x
+        (7, 6, 3): ((0, 2),) + bands(3, 6),
+        (3, 11, 4): ((0, 2), (3, 3)) + bands(4, 11),
+        (3, 10, 5): ((0, 2), (3, 3), (4, 4)) + bands(5, 10),
+    }
+    for (p, n, s), runs in cases.items():
+        lone, width = D._level_plan(n, p, block, True)
+        assert D._level_plan(n, p, block, False) == (runs, width)
+        assert lone == tuple((s, s) if run == (s, None) else run for run in runs)
+        assert math.comb(n, s) * (p - 1) ** (s - 1) <= block < math.comb(n, s) * (p - 1) ** s
+    assert D._level_plan(6, 7, block, True) == (((0, 2), (3, 3)) + bands(4, 6), 4)
+    for p, n, width in ((3, 20, 8), (3, 24, 8), (5, 14, 5), (5, 16, 5), (7, 12, 4)):
+        want = ((0, 1), (2, 2)) + bands(3, n), width
+        assert D._level_plan(n, p, block, True) == D._level_plan(n, p, block, False) == want, (p, n)
+    # with p - 1 past the block the column table holds no multiples: the share is not taken
+    assert D._level_plan(5, 11, 1 << 3, True) == D._level_plan(5, 11, 1 << 3, False)
+    assert D._level_plan(1, 65521, block, True) == (((0, 0), (1, None)), 0)
+
+
+def diag_oddp_graphs(seed, p, n):
+    """The (p, n) graphs of the benchmark's diag-oddp workload at seed, drawn in the order bench/workloads.py draws them."""
+    rng = random.Random(f"diag-oddp/{seed}")
+    for q, sizes in ((3, [(17, 8), (17, 9), (6, 10), (4, 11)]), (5, [(20, 6), (6, 7)]), (7, [(26, 5), (4, 6)])):
+        for count, m in sizes:
+            for _ in range(count):
+                g = drawn(rng, m, q)
+                if (q, m) == (p, n):
+                    yield g
+
+
+def test_a_lone_p7_n6_search_weighs_level_3_as_one_table(monkeypatch):
+    """The p = 7, n = 6 graphs of diag-oddp (seed 1) weigh their 817 candidates in 2 chunks, from 2 tables.
+
+    Levels 0..2 of top digit 1 (1 + 6 + 90) are one run and level 3's 720
+    one table; as band products level 3 took 3 chunks and 6 gathered
+    tables.  Distances 4, 3, 3, 3: each search ends after level 3.
+    """
+    shapes = chunk_spy(monkeypatch)
+    gathered = []
+    real = D._gamma_x
+
+    def gamma_x(*args):
+        gathered.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(D, "_gamma_x", gamma_x)
+    distances = []
+    for g in diag_oddp_graphs(1, 7, 6):
+        shapes.clear()
+        gathered.clear()
+        distances.append(diagonal_distance(g, PrimeField(7)).distance)
+        assert shapes == [(97,), (720,)]
+        assert gathered == [(2, 97), (3, 720)]  # each x's nonzero digits: at most 2, then 3
+    assert distances == [4, 3, 3, 3]
+
+
+# p -> vertex counts of the lone-search fuzz, and the digest of its reports recorded from the walk that
+# sized every level by its full count, before a lone level was sized by its share of top digit 1
+LONE_SIZES = {3: (1, 4, 7, 9, 10, 11, 12), 5: (1, 3, 5, 6, 7, 8, 9), 7: (2, 4, 5, 6, 7), 11: (1, 2, 3, 4, 5)}
+LONE_DIGESTS = {3: "111c6815f3c9282c", 5: "3f70a4c49246b961", 7: "88e5539d72cf3ea9", 11: "805d17eee447ecbe"}
+
+
+def lone_reports(p):
+    """Two graphs per size, each searched alone: diagonal_distance, and a one-codeword code."""
+    f = PrimeField(p)
+    for n in LONE_SIZES[p]:
+        rng = random.Random(f"lone/{p}/{n}")
+        for _ in range(2):
+            g = random_multigraph(rng, n, max_mult=p - 1)
+            yield key(diagonal_distance(g, f, FORCE))
+            yield key(code_distance(g, f, [[rng.randrange(p) for _ in range(n)]], FORCE).table[1, 1])
+
+
+@pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 12])
+@pytest.mark.parametrize("p", LONE_DIGESTS)
+def test_lone_searches_reproduce_the_recorded_reports(monkeypatch, p, block):
+    """Lone d = 0 searches, whose plans size levels by their share of top digit 1, report as before.
+
+    At each block size some search walks a level that is one table only
+    by that share, except at p = 11 and a block of 2**3, where p - 1 is
+    past the block and the plan is the full one.
+    """
+    monkeypatch.setattr(D, "_BLOCK", block)
+    clear_memos()
+    shares = []
+    real = D._table
+
+    def table(*args):
+        lo, hi, a, b, dt, q, one = args  # a band table (0, w0) is not one: every level of w0 vertices fits
+        if one and lo == 0 and a == b and (a, None) in D._level_plan(hi, q, block, False)[0]:
+            shares.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(D, "_table", table)
+    digest = hashlib.sha256(repr(list(lone_reports(p))).encode()).hexdigest()[:16]
+    assert digest == LONE_DIGESTS[p]
+    assert bool(shares) == (p - 1 <= block)
+
+
+@pytest.mark.parametrize(
+    "p, n, distance, x, z",
+    [
+        (3, 17, 5, (0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0), (0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0)),
+        (7, 12, 5, (0, 0, 0, 6, 0, 0, 0, 3, 4, 0, 0, 1), (1, 0, 0, 3, 0, 0, 0, 3, 6, 0, 0, 1)),
+    ],
+)
+def test_forced_reach_cases_report_as_before(p, n, distance, x, z):
+    """Forced searches of the reach table's graphs (random.Random(1000 + n)), recorded before levels were sized by their share.
+
+    p = 3, n = 17 walks level 3 as one table now (2,720 of 5,440); p = 7,
+    n = 12 walks the same plan.  test_forced_p3_n20_reports_what_the_odometer_did
+    pins n = 20.
+    """
+    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), FORCE)
+    assert (rep.distance, rep.vectors_examined) == (distance, p**n - 1)
+    assert (rep.witness.x, rep.witness.z) == (x, z)

@@ -515,13 +515,52 @@ def test_every_table_is_asked_for_by_one_key(monkeypatch):
 
 # The (p, n) classes of the benchmark's in-process workloads (diag-gf2, diag-oddp and code-pairs), every seed.
 WORKLOAD_CLASSES = [(2, n) for n in (*range(10, 19), 20)] + [(3, n) for n in range(7, 12)] + [(5, 6), (5, 7), (7, 5), (7, 6)]
+CODE_CLASSES = [(2, n) for n in range(10, 14)] + [(3, 7), (3, 8)]  # code-pairs' classes
+
+
+def workload_searches(rng):
+    """A lone search of every workload class and a code of every code-pairs class, on random multigraphs."""
+    for p, n in WORKLOAD_CLASSES:
+        diagonal_distance(random_multigraph(rng, n, max_mult=p - 1), PrimeField(p))
+    for p, n in CODE_CLASSES:
+        g = random_multigraph(rng, n, max_mult=p - 1)
+        code_distance(g, PrimeField(p), [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(6)])
 
 
 def test_every_workload_class_keeps_its_level_plan():
-    """A process that searches every class of the workloads, twice, builds each level plan once."""
+    """A process that searches every class of the workloads, twice, builds each level plan once.
+
+    A lone search at odd p sizes its levels by the x of top digit 1, so
+    its plan has a key of its own: p = 3, n = 7 and 8 hold two plans, one
+    for diag-oddp's lone searches and one for code-pairs' stacks.  No plan
+    is evicted.
+    """
     clear_memos()
     for _ in range(2):
-        for p, n in WORKLOAD_CLASSES:
-            diagonal_distance(generate("cycle", n), PrimeField(p))
+        workload_searches(random.Random(23))
+    keys = {(p, n, p > 2) for p, n in WORKLOAD_CLASSES} | {(p, n, False) for p, n in CODE_CLASSES}
     info = D._level_plan.cache_info()
-    assert info.misses == info.currsize == len(WORKLOAD_CLASSES)
+    assert info.misses == info.currsize == len(keys) == len(WORKLOAD_CLASSES) + 2 <= info.maxsize
+
+
+def test_every_memoized_table_fits_a_block(monkeypatch):
+    """After every workload class is searched, no table in the memo holds more than _BLOCK candidates.
+
+    The memos are emptied first and _table's own recursion looks it up as
+    a global, so the recorder sees every table the memo holds.
+    """
+    real = D._table
+    sizes = {}
+
+    def recorder(*args):
+        t = real(*args)
+        sizes[args] = len(t[1])
+        return t
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", recorder)
+    workload_searches(random.Random(29))
+    assert len(sizes) == real.cache_info().currsize
+    assert max(sizes.values()) <= D._BLOCK
+    full = {key: math.comb(key[1] - key[0], key[2]) * (key[5] - 1) ** key[2] for key in sizes if key[2] == key[3]}
+    assert any(key[-1] and size > D._BLOCK for key, size in full.items())  # a level one table only by its share
