@@ -177,16 +177,17 @@ def bands(a, n):
     return tuple((s, None) for s in range(a, n + 1))
 
 
-def test_a_lone_level_is_one_table_while_its_walked_share_fits_a_block():
+def test_a_lone_level_is_one_table_while_its_walked_share_fits_a_block(monkeypatch):
     """A lone d = 0 at odd p weighs 1 / (p - 1) of each level, and the plan sizes its levels by that share.
 
     A level is one table while its walked share fits a block and the full
     level below it, which the table is built from, does too; every later
     level is band products.  At p = 7, n = 6 level 3 walks 720 of 4,320
     candidates, and level 4, 3,240 of 19,440, is built from the full level
-    3, past a block.  The plans of a search that weighs every x, and those
-    of the forced reach cases, whose first band level's share is past a
-    block, are as before.
+    3, past a block.  Every run's table, and every table it is built
+    from, fits a block.  The plans of a search that weighs every x, and
+    those of the forced reach cases, whose first band level's share is
+    past a block, are as before.
     """
     block = D._BLOCK
     assert block == 1 << 12
@@ -201,6 +202,20 @@ def test_a_lone_level_is_one_table_while_its_walked_share_fits_a_block():
         assert lone == tuple((s, s) if run == (s, None) else run for run in runs)
         assert math.comb(n, s) * (p - 1) ** (s - 1) <= block < math.comb(n, s) * (p - 1) ** s
     assert D._level_plan(6, 7, block, True) == (((0, 2), (3, 3)) + bands(4, 6), 4)
+    real, sizes = D._table, []
+
+    def table(*args):
+        t = real(*args)
+        sizes.append(len(t[1]))
+        return t
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", table)  # _table's recursion looks it up as a global: the recorder sees it
+    for p, n, _ in cases:
+        for a, b in D._level_plan(n, p, block, True)[0]:
+            if b is not None:
+                D._table(0, n, a, b, np.uint64, p, True)
+    assert max(sizes) <= block
     for p, n, width in ((3, 20, 8), (3, 24, 8), (5, 14, 5), (5, 16, 5), (7, 12, 4)):
         want = ((0, 1), (2, 2)) + bands(3, n), width
         assert D._level_plan(n, p, block, True) == D._level_plan(n, p, block, False) == want, (p, n)
@@ -270,23 +285,27 @@ def test_lone_searches_reproduce_the_recorded_reports(monkeypatch, p, block):
 
     At each block size some search walks a level that is one table only
     by that share, except at p = 11 and a block of 2**3, where p - 1 is
-    past the block and the plan is the full one.
+    past the block and the plan is the full one.  No table, nor any
+    table it is built from, holds more than a block.
     """
     monkeypatch.setattr(D, "_BLOCK", block)
     clear_memos()
-    shares = []
+    shares, sizes = [], []
     real = D._table
 
     def table(*args):
         lo, hi, a, b, dt, q, one = args  # a band table (0, w0) is not one: every level of w0 vertices fits
         if one and lo == 0 and a == b and (a, None) in D._level_plan(hi, q, block, False)[0]:
             shares.append(args)
-        return real(*args)
+        t = real(*args)
+        sizes.append(len(t[1]))
+        return t
 
     monkeypatch.setattr(D, "_table", table)
     digest = hashlib.sha256(repr(list(lone_reports(p))).encode()).hexdigest()[:16]
     assert digest == LONE_DIGESTS[p]
     assert bool(shares) == (p - 1 <= block)
+    assert max(sizes) <= block
 
 
 @pytest.mark.parametrize(
