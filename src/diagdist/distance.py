@@ -17,9 +17,11 @@ p**n choices of x instead of spanning a 2n-column basis.  Its reported
 witness is the first minimizer in a fixed order of x: Gray-code order
 (x = gray(t), t = 0, 1, ...) for p = 2, odometer order (digit 1 fastest)
 for p >= 3.  The witness is re-checked against Lambda and its weight
-recounted (a stack's together, in one product and one numpy count), so
-equal inputs always produce identical reports, and a row of a stack
-reports what its lone search would.  The search also takes a stack of r
+recounted: a lone search's from the digits of the Python-int rank its
+walk keeps, with one product for z, and a stack's together, expanded
+from an array of ranks, in one product and one numpy count.  So equal
+inputs always produce identical reports, and a row of a stack reports
+what its lone search would.  The search also takes a stack of r
 differences, each chunk weighed for all r rows in one pass, so
 code_distance pays the per-search Python cost once per stack of up to
 _ROWS = 64 differences, not once per difference; row 0 may be d = 0, so a
@@ -235,12 +237,12 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
         )
 
 
-_BITS = 1 << np.arange(64, dtype=np.uint64)  # bit j at entry j, shared read-only by every search
+_BITS = 1 << np.arange(63)  # bit j at entry j, of int64, which holds any sum of them; shared read-only
 _BITS.setflags(write=False)
 
 
 def _bitmasks(a: np.ndarray):
-    """Each row of a (at most 64 columns) as an int with bit j set where its entry j is nonzero."""
+    """Each row of a (at most 63 columns) as an int with bit j set where its entry j is nonzero."""
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
@@ -314,6 +316,44 @@ def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.
     for t in (masks, ranks, columns):
         t.setflags(write=False)
     return masks, ranks, columns
+
+
+@functools.lru_cache(maxsize=8)
+def _multiples(p: int) -> np.ndarray:
+    """v u mod p at [v - 1, u], for v in 1..p - 1 and u in 0..p - 1, read-only, of the odd-p tables' dtype.
+
+    It depends on p alone, so each process builds it once per prime.
+    _column_table asks only for p < 2**8, so a table holds under 2**16
+    entries of at most 2 bytes (128 KiB), and maxsize bounds the memo at
+    1 MiB.
+    """
+    table = (np.arange(1, p)[:, None] * np.arange(p) % p).astype(np.min_scalar_type(4 * p))
+    table.setflags(write=False)
+    return table
+
+
+def _column_table(gamma: np.ndarray, p: int, dt) -> np.ndarray:
+    """A graph's column table, which _table's digit columns index: entry 0 is zero.
+
+    At p = 2 entry 1 + j is the bitmask of Gamma[:, j], of dtype dt, from
+    one product of gamma (0 or 1) with the bits.  At odd p row
+    1 + j (p - 1) + v - 1 holds v Gamma[:, j] mod p, of dtype dt: for
+    p < 2**8 from one take of _multiples, and above that multiplied out;
+    but when p - 1 > _BLOCK (band width 0) only level 0 is gathered, and
+    the zero row is the table.
+    """
+    n = len(gamma)
+    if p == 2:
+        colv = np.zeros(n + 1, dtype=dt)
+        colv[1:] = _BITS[:n] @ gamma  # bit i of column j is gamma[i, j]
+        return colv
+    colv = np.zeros((1 + n * (p - 1) if p - 1 <= _BLOCK else 1, n), dtype=dt)
+    multiples = colv[1:].reshape(-1, p - 1, n)  # [j, v - 1]: v Gamma[:, j] mod p, for every j or for none
+    if len(multiples) and p < 1 << 8:  # entry [v - 1, j, i] of the take is v gamma[i, j] mod p
+        np.copyto(multiples, _multiples(p).take(gamma.T, axis=1).transpose(1, 0, 2))
+    elif len(multiples):
+        multiples[...] = gamma.T[:, None] * np.arange(1, p)[:, None] % p
+    return colv
 
 
 def _gamma_x(colv: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
@@ -396,14 +436,14 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
 def _level_blocks(d, dt, chunks):
     """Chi-weights of (d - Gamma x | x) for the candidates of each chunk, at p = 2.
 
-    chunks yields (x, gz, rows): equal-length arrays of dtype dt, the
-    bitmasks of x and of Gamma x, and for a stack the indices of the rows to
-    weigh (None for a 1-D d).  One uint8 array is yielded per chunk: shape
-    (c,) for a 1-D d, whose mask stays a Python int, and (len(rows), c) for
-    a stack.  The weight is popcount((d ^ Gamma x) | x).
+    d is a lone difference's mask, a Python int with bit j set where
+    d_j != 0, or a stack of differences of shape (r, n).  chunks yields
+    (x, gz, rows): equal-length arrays of dtype dt, the bitmasks of x and
+    of Gamma x, and for a stack the indices of the rows to weigh (None for
+    a lone d).  One uint8 array is yielded per chunk: shape (c,) for a lone
+    d and (len(rows), c) for a stack.  The weight is popcount((d ^ Gamma x) | x).
     """
-    masks = _bitmasks(d)
-    zd = np.array(masks, dtype=dt)[:, None] if d.ndim == 2 else masks
+    zd = d if isinstance(d, int) else np.array(_bitmasks(d), dtype=dt)[:, None]
     for x, gz, rows in chunks:
         z = np.bitwise_xor(gz, zd if rows is None else zd[rows])
         np.bitwise_or(z, x, z)
@@ -422,12 +462,18 @@ def _residue_blocks(d, p: int, chunks):
     at or above p, and vertex j counts where lo and the target differ:
     z_j != 0, or a mark on either side (the marks of x_lo and x_hi never
     share a vertex).  One uint8 array is yielded per chunk: shape (c1 c0,)
-    for a 1-D d and (len(rows), c1 c0) for a stack.
+    for a 1-D d and (len(rows), c1 c0) for a stack.  A 1-D d with
+    x_hi = 0, as in every table of levels, meets lo in two dimensions,
+    (n, 1) against (n, c0): through the general broadcast, with an axis
+    for x_hi, diag-oddp's lone searches took about 4% longer.
     """
     lead = (1,) * (d.ndim - 1)  # the row axis of a stack
     dv = d.T.astype(np.min_scalar_type(4 * p))[..., None]  # vertex axis first: (n, 1) or (n, r, 1)
     for lo, hi, rows in chunks:
         t = dv if rows is None else dv[:, rows]
+        if hi is None and not lead:
+            yield np.add.reduce(t != lo, 0, np.uint8)
+            continue
         if hi is not None:
             t = t + hi.reshape(hi.shape[:1] + lead + hi.shape[1:])
             t = np.minimum(t, t - p)
@@ -492,12 +538,13 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     """Check the budget and build Gamma, Lambda and the per-graph tables once.
 
     What depends on p and _BLOCK alone, the pattern tables and their digit
-    columns (_table), the level plan (_level_plan) and the witness's digit
-    powers (_powers), is built once per process and shared read-only;
-    _BLOCK is read at each call.  Per graph, the column table (0, then
-    Gamma's columns and, at odd p, their multiples) is built once, and
-    gathered builds Gamma x of each pattern table walked on first use, by
-    one gather (_gamma_x), in one memo keyed alike at every p.
+    columns (_table), the level plan (_level_plan), the products mod p
+    (_multiples) and a stack's digit powers (_powers), is built once per
+    process and shared read-only; _BLOCK is read at each call.  Per graph,
+    the column table (_column_table: 0, then Gamma's columns and, at odd
+    p, their multiples) is built once, and gathered builds Gamma x of each
+    pattern table walked on first use, by one gather (_gamma_x), in one
+    memo keyed alike at every p.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -516,27 +563,29 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     that share of each level, so a level whose share fits _BLOCK is one
     table even when the full level is not; a longer stack headed by d = 0
     weighs every x for all its rows, and there row 0 can only tie its first
-    minimizer.  The witnesses are checked against Lambda in one product
-    and their chi-weights recounted in one numpy sum, compared with the
-    best weights as lists, before _reports builds the reports.
+    minimizer.  Each witness is checked against Lambda, and its
+    chi-weight recounted and compared with its walk's best, before
+    _reports builds the report.  A lone d is tested for zero by one count,
+    its mask at p = 2 is a Python int, and its witness has one form: x from
+    the digits of the rank walk keeps as a Python int (the Gray code's bits
+    at p = 2, base-p digits at odd p), z = d - Gamma x from one product,
+    then one product with Lambda and one count.  A stack's witnesses are
+    expanded together from an array of ranks by the digit powers, and
+    checked in one product and one numpy sum, which costs a lone search
+    more than its own form.
     """
     n, p = g.n, f.p
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
-    powers = _powers(p)[:n]  # p**n < 2**64: every digit of a rank
     tables = {}  # each pattern table walked, with its Gamma x
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         kind = (dt, p)  # the pattern tables' key after b: masks and ranks of dtype dt
-        cols = _bitmasks(gamma.T)  # Gamma's columns as masks
-        colv = np.array([0] + cols, dtype=dt)  # the column table: 0, then column j at 1 + j
     else:
         dt = np.min_scalar_type(4 * p)  # holds d + 3p, the most the weigher reduces
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
-        colv = np.zeros((1, n), dtype=dt)  # past _BLOCK (width 0) only level 0 is gathered
-        if p - 1 <= _BLOCK:  # row 1 + j (p - 1) + v - 1: v Gamma[:, j] mod p
-            colv = np.concatenate([colv, (gamma.T[:, None] * np.arange(1, p)[:, None] % p).reshape(-1, n).astype(dt)])
+    colv = _column_table(gamma, p, dt)
 
     def gathered(lo, hi, a, b, one=False, high=False):
         """A pattern table's masks and ranks, and its Gamma x, built on first use.
@@ -560,6 +609,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
 
     def walk(d, r, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
+
+        They are Python ints for a lone d, and lists of them for a stack.
 
         Each candidate weighs at least |supp x|, so a row whose best weight
         is below level a is done, and only level a can tie a best of weight
@@ -622,7 +673,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                 if p == 2:
                                     cx = cg = cr = 0
                                     for v in high:
-                                        cx, cg, cr = cx | 1 << v, cg ^ cols[v], cr ^ (2 << v) - 1
+                                        cx, cg, cr = cx | 1 << v, cg ^ colv.item(1 + v), cr ^ (2 << v) - 1
                                 elif c:  # C's ranks, and -Gamma x_C mod p
                                     cr = sum(v * p**u for u, v in zip(high, digits))
                                     cg = (-(gamma[:, high] @ digits) % p).astype(dt)[:, None]
@@ -648,7 +699,12 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                                         rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] + r0[k % size]
                                         yield g0, hi, rows
 
-        weights = _level_blocks(d, dt, chunks()) if p == 2 else _residue_blocks(d, p, chunks())
+        if p > 2:
+            weights = _residue_blocks(d, p, chunks())
+        elif d.ndim == 2:
+            weights = _level_blocks(d, dt, chunks())
+        else:  # a lone d's mask as a Python int: d_j is 0 or 1, so _BITS @ d sets bit j where d_j is 1
+            weights = _level_blocks(0 if zero else int(_BITS[:n] @ d), dt, chunks())
         if d.ndim == 1:  # one row: Python ints
             best_w, best_t = n + 1, 0
             for w in weights:
@@ -659,7 +715,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     t = int(rank_at(i))
                     if w.item(i) < best_w or t < best_t:
                         best_w, best_t = w.item(i), t
-            return [best_w], [best_t]
+            return best_w, best_t
         best_w = np.full(r, n + 1, dtype=np.int64)
         best_t = np.zeros(r, dtype=kind[0])
         for w in weights:
@@ -677,23 +733,33 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         return best_w.tolist(), best_t.tolist()
 
     def search(d: np.ndarray):
-        dr = d.reshape(-1, n)  # one row per difference, a view of d
-        nonzero = np.logical_or.reduce(dr, axis=1).tolist()
+        if d.ndim == 1:
+            zero = not np.count_nonzero(d)  # d = 0: skip k = 0
+            w, t = walk(d, 1, zero)
+            digits, u = [], t ^ t >> 1 if p == 2 else t  # x: the Gray code of t at p = 2, t at odd p
+            for _ in range(n):
+                u, v = divmod(u, p)
+                digits.append(v)
+            x = np.array(digits)
+            k = np.concatenate(((d - gamma @ x) % p, x))  # the witness
+            if np.count_nonzero((lam @ k - d) % p) or np.count_nonzero(k[:n] | x) != w:  # entries are reduced mod p
+                raise RuntimeError("witness failed re-verification")
+            return _reports([k.tolist()], [w], [(t + 1 if w == 1 else p**n) - zero])[0]
+        nonzero = np.logical_or.reduce(d, axis=1).tolist()
         if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
-        r, zero = len(dr), not nonzero[0]  # zero: d = 0, or a stack headed by it: skip k = 0
+        r, zero = len(d), not nonzero[0]  # zero: a stack headed by d = 0: skip its k = 0
         best_w, best_t = walk(d, r, zero)
         xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.uint64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
-        k[:, n:] = xi[:, None] // powers % p
-        k[:, :n] = (dr - k[:, n:] @ gamma.T) % p
+        k[:, n:] = xi[:, None] // _powers(p)[:n] % p  # p**n < 2**64: every digit of a rank
+        k[:, :n] = (d - k[:, n:] @ gamma.T) % p
         weights = ((k[:, :n] | k[:, n:]) != 0).sum(axis=1).tolist()  # entries are reduced mod p
-        if ((k @ lam.T - dr) % p).any() or weights != best_w:
+        if ((k @ lam.T - d) % p).any() or weights != best_w:
             raise RuntimeError("witness failed re-verification")
         examined = [bt + 1 if bw == 1 else p**n for bw, bt in zip(best_w, best_t)]
         examined[0] -= zero  # the k = 0 candidate of d = 0 is not examined
-        reports = _reports(k.tolist(), best_w, examined)
-        return reports if d.ndim == 2 else reports[0]
+        return _reports(k.tolist(), best_w, examined)
 
     return search
 

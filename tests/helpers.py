@@ -85,5 +85,5 @@ def last_level(rep, p: int) -> int:
 
 def clear_memos():
     """Empty the search's process-wide memos, so the next search builds every table it uses afresh."""
-    for memo in (D._table, D._level_plan, D._powers, D._pairs):
+    for memo in (D._table, D._level_plan, D._powers, D._pairs, D._multiples):
         memo.cache_clear()

@@ -166,6 +166,75 @@ def test_forged_lambda_fails_reverification(monkeypatch):
         diagonal_distance(generate("cycle", 5), F2)
 
 
+def forge_lambda(monkeypatch):
+    """build_lambda gives [I | Gamma + I], so Lambda k - d is x for every witness k = (d - Gamma x | x)."""
+    real = D.build_lambda
+    monkeypatch.setattr(D, "build_lambda", lambda gamma: real(gamma + np.eye(len(gamma), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_forged_lambda_fails_a_lone_odd_p_search(monkeypatch, p):
+    forge_lambda(monkeypatch)
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        diagonal_distance(generate("cycle", 5), PrimeField(p))
+
+
+def test_forged_lambda_fails_a_lone_affine_search(monkeypatch):
+    g, f = generate("cycle", 5), PrimeField(3)
+    cr, cs = [0, 1, 0, 0, 1], [0] * 5  # d = Gamma e_1: X_1 alone carries cs to cr
+    assert pairwise_distance(g, f, cr, cs).witness.entries == (0,) * 5 + (1, 0, 0, 0, 0)
+    forge_lambda(monkeypatch)
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        pairwise_distance(g, f, cr, cs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_forged_lambda_fails_a_stack(monkeypatch, p):
+    forge_lambda(monkeypatch)  # row 0, d = 0, has a witness with x != 0
+    words = [np.eye(5, dtype=np.int64)[i] for i in range(3)]
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        code_distance(generate("cycle", 5), PrimeField(p), words)
+
+
+def test_forged_weight_fails_a_lone_odd_p_search(monkeypatch):
+    real = D._residue_blocks
+
+    def forged(*args):
+        for w in real(*args):
+            w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
+            yield w
+
+    monkeypatch.setattr(D, "_residue_blocks", forged)
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        diagonal_distance(generate("cycle", 5), PrimeField(3))
+
+
+FORGED_LAMBDA_UNDER_O = """
+import numpy as np
+from diagdist import PrimeField, diagonal_distance, generate
+from diagdist import distance as D
+real = D.build_lambda
+D.build_lambda = lambda gamma: real(gamma + np.eye(len(gamma), dtype=np.int64))
+try:
+    diagonal_distance(generate("cycle", 5), PrimeField(3))
+except RuntimeError as e:
+    print(e)
+"""
+
+
+def test_lone_reverification_runs_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_LAMBDA_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "witness failed re-verification"
+
+
 def test_oracle_raises_when_no_word_reaches_the_target(monkeypatch):
     monkeypatch.setattr(oracle, "apply_word", lambda w, l, gamma, f: np.full(len(l), -1))
     with pytest.raises(RuntimeError):

@@ -5,12 +5,13 @@ searches below set bit 31 and bit 32 and stop on their first candidate.
 At odd p the residue tables reduce sums with an unsigned wrap instead of
 % p, in uint8 and in uint16: every candidate they weigh must weigh what
 the % p construction gives, and each level must hold every x of its
-support size by odometer index, up to ranks past 2**63.  _bitmasks and
-build_lambda must equal their plain reference constructions, and each
-p = 2 level of subsets its rank-sorted subsets.  Every table's digit
-columns must give back its x, and every caller must ask for a table by
-one key.  A search's tables must be freed when it returns, with no
-reference cycle.
+support size by odometer index, up to ranks past 2**63.  _bitmasks, the
+column tables and build_lambda must equal their plain reference
+constructions, the product tables behind the column tables must stay
+small, and each p = 2 level of subsets its rank-sorted subsets.  Every
+table's digit columns must give back its x, and every caller must ask
+for a table by one key.  A search's tables must be freed when it
+returns, with no reference cycle.
 """
 
 import gc
@@ -239,6 +240,49 @@ def test_bitmasks_equal_a_python_fold(n):
     for row in a:
         got = D._bitmasks(row)
         assert type(got) is int and [got] == folded_masks(row)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63])
+def test_gf2_column_table_holds_the_bitmasks_of_the_columns(n):
+    """0, then column j's mask at 1 + j, in uint32 up to 32 vertices and uint64 above."""
+    gamma = np.random.default_rng(n).integers(0, 2, size=(n, n))
+    gamma[-1] = 1  # the top bit in every column
+    dt = np.uint32 if n <= 32 else np.uint64
+    colv = D._column_table(gamma, 2, dt)
+    assert colv.dtype == dt
+    assert colv.tolist() == [0] + D._bitmasks(gamma.T)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 61, 67, 257])
+def test_odd_p_column_table_holds_every_multiple_of_every_column(p):
+    """[0; v Gamma[:, j] mod p for j, then v, ascending], in the weighers' dtype: uint8 up to p = 61, uint16 above."""
+    n = 3 if p > 100 else 5
+    gamma = np.random.default_rng(p).integers(0, p, size=(n, n))  # not symmetric: the columns are Gamma's
+    gamma[-1] = p - 1
+    want = [[0] * n] + [(v * gamma[:, j] % p).tolist() for j in range(n) for v in range(1, p)]
+    dt = np.min_scalar_type(4 * p)
+    colv = D._column_table(gamma, p, dt)
+    assert colv.dtype == dt == (np.uint8 if p <= 61 else np.uint16)
+    assert colv.tolist() == want
+
+
+def test_no_multiples_past_the_block():
+    """At p - 1 > _BLOCK only level 0 is gathered: the column table is its zero row."""
+    p = 65521
+    colv = D._column_table(np.array([[0]]), p, np.min_scalar_type(4 * p))
+    assert colv.shape == (1, 1) and not colv.any()
+
+
+def test_product_tables_stay_small():
+    """_multiples holds a table only for p < 2**8, each at most 128 KiB, so its memo stays within 1 MiB."""
+    clear_memos()
+    for p in (257, 65521):
+        diagonal_distance(generate("path", 2), PrimeField(p), FORCE)
+    assert D._multiples.cache_info().currsize == 0
+    rep = diagonal_distance(generate("path", 2), PrimeField(251))
+    assert rep.distance == 2 and D._multiples.cache_info().currsize == 1
+    assert D._multiples(251).nbytes <= 1 << 17
+    assert D._multiples.cache_info().maxsize * (1 << 17) <= 1 << 20
 
 
 @pytest.mark.parametrize("n", [1, 5, 64])
