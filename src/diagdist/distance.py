@@ -48,11 +48,13 @@ of a table is one gather of those columns from a table of Gamma's columns
 and their multiples, and one XOR or add mod p, only for the tables
 walked.  Small consecutive levels share one chunk.  From the first level
 of more than _BLOCK walked candidates on, or whose level below holds
-more than _BLOCK, every level is walked as products of two band tables,
-with the vertices above both bands, and their values, walked in Python,
-so no chunk holds more than _BLOCK candidates per row and no table is
-built through a larger one.  A lone d = 0 search at odd p counts, of
-each level, the share of top digit 1 it walks (below).
+more than _BLOCK, every level is walked as band products by one
+recursive rule (_blocks): the x on vertices lo..n - 1 at a level are one
+table when it and the level below fit _BLOCK, and otherwise a band
+table of the vertices from lo up times the x above that band, by the
+same rule.  So no chunk holds more than _BLOCK candidates per row and no
+table is built through a larger one.  A lone d = 0 search at odd p
+counts, of each level, the share of top digit 1 it walks (below).
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -71,7 +73,6 @@ d = 0, or up to the witness on a weight-1 exit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -405,12 +406,12 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
     long as a block would weigh, for all 64 rows, levels that most rows
     never reach.  Merging by walked shares made lone searches that stop
     before a merged level slower.  An entry (s, None) is a level walked as
-    products of two band tables (see walk in _searcher): every level from
-    the first one that is not one table on, since a level is built from
-    the level below, and the top levels, small again, would be built
-    through the large ones.  The band width is the most vertices whose
-    every level fits block: 0 when one vertex's p - 1 values do not, and
-    then the walk takes the top vertex's values in slices of block.
+    band products (_blocks, and walk in _searcher): every level from the
+    first one that is not one table on, since a level is built from the
+    level below, and the top levels, small again, would be built through
+    the large ones.  The band width is the most vertices whose every level
+    fits block: 0 when one vertex's p - 1 values do not, and then each
+    band is one vertex, whose values come in slices of block.
     """
 
     def size(s):
@@ -431,6 +432,44 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
     while all(math.comb(width + 1, j) * (p - 1) ** j <= block for j in range(width + 2)):
         width += 1
     return tuple(runs), width
+
+
+def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
+    """The x on range(lo, n) with s nonzero digits, in blocks of at most _BLOCK by ascending rank.
+
+    A block is (supports, ranks, Gamma x) in the unmarked form of
+    pieces(lo, hi, s, one, marked) (gathered in _searcher): bitmask
+    supports at every p, and Gamma x with no marks.  The x are one table
+    when levels s and s - 1 of the range fit _BLOCK (_table builds level s
+    from level s - 1).  Otherwise, for each level j of the band
+    range(lo, lo + w) taken highest first, they are that band's table times
+    the x on range(lo + w, n) with s - j nonzero digits, by this same rule,
+    taken _BLOCK // len(band) of those at a time.  The band's vertices are
+    below the ones above it, so the product, major in the x above, is in
+    ascending rank: at odd p the ranks add, and Gamma x adds, then
+    min(s, s - p).  At p = 2 both XOR, and each vertex above flips every
+    bit of the band's ranks, so the band is taken reversed when the x above
+    it has odd weight.  With one, only the x whose top digit is 1: of the
+    band where the x above it is zero, and else of the x above.  It takes
+    pieces as an argument, not as a closure of _searcher: a nested function
+    that calls itself is a reference cycle, which keeps a search's tables
+    alive until the next collection.
+    """
+    if not s or all(math.comb(n - lo, t) * (p - 1) ** t <= _BLOCK for t in (s - 1, s)):
+        yield from pieces(lo, n, s, one, False)
+        return
+    for j in range(min(s, w), max(0, s - n + lo + w) - 1, -1):
+        for band in pieces(lo, lo + w, j, one and j == s, False):
+            x1, r1, g1 = (t[::-1] for t in band) if p == 2 and (s - j) % 2 else band
+            step = _BLOCK // len(r1)
+            for x2, r2, g2 in _blocks(pieces, n, p, w, lo + w, s - j, one and j < s):
+                for i in range(0, len(r2), step):
+                    x = (x2[i : i + step, None] | x1).ravel()
+                    if p == 2:
+                        yield x, (r2[i : i + step, None] ^ r1).ravel(), (g2[i : i + step, None] ^ g1).ravel()
+                        continue
+                    gz = (g2[:, i : i + step, None] + g1[:, None]).reshape(n, -1)
+                    yield x, (r2[i : i + step, None] + r1).ravel(), np.minimum(gz, gz - p, out=gz)
 
 
 def _level_blocks(d, dt, chunks):
@@ -587,25 +626,43 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
     colv = _column_table(gamma, p, dt)
 
-    def gathered(lo, hi, a, b, one=False, high=False):
+    def gathered(lo, hi, a, b, one=False, marked=True):
         """A pattern table's masks and ranks, and its Gamma x, built on first use.
 
-        At odd p Gamma x is a factor of the weigher: the low factor holds
-        Gamma x mod p, and p where x is nonzero; the high factor holds
-        -Gamma x mod p, and 3p where x is nonzero.  p = 2 has no marks and
-        no high factor.
+        At odd p a marked table is the weigher's low factor: its Gamma x
+        mod p holds p where x is nonzero.  An unmarked one, a part of the
+        blocks above the band at vertex 0 (_blocks), holds Gamma x mod p
+        alone, and its masks become bitmask supports, which p = 2's masks
+        are; p = 2 has no marks.
         """
-        key = lo, hi, a, b, one, high
+        key = lo, hi, a, b, one, marked
         if key not in tables:
             masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
             gz = _gamma_x(colv, columns, p)
-            if p > 2:
-                if high:
-                    np.subtract(p, gz, out=gz)  # in [1, p]: one min(s, s - p) takes it to -Gamma x mod p
-                    np.minimum(gz, gz - p, out=gz)
-                np.copyto(gz[lo:hi], dt.type(3 * p if high else p), where=masks)
+            if p > 2 and marked:
+                np.copyto(gz[lo:hi], dt.type(p), where=masks)
+            elif p > 2:
+                masks = _BITS[lo:hi] @ masks
             tables[key] = masks, ranks, gz
         return tables[key]
+
+    def pieces(lo, hi, s, one, marked):
+        """The x on range(lo, hi) with s nonzero digits, by ascending rank, in gathered's form.
+
+        s = 0 is the zero x on any range: the empty band's level-0 table.
+        Else it is one table of at most _BLOCK, or at band width 0
+        (p - 1 > _BLOCK), where the range is one vertex and s = 1, that
+        vertex's values (only 1 with one) _BLOCK at a time, with bitmask
+        supports in both forms: a marked slice's go unread.
+        """
+        if not s or p - 1 <= _BLOCK:
+            yield gathered(lo, hi, s, s, one, marked) if s else gathered(0, 0, 0, 0, False, marked)
+            return
+        for v in range(1, 2 if one else p, _BLOCK):
+            m = np.arange(v, min(v + _BLOCK, 2 if one else p))
+            gz = (np.outer(gamma[:, lo], m) % p).astype(dt)
+            np.copyto(gz[lo], dt.type(p), where=marked)  # the low factor's mark
+            yield np.full(len(m), 1 << lo), m.astype(np.uint64) * p**lo, gz
 
     def walk(d, r, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
@@ -626,11 +683,20 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         ties; a tie with an earlier chunk goes to the lesser rank.  The
         runs and band levels come from _level_plan, which is told one, so
         a lone d = 0 at odd p sizes each level by the candidates it walks.
+
+        A band level a holds x = A + H, A on the band [0, wa) and H above
+        it.  For each level j of the band, highest first (the level's least
+        x, digit 1 at vertices 0 .. a - 1, is in the first chunks), A is the
+        band's table at level j, the weigher's low factor, and H comes in
+        blocks from _blocks at level a - j.  At odd p each block becomes the
+        weigher's high factor once, and a chunk is A times _BLOCK // len(A)
+        of the block's x, H-major.  At band width 0 the band is vertex 0, its
+        values _BLOCK at a time (pieces).
         """
         one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
         runs, width = _level_plan(n, p, _BLOCK, one)
-        w0 = min(n, width)  # a band level: x = A + B + C, with A and B from tables of the
-        w1 = min(n - w0, width)  # bands [0, w0) and [w0, w0 + w1), and C above them, walked in Python
+        # A's band width, one vertex at width 0, and join, which gives rank(A + H) from theirs
+        wa, join = max(width, 1), np.bitwise_xor if p == 2 else np.add
         rank_at = rows = None  # for the chunk being weighed: its ranks and its rows
 
         def done(a, least):
@@ -655,49 +721,24 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     rank_at = rk.__getitem__
                     yield (x, gz, rows) if p == 2 else (gz, None, rows)
                     continue
-                for c in range(min(a, n - w0 - w1) + 1):
-                    # C's values, the top one 1 under the scalar symmetry: all 1 at p = 2.  At width 0
-                    # (p - 1 > _BLOCK) the top vertex's values go a slice of _BLOCK at a time, from these starts
-                    values = [range(1, p)] * (c - 1) + [range(1, 2 if one else p, 1 if width else _BLOCK)] * (c > 0)
-                    for j in range(max(0, a - c - w0), min(a - c, w1) + 1):
-                        x0, r0, g0 = gathered(0, w0, a - c - j, a - c - j, one and not (c or j))
-                        x1, r1, g1 = gathered(w0, w0 + w1, j, j, one and not c, high=True)
-                        if p == 2:  # each vertex of B flips every bit of rank(A), each of C every bit of
-                            # rank(A | B): reversed tables keep the chunk in ascending rank.  At odd p,
-                            # t(A + B + C) = t(A) + t(B) + t(C): the high-major product is in order
-                            x0, r0, g0 = (t[:: (-1) ** (j + c)] for t in (x0, r0, g0))
-                            x1, r1, g1 = (t[:: (-1) ** c] for t in (x1, r1, g1))
+                for j in range(min(a, wa), max(0, a - n + wa) - 1, -1):  # A's levels, highest first
+                    for band in pieces(0, wa, j, one and j == a, True):
+                        # at p = 2 each vertex of H flips every bit of rank(A): A reversed keeps the chunk in order
+                        x0, r0, g0 = (t[::-1] for t in band) if p == 2 and (a - j) % 2 else band
                         size, step = len(r0), _BLOCK // len(r0)
-                        for high in itertools.combinations(range(w0 + w1, n), c):
-                            for digits in itertools.product(*values):
+                        for xh, rh, gh in _blocks(pieces, n, p, wa, wa, a - j, one and j < a):
+                            if p > 2 and j < a:  # the high factor: -Gamma x_H mod p, and 2p where x_H != 0
+                                hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
+                                np.minimum(hi, hi - p, out=hi)
+                            for i in range(0, len(rh), step):
+                                if done(a, least):
+                                    return
+                                sl = slice(i, i + step)
+                                rank_at = lambda k, ri=rh[sl], r0=r0, size=size: join(ri[k // size], r0[k % size])
                                 if p == 2:
-                                    cx = cg = cr = 0
-                                    for v in high:
-                                        cx, cg, cr = cx | 1 << v, cg ^ colv.item(1 + v), cr ^ (2 << v) - 1
-                                elif c:  # C's ranks, and -Gamma x_C mod p
-                                    cr = sum(v * p**u for u, v in zip(high, digits))
-                                    cg = (-(gamma[:, high] @ digits) % p).astype(dt)[:, None]
-                                    if not width:  # as the B table, the slice's offsets m from its start
-                                        u, m = high[-1], np.arange(min(_BLOCK, values[-1].stop - digits[-1]))
-                                        r1, g1 = m.astype(np.uint64) * p**u, (np.outer(gamma[:, u], -m) % p).astype(dt)
-                                for i in range(0, len(r1), step):
-                                    if done(a, least):
-                                        return
-                                    ri = r1[i : i + step]
-                                    if p == 2:
-                                        xi, gi = x1[i : i + step], g1[i : i + step]
-                                        if c:
-                                            xi, gi, ri = xi | cx, gi ^ cg, ri ^ cr
-                                        rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] ^ r0[k % size]
-                                        yield (xi[:, None] | x0).ravel(), (gi[:, None] ^ g0).ravel(), rows
-                                    else:
-                                        hi = g1[:, i : i + step] if c or j else None  # None: x_hi = 0
-                                        if c:  # a mark 3p stays at 2p or above
-                                            ri, hi = ri + cr, hi + cg
-                                            hi = np.minimum(hi, hi - p, out=hi)
-                                            hi[high, :] = 2 * p
-                                        rank_at = lambda k, ri=ri, r0=r0, size=size: ri[k // size] + r0[k % size]
-                                        yield g0, hi, rows
+                                    yield (xh[sl, None] | x0).ravel(), (gh[sl, None] ^ g0).ravel(), rows
+                                else:  # hi None: x_H = 0
+                                    yield g0, hi[:, sl] if j < a else None, rows
 
         if p > 2:
             weights = _residue_blocks(d, p, chunks())

@@ -313,6 +313,7 @@ def test_lone_searches_reproduce_the_recorded_reports(monkeypatch, p, block):
     [
         (3, 17, 5, (0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0), (0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0)),
         (7, 12, 5, (0, 0, 0, 6, 0, 0, 0, 3, 4, 0, 0, 1), (1, 0, 0, 3, 0, 0, 0, 3, 6, 0, 0, 1)),
+        (5, 16, 6, (0, 2, 0, 0, 0, 0, 0, 0, 0, 4, 2, 4, 2, 0, 1, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 4, 0)),
     ],
 )
 def test_forced_reach_cases_report_as_before(p, n, distance, x, z):
@@ -320,8 +321,31 @@ def test_forced_reach_cases_report_as_before(p, n, distance, x, z):
 
     p = 3, n = 17 walks level 3 as one table now (2,720 of 5,440); p = 7,
     n = 12 walks the same plan.  test_forced_p3_n20_reports_what_the_odometer_did
-    pins n = 20.
+    pins n = 20.  p = 5, n = 16, recorded while the vertices above the two
+    bands were walked in Python, needs three bands of 5 vertices above the
+    first: the first default-block case where the blocks above the band at
+    vertex 0 are band products themselves.
     """
     rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), FORCE)
     assert (rep.distance, rep.vectors_examined) == (distance, p**n - 1)
     assert (rep.witness.x, rep.witness.z) == (x, z)
+
+
+@pytest.mark.parametrize("p, n", [(5, 14), (7, 12)])
+def test_band_levels_walk_full_chunks(monkeypatch, p, n):
+    """The median chunk of a forced search's band levels holds at least half a block.
+
+    The x above the band at vertex 0 come in blocks of up to _BLOCK, each
+    taken _BLOCK // len(A) at a time, so few chunks are short.  While the
+    vertices above the two bands were walked in Python, one chunk per
+    value vector, the medians were 640 and 24 candidates, over 2,110 and
+    2,081 chunks.
+    """
+    shapes = chunk_spy(monkeypatch)
+    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), FORCE)
+    runs = D._level_plan(n, p, D._BLOCK, True)[0]
+    walked = [a for a, b in runs if b is None and a <= rep.distance]
+    assert walked  # the search reaches band levels
+    band = [shape[-1] for shape in shapes[sum(b is not None for a, b in runs) :]]  # the runs' chunks come first
+    assert len(band) >= len(walked)
+    assert sorted(band)[len(band) // 2] >= D._BLOCK // 2

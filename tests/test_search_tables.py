@@ -35,6 +35,7 @@ from diagdist import (
 )
 from diagdist import distance as D
 from helpers import clear_memos, last_level, random_multigraph
+from test_oddp_walk import uniform
 
 FORCE = SearchConfig(force=True)
 
@@ -417,7 +418,9 @@ def test_searches_leave_no_reference_cycles():
 
     A nested function of the searcher that calls itself is a reference
     cycle: it kept each search's tables alive until the next collection,
-    and the benchmark's peak memory grew with the number of passes.
+    and the benchmark's peak memory grew with the number of passes.  The
+    forced p = 7, n = 12 search walks band levels from level 3 on, whose
+    blocks above the band at vertex 0 are band products in turn.
     """
     rng = random.Random(8)
     n = 12
@@ -432,6 +435,8 @@ def test_searches_leave_no_reference_cycles():
             code_distance(g, f, words)
         edgeless = Multigraph(n, np.zeros((n, n), dtype=np.int64))  # every level, each built from the one below
         pairwise_distance(edgeless, PrimeField(2), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        rep = diagonal_distance(uniform(n, 7, 1000 + n), PrimeField(7), FORCE)
+        assert rep.distance > 3 and (3, None) in D._level_plan(n, 7, D._BLOCK, True)[0]  # level 3 walked as bands
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -608,3 +613,9 @@ def test_every_memoized_table_fits_a_block(monkeypatch):
     assert max(sizes.values()) <= D._BLOCK
     full = {key: math.comb(key[1] - key[0], key[2]) * (key[5] - 1) ** key[2] for key in sizes if key[2] == key[3]}
     assert any(key[-1] and size > D._BLOCK for key, size in full.items())  # a level one table only by its share
+    # forced p = 5, n = 16: bands of 5 vertices at 0, 5 and 10, and the tables of the vertices above each
+    assert diagonal_distance(uniform(16, 5, 1016), PrimeField(5), FORCE).distance == 6
+    assert any(key[5] == 5 and key[0] == 10 for key in sizes)
+    assert max(sizes.values()) <= D._BLOCK
+    info = real.cache_info()
+    assert info.misses == info.currsize == len(sizes)  # none evicted
