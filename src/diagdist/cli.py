@@ -88,7 +88,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, search=True):
-        sp.add_argument("--p", type=_prime_flag, default=None, help="prime modulus (overrides the file header; default 2)")
+        sp.add_argument(
+            "--p", type=_prime_flag, default=None, help="prime modulus (overrides the file header; default 2)"
+        )
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
         if search:

@@ -46,15 +46,16 @@ n, p and _BLOCK alone and are built once per process in one memo, each
 level by one recipe at every p from the level below.  Per graph, Gamma x
 of a table is one gather of those columns from a table of Gamma's columns
 and their multiples, and one XOR or add mod p, only for the tables
-walked.  Small consecutive levels share one chunk.  From the first level
-of more than _BLOCK walked candidates on, or whose level below holds
-more than _BLOCK, every level is walked as band products by one
-recursive rule (_blocks): the x on vertices lo..n - 1 at a level are one
-table when it and the level below fit _BLOCK, and otherwise a band
-table of the vertices from lo up times the x above that band, by the
-same rule.  So no chunk holds more than _BLOCK candidates per row and no
-table is built through a larger one.  A lone d = 0 search at odd p
-counts, of each level, the share of top digit 1 it walks (below).
+walked.  Small consecutive levels share one chunk.  A level is one
+table while its walked candidates, and every level below it, fit
+_BLOCK.  From the first level that is not on, every level is walked as
+band products by one recursive rule (_blocks): the x on vertices
+lo..n - 1 at a level are one table when every level up to it fits
+_BLOCK, and otherwise a band table of the vertices from lo up times the
+x above that band, by the same rule, in the one band order (_bands).  So
+no chunk holds more than _BLOCK candidates per row and no table is built
+through a larger one.  A lone d = 0 search at odd p counts, of each
+level, the share of top digit 1 it walks (below).
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -434,42 +435,56 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
     return tuple(runs), width
 
 
+def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool, marked: bool):
+    """The x on range(lo, n) with s nonzero digits as products of the band range(lo, lo + w) and the x above it.
+
+    For each level j of the band, highest first, it yields (j, band, step,
+    above): the band's x with j nonzero digits, a table in the marked or
+    unmarked form of pieces(lo, hi, j, one, marked) (gathered in
+    _searcher); step = _BLOCK // len(band), how many of the x above one
+    chunk takes; and above, the x on range(lo + w, n) with s - j nonzero
+    digits in blocks (_blocks).  The band's vertices are below the ones
+    above it, so the product, major in the x above, is in ascending rank:
+    at odd p the ranks add, and Gamma x adds, then min(s, s - p).  At p = 2
+    both XOR, and each vertex above flips every bit of the band's ranks,
+    so the band is taken reversed when the x above it has odd weight.
+    With one, only the x whose top digit is 1: of the band where the x
+    above it is zero (j = s), and else of the x above.  The band's level s
+    comes first, so the least x of level s, digit 1 at vertices lo ..
+    lo + s - 1, is in the first chunks.
+    """
+    for j in range(min(s, w), max(0, s - n + lo + w) - 1, -1):
+        for band in pieces(lo, lo + w, j, one and j == s, marked):
+            band = tuple(t[::-1] for t in band) if p == 2 and (s - j) % 2 else band
+            yield j, band, _BLOCK // len(band[1]), _blocks(pieces, n, p, w, lo + w, s - j, one and j < s)
+
+
 def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     """The x on range(lo, n) with s nonzero digits, in blocks of at most _BLOCK by ascending rank.
 
     A block is (supports, ranks, Gamma x) in the unmarked form of
     pieces(lo, hi, s, one, marked) (gathered in _searcher): bitmask
     supports at every p, and Gamma x with no marks.  The x are one table
-    when levels s and s - 1 of the range fit _BLOCK (_table builds level s
-    from level s - 1).  Otherwise, for each level j of the band
-    range(lo, lo + w) taken highest first, they are that band's table times
-    the x on range(lo + w, n) with s - j nonzero digits, by this same rule,
-    taken _BLOCK // len(band) of those at a time.  The band's vertices are
-    below the ones above it, so the product, major in the x above, is in
-    ascending rank: at odd p the ranks add, and Gamma x adds, then
-    min(s, s - p).  At p = 2 both XOR, and each vertex above flips every
-    bit of the band's ranks, so the band is taken reversed when the x above
-    it has odd weight.  With one, only the x whose top digit is 1: of the
-    band where the x above it is zero, and else of the x above.  It takes
-    pieces as an argument, not as a closure of _searcher: a nested function
-    that calls itself is a reference cycle, which keeps a search's tables
-    alive until the next collection.
+    when every level 0..s of the range fits _BLOCK, _level_plan's rule
+    from vertex 0 (_table builds level s from the levels below it).
+    Otherwise they are the band products of _bands, by this same rule
+    above the band, each block of the x above taken step at a time.  It
+    takes pieces as an argument, not as a closure of _searcher: a nested
+    function that calls itself is a reference cycle, which keeps a search's
+    tables alive until the next collection.
     """
-    if not s or all(math.comb(n - lo, t) * (p - 1) ** t <= _BLOCK for t in (s - 1, s)):
+    if all(math.comb(n - lo, t) * (p - 1) ** t <= _BLOCK for t in range(s + 1)):
         yield from pieces(lo, n, s, one, False)
         return
-    for j in range(min(s, w), max(0, s - n + lo + w) - 1, -1):
-        for band in pieces(lo, lo + w, j, one and j == s, False):
-            x1, r1, g1 = (t[::-1] for t in band) if p == 2 and (s - j) % 2 else band
-            step = _BLOCK // len(r1)
-            for x2, r2, g2 in _blocks(pieces, n, p, w, lo + w, s - j, one and j < s):
-                for i in range(0, len(r2), step):
-                    x = (x2[i : i + step, None] | x1).ravel()
-                    if p == 2:
-                        yield x, (r2[i : i + step, None] ^ r1).ravel(), (g2[i : i + step, None] ^ g1).ravel()
-                        continue
-                    gz = (g2[:, i : i + step, None] + g1[:, None]).reshape(n, -1)
-                    yield x, (r2[i : i + step, None] + r1).ravel(), np.minimum(gz, gz - p, out=gz)
+    for _, (x1, r1, g1), step, above in _bands(pieces, n, p, w, lo, s, one, False):
+        for x2, r2, g2 in above:
+            for i in range(0, len(r2), step):
+                x = (x2[i : i + step, None] | x1).ravel()
+                if p == 2:
+                    yield x, (r2[i : i + step, None] ^ r1).ravel(), (g2[i : i + step, None] ^ g1).ravel()
+                    continue
+                gz = (g2[:, i : i + step, None] + g1[:, None]).reshape(n, -1)
+                yield x, (r2[i : i + step, None] + r1).ravel(), np.minimum(gz, gz - p, out=gz)
 
 
 def _level_blocks(d, dt, chunks):
@@ -583,7 +598,10 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     the column table (_column_table: 0, then Gamma's columns and, at odd
     p, their multiples) is built once, and gathered builds Gamma x of each
     pattern table walked on first use, by one gather (_gamma_x), in one
-    memo keyed alike at every p.
+    memo keyed alike at every p.  A table of a vertex range's x holds at
+    most _BLOCK, and is walked only when every level of the range below
+    its own fits _BLOCK too (_level_plan from vertex 0, _blocks above a
+    band), so none is built through a larger one.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -599,12 +617,13 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     k = 0 candidate (weight 0) is neither weighed nor counted in
     vectors_examined.  At odd p a lone d = 0, 1-D or a one-row stack,
     weighs only the x whose top digit is 1, and its level plan counts
-    that share of each level, so a level whose share fits _BLOCK is one
-    table even when the full level is not; a longer stack headed by d = 0
-    weighs every x for all its rows, and there row 0 can only tie its first
-    minimizer.  Each witness is checked against Lambda, and its
-    chi-weight recounted and compared with its walk's best, before
-    _reports builds the report.  A lone d is tested for zero by one count,
+    that share of each level, so a level whose share, and every level
+    below it, fit _BLOCK is one table even when the full level does not;
+    a longer stack headed by d = 0 weighs every x for all its rows, and
+    there row 0 can only tie its first minimizer.  Each witness is
+    checked against Lambda, and its chi-weight recounted and compared
+    with its walk's best, before _reports builds the report.  A lone d is
+    tested for zero by one count,
     its mask at p = 2 is a Python int, and its witness has one form: x from
     the digits of the rank walk keeps as a Python int (the Gray code's bits
     at p = 2, base-p digits at odd p), z = d - Gamma x from one product,
@@ -685,13 +704,13 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         a lone d = 0 at odd p sizes each level by the candidates it walks.
 
         A band level a holds x = A + H, A on the band [0, wa) and H above
-        it.  For each level j of the band, highest first (the level's least
-        x, digit 1 at vertices 0 .. a - 1, is in the first chunks), A is the
-        band's table at level j, the weigher's low factor, and H comes in
-        blocks from _blocks at level a - j.  At odd p each block becomes the
-        weigher's high factor once, and a chunk is A times _BLOCK // len(A)
-        of the block's x, H-major.  At band width 0 the band is vertex 0, its
-        values _BLOCK at a time (pieces).
+        it, in the order _bands keeps: for each level j of the band, highest
+        first, A is the band's table at level j, the weigher's low factor,
+        and H comes in blocks at level a - j, one table when every level up
+        to a - j of the vertices above fits _BLOCK (_blocks).  At odd p each
+        block becomes the weigher's high factor once, and a chunk is A times
+        step = _BLOCK // len(A) of the block's x, H-major.  At band width 0
+        the band is vertex 0, its values _BLOCK at a time (pieces).
         """
         one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
         runs, width = _level_plan(n, p, _BLOCK, one)
@@ -721,24 +740,20 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     rank_at = rk.__getitem__
                     yield (x, gz, rows) if p == 2 else (gz, None, rows)
                     continue
-                for j in range(min(a, wa), max(0, a - n + wa) - 1, -1):  # A's levels, highest first
-                    for band in pieces(0, wa, j, one and j == a, True):
-                        # at p = 2 each vertex of H flips every bit of rank(A): A reversed keeps the chunk in order
-                        x0, r0, g0 = (t[::-1] for t in band) if p == 2 and (a - j) % 2 else band
-                        size, step = len(r0), _BLOCK // len(r0)
-                        for xh, rh, gh in _blocks(pieces, n, p, wa, wa, a - j, one and j < a):
-                            if p > 2 and j < a:  # the high factor: -Gamma x_H mod p, and 2p where x_H != 0
-                                hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
-                                np.minimum(hi, hi - p, out=hi)
-                            for i in range(0, len(rh), step):
-                                if done(a, least):
-                                    return
-                                sl = slice(i, i + step)
-                                rank_at = lambda k, ri=rh[sl], r0=r0, size=size: join(ri[k // size], r0[k % size])
-                                if p == 2:
-                                    yield (xh[sl, None] | x0).ravel(), (gh[sl, None] ^ g0).ravel(), rows
-                                else:  # hi None: x_H = 0
-                                    yield g0, hi[:, sl] if j < a else None, rows
+                for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one, True):  # A's levels
+                    for xh, rh, gh in above:
+                        if p > 2 and j < a:  # the high factor: -Gamma x_H mod p, and 2p where x_H != 0
+                            hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
+                            np.minimum(hi, hi - p, out=hi)
+                        for i in range(0, len(rh), step):
+                            if done(a, least):
+                                return
+                            sl = slice(i, i + step)
+                            rank_at = lambda k, ri=rh[sl], r0=r0, size=len(r0): join(ri[k // size], r0[k % size])
+                            if p == 2:
+                                yield (xh[sl, None] | x0).ravel(), (gh[sl, None] ^ g0).ravel(), rows
+                            else:  # hi None: x_H = 0
+                                yield g0, hi[:, sl] if j < a else None, rows
 
         if p > 2:
             weights = _residue_blocks(d, p, chunks())

@@ -5,7 +5,8 @@ weights, the least Gray rank, so it must report what the Gray-code walk
 reported: the same distance, witness and vectors_examined.  The G(32, 1/2)
 case was recorded from the Gray-code block walk, which took about 0.65 s
 on it.  An edgeless graph with d = all ones walks every level but level
-n, the top ones included, in bounded memory.  The fuzz runs lone, stacked and
+n, the top ones included, in bounded memory, and builds no table past a
+block at p = 2 or 3.  The fuzz runs lone, stacked and
 zero-headed searches at three block sizes against test_search_pruning's
 unpruned reference, and checks that no chunk holds more than _BLOCK
 candidates per row.  A replay of every chunk's weights checks that each
@@ -71,6 +72,36 @@ def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
     assert (rep.distance, rep.vectors_examined) == (n, 2**n)
     assert rep.witness.entries == (1,) * n + (0,) * n
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("p, n, block", [(2, 12, 1 << 3), (3, 11, 200)])
+def test_an_all_levels_search_builds_no_table_past_a_block(monkeypatch, p, n, block):
+    """Every table a forced all-levels search builds, and every table it is built from, holds at most _BLOCK.
+
+    The x on the vertices from some vertex up, at one level, are one table
+    only when every level of that range up to it fits a block, the rule
+    _level_plan keeps from vertex 0: _table builds a level through every
+    level below it.  A range whose top levels fit but whose middle levels
+    do not would build tables past a block: with only levels s and s - 1
+    asked to fit, p = 2, n = 12 at a block of 2**3 built five, the largest
+    C(8, 4) = 70, and p = 3, n = 11 at a block of 200 built one of 240.
+    """
+    monkeypatch.setattr(D, "_BLOCK", block)
+    real, sizes = D._table, []
+
+    def table(*args):
+        t = real(*args)
+        sizes.append(len(t[1]))
+        return t
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", table)  # _table's recursion looks it up as a global: the recorder sees it
+    g = Multigraph(n, np.zeros((n, n), dtype=np.int64))
+    ones, zeros = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    rep = pairwise_distance(g, PrimeField(p), ones, zeros, SearchConfig(force=True))
+    assert (rep.distance, rep.vectors_examined) == (n, p**n)
+    assert rep.witness.entries == (1,) * n + (0,) * n
+    assert max(sizes) <= block
 
 
 def chunk_spy(monkeypatch):

@@ -294,7 +294,7 @@ def test_lone_searches_reproduce_the_recorded_reports(monkeypatch, p, block):
     real = D._table
 
     def table(*args):
-        lo, hi, a, b, dt, q, one = args  # a band table (0, w0) is not one: every level of w0 vertices fits
+        lo, hi, a, b, dt, q, one = args  # a band table (0, width) is not one: every level of its vertices fits
         if one and lo == 0 and a == b and (a, None) in D._level_plan(hi, q, block, False)[0]:
             shares.append(args)
         t = real(*args)

@@ -268,9 +268,9 @@ def test_support_bound_skips_blocks_at_p2(monkeypatch):
 def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
     """d != 0 has no scalar symmetry: every x up to the last level walked is weighed once, and no other.
 
-    At _BLOCK = 2**3 the levels past level 0 are products of two band
-    tables, with the vertices above both bands, and their values, walked
-    in Python.
+    At _BLOCK = 2**3 the levels past level 0 are band products: a band
+    table times blocks of the x above the band, which are band products
+    by the same rule.
     """
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)
     chunks = weighed_odd_supports(monkeypatch)
