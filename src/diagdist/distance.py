@@ -83,6 +83,7 @@ from .gfp import PrimeField, _index, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
+MAX_CODEWORDS = 1 << 10  # code_distance's cap: its pair table and differences grow with k (k + 1) / 2 pairs
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
 # Differences per block pass in code_distance.  Buffers hold _ROWS * _BLOCK
 # entries: 1 MiB of uint32 masks at p = 2, and n * 256 KiB of bools at odd p.
@@ -102,9 +103,10 @@ class SearchConfig:
     max_vertices of None means the per-prime default (24 for p = 2, 12
     otherwise).  Else it is read through operator.index and kept as a
     Python int, as PrimeField.p is: a float or a string raises ValueError.
-    force disables both the vertex cap and the global candidate budget,
-    but never admits p**n >= 2**64, past the uint64 ranks of the search:
-    at p = 2, n >= 64 is always refused.
+    force disables the vertex cap, the global candidate budget and
+    code_distance's cap of MAX_CODEWORDS = 1024 codewords, but never admits
+    p**n >= 2**64, past the uint64 ranks of the search: at p = 2, n >= 64
+    is always refused.
     """
 
     max_vertices: int | None = None
@@ -122,19 +124,22 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SymplecticVector:
-    """A 2n-entry vector (z_1 .. z_n | x_1 .. x_n) encoding one operator word."""
+    """A 2n-entry vector (z_1 .. z_n | x_1 .. x_n) encoding one operator word.
+
+    The entries are read through _int64s and kept as Python ints: 2.0
+    becomes 2, and 1.5, or an integer past int64, raises ValueError.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(_int64s(self.entries, "symplectic entries").tolist()))
         if len(self.entries) % 2:
             raise ValueError("symplectic vector length must be even")
 
     @classmethod
     def from_parts(cls, z, x) -> "SymplecticVector":
-        # one list, not tuple(genexpr): those grow by resizing, and the
-        # discarded size-n tuples pile up in the interpreter's free lists
-        return cls(tuple([int(v) for v in z] + [int(v) for v in x]))
+        return cls([*z, *x])
 
     @property
     def n(self) -> int:
@@ -178,9 +183,9 @@ class CodeDistanceResult:
     table: dict[tuple[int, int], DistanceReport]
 
 
-def _check_square(gamma: np.ndarray) -> None:
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
-        raise ValueError(f"adjacency block must be square, got shape {gamma.shape}")
+def _check_square(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"adjacency block must be square, got shape {shape}")
 
 
 def build_lambda(gamma) -> np.ndarray:
@@ -189,10 +194,8 @@ def build_lambda(gamma) -> np.ndarray:
     Integral floats, as in np.zeros((3, 3)), pass; a uint64 2**64 - 1 or a
     1.7 raise ValueError, where a plain cast would give -1 or 1.
     """
-    a = np.asarray(gamma)
-    _check_square(a)
-    if not np.can_cast(a.dtype, np.int64):  # uint64, float, complex or object: check every entry
-        a = _int64s(gamma, "adjacency entries")
+    _check_square(np.shape(gamma))  # before any entry is read
+    a = _int64s(gamma, "adjacency entries")
     n = a.shape[0]
     lam = np.zeros((n, 2 * n), dtype=np.int64)
     lam[:, n:] = a
@@ -214,10 +217,9 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
     gamma must be square and x must have length n.
     """
     gamma = _residues(gamma, f.p)
-    _check_square(gamma)
+    _check_square(gamma.shape)
     x = _residues(x, f.p, len(gamma))
-    z = (-(gamma @ x)) % f.p
-    return SymplecticVector.from_parts(z, x)
+    return SymplecticVector.from_parts(-(gamma @ x) % f.p, x)
 
 
 def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
@@ -248,7 +250,7 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
-@functools.lru_cache(maxsize=192)
+@functools.lru_cache(maxsize=512)  # 321 tables, 4.5 MB, for the benchmark classes and the forced demo searches
 def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
@@ -872,18 +874,22 @@ def code_distance(
     diagonal_distance does.  Every report equals what pairwise_distance
     gives for its pair.  The reported pair is the first minimizer in
     lexicographic scan order.
+
+    The codewords are read in one _residues call, exact for any mix of
+    dtypes and Python ints, once each has length n.  A code of more than
+    MAX_CODEWORDS = 1024 codewords raises SearchTooLarge before any pair is
+    built, unless cfg.force is set: 1024 take 524,800 pairs, which peaked
+    at 176 MB at n = 5 and 296 MB at n = 24, and 8,000 would need about 8 GB.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
+    if len(codewords) > MAX_CODEWORDS and not cfg.force:  # before any pair is built
+        raise SearchTooLarge(f"{len(codewords)} codewords exceed the cap of {MAX_CODEWORDS}; set force")
     n, p = g.n, f.p
     search = _searcher(g, f, cfg)  # its budget check guarantees p**n < 2**64, so the keys below are exact
-    words = [np.asarray(c) for c in codewords]
-    dt = words[0].dtype
-    if dt.kind in "biu" and all(w.dtype == dt and w.shape == (n,) for w in words):  # one integer dtype
-        reduced = _residues(np.array(words), p)  # one reduction, exact in any one dtype
-    else:  # int64 and uint64 stack as float64, and a list past int64 reads as floats: each as given
-        reduced = np.array([_residues(c, p, n) for c in codewords])
-    # reduced is int64 in [0, p), so cr - cs fits int64
+    if any(np.shape(c) != (n,) for c in codewords):
+        raise ValueError(f"labellings must have length {n}")
+    reduced = _residues(codewords, p)  # int64 in [0, p), exact for any mix of dtypes, so cr - cs fits int64
     pairs, first_word, second_word = _pairs(len(reduced))
     diffs = reduced.take(first_word, axis=0) - reduced.take(second_word, axis=0)  # row i: the difference of pairs[i]
     diffs %= p

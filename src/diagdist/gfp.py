@@ -1,11 +1,18 @@
 """Exact dense linear algebra over Z/pZ for small primes.
 
 Matrices and vectors are numpy int64 arrays with entries kept in [0, p).
-Every caller's integers, here, in the search and in the oracle, are read
-through _residues, which reduces any numpy dtype or Python int exactly;
-integers that are kept unreduced (a multigraph's multiplicities, the Gamma
-block of build_lambda) are read through _int64s, which refuses any entry
-that int64 does not hold exactly.
+A number a caller passes in, here, in the graphs, the search and the
+oracle, is read by one of three readers, and no other code converts one:
+_residues reduces integers mod p exactly, whatever their numpy dtype or
+Python size (labellings, codewords, matrices, exponents, PrimeField.inv's
+argument); _int64s keeps integers unreduced, refusing any that int64 does
+not hold exactly (a multigraph's multiplicities, build_lambda's Gamma, a
+SymplecticVector's parts); and _index reads a scalar that must be an
+integer (a prime, a vertex count, SearchConfig.max_vertices).  The first
+two let an integral float through and _index does not; each raises
+ValueError where a cast would truncate, wrap or drop a part.
+Parsing text tokens in the file formats and the command line is not
+reading a caller's number, and stays with the parsers.
 Everything here is a pure function: inputs are never mutated, results are
 fresh arrays, so values can be shared freely across threads.
 """
@@ -63,10 +70,11 @@ class PrimeField:
             raise ValueError(f"{self.p} is not prime")
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse of a mod p."""
-        if a % self.p == 0:
+        """Multiplicative inverse of a mod p, for an integer a read through _residues: 2.5 raises ValueError."""
+        a = _residues(a, self.p).item()
+        if a == 0:
             raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
-        return pow(int(a), -1, self.p)
+        return pow(a, -1, self.p)
 
 
 def _index(v, name: str) -> int:
@@ -126,7 +134,8 @@ def _int64s(c, what: str) -> np.ndarray:
     raises ValueError, naming what.
     """
     a = np.asarray(c)
-    if not np.can_cast(a.dtype, np.int64):  # uint64, float, complex or object: check every entry
+    # not np.can_cast(a.dtype, np.int64), at a quarter of its cost (0.65 us, paid per search by build_lambda)
+    if a.dtype == np.uint64 or a.dtype.kind not in "biu":  # uint64, float, complex or object: check every entry
         a = np.asarray(c, dtype=object)  # a list's big ints as given, not read as floats
         if not all(map(_fits_int64, a.flat)):
             raise ValueError(f"{what} must be integers that int64 holds exactly")
@@ -156,7 +165,7 @@ def rref(m, field: PrimeField) -> tuple[np.ndarray, list[int], int]:
         if below[0]:
             r[[lead, lead + below[0]]] = r[[lead + below[0], lead]]
         if r[lead, col] != 1:
-            r[lead] = r[lead] * field.inv(int(r[lead, col])) % field.p
+            r[lead] = r[lead] * field.inv(r[lead, col]) % field.p
         rows = r[:, col].nonzero()[0]
         if rows.size > 1:  # one rank-1 update clears the column, on just the rows nonzero in it
             rows = rows[rows != lead]

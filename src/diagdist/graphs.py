@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfp import PrimeField, _index, _int64s
+from .gfp import PrimeField, _index, _int64s, _residues
 
 FAMILIES = ("cycle", "path", "complete", "edgeless")
 INT64_MAX = (1 << 63) - 1  # multiplicities are stored as int64
@@ -109,6 +109,7 @@ def generate(family: str, n: int) -> Multigraph:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    n = _index(n, "vertex count")  # as Multigraph reads it: 5.0 raises ValueError
     if n < 1:
         raise ValueError(f"{family} graph needs n >= 1")
     if n > MAX_VERTICES:
@@ -199,11 +200,13 @@ def serialize(g: Multigraph, p: int | None = None) -> str:
     """Emit the file format: p header if known, the n line, then one
     'e u v m' line per unordered pair, pairs in lexicographic order.
 
-    parse_graph(serialize(g)) reconstructs g exactly.
+    parse_graph(serialize(g, p)) reconstructs g and p exactly: p is read
+    as PrimeField reads it, so a p that the header would refuse, such as
+    2.0 or 4, raises ValueError here.
     """
     lines = []
     if p is not None:
-        lines.append(f"p {p}")
+        lines.append(f"p {PrimeField(p).p}")
     lines.append(f"n {g.n}")
     for u, v, m in g.edges():
         lines.append(f"e {u} {v} {m}")
@@ -224,7 +227,7 @@ def parse_codewords(text: str, n: int, f: PrimeField) -> list[np.ndarray]:
             values = [int(t) for t in parts]
         except ValueError:
             raise ParseError("non-integer token in codeword", lineno) from None
-        out.append(np.array([v % f.p for v in values], dtype=np.int64))
+        out.append(_residues(values, f.p))
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from diagdist import generate, parse_graph, serialize
 from diagdist.cli import main
+from diagdist.distance import MAX_CODEWORDS
 
 CYCLE5 = serialize(generate("cycle", 5))
 
@@ -140,6 +141,14 @@ def test_budget_exit_code_and_force(capsys, tmp_path):
     assert payload["distance"] == 1
     code, _, err = run(capsys, "distance", str(path), "--max-n", "8")
     assert code == 3
+
+
+def test_a_code_past_the_codeword_cap_exits_3(capsys, tmp_path, cycle5_file):
+    codes = tmp_path / "many.cw"
+    codes.write_text("0 0 0 0 0\n" * (MAX_CODEWORDS + 1))
+    code, out, err = run(capsys, "code-distance", cycle5_file, str(codes))
+    assert (code, out) == (3, "")
+    assert err == f"diagdist: error: {MAX_CODEWORDS + 1} codewords exceed the cap of {MAX_CODEWORDS}; set force\n"
 
 
 def test_kernel_k2(capsys, tmp_path):

@@ -308,3 +308,16 @@ def test_forged_weight_in_row_40_of_a_full_stack_fails_reverification(monkeypatc
     with pytest.raises(RuntimeError, match="re-verification"):
         code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), full_code(rng, n, p))
     assert forged_rows == [D._ROWS]
+
+
+def test_a_code_past_the_codeword_cap_is_refused_before_any_pair(monkeypatch):
+    """More than MAX_CODEWORDS codewords raise SearchTooLarge before _pairs runs; force lifts the cap."""
+    real, calls = D._pairs, []
+    monkeypatch.setattr(D, "_pairs", lambda k: calls.append(k) or real(k))
+    monkeypatch.setattr(D, "MAX_CODEWORDS", 3)
+    g, words = generate("cycle", 5), [np.zeros(5, dtype=np.int64)] * 4
+    with pytest.raises(D.SearchTooLarge, match="4 codewords exceed the cap of 3"):
+        code_distance(g, F2, words)
+    assert calls == []
+    assert code_distance(g, F2, words[:3]).delta == 3 and calls == [3]
+    assert code_distance(g, F2, words, D.SearchConfig(force=True)).delta == 3 and calls == [3, 4]

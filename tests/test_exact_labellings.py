@@ -4,8 +4,9 @@ numpy would wrap a uint64 entry 2**64 - 1 (0 mod 3) to -1 (2 mod 3) in a
 cast to int64, read a list holding it as floats, and refuse a Python int
 past 64 bits.  Every function that takes a labelling must give what it
 gives for the reduced one, and so must every adjacency matrix and
-exponent the oracle's Z and X rules take.  build_lambda does not reduce:
-it refuses any entry that int64 does not hold exactly.
+exponent the oracle's Z and X rules take.  build_lambda and
+SymplecticVector do not reduce: they refuse any entry that int64 does not
+hold exactly, and a fraction such as 1.5, which int() would truncate.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from diagdist import (
     OperatorWord,
     PrimeField,
+    SymplecticVector,
     apply_word,
     apply_x,
     apply_z,
@@ -335,3 +337,26 @@ def test_real_complex_entries_are_reduced_as_their_real_part(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, np.exceptions.ComplexWarning)]
     with pytest.raises(ValueError, match=r"entries must be integers, got \(1\.5\+0j\)"):
         _residues([1.5 + 0j, 0, 0], 3)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SymplecticVector.from_parts([1.5, 2.9], [0, 1]), lambda: OperatorWord(((1.5, 0), (0, 2.7))).to_vector()],
+    ids=["from_parts", "OperatorWord.to_vector"],
+)
+def test_fractional_exponents_are_refused(make):
+    with pytest.raises(ValueError, match="symplectic entries"):  # int() would truncate them to 1 and 2
+        make()
+
+
+def test_integral_exponents_are_kept_as_python_ints():
+    k = SymplecticVector.from_parts([1.0, np.int64(2)], (v for v in [np.uint8(0), True]))
+    assert k.entries == (1, 2, 0, 1) and all(type(v) is int for v in k.entries)
+    assert OperatorWord(((1, 0), (0, 2.0))).to_vector().entries == (1, 0, 0, 2)
+
+
+def test_a_vector_built_from_its_entries_reads_them_too():
+    with pytest.raises(ValueError, match="symplectic entries"):
+        SymplecticVector((1.5, 2.9, 0, 1))  # as_array would truncate them to 1 and 2
+    k = SymplecticVector((np.int64(1), 0.0, 2, True))
+    assert k.entries == (1, 0, 2, 1) and all(type(v) is int for v in k.entries)

@@ -249,3 +249,11 @@ def test_rref_matches_the_row_by_row_reference():
             r, pivots, rank = rref(m, f)
             want, want_pivots = reference_rref(m, p)
             assert r.tolist() == want and pivots == want_pivots and rank == len(want_pivots), (p, m)
+
+
+def test_field_inverse_reads_an_integer():
+    f = PrimeField(5)
+    assert f.inv(3) == f.inv(np.int64(3)) == f.inv(3.0) == f.inv(2**70 + 4) == 2  # 2**70 = 4 mod 5
+    assert type(f.inv(np.int64(3))) is int
+    with pytest.raises(ValueError, match="must be integers"):
+        f.inv(2.5)  # int() would truncate it to 2, whose inverse is 3

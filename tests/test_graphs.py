@@ -97,6 +97,12 @@ def test_generate_rejects_bad_input():
         generate("path", 0)
 
 
+def test_generate_reads_n_as_multigraph_does():
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        generate("cycle", 5.0)
+    assert generate("cycle", np.int8(5)) == generate("cycle", 5)
+
+
 def test_parse_cycle5():
     g, p = parse_graph(CYCLE5_TEXT)
     assert p is None
@@ -158,6 +164,17 @@ def test_serialize_round_trip_on_randoms():
         g2, p2 = parse_graph(text)
         assert g2 == g
         assert p2 == p
+
+
+@pytest.mark.parametrize("p", [2.0, 4, "2"])
+def test_serialize_refuses_a_header_that_parse_graph_refuses(p):
+    with pytest.raises(ValueError):
+        serialize(generate("cycle", 3), p)
+
+
+def test_serialize_writes_a_numpy_prime_as_an_int():
+    text = serialize(generate("cycle", 3), np.int64(3))
+    assert text.startswith("p 3\n") and parse_graph(text) == (generate("cycle", 3), 3)
 
 
 def test_serialize_emits_header_and_sorted_edges():

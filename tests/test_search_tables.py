@@ -619,3 +619,40 @@ def test_every_memoized_table_fits_a_block(monkeypatch):
     assert max(sizes.values()) <= D._BLOCK
     info = real.cache_info()
     assert info.misses == info.currsize == len(sizes)  # none evicted
+
+
+def reach_graph(p, n):
+    """demos/forced_reach.py's graph: G(n, 1/2) at p = 2, multiplicities 0..p - 1 at odd p, from Random(1000 + n)."""
+    rng = random.Random(1000 + n)
+    mult = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            mult[u, v] = mult[v, u] = rng.random() < 0.5 if p == 2 else rng.randrange(p)
+    return Multigraph(n, mult)
+
+
+def test_forced_searches_evict_no_workload_table(monkeypatch):
+    """The memo holds every workload class's tables beside those of the demo's forced searches.
+
+    After the workload classes, demos/forced_reach.py's five reach
+    searches and its all-levels search (321 tables, about 4.5 MB), a
+    second pass over the classes builds no table again.
+    """
+    real, held = D._table, {}
+
+    def recorder(*args):
+        held[args] = real(*args)
+        return held[args]
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", recorder)
+    workload_searches(random.Random(31))
+    for p, n in ((2, 32), (3, 20), (5, 14), (5, 16), (7, 12)):
+        diagonal_distance(reach_graph(p, n), PrimeField(p), FORCE)
+    zeros = np.zeros(26, dtype=np.int64)
+    pairwise_distance(Multigraph(26, np.zeros((26, 26), dtype=np.int64)), PrimeField(2), zeros + 1, zeros, FORCE)
+    misses = real.cache_info().misses
+    workload_searches(random.Random(31))
+    info = real.cache_info()
+    assert info.misses == misses == info.currsize == len(held) < info.maxsize
+    assert sum(t.nbytes for tables in held.values() for t in tables) < 8 << 20
