@@ -43,19 +43,19 @@ so a row is also done before level w* when its best rank is at most that
 level's least.  The pattern tables (_table), every x of a level or a run
 of levels with its rank and the columns of its nonzero digits, depend on
 n, p and _BLOCK alone and are built once per process in one memo, each
-level by one recipe at every p from the level below.  Per graph, Gamma x
-of a table is one gather of those columns from a table of Gamma's columns
-and their multiples, and one XOR or add mod p, only for the tables
-walked.  Small consecutive levels share one chunk.  A level is one
-table while its walked candidates, and every level below it, fit
-_BLOCK.  From the first level that is not on, every level is walked as
-band products by one recursive rule (_blocks): the x on vertices
-lo..n - 1 at a level are one table when every level up to it fits
-_BLOCK, and otherwise a band table of the vertices from lo up times the
-x above that band, by the same rule, in the one band order (_bands).  So
-no chunk holds more than _BLOCK candidates per row and no table is built
-through a larger one.  A lone d = 0 search at odd p counts, of each
-level, the share of top digit 1 it walks (below).
+by one recipe at every p from the table one level down, with no sort.
+Per graph, Gamma x of a table is one gather of those columns from a
+table of Gamma's columns and their multiples, and one XOR or add mod p,
+only for the tables walked.  Small levels from level 0 up share one
+chunk.  A level is one table while its walked candidates, and every
+level below it, fit _BLOCK.  From the first level that is not on, every
+level is walked as band products by one recursive rule (_blocks): the x
+on vertices lo..n - 1 at a level are one table when every level up to it
+fits _BLOCK, and otherwise a band table of the vertices from lo up times
+the x above that band, by the same rule, in the one band order
+(_bands).  So no chunk holds more than _BLOCK candidates per row and no
+table is built through a larger one.  A lone d = 0 search at odd p
+counts, of each level, the share of top digit 1 it walks (below).
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -250,7 +250,7 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
-@functools.lru_cache(maxsize=512)  # 321 tables, 4.5 MB, for the benchmark classes and the forced demo searches
+@functools.lru_cache(maxsize=512)  # 300 tables, 4.4 MB, for the benchmark classes and the forced demo searches
 def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
@@ -271,52 +271,50 @@ def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.
     the cost, so the columns stay intp.
 
     Level 0 is the zero x, with one zero column.  One recipe builds every
-    level s >= 1 at every p, from level s - 1 (of every top digit).  Its
-    entry i is entry src[i] of level s - 1 plus the digit v at a vertex j
-    above that entry's top one, whose column vertex[i] + 1 ends the entry's
-    columns.  The x of level s - 1 whose top vertex is below j have
-    t < p**j, a prefix of that level, so the level lists, for j and then v
-    ascending, that prefix with v at j: in ascending order with no sort.
-    At odd p adding v at j adds v p**j to each rank, so the prefix keeps
-    its order.  At p = 2 it maps rank t < 2**j to 2**(j + 1) - 1 - t, so
-    the prefix is taken reversed.  With one, only v = 1 is taken: the x
-    whose top digit is 1, a 1 / (p - 1) share of the level.  A run a < b
-    lays its levels end to end, columns padded, and sorts them by rank.
+    other table at every p: levels a..b from levels max(a - 1, 0)..b - 1
+    (of every top digit), the source.  Its entry i is entry src[i] of the
+    source plus the digit v at a vertex j above that entry's top one,
+    whose column 1 + j (p - 1) + v - 1 ends the entry's columns.  The x of
+    the source whose top vertex is below j have t < p**j, a prefix of it,
+    so the table lists, for j and then v ascending, that prefix with v at
+    j: in ascending order with no sort.  At odd p adding v at j adds
+    v p**j to each rank, so the prefix keeps its order.  At p = 2 it maps
+    rank t < 2**j to 2**(j + 1) - 1 - t, so the prefix is taken reversed.
+    A run from level 0 (a = 0) first keeps the zero x, of rank 0, as a
+    group of its own: source entry 0, the one x of rank < 1, with nothing
+    added, column 0 and no mask.  The source's x with fewer digits have
+    zero columns at the front, so each x of a run has its level's columns
+    padded at the front to b rows.  With one, only v = 1 is taken: the x
+    whose top digit is 1, a 1 / (p - 1) share of each level s >= 1.
 
     Callers keep a table at most _BLOCK candidates long, and pass every
     argument by position, so each table has one key.  The arrays depend on
     the arguments alone; each process builds them once, every search
     shares them read-only, and maxsize bounds the memo.
     """
-    if a < b:
-        levels = [_table(lo, hi, s, s, dt, p, one) for s in range(a, b + 1)]
-        ranks = np.concatenate([lv[1] for lv in levels])
-        order = np.argsort(ranks)
-        masks, ranks = np.concatenate([lv[0] for lv in levels], axis=-1).take(order, axis=-1), ranks[order]
-        columns = np.concatenate([np.pad(lv[2], ((b - len(lv[2]), 0), (0, 0))) for lv in levels], axis=1)
-        columns = columns.take(order, axis=1)
-    elif b == 0:
+    if b == 0:
         masks = np.zeros((hi - lo, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
         ranks = np.zeros(1, dtype=dt)
         columns = np.zeros((1, 1), dtype=np.intp)
     else:
-        pm, pr, pc = _table(lo, hi, b - 1, b - 1, dt, p, False)
-        tops, vs = [p**j for j in range(lo, hi)], range(1, 2 if one else p)
-        counts = np.searchsorted(pr, np.array(tops, dtype=dt)).repeat(len(vs))  # per (j, v): the x below vertex j
+        pm, pr, pc = _table(lo, hi, max(a - 1, 0), b - 1, dt, p, False)
+        # (v, j) per group: the x below vertex j, of rank < p**j, with v added at j; a run from level 0 first
+        # keeps the zero x, the one x of rank < p**0, with nothing (v = 0) added
+        groups = [(0, 0)] * (a == 0) + [(v, j) for j in range(lo, hi) for v in range(1, 2 if one else p)]
+        counts = np.searchsorted(pr, np.array([p**j for _, j in groups], dtype=dt))
         at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # the place in its group
         src = at if p > 2 else np.repeat(counts - 1, counts) - at  # at p = 2 the prefix reversed
-        vertex = np.array([j * (p - 1) + v - 1 for j in range(lo, hi) for v in vs], dtype=np.intp).repeat(counts)
-        if p > 2:
-            ranks = pr[src] + np.array([v * q for q in tops for v in vs], dtype=dt).repeat(counts)
-            masks = pm[:, src]
-            masks[vertex // (p - 1) - lo, np.arange(len(src))] = True
-        else:
-            ranks = pr[src] ^ np.array([2 * q - 1 for q in tops], dtype=dt).repeat(counts)
-            masks = pm[src] | np.array(tops, dtype=dt).repeat(counts)
+        steps = np.array([v * p**j if p > 2 else v * (2 * p**j - 1) for v, j in groups], dtype=dt).repeat(counts)
         columns = np.empty((b, len(src)), dtype=np.intp)
-        np.add(vertex, 1, out=columns[-1])
+        columns[-1] = np.repeat([j * (p - 1) + v for v, j in groups], counts)  # column 0 where v = 0
         if b > 1:  # level 0's zero column is not carried
             pc.take(src, axis=1, out=columns[:-1])
+        if p > 2:
+            ranks = pr[src] + steps
+            masks = pm[:, src] | (np.arange(lo, hi)[:, None] == (columns[-1] - 1) // (p - 1))  # -1 where v = 0
+        else:
+            ranks = pr[src] ^ steps
+            masks = pm[src] | np.array([v << j for v, j in groups], dtype=dt).repeat(counts)
     for t in (masks, ranks, columns):
         t.setflags(write=False)
     return masks, ranks, columns
@@ -403,11 +401,15 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
     is a run of consecutive levels a..b that one table of at most block
     walked candidates holds: a level is one table while its walked share
     is at most block and the full level below it, which _table builds it
-    from, is too.  Consecutive levels share a run while their full sizes
-    sum to at most block // n: at p = 2 and n = 10..13 that is levels 0..3
-    or 0..4, which nearly every row of a code's stack walks, and a run as
-    long as a block would weigh, for all 64 rows, levels that most rows
-    never reach.  Merging by walked shares made lone searches that stop
+    from, is too.  Only levels from level 0 share a run, the levels every
+    row walks, while their full sizes sum to at most block // n: at p = 2
+    and n = 10..13 that is levels 0..3 or 0..4, which nearly every row of
+    a code's stack walks, and a run as long as a block would weigh, for
+    all 64 rows, levels that most rows never reach.  _table builds the run
+    0..b from the run 0..b - 1; a run of top levels a..b would be built
+    through runs of the large levels below it (at p = 2, n = 14, levels
+    12..14 through runs of up to 9,438 x), so each top level is a run of
+    its own.  Merging by walked shares made lone searches that stop
     before a merged level slower.  An entry (s, None) is a level walked as
     band products (_blocks, and walk in _searcher): every level from the
     first one that is not one table on, since a level is built from the
@@ -426,7 +428,7 @@ def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tu
         a, total = s, size(s)
         s += 1
         small = small and (a == 0 or total // share <= block and size(a - 1) <= block)
-        if small:
+        if a == 0:
             while s <= n and total + size(s) <= block // n:
                 total += size(s)
                 s += 1
@@ -462,9 +464,12 @@ def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool, marked: b
 
 
 def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
-    """The x on range(lo, n) with s nonzero digits, in blocks of at most _BLOCK by ascending rank.
+    """The x on range(lo, n) with s nonzero digits, in blocks of at most _BLOCK, each by ascending rank.
 
-    A block is (supports, ranks, Gamma x) in the unmarked form of
+    The order is ascending within a block, not across blocks: the band
+    levels come highest first (_bands), so the blocks of different band
+    levels interleave in rank (p = 2, n = 12 at a _BLOCK of 16; p = 3,
+    n = 8).  A block is (supports, ranks, Gamma x) in the unmarked form of
     pieces(lo, hi, s, one, marked) (gathered in _searcher): bitmask
     supports at every p, and Gamma x with no marks.  The x are one table
     when every level 0..s of the range fits _BLOCK, _level_plan's rule
@@ -569,7 +574,11 @@ def _pairs(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]
     """Every pair r <= s of k codewords in scan order, 1-based, and its r and its s, 0-based, as arrays.
 
     It depends on k alone, so each process builds it once per k, shared
-    read-only; maxsize bounds the memo.
+    read-only.  It holds about 128 bytes a pair, so code_distance
+    memoizes only codes of at most 64 codewords (2,080 pairs, 260 KiB),
+    which maxsize bounds at about 4 MiB, and builds a larger code's
+    uncached through __wrapped__: a memo of 1,024 codewords would keep
+    64 MiB for the life of the process.
     """
     pairs = [(r, s) for r in range(k) for s in range(r, k)]
     first, second = (np.array(t, dtype=np.intp) for t in zip(*pairs))
@@ -868,12 +877,12 @@ def code_distance(
     differences) take one pass, and 12 take two, of 64 and 3 rows.  The
     searcher is built first: its budget check guarantees p**n < 2**64, so
     each difference is keyed exactly by the integer sum d_j p**j, and the
-    pairs come from a memo per number of codewords (_pairs).  A code
-    whose only distinct difference is d = 0 (one codeword, or equal ones)
-    is a one-row stack, which weighs only the x whose top digit is 1, as
-    diagonal_distance does.  Every report equals what pairwise_distance
-    gives for its pair.  The reported pair is the first minimizer in
-    lexicographic scan order.
+    pairs of a code of up to 64 codewords come from a memo per number of
+    codewords (_pairs).  A code whose only distinct difference is d = 0
+    (one codeword, or equal ones) is a one-row stack, which weighs only the
+    x whose top digit is 1, as diagonal_distance does.  Every report equals
+    what pairwise_distance gives for its pair.  The reported pair is the
+    first minimizer in lexicographic scan order.
 
     The codewords are read in one _residues call, exact for any mix of
     dtypes and Python ints, once each has length n.  A code of more than
@@ -890,7 +899,7 @@ def code_distance(
     if any(np.shape(c) != (n,) for c in codewords):
         raise ValueError(f"labellings must have length {n}")
     reduced = _residues(codewords, p)  # int64 in [0, p), exact for any mix of dtypes, so cr - cs fits int64
-    pairs, first_word, second_word = _pairs(len(reduced))
+    pairs, first_word, second_word = (_pairs if len(reduced) <= 64 else _pairs.__wrapped__)(len(reduced))
     diffs = reduced.take(first_word, axis=0) - reduced.take(second_word, axis=0)  # row i: the difference of pairs[i]
     diffs %= p
     keys = (diffs.astype(np.uint64) @ _powers(p)[:n]).tolist()  # sum d_j p**j: one int per difference

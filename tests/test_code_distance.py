@@ -16,7 +16,7 @@ import pytest
 import diagdist
 from diagdist import PrimeField, code_distance, diagonal_distance, generate, pairwise_distance
 from diagdist import distance as D
-from helpers import random_multigraph
+from helpers import clear_memos, random_multigraph
 
 F2 = PrimeField(2)
 
@@ -321,3 +321,22 @@ def test_a_code_past_the_codeword_cap_is_refused_before_any_pair(monkeypatch):
     assert calls == []
     assert code_distance(g, F2, words[:3]).delta == 3 and calls == [3]
     assert code_distance(g, F2, words, D.SearchConfig(force=True)).delta == 3 and calls == [3, 4]
+
+
+def test_only_codes_of_at_most_64_codewords_keep_their_pairs():
+    """A code of more than 64 codewords builds its pair table uncached, and its reports are still each pair's.
+
+    _pairs holds about 128 bytes a pair for the life of the process: a
+    memo of 1,024 codewords would keep 64 MiB.
+    """
+    clear_memos()
+    g, rng = generate("cycle", 5), random.Random(65)
+    words = [np.array([rng.randrange(2) for _ in range(5)]) for _ in range(65)]
+    res = code_distance(g, F2, words)
+    assert D._pairs.cache_info().currsize == 0
+    assert len(res.table) == 65 * 66 // 2
+    for r, s in ((1, 2), (1, 65), (17, 40), (64, 65)):
+        assert key(res.table[r, s]) == key(pairwise_distance(g, F2, words[r - 1], words[s - 1]))
+    assert key(res.table[65, 65]) == key(diagonal_distance(g, F2))
+    code_distance(g, F2, words[:64])
+    assert D._pairs.cache_info().currsize == 1

@@ -74,7 +74,7 @@ def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
     assert peak < 4 << 20
 
 
-@pytest.mark.parametrize("p, n, block", [(2, 12, 1 << 3), (3, 11, 200)])
+@pytest.mark.parametrize("p, n, block", [(2, 12, 1 << 3), (3, 11, 200), (2, 14, 1 << 12)])
 def test_an_all_levels_search_builds_no_table_past_a_block(monkeypatch, p, n, block):
     """Every table a forced all-levels search builds, and every table it is built from, holds at most _BLOCK.
 

@@ -206,23 +206,37 @@ def held_digits(columns, s, p):
     return out
 
 
-@pytest.mark.parametrize(
-    "lo, hi, a, b, dt, p",
-    [(0, 7, 0, 3, np.uint32, 2), (3, 11, 1, 4, np.uint32, 2), (0, 6, 0, 2, np.uint64, 3), (2, 6, 1, 3, np.uint64, 5)],
-)
+# every run and level a..b of every range lo..hi up to 8 vertices with p**(hi - lo) <= 2**10: 1,182 cases
+RUNS = [
+    (lo, hi, a, b, np.uint32 if p == 2 else np.uint64, p)
+    for p in (2, 3, 5, 7)
+    for lo in range(8)
+    for hi in range(lo + 1, 9)
+    if p ** (hi - lo) <= 1 << 10
+    for b in range(hi - lo + 1)
+    for a in range(b + 1)
+]
+
+
+@pytest.mark.parametrize("lo, hi, a, b, dt, p", [*RUNS, (3, 11, 1, 4, np.uint32, 2)])
 def test_a_run_is_its_levels_in_rank_order(lo, hi, a, b, dt, p):
-    """A run of levels a..b holds their x by rank, each with its level's columns padded at the front to b rows."""
-    masks, ranks, columns = D._table(lo, hi, a, b, dt, p, False)
-    want = []
-    for s in range(a, b + 1):
-        m, r, c = D._table(lo, hi, s, s, dt, p, False)
-        padded = np.concatenate((np.zeros((b - len(c), c.shape[1]), dtype=np.intp), c))
-        want += zip(r.tolist(), (m.T if p > 2 else m).tolist(), padded.T.tolist())
-    want.sort()
-    assert ranks.dtype == dt
-    assert ranks.tolist() == [t for t, _, _ in want]
-    assert (masks.T if p > 2 else masks).tolist() == [x for _, x, _ in want]
-    assert columns.dtype == np.intp and columns.T.tolist() == [c for _, _, c in want]
+    """A run of levels a..b holds their x by rank, each with its level's columns padded at the front to b rows.
+
+    So does each run of top digit 1 (one), whose levels s >= 1 hold only
+    the x whose top digit is 1.
+    """
+    for one in (False, True):
+        masks, ranks, columns = D._table(lo, hi, a, b, dt, p, one)
+        want = []
+        for s in range(a, b + 1):
+            m, r, c = D._table(lo, hi, s, s, dt, p, one)
+            padded = np.concatenate((np.zeros((max(b, 1) - len(c), c.shape[1]), dtype=np.intp), c))
+            want += zip(r.tolist(), (m.T if p > 2 else m).tolist(), padded.T.tolist())
+        want.sort()
+        assert ranks.dtype == dt and masks.dtype == (bool if p > 2 else dt)
+        assert ranks.tolist() == [t for t, _, _ in want]
+        assert (masks.T if p > 2 else masks).tolist() == [x for _, x, _ in want]
+        assert columns.dtype == np.intp and columns.T.tolist() == [c for _, _, c in want]
 
 
 def folded_masks(a):
