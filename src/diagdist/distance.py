@@ -47,15 +47,16 @@ by one recipe at every p from the table one level down, with no sort.
 Per graph, Gamma x of a table is one gather of those columns from a
 table of Gamma's columns and their multiples, and one XOR or add mod p,
 only for the tables walked.  Small levels from level 0 up share one
-chunk.  A level is one table while its walked candidates, and every
-level below it, fit _BLOCK.  From the first level that is not on, every
-level is walked as band products by one recursive rule (_blocks): the x
-on vertices lo..n - 1 at a level are one table when every level up to it
-fits _BLOCK, and otherwise a band table of the vertices from lo up times
-the x above that band, by the same rule, in the one band order
-(_bands).  So no chunk holds more than _BLOCK candidates per row and no
-table is built through a larger one.  A lone d = 0 search at odd p
-counts, of each level, the share of top digit 1 it walks (below).
+chunk.  One rule (_fits) decides when the x on vertices lo..n - 1 at a
+level are one table: every level below it fits _BLOCK whole, since
+_table builds a level from the whole level below it, and the level
+itself fits by the candidates it walks; a lone d = 0 search at odd p
+walks, of each level, the share of top digit 1 (below).  Otherwise they
+are a band table of the vertices from lo up times the x above that band,
+by the same rule (_blocks), in the one band order (_bands).  So from
+vertex 0, from the first level that is not one table on, every level is
+band products, no chunk holds more than _BLOCK candidates per row and no
+table is built through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -84,6 +85,7 @@ from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 MAX_CODEWORDS = 1 << 10  # code_distance's cap: its pair table and differences grow with k (k + 1) / 2 pairs
+CODE_BUDGET = 1 << 36  # code_distance's cap on the candidates its walks may weigh, summed over its differences
 _BLOCK = 1 << 12  # candidates per block at most; bounds the search's tables and buffers
 # Differences per block pass in code_distance.  Buffers hold _ROWS * _BLOCK
 # entries: 1 MiB of uint32 masks at p = 2, and n * 256 KiB of bools at odd p.
@@ -103,8 +105,9 @@ class SearchConfig:
     max_vertices of None means the per-prime default (24 for p = 2, 12
     otherwise).  Else it is read through operator.index and kept as a
     Python int, as PrimeField.p is: a float or a string raises ValueError.
-    force disables the vertex cap, the global candidate budget and
-    code_distance's cap of MAX_CODEWORDS = 1024 codewords, but never admits
+    force disables the vertex cap, the global candidate budget,
+    code_distance's cap of MAX_CODEWORDS = 1024 codewords and its work
+    budget of CODE_BUDGET = 2**36 candidates, but never admits
     p**n >= 2**64, past the uint64 ranks of the search: at p = 2, n >= 64
     is always refused.
     """
@@ -250,7 +253,7 @@ def _bitmasks(a: np.ndarray):
     return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
 
 
-@functools.lru_cache(maxsize=512)  # 300 tables, 4.4 MB, for the benchmark classes and the forced demo searches
+@functools.lru_cache(maxsize=512)  # 306 tables, 5.0 MiB, for the benchmark classes and the forced demo searches
 def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
@@ -389,76 +392,80 @@ def _least_rank(p: int, s: int) -> int:
     return 2 ** (s + 1) // 3 if p == 2 else (p**s - 1) // (p - 1)
 
 
+def _size(m: int, p: int, s: int) -> int:
+    """C(m, s) (p - 1)**s: how many x on m vertices have s nonzero digits."""
+    return math.comb(m, s) * (p - 1) ** s
+
+
+def _fits(m: int, p: int, s: int, one: bool, block: int) -> bool:
+    """Whether level s of m vertices is one table: it and every table _table builds it through hold at most block.
+
+    _table builds level s from the whole level s - 1, and that from the
+    whole level below it, so every level below s must fit whole, and
+    level s by the share it walks.  With one (the scalar symmetry of a
+    lone d = 0 search at odd p) that share is the x of top digit 1, a
+    1 / (p - 1) share of a level s >= 1; but not when p - 1 > block, where
+    the searcher's column table holds no multiples and the top vertex's
+    values go in slices (band width 0), so the whole level counts.
+    """
+    share = p - 1 if one and p - 1 <= block else 1
+    return _size(m, p, s) // share <= block and all(_size(m, p, t) <= block for t in range(s))
+
+
 @functools.lru_cache(maxsize=64)  # one plan per (n, p, one) class searched: each a small tuple
 def _level_plan(n: int, p: int, block: int, one: bool = False) -> tuple[tuple[tuple[int, int | None], ...], int]:
     """The support levels of n vertices in walking order, and the band width for band levels.
 
-    Level s holds C(n, s) (p - 1)**s candidates.  With one (the scalar
-    symmetry of a lone d = 0 search at odd p) a level s >= 1 walks only
-    its x of top digit 1, a 1 / (p - 1) share, and counts that share;
-    but not when p - 1 > block, where the searcher's column table holds no
-    multiples and the top vertex's values go in slices.  Each entry (a, b)
-    is a run of consecutive levels a..b that one table of at most block
-    walked candidates holds: a level is one table while its walked share
-    is at most block and the full level below it, which _table builds it
-    from, is too.  Only levels from level 0 share a run, the levels every
-    row walks, while their full sizes sum to at most block // n: at p = 2
-    and n = 10..13 that is levels 0..3 or 0..4, which nearly every row of
-    a code's stack walks, and a run as long as a block would weigh, for
-    all 64 rows, levels that most rows never reach.  _table builds the run
-    0..b from the run 0..b - 1; a run of top levels a..b would be built
-    through runs of the large levels below it (at p = 2, n = 14, levels
-    12..14 through runs of up to 9,438 x), so each top level is a run of
-    its own.  Merging by walked shares made lone searches that stop
-    before a merged level slower.  An entry (s, None) is a level walked as
-    band products (_blocks, and walk in _searcher): every level from the
-    first one that is not one table on, since a level is built from the
-    level below, and the top levels, small again, would be built through
-    the large ones.  The band width is the most vertices whose every level
-    fits block: 0 when one vertex's p - 1 values do not, and then each
-    band is one vertex, whose values come in slices of block.
+    Each entry (a, b) is a run of consecutive levels a..b that one table
+    holds.  Only levels from level 0 share a run, the levels every row
+    walks, while their full sizes (_size) sum to at most block // n: at
+    p = 2 and n = 10..13 that is levels 0..3 or 0..4, which nearly every
+    row of a code's stack walks, and a run as long as a block would weigh,
+    for all 64 rows, levels that most rows never reach.  _table builds the
+    run 0..b from the run 0..b - 1; a run of top levels a..b would be
+    built through runs of the large levels below it (at p = 2, n = 14,
+    levels 12..14 through runs of up to 9,438 x), so each later level is a
+    run of its own, one table when it fits (_fits: the levels below it
+    whole, and its walked share, counted with one).  Merging by walked
+    shares made lone searches that stop before a merged level slower.  An
+    entry (s, None) is a level walked as band products (_blocks, and walk
+    in _searcher): since _fits asks every level below s to fit whole, it
+    fails for every level from the first one that does not fit on, the
+    small top levels too.  The band width is the most vertices whose every
+    level fits block whole: 0 when one vertex's p - 1 values do not, and
+    then each band is one vertex, whose values come in slices of block.
     """
-
-    def size(s):
-        return math.comb(n, s) * (p - 1) ** s
-
-    share = p - 1 if one and p - 1 <= block else 1  # a level s >= 1 walks size(s) // share candidates
-    runs, s, small = [], 0, True
-    while s <= n:
-        a, total = s, size(s)
+    s = 1  # levels 0..s - 1 share the first run
+    while s <= n and sum(_size(n, p, t) for t in range(s + 1)) <= block // n:
         s += 1
-        small = small and (a == 0 or total // share <= block and size(a - 1) <= block)
-        if a == 0:
-            while s <= n and total + size(s) <= block // n:
-                total += size(s)
-                s += 1
-        runs.append((a, s - 1 if small else None))
+    runs = [(0, s - 1)] + [(a, a if _fits(n, p, a, one, block) else None) for a in range(s, n + 1)]
     width = 0
-    while all(math.comb(width + 1, j) * (p - 1) ** j <= block for j in range(width + 2)):
+    while _fits(width + 1, p, width + 1, False, block):
         width += 1
     return tuple(runs), width
 
 
-def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool, marked: bool):
+def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     """The x on range(lo, n) with s nonzero digits as products of the band range(lo, lo + w) and the x above it.
 
     For each level j of the band, highest first, it yields (j, band, step,
-    above): the band's x with j nonzero digits, a table in the marked or
-    unmarked form of pieces(lo, hi, j, one, marked) (gathered in
-    _searcher); step = _BLOCK // len(band), how many of the x above one
-    chunk takes; and above, the x on range(lo + w, n) with s - j nonzero
-    digits in blocks (_blocks).  The band's vertices are below the ones
-    above it, so the product, major in the x above, is in ascending rank:
-    at odd p the ranks add, and Gamma x adds, then min(s, s - p).  At p = 2
-    both XOR, and each vertex above flips every bit of the band's ranks,
-    so the band is taken reversed when the x above it has odd weight.
-    With one, only the x whose top digit is 1: of the band where the x
-    above it is zero (j = s), and else of the x above.  The band's level s
-    comes first, so the least x of level s, digit 1 at vertices lo ..
-    lo + s - 1, is in the first chunks.
+    above): the band's x with j nonzero digits, a table as
+    pieces(lo, lo + w, j, one) gives it (gathered in _searcher), marked at
+    odd p when lo = 0 and j > 0 (the weigher's low factor) and with bitmask
+    supports otherwise; step = _BLOCK // len(band), how many of the x above
+    one chunk takes; and above, the x on range(lo + w, n) with s - j
+    nonzero digits in blocks (_blocks).  The band's vertices are below the
+    ones above it, so the product, major in the x above, is in ascending
+    rank: at odd p the ranks add, and Gamma x adds, then min(s, s - p).  At
+    p = 2 both XOR, and each vertex above flips every bit of the band's
+    ranks, so the band is taken reversed when the x above it has odd
+    weight.  With one, only the x whose top digit is 1: of the band where
+    the x above it is zero (j = s), and else of the x above.  The band's
+    level s comes first, so the least x of level s, digit 1 at vertices
+    lo .. lo + s - 1, is in the first chunks.
     """
     for j in range(min(s, w), max(0, s - n + lo + w) - 1, -1):
-        for band in pieces(lo, lo + w, j, one and j == s, marked):
+        for band in pieces(lo, lo + w, j, one and j == s):
             band = tuple(t[::-1] for t in band) if p == 2 and (s - j) % 2 else band
             yield j, band, _BLOCK // len(band[1]), _blocks(pieces, n, p, w, lo + w, s - j, one and j < s)
 
@@ -469,21 +476,21 @@ def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     The order is ascending within a block, not across blocks: the band
     levels come highest first (_bands), so the blocks of different band
     levels interleave in rank (p = 2, n = 12 at a _BLOCK of 16; p = 3,
-    n = 8).  A block is (supports, ranks, Gamma x) in the unmarked form of
-    pieces(lo, hi, s, one, marked) (gathered in _searcher): bitmask
-    supports at every p, and Gamma x with no marks.  The x are one table
-    when every level 0..s of the range fits _BLOCK, _level_plan's rule
-    from vertex 0 (_table builds level s from the levels below it).
-    Otherwise they are the band products of _bands, by this same rule
-    above the band, each block of the x above taken step at a time.  It
+    n = 8).  A block is (supports, ranks, Gamma x) as pieces(lo, hi, s,
+    one) gives it (gathered in _searcher): lo >= 1, so bitmask supports
+    at every p, and Gamma x with no marks.  The x are one table when level
+    s of the range fits _BLOCK by _fits, the rule _level_plan keeps from
+    vertex 0: every level below s whole, and level s by the share it
+    walks.  Otherwise they are the band products of _bands, by this same
+    rule above the band, each block of the x above taken step at a time.  It
     takes pieces as an argument, not as a closure of _searcher: a nested
     function that calls itself is a reference cycle, which keeps a search's
     tables alive until the next collection.
     """
-    if all(math.comb(n - lo, t) * (p - 1) ** t <= _BLOCK for t in range(s + 1)):
-        yield from pieces(lo, n, s, one, False)
+    if _fits(n - lo, p, s, one, _BLOCK):
+        yield from pieces(lo, n, s, one)
         return
-    for _, (x1, r1, g1), step, above in _bands(pieces, n, p, w, lo, s, one, False):
+    for _, (x1, r1, g1), step, above in _bands(pieces, n, p, w, lo, s, one):
         for x2, r2, g2 in above:
             for i in range(0, len(r2), step):
                 x = (x2[i : i + step, None] | x1).ravel()
@@ -656,42 +663,45 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
     colv = _column_table(gamma, p, dt)
 
-    def gathered(lo, hi, a, b, one=False, marked=True):
+    def gathered(lo, hi, a, b, one=False):
         """A pattern table's masks and ranks, and its Gamma x, built on first use.
 
-        At odd p a marked table is the weigher's low factor: its Gamma x
-        mod p holds p where x is nonzero.  An unmarked one, a part of the
-        blocks above the band at vertex 0 (_blocks), holds Gamma x mod p
-        alone, and its masks become bitmask supports, which p = 2's masks
-        are; p = 2 has no marks.
+        Its vertex range decides its form.  At odd p a table from vertex 0
+        that holds a nonzero x (b > 0) is the weigher's low factor, walk's
+        runs and the band at vertex 0: its Gamma x mod p holds p where x is
+        nonzero, and its masks go unread.  Every other table, a part of the
+        blocks above that band (_blocks) or the zero table, which serves
+        both, holds Gamma x mod p alone, and its masks become bitmask
+        supports, which p = 2's masks are; p = 2 has no marks.
         """
-        key = lo, hi, a, b, one, marked
+        key = lo, hi, a, b, one
         if key not in tables:
             masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
             gz = _gamma_x(colv, columns, p)
-            if p > 2 and marked:
-                np.copyto(gz[lo:hi], dt.type(p), where=masks)
+            if p > 2 and not lo and b:
+                np.copyto(gz[:hi], dt.type(p), where=masks)
             elif p > 2:
                 masks = _BITS[lo:hi] @ masks
             tables[key] = masks, ranks, gz
         return tables[key]
 
-    def pieces(lo, hi, s, one, marked):
+    def pieces(lo, hi, s, one):
         """The x on range(lo, hi) with s nonzero digits, by ascending rank, in gathered's form.
 
-        s = 0 is the zero x on any range: the empty band's level-0 table.
-        Else it is one table of at most _BLOCK, or at band width 0
-        (p - 1 > _BLOCK), where the range is one vertex and s = 1, that
-        vertex's values (only 1 with one) _BLOCK at a time, with bitmask
-        supports in both forms: a marked slice's go unread.
+        s = 0 is the zero x on any range: the empty band's level-0 table,
+        the zero table.  Else it is one table of at most _BLOCK, or at band
+        width 0 (p - 1 > _BLOCK), where the range is one vertex and s = 1,
+        that vertex's values (only 1 with one) _BLOCK at a time, with
+        bitmask supports, and marked at vertex 0, the low factor, whose
+        supports go unread.
         """
         if not s or p - 1 <= _BLOCK:
-            yield gathered(lo, hi, s, s, one, marked) if s else gathered(0, 0, 0, 0, False, marked)
+            yield gathered(lo, hi, s, s, one) if s else gathered(0, 0, 0, 0)
             return
         for v in range(1, 2 if one else p, _BLOCK):
             m = np.arange(v, min(v + _BLOCK, 2 if one else p))
             gz = (np.outer(gamma[:, lo], m) % p).astype(dt)
-            np.copyto(gz[lo], dt.type(p), where=marked)  # the low factor's mark
+            np.copyto(gz[lo], dt.type(p), where=not lo)  # the low factor's mark
             yield np.full(len(m), 1 << lo), m.astype(np.uint64) * p**lo, gz
 
     def walk(d, r, zero):
@@ -717,8 +727,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         A band level a holds x = A + H, A on the band [0, wa) and H above
         it, in the order _bands keeps: for each level j of the band, highest
         first, A is the band's table at level j, the weigher's low factor,
-        and H comes in blocks at level a - j, one table when every level up
-        to a - j of the vertices above fits _BLOCK (_blocks).  At odd p each
+        and H comes in blocks at level a - j, one table when that level of
+        the vertices above fits _BLOCK by _fits (_blocks).  At odd p each
         block becomes the weigher's high factor once, and a chunk is A times
         step = _BLOCK // len(A) of the block's x, H-major.  At band width 0
         the band is vertex 0, its values _BLOCK at a time (pieces).
@@ -751,7 +761,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     rank_at = rk.__getitem__
                     yield (x, gz, rows) if p == 2 else (gz, None, rows)
                     continue
-                for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one, True):  # A's levels
+                for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one):  # A's levels
                     for xh, rh, gh in above:
                         if p > 2 and j < a:  # the high factor: -Gamma x_H mod p, and 2p where x_H != 0
                             hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
@@ -889,6 +899,18 @@ def code_distance(
     MAX_CODEWORDS = 1024 codewords raises SearchTooLarge before any pair is
     built, unless cfg.force is set: 1024 take 524,800 pairs, which peaked
     at 176 MB at n = 5 and 296 MB at n = 24, and 8,000 would need about 8 GB.
+
+    A code whose walks may weigh more than CODE_BUDGET = 2**36 candidates
+    in all raises SearchTooLarge before any search, unless cfg.force is
+    set: the searcher's budget bounds each search, not their number.  A
+    difference d has the word (d | 0) of weight |supp d|, so its walk ends
+    by that level, and d = 0 has, for each vertex i, the x = e_i of weight
+    at most 1 + |supp Gamma[:, i]|; a walk ending by level b weighs at most
+    the _size(n, p, s) candidates of each level s <= b.  The sum is skipped
+    when the distinct differences' p**n candidates sum within the budget,
+    as for every code of up to 4,096 distinct differences.  On random codes
+    on the 24-cycle at p = 2, 2**35.4 took 3.6 s (100 codewords) and
+    2**36.6 took 5.6 s (150); 1024 codewords (2**42.1) took about 430 s.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -906,6 +928,14 @@ def code_distance(
     first: dict[int, int] = {}  # the key of a difference -> the index of its first pair
     which = [first.setdefault(key, i) for i, key in enumerate(keys)]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference, heads the first stack
+    if not cfg.force and len(distinct) * p**n > CODE_BUDGET:  # else each walk's p**n candidates sum within it
+        bound = np.count_nonzero(diffs, axis=1).take(distinct)  # the level each walk ends by: (d | 0) weighs |supp d|
+        bound[0] = min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())  # d = 0: some x = e_i
+        counts = np.bincount(bound, minlength=n + 1).tolist()  # how many walks end by each level
+        work = sum(c * _size(n, p, s) for b, c in enumerate(counts) for s in range(b + 1))
+        if work > CODE_BUDGET:
+            raise SearchTooLarge(f"{len(distinct)} distinct differences may weigh {work} candidates, "
+                                 f"past the code budget {CODE_BUDGET}; set force")
     reports = {}
     for c in range(0, len(distinct), _ROWS):
         chunk = distinct[c : c + _ROWS]

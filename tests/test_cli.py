@@ -5,6 +5,7 @@ import pytest
 
 from diagdist import generate, parse_graph, serialize
 from diagdist.cli import main
+from diagdist import distance as D
 from diagdist.distance import MAX_CODEWORDS
 
 CYCLE5 = serialize(generate("cycle", 5))
@@ -149,6 +150,19 @@ def test_a_code_past_the_codeword_cap_exits_3(capsys, tmp_path, cycle5_file):
     code, out, err = run(capsys, "code-distance", cycle5_file, str(codes))
     assert (code, out) == (3, "")
     assert err == f"diagdist: error: {MAX_CODEWORDS + 1} codewords exceed the cap of {MAX_CODEWORDS}; set force\n"
+
+
+def test_a_code_past_the_work_budget_exits_3(capsys, monkeypatch, tmp_path, cycle5_file):
+    """Four distinct differences whose walks may weigh 100 candidates, past a budget of 99: exit 3, one line."""
+    codes = tmp_path / "three.cw"
+    codes.write_text("0 0 0 0 0\n1 1 0 0 0\n0 0 1 1 1\n")
+    monkeypatch.setattr(D, "CODE_BUDGET", 99)
+    code, out, err = run(capsys, "code-distance", cycle5_file, str(codes))
+    assert (code, out) == (3, "")
+    refusal = "4 distinct differences may weigh 100 candidates, past the code budget 99; set force"
+    assert err == f"diagdist: error: {refusal}\n"
+    code, out, err = run(capsys, "code-distance", cycle5_file, str(codes), "--force")
+    assert code == 0 and err == "" and "pair table" in out
 
 
 def test_kernel_k2(capsys, tmp_path):

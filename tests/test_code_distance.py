@@ -323,6 +323,36 @@ def test_a_code_past_the_codeword_cap_is_refused_before_any_pair(monkeypatch):
     assert code_distance(g, F2, words, D.SearchConfig(force=True)).delta == 3 and calls == [3, 4]
 
 
+def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
+    """The walks' bounds, summed over a code's distinct differences, are checked against CODE_BUDGET first.
+
+    On the 5-cycle at p = 2 the codewords 00000, 11000 and 00111 give the
+    differences 0, 11000, 00111 and 11111.  A walk for d != 0 ends by level
+    |supp d|, and for d = 0 by level 1 + 2, the least column support plus
+    one, so they may weigh 26 + 16 + 26 + 32 = 100 candidates.  force admits
+    the code.  When the differences' p**n candidates sum within the budget
+    (4 * 32 = 128), no bound is summed: Gamma is built once, by the searcher.
+    """
+    real_level_blocks, real_adjacency, searches, gammas = D._level_blocks, D.adjacency_matrix, [], []
+    monkeypatch.setattr(D, "_level_blocks", lambda *args: searches.append(1) or real_level_blocks(*args))
+    monkeypatch.setattr(D, "adjacency_matrix", lambda *args: gammas.append(1) or real_adjacency(*args))
+    g, words = generate("cycle", 5), [np.array(w) for w in ([0, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1])]
+    monkeypatch.setattr(D, "CODE_BUDGET", 99)
+    refusal = "^4 distinct differences may weigh 100 candidates, past the code budget 99; set force$"
+    with pytest.raises(D.SearchTooLarge, match=refusal):
+        code_distance(g, F2, words)
+    assert searches == []
+    forced = code_distance(g, F2, words, D.SearchConfig(force=True))
+    table = forced.table.items()
+    for budget, built in ((100, 2), (127, 2), (128, 1)):
+        monkeypatch.setattr(D, "CODE_BUDGET", budget)
+        gammas.clear()
+        res = code_distance(g, F2, words)
+        assert len(gammas) == built, budget
+        assert (res.delta, res.pair) == (forced.delta, forced.pair)
+        assert [(pair, key(rep)) for pair, rep in res.table.items()] == [(pair, key(rep)) for pair, rep in table]
+
+
 def test_only_codes_of_at_most_64_codewords_keep_their_pairs():
     """A code of more than 64 codewords builds its pair table uncached, and its reports are still each pair's.
 

@@ -28,6 +28,7 @@ from diagdist import (
     PrimeField,
     SearchConfig,
     adjacency_matrix,
+    brute_force_distance,
     code_distance,
     diagonal_distance,
     generate,
@@ -413,6 +414,78 @@ def test_levels_hold_every_subset_by_gray_rank(lo, hi):
         assert [gray_rank(x) for x in held] == ranks.tolist()
 
 
+class PastTheBlock(Exception):
+    """A table longer than the block: the build stops there, before a larger table is built from it."""
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fits_holds_exactly_when_every_table_built_fits(monkeypatch, p):
+    """_fits(m, p, s, one, block) holds exactly when _table's level s of m vertices, and every table built for it, fit.
+
+    The spy sees _table's recursion, which looks _table up as a global,
+    from an empty memo, and stops the build at its first table past the
+    block, so no larger table is built from it.  one is set only at odd p
+    with p - 1 <= block: at band width 0 the walk takes a vertex's values
+    in slices and never builds a table of top digit 1.
+    """
+    real, dt = D._table, np.uint32 if p == 2 else np.uint64
+
+    def spy(*args):
+        t = real(*args)
+        if len(t[1]) > block:
+            raise PastTheBlock
+        return t
+
+    monkeypatch.setattr(D, "_table", spy)
+    fits = set()
+    for block in (2, 8, 64):
+        for one in (False, True) if p > 2 and p - 1 <= block else (False,):
+            for m in range(9):
+                for s in range(m + 1):
+                    real.cache_clear()
+                    try:
+                        D._table(0, m, s, s, dt, p, one)
+                        built = True
+                    except PastTheBlock:
+                        built = False
+                    assert D._fits(m, p, s, one, block) == built, (block, one, m, s)
+                    fits.add((built, one))
+    real.cache_clear()
+    assert fits == ({(True, False), (False, False)} | ({(True, True), (False, True)} if p > 2 else set()))
+
+
+def test_blocks_take_a_level_that_fits_by_its_walked_share_as_one_table(monkeypatch):
+    """Level 2 of 3 vertices at p = 3 holds 12 x, more than a _BLOCK of 8, but its 6 x of top digit 1 fit.
+
+    Level 1 (6 x) fits whole, so _blocks yields the share as one table,
+    as _level_plan would from vertex 0.  A lone d = 0 search at n = 5 asks
+    for it above the band of vertices 0 and 1 (width 2), at band level 2.
+    Its distance is the brute-force oracle's, and its report is the one a
+    _BLOCK of 2**12 gives, where level 2 is one table from vertex 0.
+    """
+    monkeypatch.setattr(D, "_BLOCK", 8)
+    asked = []
+
+    def pieces(lo, hi, s, one):
+        asked.append((lo, hi, s, one))
+        yield "table"
+
+    assert list(D._blocks(pieces, 5, 3, 2, 2, 2, True)) == ["table"] and asked == [(2, 5, 2, True)]
+    assert D._fits(3, 3, 2, True, 8) and not D._fits(3, 3, 2, False, 8)
+    clear_memos()
+    f, real, keys = PrimeField(3), D._table, set()
+    monkeypatch.setattr(D, "_table", lambda *args: keys.add(args[:4] + args[-1:]) or real(*args))
+    g = Multigraph(5, np.array([[0, 1, 2, 1, 0], [1, 0, 1, 0, 2], [2, 1, 0, 2, 1], [1, 0, 2, 0, 1], [0, 2, 1, 1, 0]]))
+    assert D._level_plan(5, 3, 8, True) == (((0, 0), (1, 1)) + tuple((s, None) for s in range(2, 6)), 2)
+    rep = diagonal_distance(g, f)
+    assert (2, 5, 2, 2, True) in keys and rep.distance == brute_force_distance(g, f).distance >= 3
+    monkeypatch.setattr(D, "_table", real)
+    monkeypatch.setattr(D, "_BLOCK", 1 << 12)
+    clear_memos()
+    whole = diagonal_distance(g, f)  # level 2 in one table from vertex 0
+    assert (rep.distance, rep.witness, rep.vectors_examined) == (whole.distance, whole.witness, whole.vectors_examined)
+
+
 def test_levels_past_the_block_are_walked_as_band_products():
     """From the first level past _BLOCK on, every level is band products, the small top ones too.
 
@@ -649,7 +722,7 @@ def test_forced_searches_evict_no_workload_table(monkeypatch):
     """The memo holds every workload class's tables beside those of the demo's forced searches.
 
     After the workload classes, demos/forced_reach.py's five reach
-    searches and its all-levels search (321 tables, about 4.5 MB), a
+    searches and its all-levels search (306 tables, 5.0 MiB), a
     second pass over the classes builds no table again.
     """
     real, held = D._table, {}
