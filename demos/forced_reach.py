@@ -21,7 +21,7 @@ import numpy as np
 
 from diagdist import Multigraph, PrimeField, SearchConfig, diagonal_distance, pairwise_distance
 
-CASES = [(2, 32), (3, 20), (5, 14), (5, 16), (7, 12)]
+CASES = [(2, 32), (2, 36), (3, 20), (3, 24), (5, 14), (5, 16), (7, 12)]
 FORCE = SearchConfig(force=True)
 
 

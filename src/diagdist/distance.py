@@ -40,7 +40,11 @@ t = gray^-1(x) at p = 2, linear over GF(2), and the odometer index
 t = sum x_j p**j at odd p, held exactly in uint64 below p**n < 2**64.
 Only level w* can tie the best, and a tie must have a lower rank to win,
 so a row is also done before level w* when its best rank is at most that
-level's least.  The pattern tables (_table), every x of a level or a run
+level's least, and on level w* it weighs only what ranks below its best:
+a level that is one table is cut to that rank prefix, and a band level
+hands each slice only the rows whose best rank is above the slice's
+least, ending a block at its first slice that no row may win (walk).
+The pattern tables (_table), every x of a level or a run
 of levels with its rank and the columns of its nonzero digits, depend on
 n, p and _BLOCK alone and are built once per process in one memo, each
 by one recipe at every p from the table one level down, with no sort.
@@ -75,6 +79,7 @@ d = 0, or up to the witness on a weight-1 exit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -509,12 +514,16 @@ def _level_blocks(d, dt, chunks):
     (x, gz, rows): equal-length arrays of dtype dt, the bitmasks of x and
     of Gamma x, and for a stack the indices of the rows to weigh (None for
     a lone d).  One uint8 array is yielded per chunk: shape (c,) for a lone
-    d and (len(rows), c) for a stack.  The weight is popcount((d ^ Gamma x) | x).
+    d and (len(rows), c) for a stack.  The weight is popcount((d ^ Gamma x) | x),
+    and for a lone d = 0 popcount(Gamma x | x), with no XOR pass.
     """
     zd = d if isinstance(d, int) else np.array(_bitmasks(d), dtype=dt)[:, None]
     for x, gz, rows in chunks:
-        z = np.bitwise_xor(gz, zd if rows is None else zd[rows])
-        np.bitwise_or(z, x, z)
+        if rows is None and not zd:
+            z = np.bitwise_or(gz, x)
+        else:
+            z = np.bitwise_xor(gz, zd if rows is None else zd[rows])
+            np.bitwise_or(z, x, z)
         yield np.bitwise_count(z)
 
 
@@ -663,7 +672,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
     colv = _column_table(gamma, p, dt)
 
-    def gathered(lo, hi, a, b, one=False):
+    def gathered(lo, hi, a, b, one=False, below=None):
         """A pattern table's masks and ranks, and its Gamma x, built on first use.
 
         Its vertex range decides its form.  At odd p a table from vertex 0
@@ -673,17 +682,27 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         blocks above that band (_blocks) or the zero table, which serves
         both, holds Gamma x mod p alone, and its masks become bitmask
         supports, which p = 2's masks are; p = 2 has no marks.
+
+        With below, only the x ranked below it: the table is in ascending
+        rank, so they are a prefix, cut by one searchsorted, and Gamma x is
+        gathered for that prefix alone and not kept, since the gather is
+        the cost that walk's tie-only levels save.
         """
         key = lo, hi, a, b, one
-        if key not in tables:
-            masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
-            gz = _gamma_x(colv, columns, p)
-            if p > 2 and not lo and b:
-                np.copyto(gz[:hi], dt.type(p), where=masks)
-            elif p > 2:
-                masks = _BITS[lo:hi] @ masks
+        if below is None and key in tables:
+            return tables[key]
+        masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
+        if below is not None:
+            k = ranks.searchsorted(below)
+            masks, ranks, columns = masks[..., :k], ranks[:k], columns[:, :k]
+        gz = _gamma_x(colv, columns, p)
+        if p > 2 and not lo and b:
+            np.copyto(gz[:hi], dt.type(p), where=masks)
+        elif p > 2:
+            masks = _BITS[lo:hi] @ masks
+        if below is None:
             tables[key] = masks, ranks, gz
-        return tables[key]
+        return masks, ranks, gz
 
     def pieces(lo, hi, s, one):
         """The x on range(lo, hi) with s nonzero digits, by ascending rank, in gathered's form.
@@ -710,28 +729,40 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         They are Python ints for a lone d, and lists of them for a stack.
 
         Each candidate weighs at least |supp x|, so a row whose best weight
-        is below level a is done, and only level a can tie a best of weight
-        a, with a rank no less than the level's least (_least_rank): a row
-        is also done when its best weight is a and its best rank at most
-        that.  done is the only stop test: chunks asks it at each run's
-        start and before every chunk of a band level, and for a stack it
-        also sets rows, the rows the chunk weighs, so a done row drops out
-        of the later chunks and the walk ends when every row has.  Within a
-        level a candidate weighs at least a, so the consumers below only
-        keep bests.  Every chunk lists its candidates by ascending rank, so
-        a row's first argmin in a chunk is its least rank among the chunk's
+        is below level a is done, and at level a a row whose best weighs a
+        can only be improved by a tie of lower rank: it is done for any
+        candidates whose least rank is at least its best rank.  done is the
+        only stop test.  chunks asks it at each run's start with the
+        level's least rank (_least_rank), and before every slice of a band
+        level with the slice's; for a stack it also sets rows, the rows the
+        chunk weighs, so a row drops out of the chunks it cannot win and the
+        walk ends when every row is done for a level.  Within a level a
+        candidate weighs at least a, so the consumers below only keep
+        bests.  Every chunk lists its candidates by ascending rank, so a
+        row's first argmin in a chunk is its least rank among the chunk's
         ties; a tie with an earlier chunk goes to the lesser rank.  The
         runs and band levels come from _level_plan, which is told one, so
         a lone d = 0 at odd p sizes each level by the candidates it walks.
 
-        A band level a holds x = A + H, A on the band [0, wa) and H above
-        it, in the order _bands keeps: for each level j of the band, highest
-        first, A is the band's table at level j, the weigher's low factor,
-        and H comes in blocks at level a - j, one table when that level of
-        the vertices above fits _BLOCK by _fits (_blocks).  At odd p each
-        block becomes the weigher's high factor once, and a chunk is A times
-        step = _BLOCK // len(A) of the block's x, H-major.  At band width 0
-        the band is vertex 0, its values _BLOCK at a time (pieces).
+        The tie-only stop.  A one-table level whose rows left all weigh a
+        (best_w == a alone, best_w.max() == a for a stack) is cut to its x
+        ranked below their greatest best rank: the table is in rank order,
+        so that is a prefix, and gathered builds Gamma x for it alone.  A
+        first run from level 0 is never cut, since every best is n + 1
+        there.  A band level a holds x = A + H, A on the band [0, wa) and
+        H above it, in the order _bands keeps: for each level j of the
+        band, highest first, A is the band's table at level j, the
+        weigher's low factor, and H comes in blocks at level a - j, one
+        table when that level of the vertices above fits _BLOCK by _fits
+        (_blocks).  At odd p each block becomes the weigher's high factor
+        once, and a chunk is A times step = _BLOCK // len(A) of the block's
+        x, H-major.  At band width 0 the band is vertex 0, its values
+        _BLOCK at a time (pieces).  A slice's candidates ascend from
+        join(its first H's rank, A's first rank), and the H of a block
+        ascend, so the first slice that no row may win ends the block; the
+        walk still ends a level only when done(a, least) holds.  The blocks
+        of different j interleave in rank, so a later block may still be
+        won.
         """
         one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
         runs, width = _level_plan(n, p, _BLOCK, one)
@@ -740,9 +771,12 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         rank_at = rows = None  # for the chunk being weighed: its ranks and its rows
 
         def done(a, least):
-            """Whether no row may still improve at level a, whose least rank is least.
+            """Whether no row may still improve on candidates of level a whose ranks are at least least.
 
-            For a stack, rows becomes the rows that may: best weight a, if at a rank above least.
+            least is the level's least rank, or a band slice's.  For a stack,
+            rows becomes the rows that may: best weight above a, or a at a
+            rank above least, since such a row can only gain a tie of lower
+            rank.
             """
             nonlocal rows
             if d.ndim == 1:
@@ -756,19 +790,25 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                 least = _least_rank(p, a)
                 if done(a, least):
                     return
-                if b is not None:  # levels a..b in one table
-                    x, rk, gz = gathered(0, n, a, b, one)
+                if b is not None:  # levels a..b in one table; when every row left can only tie, its rank prefix
+                    if d.ndim == 1:
+                        below = best_t if best_w == a else None
+                    else:
+                        below = best_t[rows].max() if best_w.max() == a else None
+                    x, rk, gz = gathered(0, n, a, b, one, below)
                     rank_at = rk.__getitem__
                     yield (x, gz, rows) if p == 2 else (gz, None, rows)
                     continue
                 for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one):  # A's levels
                     for xh, rh, gh in above:
-                        if p > 2 and j < a:  # the high factor: -Gamma x_H mod p, and 2p where x_H != 0
-                            hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
-                            np.minimum(hi, hi - p, out=hi)
                         for i in range(0, len(rh), step):
-                            if done(a, least):
-                                return
+                            if done(a, join(rh[i], r0[0])):  # the slice's least rank: its first candidate's
+                                if done(a, least):
+                                    return
+                                break  # H ascends within the block: no row is left for its later slices
+                            if p > 2 and j < a and not i:  # the high factor: -Gamma x_H mod p, 2p where x_H != 0
+                                hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
+                                np.minimum(hi, hi - p, out=hi)
                             sl = slice(i, i + step)
                             rank_at = lambda k, ri=rh[sl], r0=r0, size=len(r0): join(ri[k // size], r0[k % size])
                             if p == 2:
@@ -795,9 +835,12 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             return best_w, best_t
         best_w = np.full(r, n + 1, dtype=np.int64)
         best_t = np.zeros(r, dtype=kind[0])
+        w = next(weights)  # the first chunk weighs every row, each best n + 1: its minima are the bests
+        if zero:  # the k = 0 candidate of d = 0 leads it, with rank 0
+            w[0, 0] = n + 1
+        i = w.argmin(axis=1)
+        best_w[:], best_t[:] = w[np.arange(r), i], rank_at(i)
         for w in weights:
-            if zero:  # the first chunk weighs every row
-                w[0, 0], zero = n + 1, False
             i = w.argmin(axis=1)
             low, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
             hit = low <= bw
@@ -870,6 +913,41 @@ def pairwise_distance(
     return _searcher(g, f, cfg)((cr - cs) % f.p)
 
 
+def _differences(reduced: np.ndarray, first: np.ndarray, second: np.ndarray, p: int) -> tuple[np.ndarray, list]:
+    """The differences cr - cs mod p of the codeword pairs (first, second), and their keys sum d_j p**j, as ints."""
+    diffs = reduced.take(first, axis=0) - reduced.take(second, axis=0)
+    diffs %= p
+    return diffs, (diffs.astype(np.uint64) @ _powers(p)[: reduced.shape[1]]).tolist()
+
+
+def _check_code_work(g: Multigraph, f: PrimeField, reduced: np.ndarray) -> None:
+    """Raise SearchTooLarge when a code's walks may weigh more than CODE_BUDGET candidates in all.
+
+    The pairs are keyed _BLOCK at a time in scan order, and each new
+    distinct difference's bound is added as it is keyed, so an
+    over-budget code is refused at the first block that passes the budget,
+    before its pair table exists.  The sum is compared with the budget
+    only once the distinct differences' p**n candidates pass it, and only
+    then is Gamma read, for d = 0's bound.
+    """
+    (k, n), p = reduced.shape, f.p
+    ends = list(itertools.accumulate(_size(n, p, s) for s in range(n + 1)))  # a walk ending by level b weighs ends[b]
+    first_word, second_word = np.triu_indices(k)  # every pair r <= s, in scan order: (1, 1), d = 0, first
+    seen, work, zero = {0}, 0, None  # work: the nonzero differences' bounds
+    for i in range(0, len(first_word), _BLOCK):
+        diffs, keys = _differences(reduced, first_word[i : i + _BLOCK], second_word[i : i + _BLOCK], p)
+        for key, support in zip(keys, np.count_nonzero(diffs, axis=1).tolist()):
+            if key not in seen:  # (d | 0) weighs |supp d|, so d's walk ends by that level
+                seen.add(key)
+                work += ends[support]
+        if len(seen) * p**n > CODE_BUDGET:
+            if zero is None:  # d = 0 has, for each vertex i, the x = e_i of weight at most 1 + |supp Gamma[:, i]|
+                zero = ends[min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())]
+            if work + zero > CODE_BUDGET:
+                raise SearchTooLarge(f"{len(seen)} distinct differences may weigh {work + zero} candidates, "
+                                     f"past the code budget {CODE_BUDGET}; set force")
+
+
 def code_distance(
     g: Multigraph,
     f: PrimeField,
@@ -901,16 +979,22 @@ def code_distance(
     at 176 MB at n = 5 and 296 MB at n = 24, and 8,000 would need about 8 GB.
 
     A code whose walks may weigh more than CODE_BUDGET = 2**36 candidates
-    in all raises SearchTooLarge before any search, unless cfg.force is
-    set: the searcher's budget bounds each search, not their number.  A
-    difference d has the word (d | 0) of weight |supp d|, so its walk ends
-    by that level, and d = 0 has, for each vertex i, the x = e_i of weight
-    at most 1 + |supp Gamma[:, i]|; a walk ending by level b weighs at most
-    the _size(n, p, s) candidates of each level s <= b.  The sum is skipped
-    when the distinct differences' p**n candidates sum within the budget,
-    as for every code of up to 4,096 distinct differences.  On random codes
-    on the 24-cycle at p = 2, 2**35.4 took 3.6 s (100 codewords) and
-    2**36.6 took 5.6 s (150); 1024 codewords (2**42.1) took about 430 s.
+    in all raises SearchTooLarge before its pair table is built, unless
+    cfg.force is set: the searcher's budget bounds each search, not their
+    number.  A difference d has the word (d | 0) of weight |supp d|, so
+    its walk ends by that level, and d = 0 has, for each vertex i, the
+    x = e_i of weight at most 1 + |supp Gamma[:, i]|; a walk ending by
+    level b weighs at most the _size(n, p, s) candidates of each level
+    s <= b.  _check_code_work sums that bound as it keys the pairs, _BLOCK
+    at a time, and refuses at the first block past the budget: 1024 random
+    codewords on the 24-cycle at p = 2 (2**42.1) are refused after 8,172
+    distinct differences, in 0.03 s at a 10.8 MiB peak, where keying
+    every pair first took 5 s and 261 MiB.  The check is skipped when the
+    k (k + 1) / 2 pairs' p**n candidates sum within the budget, as for
+    every code of up to 90 codewords unforced, and the sum is compared
+    only once the distinct differences' p**n pass it.  On random codes on
+    the 24-cycle at p = 2, forced, 2**35.4 took 1.9 s (100 codewords) and
+    2**36.6 took 3.7 s (150).
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -921,21 +1005,14 @@ def code_distance(
     if any(np.shape(c) != (n,) for c in codewords):
         raise ValueError(f"labellings must have length {n}")
     reduced = _residues(codewords, p)  # int64 in [0, p), exact for any mix of dtypes, so cr - cs fits int64
-    pairs, first_word, second_word = (_pairs if len(reduced) <= 64 else _pairs.__wrapped__)(len(reduced))
-    diffs = reduced.take(first_word, axis=0) - reduced.take(second_word, axis=0)  # row i: the difference of pairs[i]
-    diffs %= p
-    keys = (diffs.astype(np.uint64) @ _powers(p)[:n]).tolist()  # sum d_j p**j: one int per difference
+    k = len(reduced)
+    if not cfg.force and k * (k + 1) // 2 * p**n > CODE_BUDGET:  # else the walks' p**n candidates sum within it
+        _check_code_work(g, f, reduced)
+    pairs, first_word, second_word = (_pairs if k <= 64 else _pairs.__wrapped__)(k)
+    diffs, keys = _differences(reduced, first_word, second_word, p)  # row i: the difference of pairs[i]
     first: dict[int, int] = {}  # the key of a difference -> the index of its first pair
     which = [first.setdefault(key, i) for i, key in enumerate(keys)]
     distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference, heads the first stack
-    if not cfg.force and len(distinct) * p**n > CODE_BUDGET:  # else each walk's p**n candidates sum within it
-        bound = np.count_nonzero(diffs, axis=1).take(distinct)  # the level each walk ends by: (d | 0) weighs |supp d|
-        bound[0] = min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())  # d = 0: some x = e_i
-        counts = np.bincount(bound, minlength=n + 1).tolist()  # how many walks end by each level
-        work = sum(c * _size(n, p, s) for b, c in enumerate(counts) for s in range(b + 1))
-        if work > CODE_BUDGET:
-            raise SearchTooLarge(f"{len(distinct)} distinct differences may weigh {work} candidates, "
-                                 f"past the code budget {CODE_BUDGET}; set force")
     reports = {}
     for c in range(0, len(distinct), _ROWS):
         chunk = distinct[c : c + _ROWS]

@@ -286,7 +286,9 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     mult[[0, 1, 2, 6, 8, 6], [6, 8, 6, 0, 1, 2]] = 1
     rep = diagonal_distance(Multigraph(9, mult), PrimeField(3))
     assert rep.distance == 3 and rep.witness.x == (0, 0, 0, 1, 0, 0, 0, 0, 0)  # rank 27
-    assert sizes == [82, 336]  # levels 0..2 in one table and level 3's 672 x: of each, those with top digit 1
+    # levels 0..2 in one table and level 3's 672 x, of each those with top digit 1; level 3 can only tie the
+    # witness, found at level 1, so it weighs its x ranked below 27: the 4 on vertices 0..2, of ranks 13..17
+    assert sizes == [82, 4]
 
 
 def test_one_vertex_values_past_the_block_go_in_slices(monkeypatch):

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,30 @@ def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
         assert len(gammas) == built, budget
         assert (res.delta, res.pair) == (forced.delta, forced.pair)
         assert [(pair, key(rep)) for pair, rep in res.table.items()] == [(pair, key(rep)) for pair, rep in table]
+
+
+def test_an_over_budget_code_is_refused_before_its_pair_table(monkeypatch):
+    """1,024 random codewords on the 24-cycle at p = 2 may weigh 2**42.1 candidates: refused after two blocks of pairs.
+
+    The pairs are keyed _BLOCK at a time in scan order, and each new
+    distinct difference's bound is added as it is keyed, so the code is
+    refused at the first block past CODE_BUDGET, before the pair tuples
+    and the whole difference array exist.  Keying all 524,800 pairs first
+    peaked at 261 MiB under tracemalloc; this peaked at 10.8 MiB.
+    """
+    real, keyed = D._differences, []
+    monkeypatch.setattr(D, "_differences", lambda reduced, *pairs: keyed.append(len(pairs[0])) or real(reduced, *pairs))
+    rng = random.Random(1024)
+    words = [np.array([rng.randrange(2) for _ in range(24)]) for _ in range(1024)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(D.SearchTooLarge, match="^8172 distinct differences may weigh 77242687781 candidates"):
+            code_distance(generate("cycle", 24), F2, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keyed == [D._BLOCK, D._BLOCK]
+    assert peak < 32 << 20
 
 
 def test_only_codes_of_at_most_64_codewords_keep_their_pairs():

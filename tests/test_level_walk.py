@@ -10,7 +10,7 @@ block at p = 2 or 3.  The fuzz runs lone, stacked and
 zero-headed searches at three block sizes against test_search_pruning's
 unpruned reference, and checks that no chunk holds more than _BLOCK
 candidates per row.  A replay of every chunk's weights checks that each
-chunk weighs exactly the rows its level may still improve, so a row done
+chunk weighs exactly the rows that may still win in it, so a row done
 inside a level of many chunks drops out of the rest.
 """
 
@@ -23,7 +23,7 @@ import pytest
 
 from diagdist import Multigraph, PrimeField, SearchConfig, code_distance, diagonal_distance, pairwise_distance
 from diagdist import distance as D
-from helpers import clear_memos
+from helpers import clear_memos, gray_ranks, replay, walk_log
 from test_search_pruning import reference
 
 F2 = PrimeField(2)
@@ -178,72 +178,16 @@ def test_level_walk_matches_the_unpruned_gray_walk(monkeypatch, block):
     assert {d for kind, d in kinds if kind == "isolated"} == {1}
 
 
-def chunk_log(monkeypatch):
-    """Spy on D._level_blocks: per chunk, [x, rows, weights], the weights kept by reference.
-
-    The walk masks d = 0's k = 0 candidate in the first chunk's weights in
-    place, after the weigher yields them, so a reference sees that mask.
-    """
-    real = D._level_blocks
-    log = []
-
-    def spy(d, dt, chunks):
-        def recorded():
-            for x, gz, rows in chunks:
-                log.append([x, rows])
-                yield x, gz, rows
-
-        for w in real(d, dt, recorded()):
-            log[-1].append(w)
-            yield w
-
-    monkeypatch.setattr(D, "_level_blocks", spy)
-    return log
-
-
-def gray_ranks(x):
-    """gray^-1 of each uint32 mask: the XOR of every right shift."""
-    t = x.astype(np.uint64)
-    for s in (1, 2, 4, 8, 16):
-        t ^= t >> np.uint64(s)
-    return t
-
-
-def replay(log, r):
-    """Check each chunk's rows against the bests before it, and return every row's best weight and rank.
-
-    Before a chunk of level a, exactly the rows whose best weight is
-    above a, or equal to a at a rank above the level's least, may still
-    improve; a lone d must be such a row.  After it, each handed row takes
-    its first argmin, at its Gray rank, on a lower weight or on an equal
-    weight at a lower rank.
-    """
-    best_w, best_t = np.full(r, 10**6), np.zeros(r, dtype=np.uint64)
-    drops = 0
-    level = handed = None
-    for x, rows, w in log:
-        a = int(np.bitwise_count(x).min())
-        expected = np.flatnonzero(best_w - (best_t <= D._least_rank(2, a)) >= a)
-        if rows is None:
-            assert expected.tolist() == [0]
-            rows, w = np.zeros(1, dtype=np.intp), w[None]
-        else:
-            assert rows.tolist() == expected.tolist(), a
-        drops += a == level and len(rows) < handed
-        level, handed = a, len(rows)
-        i = w.argmin(axis=1)
-        low, t = w[np.arange(len(rows)), i].astype(np.int64), gray_ranks(x[i])
-        better = (low < best_w[rows]) | (low == best_w[rows]) & (t < best_t[rows])
-        best_w[rows[better]], best_t[rows[better]] = low[better], t[better]
-    return best_w.tolist(), best_t.tolist(), drops
-
-
 @pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 12])
 @pytest.mark.parametrize("n", [8, 11, 14, 17])
 def test_each_chunk_weighs_exactly_the_rows_its_level_may_improve(monkeypatch, block, n):
-    """Rows drop out of a band level's later chunks as soon as they are done, and no sooner."""
+    """Rows drop out of a band level's later chunks as soon as they are done, and no sooner.
+
+    Before each chunk, the rows handed are exactly those whose best may
+    still beat the chunk's least rank (helpers.replay).
+    """
     monkeypatch.setattr(D, "_BLOCK", block)
-    log = chunk_log(monkeypatch)
+    log = walk_log(monkeypatch)
     rng = random.Random(f"rows/{block}/{n}")
     g = gnp(n, rng.randrange(10**6))
     gamma = g.mult % 2
@@ -265,9 +209,9 @@ def test_each_chunk_weighs_exactly_the_rows_its_level_may_improve(monkeypatch, b
     for search in searches:
         log.clear()
         reps = search()
-        best_w, best_t, dropped = replay(log, len(reps))
+        best_w, best_t, _, stats = replay(log, len(reps), n, 2)
         assert best_w == [rep.distance for rep in reps]
         assert best_t == gray_ranks(np.array([rep.witness.x for rep in reps]) @ bits).tolist()
-        drops += dropped
+        drops += stats["dropped"]
     if math.comb(n, 3) > block:  # level 3 is walked as band products
         assert drops  # some row is done inside a band level

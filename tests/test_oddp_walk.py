@@ -235,12 +235,34 @@ def diag_oddp_graphs(seed, p, n):
                     yield g
 
 
+def tie_prefix(g, p, a):
+    """How many x of level a with top digit 1 a lone d = 0 search weighs, by brute force over every x.
+
+    When the best of the x of top digit 1 below level a weighs a, only
+    those ranked below its rank, the least among its ties; else all.
+    """
+    n = g.n
+    ranks = np.arange(p**n)
+    xs = ranks[:, None] // p ** np.arange(n) % p
+    weights = np.count_nonzero(-xs @ g.mult.T % p | xs, axis=1)
+    sizes = np.count_nonzero(xs, axis=1)
+    tops = xs[ranks, n - 1 - np.argmax(xs[:, ::-1] != 0, axis=1)]
+    below = (sizes > 0) & (sizes < a) & (tops == 1)
+    best = weights[below].min()
+    level = (sizes == a) & (tops == 1)
+    if best > a:
+        return int(level.sum())
+    return int((level & (ranks < ranks[below & (weights == best)].min())).sum())
+
+
 def test_a_lone_p7_n6_search_weighs_level_3_as_one_table(monkeypatch):
-    """The p = 7, n = 6 graphs of diag-oddp (seed 1) weigh their 817 candidates in 2 chunks, from 2 tables.
+    """The p = 7, n = 6 graphs of diag-oddp (seed 1) weigh level 3 in one chunk, from one table.
 
     Levels 0..2 of top digit 1 (1 + 6 + 90) are one run and level 3's 720
     one table; as band products level 3 took 3 chunks and 6 gathered
-    tables.  Distances 4, 3, 3, 3: each search ends after level 3.
+    tables.  Distances 4, 3, 3, 3: each search ends after level 3.  Where
+    levels 0..2 leave a best of weight 3, level 3 can only tie it, and
+    weighs its x ranked below that best's rank.
     """
     shapes = chunk_spy(monkeypatch)
     gathered = []
@@ -251,14 +273,16 @@ def test_a_lone_p7_n6_search_weighs_level_3_as_one_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(D, "_gamma_x", gamma_x)
-    distances = []
+    distances, cuts = [], []
     for g in diag_oddp_graphs(1, 7, 6):
         shapes.clear()
         gathered.clear()
         distances.append(diagonal_distance(g, PrimeField(7)).distance)
-        assert shapes == [(97,), (720,)]
-        assert gathered == [(2, 97), (3, 720)]  # each x's nonzero digits: at most 2, then 3
+        cuts.append(tie_prefix(g, 7, 3))
+        assert shapes == [(97,), (cuts[-1],)]
+        assert gathered == [(2, 97), (3, cuts[-1])]  # each x's nonzero digits: at most 2, then 3
     assert distances == [4, 3, 3, 3]
+    assert cuts == [720, 36, 360, 60]  # the distance-4 graph weighs the whole level
 
 
 # p -> vertex counts of the lone-search fuzz, and the digest of its reports recorded from the walk that

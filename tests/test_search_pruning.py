@@ -28,7 +28,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import last_level
+from helpers import assert_walk_covers, gray_ranks, last_level, rank, replay, support, walk_log
 
 REF_BLOCK = 1 << 12
 BLOCKS = (D._BLOCK, 1 << 3, 1 << 1)
@@ -236,13 +236,16 @@ def weighed_supports(monkeypatch):
 
 
 def test_support_bound_skips_blocks_at_p2(monkeypatch):
-    """G(20, 1/2): every x of support at most the distance is weighed once, and no other.
+    """G(20, 1/2): every x of support below the distance is weighed once, and of level w* those that may tie.
 
     Each candidate weighs at least |supp x|, so the walk over support levels
     stops after level w* = the distance.  The old block walk weighed 93,
-    162, 163 and 219 blocks of 2**12 on these graphs; the level walk weighs
-    sum(C(20, s) for s <= w*) candidates: 6196 at distance 4, 21700 at 5
-    and 60460 at 6.
+    162, 163 and 219 blocks of 2**12 on these graphs; a level walk that
+    weighs every level whole weighs sum(C(20, s) for s <= w*) candidates:
+    6196 at distance 4, 21700 at 5 and 60460 at 6.  Level w* can only tie
+    a best of weight w*, so it weighs only the slices that hold an x ranked
+    below the best at the time: every x ranked below the witness, and no x
+    of a level above.
     """
     chunks = weighed_supports(monkeypatch)
     f = PrimeField(2)
@@ -253,45 +256,59 @@ def test_support_bound_skips_blocks_at_p2(monkeypatch):
         assert rep.distance == distance
         assert rep.vectors_examined == 2**20 - 1
         xs = [x for chunk in chunks for x in chunk]
-        assert len(xs) == len(set(xs))  # no candidate is weighed twice
         levels = [{bin(x).count("1") for x in chunk} for chunk in chunks]
         assert [max(s) for s in levels] == sorted(max(s) for s in levels)  # levels ascend
         assert set().union(*levels) == set(range(distance + 1))  # no level above w* is weighed
-        assert sorted(xs) == sorted(x for x in range(1 << 20) if bin(x).count("1") <= distance)
+        below = sorted(x for x in xs if bin(x).count("1") < distance)
+        assert below == [x for x in range(1 << 20) if bin(x).count("1") < distance]
+        assert_walk_covers([(t, None) for t in gray_ranks(np.array(xs)).tolist()], rep, 20, 2)
         x = sum(1 << j for j, v in enumerate(rep.witness.x) if v)
         assert x in xs
         counts[seed] = len(xs)
-    assert counts == {12: 6196, 0: 6196, 2: 21700, 1: 60460}
+    assert counts == {12: 2352, 0: 6196, 2: 8198, 1: 24703}  # the whole-level walk: 6196, 6196, 21700, 60460
 
 
 @pytest.mark.parametrize("p, n", [(3, 7), (5, 5)])
 def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
-    """d != 0 has no scalar symmetry: every x up to the last level walked is weighed once, and no other.
+    """d != 0 has no scalar symmetry: every x below the last level walked is weighed once, and of it those that may tie.
 
     At _BLOCK = 2**3 the levels past level 0 are band products: a band
     table times blocks of the x above the band, which are band products
-    by the same rule.
+    by the same rule.  Of the last level, each slice is weighed while its
+    least rank is below the best at the time (helpers.replay): so every x
+    ranked below the witness is.
     """
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)
     chunks = weighed_odd_supports(monkeypatch)
+    log = walk_log(monkeypatch)
     f = PrimeField(p)
-    walked = set()
+    walked, counts = set(), []
     for seed in range(6):
         g, d = make_case(p, n, "dense", "random", seed)
         if not d.any():
             continue
         chunks.clear()
+        log.clear()
         rep = search(g, f, d)
         assert report(rep) == reference(g, f, d)
         xs = [x for chunk in chunks for x in chunk]
-        assert sorted(xs) == supports_up_to(n, last_level(rep, p), lambda s: (p - 1) ** s)
+        last = last_level(rep, p)
+        below = sorted(x for x in xs if bin(x).count("1") < last)
+        assert below == supports_up_to(n, last - 1, lambda s: (p - 1) ** s)
+        best_w, best_t, weighed, _ = replay(log, 1, n, p)
+        assert (best_w, best_t) == ([rep.distance], [rank(rep.witness.x, p)])
+        assert sorted(xs) == sorted(support(t, p) for t, _ in weighed[0])
+        assert_walk_covers(weighed[0], rep, n, p)
         levels = [{bin(x).count("1") for x in chunk} for chunk in chunks]
         assert all(len(s) == 1 for s in levels[1:])  # past level 0, one level per chunk
         assert [max(s) for s in levels] == sorted(max(s) for s in levels)
-        walked.add(last_level(rep, p))
+        walked.add(last)
+        counts.append(len(xs))
         width = D._level_plan(n, p, D._BLOCK)[1]
         assert any(x >> 2 * width for x in xs)  # vertices above both bands
     assert max(walked) >= 2  # products of two band tables
+    # the whole-level walk weighed [99, 15, 99, 99, 99, 99] at p = 3 and [181, 181, 181, 21, 181, 181] at p = 5
+    assert counts == {3: [99, 15, 99, 99, 75, 39], 5: [117, 101, 29, 21, 37, 37]}[p]
 
 
 def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):

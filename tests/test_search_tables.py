@@ -35,7 +35,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import clear_memos, last_level, random_multigraph
+from helpers import assert_walk_covers, clear_memos, last_level, random_multigraph, rank, replay, walk_log
 from test_oddp_walk import uniform
 
 FORCE = SearchConfig(force=True)
@@ -117,6 +117,17 @@ def modular_weights(gamma, p, d, w):
     return out
 
 
+def modular_counts(gamma, p, d, ranks):
+    """{(support bitmask, weight): count} over the x of the given odometer indices, by % p in int64."""
+    n = len(gamma)
+    xs = np.array(ranks, dtype=np.int64)[:, None] // p ** np.arange(n) % p
+    weights = np.count_nonzero((d - xs @ gamma.T) % p | xs, axis=1)
+    out = {}
+    for pair in zip(((xs != 0) @ (1 << np.arange(n))).tolist(), weights.tolist()):
+        out[pair] = out.get(pair, 0) + 1
+    return out
+
+
 @pytest.mark.parametrize(
     "p, n, block",
     [(3, 9, None), (5, 6, None), (7, 5, None), (11, 4, None), (131, 3, 131**2), (257, 3, 257**2)],
@@ -129,8 +140,9 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
     isolated, so the x on vertex 0 alone, of ranks below p, weigh 3 too,
     and rows walk level 2 (at p = 131 and 257 a product of two band
     tables).  Per row, the supports weighed and their weights must be
-    those of every x up to the last level weighed, which is no lower than
-    helpers.last_level gives.
+    those of every x below the last level weighed, which is no lower than
+    helpers.last_level gives, and of that level those of the x the walk's
+    replay gives the row (helpers.replay): the ones that may tie its best.
     """
     if block is not None:
         monkeypatch.setattr(D, "_BLOCK", block)
@@ -146,6 +158,7 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
         rows.setdefault(tuple(d), None)
     stack = np.array(list(rows), dtype=np.int64)
     seen = odd_chunks(monkeypatch)
+    log = walk_log(monkeypatch)
     reps = D._searcher(Multigraph(n, gamma), f, SearchConfig(force=True))(stack)
     dt = np.min_scalar_type(4 * p)
     assert dt == (np.uint8 if p < 64 else np.uint16)
@@ -161,9 +174,14 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
                 got[r][pair] = got[r].get(pair, 0) + 1
     levels = [max(bin(mask).count("1") for mask, _ in weighed) for weighed in got]  # the last level weighed
     assert max(levels) == 2
+    best_w, best_t, weighed, _ = replay(log, len(stack), n, p)
     for r, rep in enumerate(reps):
         assert last_level(rep, p) <= levels[r]
-        assert got[r] == modular_weights(gamma, p, stack[r], levels[r]), (p, r)
+        assert (best_w[r], best_t[r]) == (rep.distance, rank(rep.witness.x, p))
+        assert_walk_covers(weighed[r], rep, n, p)
+        lower = {pair: count for pair, count in got[r].items() if bin(pair[0]).count("1") < levels[r]}
+        assert lower == modular_weights(gamma, p, stack[r], levels[r] - 1), (p, r)
+        assert got[r] == modular_counts(gamma, p, stack[r], [t for t, _ in weighed[r]]), (p, r)
 
 
 @pytest.mark.parametrize("lo, hi, p", [(0, 0, 3), (0, 5, 3), (2, 6, 5), (3, 6, 7), (1, 3, 131), (36, 40, 3)])
@@ -530,7 +548,7 @@ def test_searches_leave_no_reference_cycles():
 
 
 def gathers(monkeypatch):
-    """Spy on D._table and D._gamma_x: the table key and a copy of Gamma x of every table a search gathers."""
+    """Spy on D._table and D._gamma_x: the table key, the x gathered (a prefix or all) and a copy of their Gamma x."""
     real_table, real_gamma_x = D._table, D._gamma_x
     keys, seen = {}, []
 
@@ -541,7 +559,8 @@ def gathers(monkeypatch):
 
     def gamma_x(colv, idx, p):
         gz = real_gamma_x(colv, idx, p)
-        seen.append((keys[id(idx)][0], gz.copy()))  # a copy: the factors write their marks into gz
+        key = keys[id(idx if idx.base is None else idx.base)][0]  # a tie-only table gathers a prefix, a view
+        seen.append((key, idx.shape[1], gz.copy()))  # a copy: the factors write their marks into gz
         return gz
 
     monkeypatch.setattr(D, "_table", table)
@@ -569,8 +588,9 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
 
     At _BLOCK = 2**3 and 2**12 the searches walk merged runs, single
     levels, at odd p the levels of top digit 1 of a lone d = 0, and both
-    band factors.  At p - 1 > _BLOCK (p = 4099) they walk level 0 alone,
-    of every vertex and of the empty bands, which needs the zero column.
+    band factors, and the rank prefixes of tie-only levels.  At
+    p - 1 > _BLOCK (p = 4099) they walk level 0 alone, of every vertex and
+    of the empty bands, which needs the zero column.
     """
     seen = gathers(monkeypatch)
     f, force = PrimeField(p), SearchConfig(force=True)
@@ -588,8 +608,9 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
             pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force)
             code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)], force)
             assert seen
-            for key, gz in seen:
-                want = direct_gamma_x(gamma, p, key)
+            for key, k, gz in seen:
+                want = direct_gamma_x(gamma, p, key)[:, :k]
+                walked.add("prefix" if k < len(D._table(*key)[1]) else "")
                 if p == 2:  # bit j of each mask is row j
                     gz = gz[None, :].astype(np.uint64) >> np.arange(n, dtype=np.uint64)[:, None] & np.uint64(1)
                 assert gz.shape == want.shape and (gz == want).all(), (block, key)
@@ -600,7 +621,7 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
     if p > 2**12:
         assert walked == {(0, 0), "band", ""}
     else:
-        assert {"merged", "level", "band", "high band"} <= walked
+        assert {"merged", "level", "band", "high band", "prefix"} <= walked
         assert ("one" in walked) == (p > 2)
 
 

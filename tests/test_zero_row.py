@@ -32,7 +32,7 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import last_level, random_multigraph
+from helpers import assert_walk_covers, last_level, random_multigraph, replay, walk_log
 
 SIZES = [(2, (3, 6, 10)), (3, (2, 4, 7)), (5, (2, 3, 5))]
 
@@ -228,20 +228,31 @@ def test_search_reports_equal_rebuilt_ones():
 
 @pytest.mark.parametrize("p, n", [(3, 5), (5, 4)])
 def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
-    """A (1, n) stack of d = 0 weighs the candidates a 1-D d = 0 does, and reports what diagonal_distance does."""
+    """A (1, n) stack of d = 0 weighs the candidates a 1-D d = 0 does, and reports what diagonal_distance does.
+
+    Below its last level it weighs every x of top digit 1, and of that level
+    those that may tie its best (helpers.replay): every one ranked below the
+    witness.
+    """
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # every level walked alone, so every level is filtered
     walks = spy_walk(monkeypatch)
+    log = walk_log(monkeypatch)
     rng = random.Random(190 + p)
     f = PrimeField(p)
     g = random_multigraph(rng, n, max_mult=p)
     want = diagonal_distance(g, f)
     [(shape, lone)] = walks
     assert shape == (n,)
+    _, _, [weighed], _ = replay(log, 1, n, p, True)
     walks.clear()
+    log.clear()
     [got] = D._searcher(g, f, D.SearchConfig())(np.zeros((1, n), dtype=np.int64))
     assert key(got) == key(want)
     assert walks == [((1, n), lone)]
-    assert sorted(lone) == scalar_supports(n, p, last_level(want, p))
+    assert replay(log, 1, n, p, True)[2] == [weighed]
+    last = last_level(want, p)
+    assert sorted(x for x in lone if bin(x).count("1") < last) == scalar_supports(n, p, last - 1)
+    assert_walk_covers(weighed, want, n, p, True)
     # the support bound alone would weigh every value on each support
     assert len(lone) < sum(math.comb(n, s) * (p - 1) ** s for s in range(last_level(want, p) + 1))
 
