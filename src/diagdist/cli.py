@@ -193,7 +193,7 @@ def _cmd_code_distance(args):
         raise ParseError("codeword file contains no codewords")
     res = code_distance(g, f, codes, _search_config(args))
     best = res.table[res.pair].witness
-    pairs = [[r, s, rep.distance] for (r, s), rep in sorted(res.table.items())]
+    pairs = [[r, s, rep.distance] for (r, s), rep in res.table.items()]
     fields = _graph_fields(g, f, {"distance": res.delta, "pair": list(res.pair), **_witness(best), "pairs": pairs})
     lines = [f"p = {f.p}, n = {g.n}, codewords = {len(codes)}", "pair table (r, s, distance):"]
     lines += [f"  {r} {s} {d}" for r, s, d in pairs]

@@ -184,7 +184,11 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class CodeDistanceResult:
-    """delta = min of the pair table; pair is the first minimizer (r <= s)."""
+    """delta = min of the pair table; pair is the first minimizer (r <= s).
+
+    table holds every pair (r, s), r <= s, 1-based, in scan order:
+    (1, 1), (1, 2), ..., (1, k), (2, 2), ..., (k, k), the order of sorted().
+    """
 
     delta: int
     pair: tuple[int, int]
@@ -589,18 +593,18 @@ def _reports(witnesses, weights, examined) -> list[DistanceReport]:
 def _pairs(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
     """Every pair r <= s of k codewords in scan order, 1-based, and its r and its s, 0-based, as arrays.
 
+    The arrays are np.triu_indices(k), and the pairs their entries plus 1.
     It depends on k alone, so each process builds it once per k, shared
     read-only.  It holds about 128 bytes a pair, so code_distance
     memoizes only codes of at most 64 codewords (2,080 pairs, 260 KiB),
-    which maxsize bounds at about 4 MiB, and builds a larger code's
-    uncached through __wrapped__: a memo of 1,024 codewords would keep
+    which maxsize bounds at about 4 MiB, and builds a larger code's by
+    the same recipe, uncached: a memo of 1,024 codewords would keep
     64 MiB for the life of the process.
     """
-    pairs = [(r, s) for r in range(k) for s in range(r, k)]
-    first, second = (np.array(t, dtype=np.intp) for t in zip(*pairs))
+    first, second = np.triu_indices(k)
     for t in (first, second):
         t.setflags(write=False)
-    return tuple((r + 1, s + 1) for r, s in pairs), first, second
+    return tuple(zip((first + 1).tolist(), (second + 1).tolist())), first, second
 
 
 @functools.lru_cache(maxsize=16)
@@ -913,41 +917,6 @@ def pairwise_distance(
     return _searcher(g, f, cfg)((cr - cs) % f.p)
 
 
-def _differences(reduced: np.ndarray, first: np.ndarray, second: np.ndarray, p: int) -> tuple[np.ndarray, list]:
-    """The differences cr - cs mod p of the codeword pairs (first, second), and their keys sum d_j p**j, as ints."""
-    diffs = reduced.take(first, axis=0) - reduced.take(second, axis=0)
-    diffs %= p
-    return diffs, (diffs.astype(np.uint64) @ _powers(p)[: reduced.shape[1]]).tolist()
-
-
-def _check_code_work(g: Multigraph, f: PrimeField, reduced: np.ndarray) -> None:
-    """Raise SearchTooLarge when a code's walks may weigh more than CODE_BUDGET candidates in all.
-
-    The pairs are keyed _BLOCK at a time in scan order, and each new
-    distinct difference's bound is added as it is keyed, so an
-    over-budget code is refused at the first block that passes the budget,
-    before its pair table exists.  The sum is compared with the budget
-    only once the distinct differences' p**n candidates pass it, and only
-    then is Gamma read, for d = 0's bound.
-    """
-    (k, n), p = reduced.shape, f.p
-    ends = list(itertools.accumulate(_size(n, p, s) for s in range(n + 1)))  # a walk ending by level b weighs ends[b]
-    first_word, second_word = np.triu_indices(k)  # every pair r <= s, in scan order: (1, 1), d = 0, first
-    seen, work, zero = {0}, 0, None  # work: the nonzero differences' bounds
-    for i in range(0, len(first_word), _BLOCK):
-        diffs, keys = _differences(reduced, first_word[i : i + _BLOCK], second_word[i : i + _BLOCK], p)
-        for key, support in zip(keys, np.count_nonzero(diffs, axis=1).tolist()):
-            if key not in seen:  # (d | 0) weighs |supp d|, so d's walk ends by that level
-                seen.add(key)
-                work += ends[support]
-        if len(seen) * p**n > CODE_BUDGET:
-            if zero is None:  # d = 0 has, for each vertex i, the x = e_i of weight at most 1 + |supp Gamma[:, i]|
-                zero = ends[min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())]
-            if work + zero > CODE_BUDGET:
-                raise SearchTooLarge(f"{len(seen)} distinct differences may weigh {work + zero} candidates, "
-                                     f"past the code budget {CODE_BUDGET}; set force")
-
-
 def code_distance(
     g: Multigraph,
     f: PrimeField,
@@ -964,19 +933,26 @@ def code_distance(
     of the first: up to 11 codewords (at most 55 distinct nonzero
     differences) take one pass, and 12 take two, of 64 and 3 rows.  The
     searcher is built first: its budget check guarantees p**n < 2**64, so
-    each difference is keyed exactly by the integer sum d_j p**j, and the
-    pairs of a code of up to 64 codewords come from a memo per number of
-    codewords (_pairs).  A code whose only distinct difference is d = 0
-    (one codeword, or equal ones) is a one-row stack, which weighs only the
-    x whose top digit is 1, as diagonal_distance does.  Every report equals
-    what pairwise_distance gives for its pair.  The reported pair is the
-    first minimizer in lexicographic scan order.
+    each difference is keyed exactly by the integer sum d_j p**j.  One
+    loop keys the pairs, once each, _BLOCK at a time in scan order: it
+    maps each pair to the first pair of its difference and keeps only the
+    row of each new distinct difference, so the k (k + 1) / 2 x n array of
+    every pair's difference is never built.  The pairs of a code of up to
+    64 codewords come from a memo per number of codewords (_pairs); a
+    larger code takes its index arrays from the same recipe and builds its
+    pair tuples once it is keyed.  A code whose only distinct difference
+    is d = 0 (one codeword, or equal ones) is a one-row stack, which
+    weighs only the x whose top digit is 1, as diagonal_distance does.
+    Every report equals what pairwise_distance gives for its pair.  The
+    reported pair is the first minimizer in lexicographic scan order.
 
     The codewords are read in one _residues call, exact for any mix of
     dtypes and Python ints, once each has length n.  A code of more than
     MAX_CODEWORDS = 1024 codewords raises SearchTooLarge before any pair is
     built, unless cfg.force is set: 1024 take 524,800 pairs, which peaked
-    at 176 MB at n = 5 and 296 MB at n = 24, and 8,000 would need about 8 GB.
+    at 141 MB for random codewords on the 5-cycle, 144 MB on the 12-cycle
+    and 143 MB for the span of 10 random rows on the 24-cycle at p = 2,
+    and 8,000 would need about 8 GB.
 
     A code whose walks may weigh more than CODE_BUDGET = 2**36 candidates
     in all raises SearchTooLarge before its pair table is built, unless
@@ -985,16 +961,17 @@ def code_distance(
     its walk ends by that level, and d = 0 has, for each vertex i, the
     x = e_i of weight at most 1 + |supp Gamma[:, i]|; a walk ending by
     level b weighs at most the _size(n, p, s) candidates of each level
-    s <= b.  _check_code_work sums that bound as it keys the pairs, _BLOCK
-    at a time, and refuses at the first block past the budget: 1024 random
-    codewords on the 24-cycle at p = 2 (2**42.1) are refused after 8,172
-    distinct differences, in 0.03 s at a 10.8 MiB peak, where keying
-    every pair first took 5 s and 261 MiB.  The check is skipped when the
-    k (k + 1) / 2 pairs' p**n candidates sum within the budget, as for
-    every code of up to 90 codewords unforced, and the sum is compared
-    only once the distinct differences' p**n pass it.  On random codes on
-    the 24-cycle at p = 2, forced, 2**35.4 took 1.9 s (100 codewords) and
-    2**36.6 took 3.7 s (150).
+    s <= b.  The keying loop adds each new distinct difference's bound as
+    it appears and refuses at the first block past the budget: 1024
+    random codewords on the 24-cycle at p = 2 (2**42.1) are refused after
+    two blocks, 8,172 distinct differences, in 0.04 s at an 11.6 MiB
+    peak, where keying every pair first took 5 s and 261 MiB.  The bounds
+    are summed only when the k (k + 1) / 2 pairs' p**n candidates pass
+    the budget, as for no code of up to 90 codewords unforced, and
+    compared with it only once the distinct differences' p**n pass it:
+    only then is Gamma read, for d = 0's bound.  On random codes on the
+    24-cycle at p = 2, forced, 2**35.4 took 2.5 s (100 codewords) and
+    2**36.6 took 5.4 s (150), one run each on 2 vCPU.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
@@ -1005,18 +982,34 @@ def code_distance(
     if any(np.shape(c) != (n,) for c in codewords):
         raise ValueError(f"labellings must have length {n}")
     reduced = _residues(codewords, p)  # int64 in [0, p), exact for any mix of dtypes, so cr - cs fits int64
-    k = len(reduced)
+    k, powers = len(reduced), _powers(p)[:n]
+    # every pair r <= s in scan order, (1, 1) and d = 0 first; past 64 codewords uncached, its tuples built once keyed
+    pairs, first_word, second_word = _pairs(k) if k <= 64 else ((), *np.triu_indices(k))
+    ends = None  # a walk ending by level b weighs ends[b] candidates
     if not cfg.force and k * (k + 1) // 2 * p**n > CODE_BUDGET:  # else the walks' p**n candidates sum within it
-        _check_code_work(g, f, reduced)
-    pairs, first_word, second_word = (_pairs if k <= 64 else _pairs.__wrapped__)(k)
-    diffs, keys = _differences(reduced, first_word, second_word, p)  # row i: the difference of pairs[i]
-    first: dict[int, int] = {}  # the key of a difference -> the index of its first pair
-    which = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    distinct = list(first.values())  # distinct[0] = 0: pair (1, 1), the zero difference, heads the first stack
+        ends = list(itertools.accumulate(_size(n, p, s) for s in range(n + 1)))
+    first: dict[int, int] = {}  # the key sum d_j p**j of a difference -> the index of its first pair
+    which, rows, work, zero = [], [], 0, None  # rows: each block's new differences; work: their bounds but d = 0's
+    for i in range(0, len(first_word), _BLOCK):
+        diffs = reduced.take(first_word[i : i + _BLOCK], axis=0) - reduced.take(second_word[i : i + _BLOCK], axis=0)
+        diffs %= p
+        seen = len(first)
+        which += [first.setdefault(key, j) for j, key in enumerate((diffs.astype(np.uint64) @ powers).tolist(), i)]
+        rows.append(diffs[np.fromiter(itertools.islice(first.values(), seen, None), np.intp, len(first) - seen) - i])
+        if not ends:
+            continue
+        work += sum(ends[s] for s in np.count_nonzero(rows[-1], axis=1).tolist() if s)  # (d | 0) weighs |supp d|
+        if len(first) * p**n > CODE_BUDGET:
+            if zero is None:  # d = 0 has, for each vertex i, the x = e_i of weight at most 1 + |supp Gamma[:, i]|
+                zero = ends[min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())]
+            if work + zero > CODE_BUDGET:
+                raise SearchTooLarge(f"{len(first)} distinct differences may weigh {work + zero} candidates, "
+                                     f"past the code budget {CODE_BUDGET}; set force")
+    pairs = pairs or tuple(zip((first_word + 1).tolist(), (second_word + 1).tolist()))  # _pairs' recipe
+    distinct, diffs = list(first.values()), np.concatenate(rows)  # row c: the difference of pair distinct[c]
     reports = {}
-    for c in range(0, len(distinct), _ROWS):
-        chunk = distinct[c : c + _ROWS]
-        reports.update(zip(chunk, search(diffs[chunk])))
+    for c in range(0, len(distinct), _ROWS):  # distinct[0] = 0: pair (1, 1), d = 0, heads the first stack
+        reports.update(zip(distinct[c : c + _ROWS], search(diffs[c : c + _ROWS])))
     table = dict(zip(pairs, map(reports.__getitem__, which)))
     dist = [rep.distance for rep in table.values()]
     i = dist.index(min(dist))  # the first minimizer in scan order

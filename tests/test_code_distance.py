@@ -4,6 +4,7 @@ Its pair table must equal, entry for entry, what the one-pair functions
 report: the same distance, witness and vectors_examined.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -36,6 +37,19 @@ def codewords(rng, n, p, k):
 
 def key(rep):
     return (rep.distance, rep.witness.entries, rep.vectors_examined)
+
+
+def spy_keying(monkeypatch):
+    """Record the length of each block of differences that code_distance keys by its digit powers d @ p**j."""
+    real, keyed = D._powers, []
+
+    class Powers(np.ndarray):
+        def __rmatmul__(self, diffs):
+            keyed.append(len(diffs))
+            return diffs @ self.view(np.ndarray)
+
+    monkeypatch.setattr(D, "_powers", lambda p: real(p).view(Powers))
+    return keyed
 
 
 @pytest.mark.parametrize("block", [D._BLOCK, 1 << 3])
@@ -361,10 +375,9 @@ def test_an_over_budget_code_is_refused_before_its_pair_table(monkeypatch):
     distinct difference's bound is added as it is keyed, so the code is
     refused at the first block past CODE_BUDGET, before the pair tuples
     and the whole difference array exist.  Keying all 524,800 pairs first
-    peaked at 261 MiB under tracemalloc; this peaked at 10.8 MiB.
+    peaked at 261 MiB under tracemalloc; this peaked at 11.6 MiB.
     """
-    real, keyed = D._differences, []
-    monkeypatch.setattr(D, "_differences", lambda reduced, *pairs: keyed.append(len(pairs[0])) or real(reduced, *pairs))
+    keyed = spy_keying(monkeypatch)
     rng = random.Random(1024)
     words = [np.array([rng.randrange(2) for _ in range(24)]) for _ in range(1024)]
     tracemalloc.start()
@@ -376,6 +389,35 @@ def test_an_over_budget_code_is_refused_before_its_pair_table(monkeypatch):
         tracemalloc.stop()
     assert keyed == [D._BLOCK, D._BLOCK]
     assert peak < 32 << 20
+
+
+def test_an_admitted_code_keys_each_pair_once_without_its_whole_difference_array(monkeypatch):
+    """The 256 codewords of an 8-dimensional span on the 24-cycle at p = 2: 32,896 pairs, 256 distinct differences.
+
+    Past 90 codewords the work check applies, and its keying is the
+    code's only one: each pair is keyed once, _BLOCK at a time, and only
+    each new distinct difference's row is kept.  So beyond the table it
+    returns, the call holds less than the whole int64 difference array
+    (6.0 MiB); keying that array, and its uint64 copy, peaked 10.8 MiB
+    above the table under tracemalloc, and this 2.2 MiB.
+    """
+    keyed = spy_keying(monkeypatch)
+    rng, g = random.Random(7), generate("cycle", 24)
+    basis = np.array([[rng.randrange(2) for _ in range(24)] for _ in range(8)])
+    words = [np.array(c) @ basis % 2 for c in itertools.product(range(2), repeat=8)]
+    tracemalloc.start()
+    try:
+        res = code_distance(g, F2, words)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = 256 * 257 // 2
+    assert keyed == [D._BLOCK] * (pairs // D._BLOCK) + [pairs % D._BLOCK]
+    assert len(res.table) == pairs and len({rep.witness for rep in res.table.values()}) == 256
+    assert list(res.table) == sorted(res.table)  # scan order, which the CLI prints
+    assert peak - held < pairs * 24 * 8
+    for r, s in ((1, 1), (1, 2), (3, 200), (100, 256), (256, 256)):
+        assert key(res.table[r, s]) == key(pairwise_distance(g, F2, words[r - 1], words[s - 1]))
 
 
 def test_only_codes_of_at_most_64_codewords_keep_their_pairs():

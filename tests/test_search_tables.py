@@ -742,8 +742,8 @@ def reach_graph(p, n):
 def test_forced_searches_evict_no_workload_table(monkeypatch):
     """The memo holds every workload class's tables beside those of the demo's forced searches.
 
-    After the workload classes, demos/forced_reach.py's five reach
-    searches and its all-levels search (306 tables, 5.0 MiB), a
+    After the workload classes, five of demos/forced_reach.py's seven
+    reach searches and its all-levels search (306 tables, 5.0 MiB), a
     second pass over the classes builds no table again.
     """
     real, held = D._table, {}
