@@ -135,15 +135,20 @@ class SymplecticVector:
     """A 2n-entry vector (z_1 .. z_n | x_1 .. x_n) encoding one operator word.
 
     The entries are read through _int64s and kept as Python ints: 2.0
-    becomes 2, and 1.5, or an integer past int64, raises ValueError.
+    becomes 2, and 1.5, or an integer past int64, raises ValueError.  They
+    must be one flat sequence: a scalar, or a sequence of sequences, raises
+    ValueError.
     """
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_int64s(self.entries, "symplectic entries").tolist()))
-        if len(self.entries) % 2:
+        entries = _int64s(self.entries, "symplectic entries")
+        if entries.ndim != 1:
+            raise ValueError(f"symplectic entries must be one flat sequence, got shape {entries.shape}")
+        if len(entries) % 2:
             raise ValueError("symplectic vector length must be even")
+        object.__setattr__(self, "entries", tuple(entries.tolist()))
 
     @classmethod
     def from_parts(cls, z, x) -> "SymplecticVector":
@@ -510,56 +515,52 @@ def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
                 yield x, (r2[i : i + step, None] + r1).ravel(), np.minimum(gz, gz - p, out=gz)
 
 
-def _level_blocks(d, dt, chunks):
-    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk, at p = 2.
+def _level_blocks(d, x, gz, rows):
+    """Chi-weights of (d - Gamma x | x) for the candidates of one chunk, at p = 2.
 
-    d is a lone difference's mask, a Python int with bit j set where
-    d_j != 0, or a stack of differences of shape (r, n).  chunks yields
-    (x, gz, rows): equal-length arrays of dtype dt, the bitmasks of x and
-    of Gamma x, and for a stack the indices of the rows to weigh (None for
-    a lone d).  One uint8 array is yielded per chunk: shape (c,) for a lone
-    d and (len(rows), c) for a stack.  The weight is popcount((d ^ Gamma x) | x),
+    d is the difference's mask as walk prepares it once per search: a
+    Python int with bit j set where d_j != 0 for a lone difference, or
+    for a stack an array of shape (r, 1) of such masks, of the chunk's
+    dtype.  x and gz are the chunk's equal-length arrays, the bitmasks of
+    x and of Gamma x, and rows the indices of the stack rows to weigh
+    (None for a lone d).  It returns a uint8 array, of shape (c,) for a
+    lone d and (len(rows), c) for a stack: popcount((d ^ Gamma x) | x),
     and for a lone d = 0 popcount(Gamma x | x), with no XOR pass.
     """
-    zd = d if isinstance(d, int) else np.array(_bitmasks(d), dtype=dt)[:, None]
-    for x, gz, rows in chunks:
-        if rows is None and not zd:
-            z = np.bitwise_or(gz, x)
-        else:
-            z = np.bitwise_xor(gz, zd if rows is None else zd[rows])
-            np.bitwise_or(z, x, z)
-        yield np.bitwise_count(z)
+    if rows is None and not d:
+        return np.bitwise_count(np.bitwise_or(gz, x))
+    z = np.bitwise_xor(gz, d if rows is None else d[rows])
+    return np.bitwise_count(np.bitwise_or(z, x, z))
 
 
-def _residue_blocks(d, p: int, chunks):
-    """Chi-weights of (d - Gamma x | x) for the candidates of each chunk, at odd p.
+def _residue_blocks(d, p: int, lo, hi, rows):
+    """Chi-weights of (d - Gamma x | x) for the candidates of one chunk, at odd p.
 
-    chunks yields (lo, hi, rows).  A chunk's candidates are x_hi + x_lo, on
-    disjoint vertices, x_hi major.  lo, of shape (n, c0), holds Gamma x_lo
-    mod p, and p where x_lo is nonzero; hi, of shape (n, c1), holds
-    -Gamma x_hi mod p, and a mark in [2p, 3p] where x_hi is nonzero, or is
-    None for the one x_hi = 0; rows are as at p = 2.  The target
-    d - Gamma x_hi mod p is min(s, s - p) of s = d + hi, where a mark stays
-    at or above p, and vertex j counts where lo and the target differ:
-    z_j != 0, or a mark on either side (the marks of x_lo and x_hi never
-    share a vertex).  One uint8 array is yielded per chunk: shape (c1 c0,)
-    for a 1-D d and (len(rows), c1 c0) for a stack.  A 1-D d with
-    x_hi = 0, as in every table of levels, meets lo in two dimensions,
-    (n, 1) against (n, c0): through the general broadcast, with an axis
-    for x_hi, diag-oddp's lone searches took about 4% longer.
+    d is the difference's residues as walk prepares them once per search,
+    vertex axis first: shape (n, 1) for a lone difference and (n, r, 1)
+    for a stack.  The chunk's candidates are x_hi + x_lo, on disjoint
+    vertices, x_hi major.  lo, of shape (n, c0), holds Gamma x_lo mod p,
+    and p where x_lo is nonzero; hi, of shape (n, c1), holds -Gamma x_hi
+    mod p, and a mark in [2p, 3p] where x_hi is nonzero, or is None for
+    the one x_hi = 0; rows are as at p = 2.  The target d - Gamma x_hi mod
+    p is min(s, s - p) of s = d + hi, where a mark stays at or above p,
+    and vertex j counts where lo and the target differ: z_j != 0, or a
+    mark on either side (the marks of x_lo and x_hi never share a vertex).
+    It returns a uint8 array, of shape (c1 c0,) for a lone d and
+    (len(rows), c1 c0) for a stack.  A lone d with x_hi = 0, as in every
+    table of levels, meets lo in two dimensions, (n, 1) against (n, c0):
+    through the general broadcast, with an axis for x_hi, diag-oddp's
+    lone searches took about 4% longer.
     """
-    lead = (1,) * (d.ndim - 1)  # the row axis of a stack
-    dv = d.T.astype(np.min_scalar_type(4 * p))[..., None]  # vertex axis first: (n, 1) or (n, r, 1)
-    for lo, hi, rows in chunks:
-        t = dv if rows is None else dv[:, rows]
-        if hi is None and not lead:
-            yield np.add.reduce(t != lo, 0, np.uint8)
-            continue
-        if hi is not None:
-            t = t + hi.reshape(hi.shape[:1] + lead + hi.shape[1:])
-            t = np.minimum(t, t - p)
-        neq = t[..., None] != lo.reshape(lo.shape[:1] + lead + (1,) + lo.shape[1:])
-        yield np.add.reduce(neq, 0, np.uint8).reshape(neq.shape[1:-2] + (-1,))
+    lead = (1,) * (d.ndim - 2)  # the row axis of a stack
+    t = d if rows is None else d[:, rows]
+    if hi is None and not lead:
+        return np.add.reduce(t != lo, 0, np.uint8)
+    if hi is not None:
+        t = t + hi.reshape(hi.shape[:1] + lead + hi.shape[1:])
+        t = np.minimum(t, t - p)
+    neq = t[..., None] != lo.reshape(lo.shape[:1] + lead + (1,) + lo.shape[1:])
+    return np.add.reduce(neq, 0, np.uint8).reshape(neq.shape[1:-2] + (-1,))
 
 
 def _reports(witnesses, weights, examined) -> list[DistanceReport]:
@@ -637,15 +638,19 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
     stack of shape (r, n) of distinct differences, nonzero after row 0,
-    each equal to what search(row) reports.  A stack is weighed in one
-    pass, so its buffers hold r times one difference's; code_distance keeps
-    r <= _ROWS.  A 1-D d stays 1-D in the weighers, with Python ints for
-    its best: as a (1, n) stack, with a stack's array bookkeeping, the
-    lone searches of diag-gf2 took about a third longer.  walk keeps a
-    stack's best weights and least ranks in arrays, updated per chunk with
+    each equal to what search(row) reports.  Each search is one walk, a
+    loop that builds a chunk, weighs it by one call of a weigher, a
+    function of that chunk and of the difference as walk prepared it, and
+    keeps its bests (keep) before it builds the next.  A stack is weighed
+    in one pass, so its buffers hold r times one difference's;
+    code_distance keeps r <= _ROWS.  A 1-D d stays 1-D in the weighers,
+    with Python ints for its bitmask and its best: as a (1, n) stack, with
+    a stack's array bookkeeping, the lone searches of diag-gf2 took about
+    a third longer.  walk keeps a stack's best weights and least ranks in
+    arrays, updated per chunk with
     one argmin per row and np.where, and weighs only the rows that the
     chunk's level may still improve.  When d = 0, alone or as row 0, its
-    k = 0 candidate (weight 0) is neither weighed nor counted in
+    k = 0 candidate (weight 0) is neither kept nor counted in
     vectors_examined.  At odd p a lone d = 0, 1-D or a one-row stack,
     weighs only the x whose top digit is 1, and its level plan counts
     that share of each level, so a level whose share, and every level
@@ -730,23 +735,30 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     def walk(d, r, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
 
-        They are Python ints for a lone d, and lists of them for a stack.
+        They are Python ints for a lone d, and arrays for a stack.  The walk
+        is one loop, with the bests in its own frame from the start: it
+        builds a chunk, weighs it (_level_blocks at p = 2, _residue_blocks
+        at odd p, a function of one chunk, given the difference as walk
+        prepares it once: its bitmask, a Python int for a lone d, or its
+        residues, vertex axis first) and hands the weights, with that
+        chunk's ranks (rank_at), to keep, the one step that keeps the
+        bests, before it builds the next chunk.
 
         Each candidate weighs at least |supp x|, so a row whose best weight
         is below level a is done, and at level a a row whose best weighs a
         can only be improved by a tie of lower rank: it is done for any
         candidates whose least rank is at least its best rank.  done is the
-        only stop test.  chunks asks it at each run's start with the
+        only stop test.  The loop asks it at each run's start with the
         level's least rank (_least_rank), and before every slice of a band
         level with the slice's; for a stack it also sets rows, the rows the
-        chunk weighs, so a row drops out of the chunks it cannot win and the
-        walk ends when every row is done for a level.  Within a level a
-        candidate weighs at least a, so the consumers below only keep
-        bests.  Every chunk lists its candidates by ascending rank, so a
-        row's first argmin in a chunk is its least rank among the chunk's
-        ties; a tie with an earlier chunk goes to the lesser rank.  The
-        runs and band levels come from _level_plan, which is told one, so
-        a lone d = 0 at odd p sizes each level by the candidates it walks.
+        next chunk weighs, so a row drops out of the chunks it cannot win
+        and the walk ends when every row is done for a level.  Within a
+        level a candidate weighs at least a, so keep only keeps bests.
+        Every chunk lists its candidates by ascending rank, so a row's
+        first argmin in a chunk is its least rank among the chunk's ties; a
+        tie with an earlier chunk goes to the lesser rank.  The runs and
+        band levels come from _level_plan, which is told one, so a lone
+        d = 0 at odd p sizes each level by the candidates it walks.
 
         The tie-only stop.  A one-table level whose rows left all weigh a
         (best_w == a alone, best_w.max() == a for a stack) is cut to its x
@@ -772,7 +784,17 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         runs, width = _level_plan(n, p, _BLOCK, one)
         # A's band width, one vertex at width 0, and join, which gives rank(A + H) from theirs
         wa, join = max(width, 1), np.bitwise_xor if p == 2 else np.add
-        rank_at = rows = None  # for the chunk being weighed: its ranks and its rows
+        if p > 2:  # the difference's residues, vertex axis first: (n, 1) or (n, r, 1)
+            weigh = functools.partial(_residue_blocks, d.T.astype(dt)[..., None], p)
+        elif d.ndim == 2:  # each row's bitmask, of shape (r, 1)
+            weigh = functools.partial(_level_blocks, np.array(_bitmasks(d), dtype=dt)[:, None])
+        else:  # a lone d's bitmask as a Python int: d_j is 0 or 1, so _BITS @ d sets bit j where d_j is 1
+            weigh = functools.partial(_level_blocks, 0 if zero else int(_BITS[:n] @ d))
+        if d.ndim == 1:  # one row: Python ints
+            best_w, best_t = n + 1, 0
+        else:
+            best_w, best_t = np.full(r, n + 1, dtype=np.int64), np.zeros(r, dtype=kind[0])
+        rows, first = None, True  # the rows the next chunk weighs (a stack's), and whether it is the first
 
         def done(a, least):
             """Whether no row may still improve on candidates of level a whose ranks are at least least.
@@ -788,73 +810,60 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             rows = np.flatnonzero(best_w - (best_t <= least) >= a)
             return not len(rows)
 
-        def chunks():
-            nonlocal rank_at
-            for a, b in runs:
-                least = _least_rank(p, a)
-                if done(a, least):
-                    return
-                if b is not None:  # levels a..b in one table; when every row left can only tie, its rank prefix
-                    if d.ndim == 1:
-                        below = best_t if best_w == a else None
-                    else:
-                        below = best_t[rows].max() if best_w.max() == a else None
-                    x, rk, gz = gathered(0, n, a, b, one, below)
-                    rank_at = rk.__getitem__
-                    yield (x, gz, rows) if p == 2 else (gz, None, rows)
-                    continue
-                for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one):  # A's levels
-                    for xh, rh, gh in above:
-                        for i in range(0, len(rh), step):
-                            if done(a, join(rh[i], r0[0])):  # the slice's least rank: its first candidate's
-                                if done(a, least):
-                                    return
-                                break  # H ascends within the block: no row is left for its later slices
-                            if p > 2 and j < a and not i:  # the high factor: -Gamma x_H mod p, 2p where x_H != 0
-                                hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
-                                np.minimum(hi, hi - p, out=hi)
-                            sl = slice(i, i + step)
-                            rank_at = lambda k, ri=rh[sl], r0=r0, size=len(r0): join(ri[k // size], r0[k % size])
-                            if p == 2:
-                                yield (xh[sl, None] | x0).ravel(), (gh[sl, None] ^ g0).ravel(), rows
-                            else:  # hi None: x_H = 0
-                                yield g0, hi[:, sl] if j < a else None, rows
-
-        if p > 2:
-            weights = _residue_blocks(d, p, chunks())
-        elif d.ndim == 2:
-            weights = _level_blocks(d, dt, chunks())
-        else:  # a lone d's mask as a Python int: d_j is 0 or 1, so _BITS @ d sets bit j where d_j is 1
-            weights = _level_blocks(0 if zero else int(_BITS[:n] @ d), dt, chunks())
-        if d.ndim == 1:  # one row: Python ints
-            best_w, best_t = n + 1, 0
-            for w in weights:
-                if zero:  # the k = 0 candidate of d = 0 leads the first chunk, with rank 0
-                    w[0], zero = n + 1, False
+        def keep(w, rank_at):
+            """Keep each row's best from the weights w of one chunk, whose candidate i has rank rank_at(i)."""
+            nonlocal best_w, best_t, first
+            if first and zero:  # the k = 0 candidate of d = 0 leads the first chunk, with rank 0
+                w.flat[0] = n + 1
+            if d.ndim == 1:
                 i = w.argmin()
                 if w.item(i) <= best_w:
                     t = int(rank_at(i))
                     if w.item(i) < best_w or t < best_t:
                         best_w, best_t = w.item(i), t
-            return best_w, best_t
-        best_w = np.full(r, n + 1, dtype=np.int64)
-        best_t = np.zeros(r, dtype=kind[0])
-        w = next(weights)  # the first chunk weighs every row, each best n + 1: its minima are the bests
-        if zero:  # the k = 0 candidate of d = 0 leads it, with rank 0
-            w[0, 0] = n + 1
-        i = w.argmin(axis=1)
-        best_w[:], best_t[:] = w[np.arange(r), i], rank_at(i)
-        for w in weights:
-            i = w.argmin(axis=1)
-            low, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
-            hit = low <= bw
-            if not hit.any():
+            elif first:  # the first chunk weighs every row, each best n + 1: its minima are the bests
+                i = w.argmin(axis=1)
+                best_w[:], best_t[:] = w[np.arange(r), i], rank_at(i)
+            else:
+                i = w.argmin(axis=1)
+                low, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
+                hit = low <= bw
+                if hit.any():
+                    t = rank_at(i)
+                    better = hit & ((low < bw) | (t < bt))
+                    best_w[rows] = np.where(better, low, bw)
+                    best_t[rows] = np.where(better, t, bt)
+            first = False
+
+        for a, b in runs:
+            least = _least_rank(p, a)
+            if done(a, least):
+                break
+            if b is not None:  # levels a..b in one table; when every row left can only tie, its rank prefix
+                if d.ndim == 1:
+                    below = best_t if best_w == a else None
+                else:
+                    below = best_t[rows].max() if best_w.max() == a else None
+                x, rk, gz = gathered(0, n, a, b, one, below)
+                keep(weigh(x, gz, rows) if p == 2 else weigh(gz, None, rows), rk.__getitem__)
                 continue
-            t = rank_at(i)
-            better = hit & ((low < bw) | (t < bt))
-            best_w[rows] = np.where(better, low, bw)
-            best_t[rows] = np.where(better, t, bt)
-        return best_w.tolist(), best_t.tolist()
+            for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one):  # A's levels
+                for xh, rh, gh in above:
+                    for i in range(0, len(rh), step):
+                        if done(a, join(rh[i], r0[0])):  # the slice's least rank: its first candidate's
+                            if done(a, least):
+                                return best_w, best_t
+                            break  # H ascends within the block: no row is left for its later slices
+                        if p > 2 and j < a and not i:  # the high factor: -Gamma x_H mod p, 2p where x_H != 0
+                            hi = np.where(xh & _BITS[:n, None], dt.type(3 * p), p - gh)  # then min(s, s - p)
+                            np.minimum(hi, hi - p, out=hi)
+                        sl = slice(i, i + step)
+                        if p == 2:
+                            w = weigh((xh[sl, None] | x0).ravel(), (gh[sl, None] ^ g0).ravel(), rows)
+                        else:  # hi None: x_H = 0
+                            w = weigh(g0, hi[:, sl] if j < a else None, rows)
+                        keep(w, lambda k: join(rh[sl][k // len(r0)], r0[k % len(r0)]))
+        return best_w, best_t
 
     def search(d: np.ndarray):
         if d.ndim == 1:
@@ -873,7 +882,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
         r, zero = len(d), not nonzero[0]  # zero: a stack headed by d = 0: skip its k = 0
-        best_w, best_t = walk(d, r, zero)
+        best_w, best_t = (best.tolist() for best in walk(d, r, zero))
         xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.uint64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
         k[:, n:] = xi[:, None] // _powers(p)[:n] % p  # p**n < 2**64: every digit of a rank

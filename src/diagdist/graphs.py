@@ -41,20 +41,22 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Multigraph:
     """Undirected multigraph on vertices 0..n-1.
 
     mult is the symmetric n x n matrix of non-negative edge multiplicities
     with zero diagonal.  Instances are immutable after construction (the
-    multiplicity array is marked read-only) and safe to share.
+    fields are frozen and the multiplicity array is marked read-only) and
+    safe to share.
     """
 
     n: int
     mult: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.n = _index(self.n, "vertex count")  # a Python int: numpy integers pass, floats do not
+        # frozen: the fields are set through object.__setattr__; n is a Python int, numpy integers pass, floats do not
+        object.__setattr__(self, "n", _index(self.n, "vertex count"))
         if self.n < 1:
             raise ValueError("vertex count must be >= 1")
         m = _int64s(self.mult, "edge multiplicities").copy()  # the caller's array stays writable
@@ -67,7 +69,7 @@ class Multigraph:
         if np.diag(m).any():
             raise ValueError("self-loops are not allowed (diagonal must be zero)")
         m.setflags(write=False)
-        self.mult = m
+        object.__setattr__(self, "mult", m)
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):

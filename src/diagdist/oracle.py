@@ -67,27 +67,37 @@ class OperatorWord:
         return cls(tuple(zip(k.z, k.x)))
 
 
+def _exponent(e, p: int) -> np.ndarray:
+    """The exponent e reduced mod p exactly; it must be one integer, so a sequence raises ValueError."""
+    e = _residues(e, p)
+    if e.ndim:
+        raise ValueError(f"an exponent must be one integer, got shape {e.shape}")
+    return e
+
+
 def apply_z(l, i: int, e: int, f: PrimeField) -> np.ndarray:
     """Apply Z_i^e to a labelling: entry i gains e mod p.  i is 1-based.
 
-    l and e are reduced mod p exactly, whatever their dtype or size.
+    l and e are reduced mod p exactly, whatever their dtype or size; e
+    must be one integer (ValueError otherwise).
     """
     out = _residues(l, f.p)
     if not 1 <= i <= len(out):
         raise IndexError(f"vertex index {i} out of range 1..{len(out)}")
-    out[i - 1] = (out[i - 1] + _residues(e, f.p)) % f.p
+    out[i - 1] = (out[i - 1] + _exponent(e, f.p)) % f.p
     return out
 
 
 def apply_x(l, i: int, e: int, gamma, f: PrimeField) -> np.ndarray:
     """Apply X_i^e to a labelling: add e times column i of gamma, mod p.
 
-    l, e and gamma are reduced mod p exactly, whatever their dtype or size.
+    l, e and gamma are reduced mod p exactly, whatever their dtype or size;
+    e must be one integer (ValueError otherwise).
     """
     l = _residues(l, f.p)
     if not 1 <= i <= len(l):
         raise IndexError(f"vertex index {i} out of range 1..{len(l)}")
-    return (l + _residues(e, f.p) * _as_matrix(gamma, f.p)[:, i - 1]) % f.p
+    return (l + _exponent(e, f.p) * _as_matrix(gamma, f.p)[:, i - 1]) % f.p
 
 
 def apply_word(w: OperatorWord, l, gamma, f: PrimeField) -> np.ndarray:

@@ -98,6 +98,58 @@ def last_level(rep, p: int) -> int:
     return w - (rank(rep.witness.x, p) < rank([1] * w, p))
 
 
+def on_weigh(monkeypatch, see):
+    """Wrap both weighers, D._level_blocks and D._residue_blocks, so that each call, one chunk, also calls see.
+
+    see(p, chunk, w) gets the prime, the chunk as the weigher takes it,
+    (x, Gamma x, rows) at p = 2 and (lo, hi, rows) at odd p, and the
+    weights the weigher returns, which the walk reads next: see may record
+    them, or write into w to forge them.  Every spy on a chunk and every
+    forged weight goes through this one wrapper.
+    """
+    real_level, real_residue = D._level_blocks, D._residue_blocks
+
+    def level(d, x, gz, rows):
+        w = real_level(d, x, gz, rows)
+        see(2, (x, gz, rows), w)
+        return w
+
+    def residue(d, p, lo, hi, rows):
+        w = real_residue(d, p, lo, hi, rows)
+        see(p, (lo, hi, rows), w)
+        return w
+
+    monkeypatch.setattr(D, "_level_blocks", level)
+    monkeypatch.setattr(D, "_residue_blocks", residue)
+
+
+def on_search(monkeypatch, see):
+    """Wrap D._searcher so that each call of the search it returns, one walk, first calls see(d) with its difference."""
+    real = D._searcher
+
+    def searcher(g, f, cfg):
+        search = real(g, f, cfg)
+
+        def spy(d):
+            see(d)
+            return search(d)
+
+        return spy
+
+    monkeypatch.setattr(D, "_searcher", searcher)
+
+
+def odd_supports(p, lo, hi):
+    """The support of each candidate of an odd-p chunk as a bitmask, high-major.
+
+    The low factor holds p where x_lo is nonzero, and the high factor 2p
+    to 3p where x_hi is nonzero (None for the one x_hi = 0).
+    """
+    bits = 1 << np.arange(len(lo))
+    high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
+    return [h | x for h in high for x in ((lo == p).T @ bits).tolist()]
+
+
 def walk_log(monkeypatch):
     """Spy on the walks of the searches that follow: a list of what each does, in order, for replay.
 
@@ -105,7 +157,7 @@ def walk_log(monkeypatch):
     0); ("block", rh, r0, step) when it takes a block of the x above the
     band, of ranks rh, to weigh step of them at a time against the band
     table of ranks r0; and ("chunk", chunk, w) for each chunk the walk
-    yields, as the weigher gets it, with the weights the walk then reads.
+    weighs, as the weigher takes it, with the weights the walk then reads.
     """
     log = []
     real_bands = D._bands
@@ -123,24 +175,8 @@ def walk_log(monkeypatch):
         for j, band, step, above in real_bands(pieces, n, p, w, lo, s, one):
             yield j, band, step, blocks(above, band[1], step)
 
-    def weigher(real):
-        def spy(*args):
-            handed = []
-
-            def recorded():
-                for chunk in args[-1]:
-                    handed.append(chunk)
-                    yield chunk
-
-            for w, chunk in zip(real(*args[:-1], recorded()), handed):  # the weigher takes each chunk first
-                log.append(("chunk", chunk, w))
-                yield w
-
-        return spy
-
     monkeypatch.setattr(D, "_bands", bands)
-    for name in ("_level_blocks", "_residue_blocks"):
-        monkeypatch.setattr(D, name, weigher(getattr(D, name)))
+    on_weigh(monkeypatch, lambda p, chunk, w: log.append(("chunk", chunk, w)))
     return log
 
 
@@ -217,10 +253,7 @@ def replay(log, r, n, p, one=False):
         if p == 2:
             assert gray_ranks(chunk[0]).tolist() == ranks, a
         else:
-            bits = 1 << np.arange(n)
-            lo, hi = chunk[0], chunk[1]
-            high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
-            assert [h | x for h in high for x in ((lo == p).T @ bits).tolist()] == [support(t, p) for t in ranks], a
+            assert odd_supports(p, chunk[0], chunk[1]) == [support(t, p) for t in ranks], a
         for row, ws in zip(rows, np.reshape(w, (len(rows), -1)).tolist()):
             weighed[row] += zip(ranks, ws)
             k = ws.index(min(ws))

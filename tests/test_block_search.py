@@ -35,6 +35,7 @@ from diagdist import (
 )
 from diagdist import distance as D
 from diagdist import oracle
+from helpers import on_weigh
 
 F2 = PrimeField(2)
 
@@ -147,14 +148,10 @@ def test_small_blocks_match_oracle(monkeypatch):
 
 
 def test_forged_weight_fails_reverification(monkeypatch):
-    real = D._level_blocks
+    def forged(p, chunk, w):
+        w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
 
-    def forged(*args):
-        for w in real(*args):
-            w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
-            yield w
-
-    monkeypatch.setattr(D, "_level_blocks", forged)
+    on_weigh(monkeypatch, forged)
     with pytest.raises(RuntimeError, match="re-verification"):
         diagonal_distance(generate("cycle", 5), F2)
 
@@ -197,14 +194,10 @@ def test_forged_lambda_fails_a_stack(monkeypatch, p):
 
 
 def test_forged_weight_fails_a_lone_odd_p_search(monkeypatch):
-    real = D._residue_blocks
+    def forged(p, chunk, w):
+        w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
 
-    def forged(*args):
-        for w in real(*args):
-            w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", forged)
+    on_weigh(monkeypatch, forged)
     with pytest.raises(RuntimeError, match="witness failed re-verification"):
         diagonal_distance(generate("cycle", 5), PrimeField(3))
 
@@ -264,14 +257,7 @@ def test_gf2_bitmask_width_is_guarded():
 
 def test_blocks_never_exceed_the_block_size(monkeypatch):
     sizes = []
-    real = D._residue_blocks
-
-    def spy(*args):
-        for w in real(*args):
-            sizes.append(w.shape[-1])  # candidates per row
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: sizes.append(w.shape[-1]))  # candidates per row
     f = PrimeField(4099)  # above _BLOCK: one vertex's values overflow a chunk, so the walk takes them in slices
     force = SearchConfig(force=True)
     rep = diagonal_distance(generate("edgeless", 1), f)
@@ -298,14 +284,7 @@ def test_one_vertex_values_past_the_block_go_in_slices(monkeypatch):
     and 3.3 s for the code.  The reports are those of that walk.
     """
     chunks = []
-    real = D._residue_blocks
-
-    def spy(*args):
-        for w in real(*args):
-            chunks.append(w.shape[-1])
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: chunks.append(w.shape[-1]))
     p = 65521
     f, g = PrimeField(p), generate("edgeless", 1)
     assert D._level_plan(1, p, D._BLOCK) == (((0, 0), (1, None)), 0)
@@ -329,14 +308,7 @@ def test_a_row_whose_best_no_x_of_the_next_level_can_beat_is_done(monkeypatch):
     slices of level 1 for both, about half a second each.
     """
     chunks = []
-    real = D._residue_blocks
-
-    def spy(*args):
-        for w in real(*args):
-            chunks.append(w.shape)
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: chunks.append(w.shape))
     p = 16777213
     f, g = PrimeField(p), generate("edgeless", 1)
     rep = pairwise_distance(g, f, [1], [0])

@@ -18,7 +18,9 @@ import pytest
 import diagdist
 from diagdist import PrimeField, code_distance, diagonal_distance, generate, pairwise_distance
 from diagdist import distance as D
-from helpers import clear_memos, random_multigraph
+from helpers import clear_memos, on_search, on_weigh, random_multigraph
+
+HERE = Path(__file__).parent  # helpers.py, for the forged weigher under python -O
 
 F2 = PrimeField(2)
 
@@ -127,16 +129,10 @@ def test_batched_table_matches_one_pair_searches(monkeypatch, block, rows):
                 assert got == one_pair_reports(g, f, words, res), (p, n, len(words))
 
 
-def spy_searches(monkeypatch, name):
-    """Spy on D.<name>: one entry per search, the shape of its difference d."""
-    real = getattr(D, name)
+def spy_searches(monkeypatch):
+    """Spy on the searches: one entry per search, the shape of its difference d."""
     shapes = []
-
-    def spy(*args):
-        shapes.append(np.shape(args[-3]))  # d comes third from last in both generators
-        yield from real(*args)
-
-    monkeypatch.setattr(D, name, spy)
+    on_search(monkeypatch, lambda d: shapes.append(np.shape(d)))
     return shapes
 
 
@@ -144,7 +140,7 @@ def spy_searches(monkeypatch, name):
 def test_one_block_pass_per_stack(monkeypatch, p, name):
     """d = 0 heads the first of ceil((distinct nonzero + 1) / _ROWS) stacks, all full but the last."""
     monkeypatch.setattr(D, "_ROWS", 3)
-    shapes = spy_searches(monkeypatch, name)
+    shapes = spy_searches(monkeypatch)
     rng = random.Random(11)
     n = 5
     f = PrimeField(p)
@@ -202,17 +198,14 @@ def test_differences_that_differ_at_the_top_vertex_keep_their_own_reports():
 
 @pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_a_later_row_fails_reverification(monkeypatch, p, name):
-    real = getattr(D, name)
     forged_rows = []
 
-    def forged(*args):
-        for w in real(*args):
-            if w.ndim == 2 and len(w) > 1:
-                w[1, -1] = 0  # no candidate of a nonzero difference has weight 0
-                forged_rows.append(len(w))
-            yield w
+    def forged(p, chunk, w):
+        if w.ndim == 2 and len(w) > 1:
+            w[1, -1] = 0  # no candidate of a nonzero difference has weight 0
+            forged_rows.append(len(w))
 
-    monkeypatch.setattr(D, name, forged)
+    on_weigh(monkeypatch, forged)
     rng = random.Random(3)
     words = [np.array([rng.randrange(p) for _ in range(5)], dtype=np.int64) for _ in range(4)]
     with pytest.raises(RuntimeError, match="re-verification"):
@@ -222,15 +215,13 @@ def test_forged_weight_in_a_later_row_fails_reverification(monkeypatch, p, name)
 
 FORGE_UNDER_O = """
 import numpy as np
+import pytest
 from diagdist import PrimeField, code_distance, generate
-from diagdist import distance as D
-real = D._level_blocks
-def forged(*args):
-    for w in real(*args):
-        if w.ndim == 2:
-            w[-1, -1] = 0
-        yield w
-D._level_blocks = forged
+from helpers import on_weigh
+def forged(p, chunk, w):
+    if w.ndim == 2:
+        w[-1, -1] = 0
+on_weigh(pytest.MonkeyPatch(), forged)
 words = [np.eye(5, dtype=np.int64)[i] for i in range(3)]
 try:
     code_distance(generate("cycle", 5), PrimeField(2), words)
@@ -240,7 +231,7 @@ except RuntimeError as e:
 
 
 def test_batch_reverification_runs_under_python_O():
-    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (Path(diagdist.__file__).parents[1], HERE))))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGE_UNDER_O],
         capture_output=True,
@@ -298,7 +289,7 @@ def test_twelve_codewords_fill_a_stack(monkeypatch, p, n, block):
 def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
     """d = 0 and the 66 nonzero differences: a stack of 64 rows, d = 0 first, and one of 3."""
     assert D._ROWS == 64
-    shapes = spy_searches(monkeypatch, name)
+    shapes = spy_searches(monkeypatch)
     rng = random.Random(64 + p)
     n = 8 if p == 2 else 5
     code_distance(random_multigraph(rng, n, max_mult=p), PrimeField(p), full_code(rng, n, p))
@@ -307,17 +298,14 @@ def test_a_full_stack_is_one_block_pass(monkeypatch, p, name):
 
 @pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_row_40_of_a_full_stack_fails_reverification(monkeypatch, p, name):
-    real = getattr(D, name)
     forged_rows = []
 
-    def forged(*args):
-        for w in real(*args):
-            if w.ndim == 2 and len(w) == D._ROWS:
-                w[40, -1] = 0  # no candidate of a nonzero difference has weight 0
-                forged_rows.append(len(w))
-            yield w
+    def forged(p, chunk, w):
+        if w.ndim == 2 and len(w) == D._ROWS:
+            w[40, -1] = 0  # no candidate of a nonzero difference has weight 0
+            forged_rows.append(len(w))
 
-    monkeypatch.setattr(D, name, forged)
+    on_weigh(monkeypatch, forged)
     rng = random.Random(40 + p)
     n = 8 if p == 2 else 5
     with pytest.raises(RuntimeError, match="re-verification"):
@@ -348,8 +336,8 @@ def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
     the code.  When the differences' p**n candidates sum within the budget
     (4 * 32 = 128), no bound is summed: Gamma is built once, by the searcher.
     """
-    real_level_blocks, real_adjacency, searches, gammas = D._level_blocks, D.adjacency_matrix, [], []
-    monkeypatch.setattr(D, "_level_blocks", lambda *args: searches.append(1) or real_level_blocks(*args))
+    real_adjacency, searches, gammas = D.adjacency_matrix, [], []
+    on_search(monkeypatch, lambda d: searches.append(1))
     monkeypatch.setattr(D, "adjacency_matrix", lambda *args: gammas.append(1) or real_adjacency(*args))
     g, words = generate("cycle", 5), [np.array(w) for w in ([0, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1])]
     monkeypatch.setattr(D, "CODE_BUDGET", 99)

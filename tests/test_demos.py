@@ -19,6 +19,8 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    # -W error: a warning in a demo fails it, as a warning in the suite does under -W error
+    argv = [sys.executable, "-W", "error", str(demo)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

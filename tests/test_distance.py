@@ -76,6 +76,12 @@ def test_symplectic_vector_layout():
     assert k.x == (0, 1)
     with pytest.raises(ValueError):
         SymplecticVector((1, 0, 1))
+    with pytest.raises(ValueError, match="one flat sequence"):
+        SymplecticVector([[1, 2], [3, 4]])  # was kept as two lists: unhashable, and chi_weight failed
+    with pytest.raises(ValueError, match="one flat sequence"):
+        SymplecticVector(5)  # was a TypeError
+    with pytest.raises(ValueError, match="one flat sequence"):
+        SymplecticVector.from_parts([[1, 2]], [[3, 4]])
 
 
 def test_kernel_point_cycle5_e1():

@@ -153,6 +153,13 @@ def test_solve_rejects_wrong_rhs_length():
         solve([[1, 0], [0, 1]], [1, 2, 3], F2)
 
 
+@pytest.mark.parametrize("m", [[1, 0, 1], np.zeros((2, 2, 2), dtype=np.int64), 3])
+def test_a_matrix_must_be_two_dimensional(m):
+    for call in (lambda: rref(m, F2), lambda: kernel_basis(m, F2), lambda: solve(m, [1, 0], F2)):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            call()
+
+
 def test_solve_random_consistency():
     rng = random.Random(99)
     for _ in range(50):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_multigraph_is_read_only():
     g = generate("cycle", 4)
     with pytest.raises(ValueError):
         g.mult[0, 1] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 7  # a larger n would index past mult
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.mult = np.full((4, 4), 3)  # a diagonal that the constructor refuses
+    assert g == generate("cycle", 4)
+
+
+def test_a_multigraph_equals_only_a_multigraph():
+    g = generate("cycle", 3)
+    assert g.__eq__(3) is NotImplemented
+    assert g != 3 and not g == 3
+    assert g == Multigraph(3, g.mult) and g != generate("path", 3)
 
 
 def test_adjacency_of_cycle5_matches_known_lambda_block():

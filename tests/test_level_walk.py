@@ -23,7 +23,7 @@ import pytest
 
 from diagdist import Multigraph, PrimeField, SearchConfig, code_distance, diagonal_distance, pairwise_distance
 from diagdist import distance as D
-from helpers import clear_memos, gray_ranks, replay, walk_log
+from helpers import clear_memos, gray_ranks, on_weigh, replay, walk_log
 from test_search_pruning import reference
 
 F2 = PrimeField(2)
@@ -105,16 +105,9 @@ def test_an_all_levels_search_builds_no_table_past_a_block(monkeypatch, p, n, bl
 
 
 def chunk_spy(monkeypatch):
-    """Spy on D._level_blocks: the shape of every weight array it yields."""
-    real = D._level_blocks
+    """Spy on the weighers: the shape of every weight array they return."""
     shapes = []
-
-    def spy(*args):
-        for w in real(*args):
-            shapes.append(w.shape)
-            yield w
-
-    monkeypatch.setattr(D, "_level_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: shapes.append(w.shape))
     return shapes
 
 

@@ -33,7 +33,7 @@ from diagdist import (
 )
 from diagdist import distance as D
 from diagdist.cli import main
-from helpers import clear_memos, random_multigraph
+from helpers import clear_memos, on_weigh, random_multigraph
 from test_search_pruning import reference
 
 FORCE = SearchConfig(force=True)
@@ -96,16 +96,9 @@ def test_ranks_past_2_64_are_refused(capsys, tmp_path):
 
 
 def chunk_spy(monkeypatch):
-    """Spy on D._residue_blocks: the shape of every weight array it yields."""
-    real = D._residue_blocks
+    """Spy on the weighers: the shape of every weight array they return."""
     shapes = []
-
-    def spy(*args):
-        for w in real(*args):
-            shapes.append(w.shape)
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: shapes.append(w.shape))
     return shapes
 
 

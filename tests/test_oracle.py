@@ -36,6 +36,8 @@ def test_apply_z():
     assert apply_z([0, 1, 0], 2, 2, F3).tolist() == [0, 0, 0]
     with pytest.raises(IndexError):
         apply_z([0, 0], 3, 1, F2)
+    with pytest.raises(ValueError, match="one integer"):
+        apply_z([0, 0, 0], 1, [1, 2, 0], F3)  # numpy refused it: "setting an array element with a sequence"
 
 
 def test_apply_x():
@@ -45,6 +47,18 @@ def test_apply_x():
     assert apply_x([1, 0, 1], 2, 1, e, F2).tolist() == [1, 0, 1]
     k2 = adjacency_matrix(generate("complete", 2), F2)
     assert apply_x([0, 0], 1, 1, k2, F2).tolist() == [0, 1]
+    with pytest.raises(IndexError, match="out of range 1..2"):
+        apply_x([0, 0], 3, 1, k2, F2)
+    with pytest.raises(ValueError, match="one integer"):  # it was applied entry by entry: [0 2 0] on the 3-cycle
+        apply_x([0, 0, 0], 1, [1, 2, 0], adjacency_matrix(generate("cycle", 3), F3), F3)
+
+
+def test_apply_word_refuses_mismatched_dimensions():
+    gamma = adjacency_matrix(generate("cycle", 5), F2)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        apply_word(OperatorWord(((0, 0),) * 4), ZERO5, gamma, F2)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        apply_word(OperatorWord(((0, 0),) * 5), ZERO5, gamma[:4, :4], F2)
 
 
 def test_apply_word_zero_word_is_identity():

@@ -28,7 +28,17 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import assert_walk_covers, gray_ranks, last_level, rank, replay, support, walk_log
+from helpers import (
+    assert_walk_covers,
+    gray_ranks,
+    last_level,
+    odd_supports,
+    on_weigh,
+    rank,
+    replay,
+    support,
+    walk_log,
+)
 
 REF_BLOCK = 1 << 12
 BLOCKS = (D._BLOCK, 1 << 3, 1 << 1)
@@ -157,26 +167,9 @@ def test_pruned_search_matches_the_unpruned_one(monkeypatch):
 
 
 def weighed_odd_supports(monkeypatch):
-    """Spy on D._residue_blocks: per chunk, the support of each candidate as a bitmask, in order.
-
-    The low factor holds p where x_lo is nonzero, and the high factor 2p
-    to 3p where x_hi is nonzero; a chunk's candidates are high-major.
-    """
-    real = D._residue_blocks
+    """Spy on the odd-p weigher: per chunk, the support of each candidate as a bitmask, in order (odd_supports)."""
     chunks = []
-
-    def spy(d, p, order):
-        def recorded():
-            for lo, hi, rows in order:
-                bits = 1 << np.arange(len(lo))
-                low = ((lo == p).T @ bits).tolist()
-                high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
-                chunks.append([h | lw for h in high for lw in low])
-                yield lo, hi, rows
-
-        yield from real(d, p, recorded())
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: chunks.append(odd_supports(p, *chunk[:2])))
     return chunks
 
 
@@ -219,19 +212,9 @@ def g20(seed):
 
 
 def weighed_supports(monkeypatch):
-    """Spy on D._level_blocks: the x bitmasks of every chunk it is handed, in order."""
-    real = D._level_blocks
+    """Spy on the p = 2 weigher: the x bitmasks of every chunk it is handed, in order."""
     chunks = []
-
-    def spy(*args):
-        def recorded(order):
-            for chunk in order:
-                chunks.append(chunk[0].tolist())  # chunk[0]: the bitmasks of x
-                yield chunk
-
-        yield from real(*args[:-1], recorded(args[-1]))
-
-    monkeypatch.setattr(D, "_level_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: chunks.append(chunk[0].tolist()))  # chunk[0]: the bitmasks of x
     return chunks
 
 
@@ -313,17 +296,14 @@ def test_pair_searches_weigh_every_block_below_the_bound(monkeypatch, p, n):
 
 def test_forged_weight_in_a_later_block_fails_reverification(monkeypatch):
     monkeypatch.setattr(D, "_BLOCK", 1 << 3)  # the 5-cycle's levels 2 and 3 take two chunks each
-    real = D._level_blocks
     weighed = []
 
-    def forged(*args):
-        for w in real(*args):
-            weighed.append(w.size)
-            if len(weighed) == 3:
-                w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
-            yield w
+    def forged(p, chunk, w):
+        weighed.append(w.size)
+        if len(weighed) == 3:
+            w[-1] = 1  # the 5-cycle has no kernel vector of weight 1
 
-    monkeypatch.setattr(D, "_level_blocks", forged)
+    on_weigh(monkeypatch, forged)
     with pytest.raises(RuntimeError, match="re-verification"):
         diagonal_distance(generate("cycle", 5), PrimeField(2))
     assert weighed == [1, 5, 6]  # levels 0 and 1, then level 2's first chunk: the rest is past the forged best

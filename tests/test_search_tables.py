@@ -35,26 +35,25 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import assert_walk_covers, clear_memos, last_level, random_multigraph, rank, replay, walk_log
+from helpers import (
+    assert_walk_covers,
+    clear_memos,
+    last_level,
+    on_weigh,
+    random_multigraph,
+    rank,
+    replay,
+    walk_log,
+)
 from test_oddp_walk import uniform
 
 FORCE = SearchConfig(force=True)
 
 
 def handed_chunks(monkeypatch):
-    """Spy on D._level_blocks: every (x, Gamma x, rows) chunk it is handed, in order."""
-    real = D._level_blocks
+    """Spy on the p = 2 weigher: every (x, Gamma x, rows) chunk it is handed, in order."""
     chunks = []
-
-    def spy(*args):
-        def recorded(order):
-            for chunk in order:
-                chunks.append(chunk)
-                yield chunk
-
-        yield from real(*args[:-1], recorded(args[-1]))
-
-    monkeypatch.setattr(D, "_level_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: chunks.append(chunk))
     return chunks
 
 
@@ -80,23 +79,9 @@ def test_edgeless_graph_past_32_vertices():
 
 
 def odd_chunks(monkeypatch):
-    """Spy on D._residue_blocks: per chunk, its factors, its rows and the weights it yields."""
-    real = D._residue_blocks
+    """Spy on the odd-p weigher: per chunk, its factors (lo, hi), its rows and the weights it returns."""
     seen = []
-
-    def spy(d, p, chunks):
-        handed = []
-
-        def recorded():
-            for chunk in chunks:
-                handed.append(chunk)
-                yield chunk
-
-        for w, chunk in zip(real(d, p, recorded()), handed):  # the weigher takes each chunk before its weights
-            seen.append((*chunk, w.copy()))
-            yield w
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: seen.append((*chunk, w.copy())))
     return seen
 
 
@@ -337,16 +322,9 @@ def test_build_lambda_shape_error_is_unchanged():
 
 
 def block_spy(monkeypatch):
-    """Record the shape of every block the two generators yield."""
+    """Record the shape of every block the two weighers return."""
     shapes = []
-    for name in ("_level_blocks", "_residue_blocks"):
-
-        def spy(*args, real=getattr(D, name)):
-            for w in real(*args):
-                shapes.append(w.shape)
-                yield w
-
-        monkeypatch.setattr(D, name, spy)
+    on_weigh(monkeypatch, lambda p, chunk, w: shapes.append(w.shape))
     return shapes
 
 

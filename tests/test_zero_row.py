@@ -32,7 +32,18 @@ from diagdist import (
     pairwise_distance,
 )
 from diagdist import distance as D
-from helpers import assert_walk_covers, last_level, random_multigraph, replay, walk_log
+from helpers import (
+    assert_walk_covers,
+    last_level,
+    odd_supports,
+    on_search,
+    on_weigh,
+    random_multigraph,
+    replay,
+    walk_log,
+)
+
+HERE = Path(__file__).parent  # helpers.py, for the forged weigher under python -O
 
 SIZES = [(2, (3, 6, 10)), (3, (2, 4, 7)), (5, (2, 3, 5))]
 
@@ -84,24 +95,10 @@ def test_row_0_reports_what_diagonal_distance_does(monkeypatch, block):
 
 
 def spy_walk(monkeypatch):
-    """Spy on D._residue_blocks: per search, the shape of its d and the support of every candidate, as bitmasks."""
-    real = D._residue_blocks
+    """Spy on the searches: per search, the shape of its d and the support of every candidate, as bitmasks."""
     walks = []
-
-    def spy(d, p, chunks):
-        weighed = []
-
-        def record():
-            for lo, hi, rows in chunks:
-                bits = 1 << np.arange(len(lo))
-                high = [0] if hi is None else ((hi >= 2 * p).T @ bits).tolist()
-                weighed.extend(h | x for h in high for x in ((lo == p).T @ bits).tolist())
-                yield lo, hi, rows
-
-        walks.append((np.shape(d), weighed))
-        yield from real(d, p, record())
-
-    monkeypatch.setattr(D, "_residue_blocks", spy)
+    on_search(monkeypatch, lambda d: walks.append((np.shape(d), [])))
+    on_weigh(monkeypatch, lambda p, chunk, w: walks[-1][1].extend(odd_supports(p, *chunk[:2])))
     return walks
 
 
@@ -135,17 +132,14 @@ def test_a_code_with_only_d_0_walks_the_scalar_order(monkeypatch, p, n):
 
 @pytest.mark.parametrize("p, name", [(2, "_level_blocks"), (3, "_residue_blocks")])
 def test_forged_weight_in_row_0_of_a_merged_stack_fails_reverification(monkeypatch, p, name):
-    real = getattr(D, name)
     forged = []
 
-    def forge(*args):
-        for w in real(*args):
-            if w.ndim == 2:
-                w[0, -1] = 0  # a nonzero candidate of d = 0 never has weight 0
-                forged.append(len(w))
-            yield w
+    def forge(p, chunk, w):
+        if w.ndim == 2:
+            w[0, -1] = 0  # a nonzero candidate of d = 0 never has weight 0
+            forged.append(len(w))
 
-    monkeypatch.setattr(D, name, forge)
+    on_weigh(monkeypatch, forge)
     rng = random.Random(30 + p)
     words = [np.array([rng.randrange(p) for _ in range(5)], dtype=np.int64) for _ in range(3)]
     with pytest.raises(RuntimeError, match="re-verification"):
@@ -155,15 +149,13 @@ def test_forged_weight_in_row_0_of_a_merged_stack_fails_reverification(monkeypat
 
 FORGE_ROW_0_UNDER_O = """
 import numpy as np
+import pytest
 from diagdist import PrimeField, code_distance, generate
-from diagdist import distance as D
-real = D._level_blocks
-def forged(*args):
-    for w in real(*args):
-        if w.ndim == 2:
-            w[0, -1] = 0
-        yield w
-D._level_blocks = forged
+from helpers import on_weigh
+def forged(p, chunk, w):
+    if w.ndim == 2:
+        w[0, -1] = 0
+on_weigh(pytest.MonkeyPatch(), forged)
 words = [np.eye(5, dtype=np.int64)[i] for i in range(3)]
 try:
     code_distance(generate("cycle", 5), PrimeField(2), words)
@@ -173,7 +165,7 @@ except RuntimeError as e:
 
 
 def test_row_0_reverification_runs_under_python_O():
-    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (Path(diagdist.__file__).parents[1], HERE))))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGE_ROW_0_UNDER_O],
         capture_output=True,
