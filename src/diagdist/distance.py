@@ -50,17 +50,17 @@ n, p and _BLOCK alone and are built once per process in one memo, each
 by one recipe at every p from the table one level down, with no sort.
 Per graph, Gamma x of a table is one gather of those columns from a
 table of Gamma's columns and their multiples, and one XOR or add mod p,
-only for the tables walked.  Small levels from level 0 up share one
-chunk.  One rule (_fits) decides when the x on vertices lo..n - 1 at a
-level are one table: every level below it fits _BLOCK whole, since
-_table builds a level from the whole level below it, and the level
-itself fits by the candidates it walks; a lone d = 0 search at odd p
-walks, of each level, the share of top digit 1 (below).  Otherwise they
-are a band table of the vertices from lo up times the x above that band,
-by the same rule (_blocks), in the one band order (_bands).  So from
-vertex 0, from the first level that is not one table on, every level is
-band products, no chunk holds more than _BLOCK candidates per row and no
-table is built through a larger one.
+only for the tables walked, each where the walk reads it.  Small levels
+from level 0 up share one chunk.  One rule (_fits) decides when the x on
+vertices lo..n - 1 at a level are one table: every level below it fits
+_BLOCK whole, since _table builds a level from the whole level below it,
+and the level itself fits by the candidates it walks; a lone d = 0
+search at odd p walks, of each level, the share of top digit 1 (below).
+Otherwise they are a band table of the vertices from lo up times the x
+above that band, by the same rule (_blocks), in the one band order
+(_bands).  So from vertex 0, from the first level that is not one table
+on, every level is band products, no chunk holds more than _BLOCK
+candidates per row and no table is built through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -464,8 +464,9 @@ def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
 
     For each level j of the band, highest first, it yields (j, band, step,
     above): the band's x with j nonzero digits, a table as
-    pieces(lo, lo + w, j, one) gives it (gathered in _searcher), marked at
-    odd p when lo = 0 and j > 0 (the weigher's low factor) and with bitmask
+    pieces(lo, lo + w, j, j, one) gives it (_searcher's one table
+    accessor, which gathers it where it is read), marked at odd p when
+    lo = 0 and j > 0 (the weigher's low factor) and with bitmask
     supports otherwise; step = _BLOCK // len(band), how many of the x above
     one chunk takes; and above, the x on range(lo + w, n) with s - j
     nonzero digits in blocks (_blocks).  The band's vertices are below the
@@ -479,7 +480,7 @@ def _bands(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     lo .. lo + s - 1, is in the first chunks.
     """
     for j in range(min(s, w), max(0, s - n + lo + w) - 1, -1):
-        for band in pieces(lo, lo + w, j, one and j == s):
+        for band in pieces(lo, lo + w, j, j, one and j == s):
             band = tuple(t[::-1] for t in band) if p == 2 and (s - j) % 2 else band
             yield j, band, _BLOCK // len(band[1]), _blocks(pieces, n, p, w, lo + w, s - j, one and j < s)
 
@@ -490,8 +491,8 @@ def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     The order is ascending within a block, not across blocks: the band
     levels come highest first (_bands), so the blocks of different band
     levels interleave in rank (p = 2, n = 12 at a _BLOCK of 16; p = 3,
-    n = 8).  A block is (supports, ranks, Gamma x) as pieces(lo, hi, s,
-    one) gives it (gathered in _searcher): lo >= 1, so bitmask supports
+    n = 8).  A block is (supports, ranks, Gamma x) as pieces(lo, n, s, s,
+    one) gives it, gathered where it is read: lo >= 1, so bitmask supports
     at every p, and Gamma x with no marks.  The x are one table when level
     s of the range fits _BLOCK by _fits, the rule _level_plan keeps from
     vertex 0: every level below s whole, and level s by the share it
@@ -502,7 +503,7 @@ def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     tables alive until the next collection.
     """
     if _fits(n - lo, p, s, one, _BLOCK):
-        yield from pieces(lo, n, s, one)
+        yield from pieces(lo, n, s, s, one)
         return
     for _, (x1, r1, g1), step, above in _bands(pieces, n, p, w, lo, s, one):
         for x2, r2, g2 in above:
@@ -628,12 +629,14 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     (_multiples) and a stack's digit powers (_powers), is built once per
     process and shared read-only; _BLOCK is read at each call.  Per graph,
     the column table (_column_table: 0, then Gamma's columns and, at odd
-    p, their multiples) is built once, and gathered builds Gamma x of each
-    pattern table walked on first use, by one gather (_gamma_x), in one
-    memo keyed alike at every p.  A table of a vertex range's x holds at
-    most _BLOCK, and is walked only when every level of the range below
-    its own fits _BLOCK too (_level_plan from vertex 0, _blocks above a
-    band), so none is built through a larger one.
+    p, their multiples) is built once.  Every table the walk reads, its
+    runs, the band tables (_bands) and the blocks above a band (_blocks),
+    comes from one accessor, pieces, which gathers the table's Gamma x
+    where it is read, by one gather (_gamma_x), and keeps nothing between
+    reads.  A table of a vertex range's x holds at most _BLOCK, and is
+    walked only when every level of the range below its own fits _BLOCK
+    too (_level_plan from vertex 0, _blocks above a band), so none is
+    built through a larger one.
 
     Returns search(d), the first minimum chi-weight over (d - Gamma x | x)
     for one difference d (reduced mod p), or a list of r reports for a
@@ -672,7 +675,6 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     _check_budget(n, p, cfg)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
-    tables = {}  # each pattern table walked, with its Gamma x
     if p == 2:
         dt = np.uint32 if n <= 32 else np.uint64
         kind = (dt, p)  # the pattern tables' key after b: masks and ranks of dtype dt
@@ -681,25 +683,34 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         kind = (np.uint64, p)  # ranks t < p**n of dtype uint64
     colv = _column_table(gamma, p, dt)
 
-    def gathered(lo, hi, a, b, one=False, below=None):
-        """A pattern table's masks and ranks, and its Gamma x, built on first use.
+    def pieces(lo, hi, a, b, one, below=None):
+        """The x on range(lo, hi) with a to b nonzero digits, by ascending rank: (masks, ranks, Gamma x).
 
-        Its vertex range decides its form.  At odd p a table from vertex 0
-        that holds a nonzero x (b > 0) is the weigher's low factor, walk's
-        runs and the band at vertex 0: its Gamma x mod p holds p where x is
-        nonzero, and its masks go unread.  Every other table, a part of the
-        blocks above that band (_blocks) or the zero table, which serves
-        both, holds Gamma x mod p alone, and its masks become bitmask
-        supports, which p = 2's masks are; p = 2 has no marks.
+        Each table is gathered where it is read (_gamma_x), and its vertex
+        range decides its form.  At odd p a table from vertex 0 that holds
+        a nonzero x (b > 0) is the weigher's low factor, walk's runs and
+        the band at vertex 0: its Gamma x mod p holds p where x is nonzero,
+        and its masks go unread.  Every other table, a part of the blocks
+        above that band (_blocks) or the zero table (b = 0, the zero x on
+        any range, one table for every range), holds Gamma x mod p alone,
+        and its masks become bitmask supports, which p = 2's masks are;
+        p = 2 has no marks.  It is one table of at most _BLOCK, or at band
+        width 0 (p - 1 > _BLOCK), where the range is one vertex and
+        a = b = 1, that vertex's values (only 1 with one) _BLOCK at a time,
+        in the same form.
 
         With below, only the x ranked below it: the table is in ascending
-        rank, so they are a prefix, cut by one searchsorted, and Gamma x is
-        gathered for that prefix alone and not kept, since the gather is
-        the cost that walk's tie-only levels save.
+        rank, so they are a prefix, cut by one searchsorted before the
+        gather, since the gather is the cost that walk's tie-only levels save.
         """
-        key = lo, hi, a, b, one
-        if below is None and key in tables:
-            return tables[key]
+        if b and p - 1 > _BLOCK:
+            for v in range(1, 2 if one else p, _BLOCK):
+                m = np.arange(v, min(v + _BLOCK, 2 if one else p))
+                gz = (np.outer(gamma[:, lo], m) % p).astype(dt)
+                np.copyto(gz[lo], dt.type(p), where=not lo)  # the low factor's mark
+                yield np.full(len(m), 1 << lo), m.astype(np.uint64) * p**lo, gz
+            return
+        lo, hi, one = (lo, hi, one) if b else (0, 0, False)  # the zero x: one table for every range
         masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
         if below is not None:
             k = ranks.searchsorted(below)
@@ -709,33 +720,13 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
             np.copyto(gz[:hi], dt.type(p), where=masks)
         elif p > 2:
             masks = _BITS[lo:hi] @ masks
-        if below is None:
-            tables[key] = masks, ranks, gz
-        return masks, ranks, gz
+        yield masks, ranks, gz
 
-    def pieces(lo, hi, s, one):
-        """The x on range(lo, hi) with s nonzero digits, by ascending rank, in gathered's form.
-
-        s = 0 is the zero x on any range: the empty band's level-0 table,
-        the zero table.  Else it is one table of at most _BLOCK, or at band
-        width 0 (p - 1 > _BLOCK), where the range is one vertex and s = 1,
-        that vertex's values (only 1 with one) _BLOCK at a time, with
-        bitmask supports, and marked at vertex 0, the low factor, whose
-        supports go unread.
-        """
-        if not s or p - 1 <= _BLOCK:
-            yield gathered(lo, hi, s, s, one) if s else gathered(0, 0, 0, 0)
-            return
-        for v in range(1, 2 if one else p, _BLOCK):
-            m = np.arange(v, min(v + _BLOCK, 2 if one else p))
-            gz = (np.outer(gamma[:, lo], m) % p).astype(dt)
-            np.copyto(gz[lo], dt.type(p), where=not lo)  # the low factor's mark
-            yield np.full(len(m), 1 << lo), m.astype(np.uint64) * p**lo, gz
-
-    def walk(d, r, zero):
+    def walk(d, zero):
         """Best weight and least rank among its ties, per row, walking x by support level.
 
-        They are Python ints for a lone d, and arrays for a stack.  The walk
+        They are Python ints for a lone d, and arrays for a stack, one entry
+        per row of d (a 1-D d is one row, as is a (1, n) stack).  The walk
         is one loop, with the bests in its own frame from the start: it
         builds a chunk, weighs it (_level_blocks at p = 2, _residue_blocks
         at odd p, a function of one chunk, given the difference as walk
@@ -763,7 +754,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         The tie-only stop.  A one-table level whose rows left all weigh a
         (best_w == a alone, best_w.max() == a for a stack) is cut to its x
         ranked below their greatest best rank: the table is in rank order,
-        so that is a prefix, and gathered builds Gamma x for it alone.  A
+        so that is a prefix, and pieces gathers Gamma x for it alone.  A
         first run from level 0 is never cut, since every best is n + 1
         there.  A band level a holds x = A + H, A on the band [0, wa) and
         H above it, in the order _bands keeps: for each level j of the
@@ -780,7 +771,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         of different j interleave in rank, so a later block may still be
         won.
         """
-        one = zero and r == 1 and p > 2  # scalar symmetry: weigh only the x whose top digit is 1
+        one = zero and d.size == n and p > 2  # one row of d = 0, scalar symmetry: weigh only the x of top digit 1
         runs, width = _level_plan(n, p, _BLOCK, one)
         # A's band width, one vertex at width 0, and join, which gives rank(A + H) from theirs
         wa, join = max(width, 1), np.bitwise_xor if p == 2 else np.add
@@ -793,7 +784,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         if d.ndim == 1:  # one row: Python ints
             best_w, best_t = n + 1, 0
         else:
-            best_w, best_t = np.full(r, n + 1, dtype=np.int64), np.zeros(r, dtype=kind[0])
+            best_w, best_t = np.full(len(d), n + 1, dtype=np.int64), np.zeros(len(d), dtype=kind[0])
         rows, first = None, True  # the rows the next chunk weighs (a stack's), and whether it is the first
 
         def done(a, least):
@@ -823,7 +814,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                         best_w, best_t = w.item(i), t
             elif first:  # the first chunk weighs every row, each best n + 1: its minima are the bests
                 i = w.argmin(axis=1)
-                best_w[:], best_t[:] = w[np.arange(r), i], rank_at(i)
+                best_w[:], best_t[:] = w[np.arange(len(w)), i], rank_at(i)
             else:
                 i = w.argmin(axis=1)
                 low, bw, bt = w[np.arange(len(rows)), i], best_w[rows], best_t[rows]
@@ -844,8 +835,8 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
                     below = best_t if best_w == a else None
                 else:
                     below = best_t[rows].max() if best_w.max() == a else None
-                x, rk, gz = gathered(0, n, a, b, one, below)
-                keep(weigh(x, gz, rows) if p == 2 else weigh(gz, None, rows), rk.__getitem__)
+                for x, rk, gz in pieces(0, n, a, b, one, below):
+                    keep(weigh(x, gz, rows) if p == 2 else weigh(gz, None, rows), rk.__getitem__)
                 continue
             for j, (x0, r0, g0), step, above in _bands(pieces, n, p, wa, 0, a, one):  # A's levels
                 for xh, rh, gh in above:
@@ -868,7 +859,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     def search(d: np.ndarray):
         if d.ndim == 1:
             zero = not np.count_nonzero(d)  # d = 0: skip k = 0
-            w, t = walk(d, 1, zero)
+            w, t = walk(d, zero)
             digits, u = [], t ^ t >> 1 if p == 2 else t  # x: the Gray code of t at p = 2, t at odd p
             for _ in range(n):
                 u, v = divmod(u, p)
@@ -882,7 +873,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         if not all(nonzero[1:]):
             raise ValueError("only row 0 of a stack of differences may hold the zero difference")
         r, zero = len(d), not nonzero[0]  # zero: a stack headed by d = 0: skip its k = 0
-        best_w, best_t = (best.tolist() for best in walk(d, r, zero))
+        best_w, best_t = (best.tolist() for best in walk(d, zero))
         xi = np.array([t ^ t >> 1 for t in best_t] if p == 2 else best_t, dtype=np.uint64)
         k = np.zeros((r, 2 * n), dtype=np.int64)  # the witnesses, one per row
         k[:, n:] = xi[:, None] // _powers(p)[:n] % p  # p**n < 2**64: every digit of a rank
@@ -973,14 +964,11 @@ def code_distance(
     s <= b.  The keying loop adds each new distinct difference's bound as
     it appears and refuses at the first block past the budget: 1024
     random codewords on the 24-cycle at p = 2 (2**42.1) are refused after
-    two blocks, 8,172 distinct differences, in 0.04 s at an 11.6 MiB
-    peak, where keying every pair first took 5 s and 261 MiB.  The bounds
-    are summed only when the k (k + 1) / 2 pairs' p**n candidates pass
-    the budget, as for no code of up to 90 codewords unforced, and
-    compared with it only once the distinct differences' p**n pass it:
-    only then is Gamma read, for d = 0's bound.  On random codes on the
-    24-cycle at p = 2, forced, 2**35.4 took 2.5 s (100 codewords) and
-    2**36.6 took 5.4 s (150), one run each on 2 vCPU.
+    two blocks, 8,172 distinct differences.  The bounds are summed only
+    when the k (k + 1) / 2 pairs' p**n candidates pass the budget, as for
+    no code of up to 90 codewords unforced, and compared with it only
+    once the distinct differences' p**n pass it: only then is Gamma read,
+    for d = 0's bound.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")

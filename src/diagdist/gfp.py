@@ -4,13 +4,16 @@ Matrices and vectors are numpy int64 arrays with entries kept in [0, p).
 A number a caller passes in, here, in the graphs, the search and the
 oracle, is read by one of three readers, and no other code converts one:
 _residues reduces integers mod p exactly, whatever their numpy dtype or
-Python size (labellings, codewords, matrices, exponents, PrimeField.inv's
-argument); _int64s keeps integers unreduced, refusing any that int64 does
-not hold exactly (a multigraph's multiplicities, build_lambda's Gamma, a
-SymplecticVector's parts); and _index reads a scalar that must be an
-integer (a prime, a vertex count, SearchConfig.max_vertices).  The first
-two let an integral float through and _index does not; each raises
-ValueError where a cast would truncate, wrap or drop a part.
+Python size (labellings, codewords, matrices, the exponent of apply_z and
+apply_x, PrimeField.inv's argument); _int64s keeps integers unreduced,
+refusing any that int64 does not hold exactly (a multigraph's
+multiplicities, build_lambda's Gamma, a SymplecticVector's parts, an
+OperatorWord's exponents, as n pairs); and _index reads a scalar that must
+be an integer (a prime, is_prime's argument, a vertex count, the vertex
+index of apply_z and apply_x, SearchConfig.max_vertices, the oracle's
+hard_cap).  The first two let an integral float through and _index does
+not; each raises ValueError where a cast would truncate, wrap or drop a
+part.
 Parsing text tokens in the file formats and the command line is not
 reading a caller's number, and stays with the parsers.
 Everything here is a pure function: inputs are never mutated, results are
@@ -26,11 +29,16 @@ import numpy as np
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division, meant for small moduli.
+    """Deterministic trial division, for integers below P_LIMIT = 2**24.
 
-    It takes about sqrt(p) / 2 steps; PrimeField calls it only below
-    P_LIMIT = 2**24, where that is at most 2**11.
+    It takes about sqrt(p) / 2 steps, at most 2**11 below P_LIMIT.  p is
+    read through _index, so 7.0, NaN or inf raise ValueError as PrimeField
+    does, and an integer at or above P_LIMIT raises ValueError instead of
+    running its trial divisions.
     """
+    p = _index(p, "p")
+    if p >= P_LIMIT:
+        raise ValueError(f"{p} is not below 2**24")
     if p < 2:
         return False
     if p < 4:
@@ -64,9 +72,7 @@ class PrimeField:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _index(self.p, "p"))
-        if self.p >= P_LIMIT:
-            raise ValueError(f"{self.p} is not below 2**24")
-        if not is_prime(self.p):
+        if not is_prime(self.p):  # is_prime raises ValueError at p >= P_LIMIT
             raise ValueError(f"{self.p} is not prime")
 
     def inv(self, a: int) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceReport, SearchTooLarge, SymplecticVector
-from .gfp import PrimeField, _as_matrix, _residues
+from .gfp import PrimeField, _as_matrix, _index, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_ORACLE_CAP = 1 << 20
@@ -48,9 +48,21 @@ _BLOCK = 1 << 12  # most words weighed per numpy step; read at call time
 
 @dataclass(frozen=True)
 class OperatorWord:
-    """Per-vertex exponent pairs (z_i, x_i), one pair per vertex (0-indexed tuple)."""
+    """Per-vertex exponent pairs (z_i, x_i), one pair per vertex (0-indexed tuple).
+
+    The exponents are read through _int64s as n pairs of integers and kept
+    as tuples of Python ints: 2.0 becomes 2, and 1.5, NaN, a string, None,
+    an integer past int64, or anything but n pairs, as (1, 2, 3), raises
+    ValueError.
+    """
 
     exponents: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        pairs = _int64s(self.exponents, "word exponents")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"word exponents must be n pairs of integers, got shape {pairs.shape}")
+        object.__setattr__(self, "exponents", tuple(map(tuple, pairs.tolist())))
 
     @property
     def n(self) -> int:
@@ -79,9 +91,12 @@ def apply_z(l, i: int, e: int, f: PrimeField) -> np.ndarray:
     """Apply Z_i^e to a labelling: entry i gains e mod p.  i is 1-based.
 
     l and e are reduced mod p exactly, whatever their dtype or size; e
-    must be one integer (ValueError otherwise).
+    must be one integer (ValueError otherwise).  i is read through _index:
+    1.5, a string or None raise ValueError, and an integer out of range
+    IndexError.
     """
     out = _residues(l, f.p)
+    i = _index(i, "vertex index")
     if not 1 <= i <= len(out):
         raise IndexError(f"vertex index {i} out of range 1..{len(out)}")
     out[i - 1] = (out[i - 1] + _exponent(e, f.p)) % f.p
@@ -92,9 +107,11 @@ def apply_x(l, i: int, e: int, gamma, f: PrimeField) -> np.ndarray:
     """Apply X_i^e to a labelling: add e times column i of gamma, mod p.
 
     l, e and gamma are reduced mod p exactly, whatever their dtype or size;
-    e must be one integer (ValueError otherwise).
+    e must be one integer (ValueError otherwise).  i is read as apply_z
+    reads it.
     """
     l = _residues(l, f.p)
+    i = _index(i, "vertex index")
     if not 1 <= i <= len(l):
         raise IndexError(f"vertex index {i} out of range 1..{len(l)}")
     return (l + _exponent(e, f.p) * _as_matrix(gamma, f.p)[:, i - 1]) % f.p
@@ -191,6 +208,7 @@ def _word_blocks(gamma, f: PrimeField, target: np.ndarray, k: int):
 
 
 def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int) -> DistanceReport:
+    hard_cap = _index(hard_cap, "hard_cap")  # NaN, inf or 1.5 would pass any size: total > nan is false
     n, p = g.n, f.p
     total = p ** (2 * n)
     if total > hard_cap:
@@ -218,7 +236,11 @@ def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int
 def brute_force_distance(
     g: Multigraph, f: PrimeField, hard_cap: int = DEFAULT_ORACLE_CAP
 ) -> DistanceReport:
-    """Minimum positive eta count over all words acting as the identity."""
+    """Minimum positive eta count over all words acting as the identity.
+
+    hard_cap is read through _index: NaN, inf or 1.5 raise ValueError, and
+    an integer below p**(2n) raises SearchTooLarge before any word is built.
+    """
     return _brute_force(g, f, np.zeros(g.n, dtype=np.int64), hard_cap)
 
 
@@ -234,7 +256,8 @@ def brute_force_pairwise(
     A word maps cr to cs exactly when it translates the zero labelling to
     cs - cr, which is what gets tested; some word always does (single Z
     factors realize any translation), so the minimum exists.  The witness
-    carries cr to cs, the opposite way to pairwise_distance's.
+    carries cr to cs, the opposite way to pairwise_distance's.  hard_cap is
+    read as brute_force_distance reads it.
     """
     cr, cs = _residues(cr, f.p, g.n), _residues(cs, f.p, g.n)
     return _brute_force(g, f, (cs - cr) % f.p, hard_cap)

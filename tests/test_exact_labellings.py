@@ -340,12 +340,15 @@ def test_real_complex_entries_are_reduced_as_their_real_part(recwarn):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: SymplecticVector.from_parts([1.5, 2.9], [0, 1]), lambda: OperatorWord(((1.5, 0), (0, 2.7))).to_vector()],
+    "make, what",
+    [
+        (lambda: SymplecticVector.from_parts([1.5, 2.9], [0, 1]), "symplectic entries"),
+        (lambda: OperatorWord(((1.5, 0), (0, 2.7))).to_vector(), "word exponents"),  # the word refuses them first
+    ],
     ids=["from_parts", "OperatorWord.to_vector"],
 )
-def test_fractional_exponents_are_refused(make):
-    with pytest.raises(ValueError, match="symplectic entries"):  # int() would truncate them to 1 and 2
+def test_fractional_exponents_are_refused(make, what):
+    with pytest.raises(ValueError, match=what):  # int() would truncate them to 1 and 2
         make()
 
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from diagdist import (
     rref,
     solve,
 )
+import diagdist
+from diagdist.gfp import P_LIMIT
 from helpers import CYCLE5_KERNEL, CYCLE5_LAMBDA, random_labelling, random_multigraph
 
 F2 = PrimeField(2)
@@ -26,6 +32,33 @@ def test_is_prime_small_values():
     composites = [0, 1, 4, 6, 9, 15, 91, 221]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 7.0, 9.5, "7", None], ids=["nan", "7.0", "9.5", "'7'", "None"])
+def test_is_prime_reads_an_integer(p):
+    """is_prime reads p as PrimeField does: nan, 7.0 and 9.5 returned True, and '7' and None raised TypeError."""
+    with pytest.raises(ValueError, match="p must be an integer"):
+        is_prime(p)
+
+
+def test_is_prime_serves_the_integers_below_the_field_limit():
+    assert is_prime(np.int64(7)) and is_prime(P_LIMIT - 3) and not is_prime(P_LIMIT - 1)  # 2**24 - 1 = 3 * 5592405
+    assert not is_prime(-7) and not is_prime(True)
+    with pytest.raises(ValueError, match="not below 2"):
+        is_prime(P_LIMIT)
+
+
+@pytest.mark.parametrize("p", ["float('inf')", "2**70"])
+def test_is_prime_refuses_inf_and_a_huge_integer_at_once(p):
+    """inf never returned, and 2**70 would run about 2**34 trial divisions.
+
+    Each runs in a child process with a timeout, so a hang fails the test
+    instead of stalling the run.
+    """
+    code = f"from diagdist import is_prime\ntry:\n    is_prime({p})\nexcept ValueError as e:\n    print(e)"
+    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0 and proc.stdout.strip() in ("p must be an integer, got inf", f"{2**70} is not below 2**24")
 
 
 def test_prime_field_rejects_composite():

@@ -150,6 +150,46 @@ def test_hard_cap():
         brute_force_distance(generate("cycle", 5), F2, hard_cap=100)
 
 
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 1.5, "64", None], ids=["nan", "inf", "1.5", "'64'", "None"])
+def test_hard_cap_is_read_as_an_integer(cap):
+    """nan and inf ran the oracle at any size (total > nan is false), and 1.5 raised SearchTooLarge."""
+    g = generate("cycle", 3)
+    with pytest.raises(ValueError, match="hard_cap must be an integer"):
+        brute_force_distance(g, F2, hard_cap=cap)
+    with pytest.raises(ValueError, match="hard_cap must be an integer"):
+        brute_force_pairwise(g, F2, [0, 0, 0], [1, 1, 1], hard_cap=cap)
+    assert brute_force_distance(g, F2, hard_cap=np.int64(64)).distance == 2  # 2**(2 * 3) words: at the cap
+
+
+@pytest.mark.parametrize("i", [1.5, "x", None], ids=["1.5", "'x'", "None"])
+def test_a_vertex_index_is_read_as_an_integer(i):
+    """1.5 raised numpy's IndexError text, and 'x' and None a TypeError from the range check."""
+    gamma = adjacency_matrix(generate("cycle", 3), F3)
+    with pytest.raises(ValueError, match="vertex index must be an integer"):
+        apply_z([0, 0, 0], i, 1, F3)
+    with pytest.raises(ValueError, match="vertex index must be an integer"):
+        apply_x([0, 0, 0], i, 1, gamma, F3)
+    assert apply_z([0, 0, 0], np.int64(2), 1, F3).tolist() == [0, 1, 0]  # a numpy integer index passes
+    assert apply_x([0, 0, 0], np.int64(1), 1, gamma, F3).tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [(1, 2, 3), float("nan"), "x", None, [1, 2], {}, [None, 1, 2], ((1, 0), (0, 1.5)), ((1, 2, 3),), ((2**70, 0),)],
+    ids=["(1, 2, 3)", "nan", "'x'", "None", "[1, 2]", "{}", "[None, 1, 2]", "1.5", "a triple", "2**70"],
+)
+def test_an_operator_word_checks_its_exponents(exponents):
+    """Each was accepted: eta_sum of (1, 2, 3) gave 3, and apply_word raised TypeError on it."""
+    with pytest.raises(ValueError, match="word exponents"):
+        OperatorWord(exponents)
+
+
+def test_an_operator_word_keeps_its_exponents_as_pairs_of_python_ints():
+    w = OperatorWord(np.array([[1, 0], [0, 2]], dtype=np.uint8))
+    assert w.exponents == ((1, 0), (0, 2)) and all(type(e) is int for pair in w.exponents for e in pair)
+    assert OperatorWord([[1, 0], [0, 2.0]]).exponents == w.exponents and eta_sum(w) == 2
+
+
 def test_words_act_as_translations():
     rng = random.Random(17)
     for _ in range(20):

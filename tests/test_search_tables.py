@@ -462,11 +462,11 @@ def test_blocks_take_a_level_that_fits_by_its_walked_share_as_one_table(monkeypa
     monkeypatch.setattr(D, "_BLOCK", 8)
     asked = []
 
-    def pieces(lo, hi, s, one):
-        asked.append((lo, hi, s, one))
+    def pieces(lo, hi, a, b, one):
+        asked.append((lo, hi, a, b, one))
         yield "table"
 
-    assert list(D._blocks(pieces, 5, 3, 2, 2, 2, True)) == ["table"] and asked == [(2, 5, 2, True)]
+    assert list(D._blocks(pieces, 5, 3, 2, 2, 2, True)) == ["table"] and asked == [(2, 5, 2, 2, True)]
     assert D._fits(3, 3, 2, True, 8) and not D._fits(3, 3, 2, False, 8)
     clear_memos()
     f, real, keys = PrimeField(3), D._table, set()
