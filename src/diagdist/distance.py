@@ -247,11 +247,9 @@ def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
             raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
         return
     cap = cfg.vertex_cap(p)
-    if n > cap:
-        raise SearchTooLarge(
-            f"n = {n} exceeds the vertex cap {cap} for p = {p}; "
-            f"raise max_vertices or set force"
-        )
+    if n > cap:  # a higher cap admits the search only where the budget does too
+        advice = "set force" if p**n > DEFAULT_CANDIDATE_BUDGET else "raise max_vertices or set force"
+        raise SearchTooLarge(f"n = {n} exceeds the vertex cap {cap} for p = {p}; {advice}")
     if p**n > DEFAULT_CANDIDATE_BUDGET:
         raise SearchTooLarge(
             f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
@@ -262,12 +260,7 @@ _BITS = 1 << np.arange(63)  # bit j at entry j, of int64, which holds any sum of
 _BITS.setflags(write=False)
 
 
-def _bitmasks(a: np.ndarray):
-    """Each row of a (at most 63 columns) as an int with bit j set where its entry j is nonzero."""
-    return ((a != 0) @ _BITS[: a.shape[-1]]).tolist()  # distinct bits: the dot product is their OR
-
-
-@functools.lru_cache(maxsize=512)  # 306 tables, 5.0 MiB, for the benchmark classes and the forced demo searches
+@functools.lru_cache(maxsize=512)  # 391 tables, 8.4 MiB, after the benchmark workloads and the forced demo
 def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
@@ -777,9 +770,9 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
         wa, join = max(width, 1), np.bitwise_xor if p == 2 else np.add
         if p > 2:  # the difference's residues, vertex axis first: (n, 1) or (n, r, 1)
             weigh = functools.partial(_residue_blocks, d.T.astype(dt)[..., None], p)
-        elif d.ndim == 2:  # each row's bitmask, of shape (r, 1)
-            weigh = functools.partial(_level_blocks, np.array(_bitmasks(d), dtype=dt)[:, None])
-        else:  # a lone d's bitmask as a Python int: d_j is 0 or 1, so _BITS @ d sets bit j where d_j is 1
+        elif d.ndim == 2:  # each row's bitmask, of shape (r, 1): d_j is 0 or 1, so d @ _BITS sets bit j where d_j is 1
+            weigh = functools.partial(_level_blocks, (d @ _BITS[:n]).astype(dt)[:, None])
+        else:  # a lone d's bitmask as a Python int, by the same product
             weigh = functools.partial(_level_blocks, 0 if zero else int(_BITS[:n] @ d))
         if d.ndim == 1:  # one row: Python ints
             best_w, best_t = n + 1, 0

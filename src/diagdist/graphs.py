@@ -216,7 +216,11 @@ def serialize(g: Multigraph, p: int | None = None) -> str:
 
 
 def parse_codewords(text: str, n: int, f: PrimeField) -> list[np.ndarray]:
-    """Parse one labelling per non-comment line: n integers, reduced mod p."""
+    """Parse one labelling per non-comment line: n integers, reduced mod p.
+
+    n is read as generate reads it: 3.0 or NaN raises ValueError, even on a text with no codeword.
+    """
+    n = _index(n, "vertex count")
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -99,7 +99,10 @@ CALLS = {
     "kernel_basis": (lambda m=GAMMA: kernel_basis(m, F), {"m": SEQ}),
     "kernel_point": (lambda gamma=GAMMA, x=L: kernel_point(gamma, x, F), {"gamma": SEQ, "x": SEQ}),
     "pairwise_distance": (lambda cr=L, cs=L: pairwise_distance(G, F, cr, cs), {"cr": SEQ, "cs": SEQ}),
-    "parse_codewords": (lambda n=3: parse_codewords("0 1 2\n", n, F), {"n": INT}),
+    "parse_codewords": (  # n_no_lines: the n of a text with no codeword line, which no line is checked against
+        lambda n=3, n_no_lines=3: (parse_codewords("0 1 2\n", n, F), parse_codewords("", n_no_lines, F)),
+        {"n": INT, "n_no_lines": INT},
+    ),
     "rref": (lambda m=GAMMA: rref(m, F), {"m": SEQ}),
     "serialize": (lambda p=3: serialize(G, p), {"p": INT}),
     "solve": (lambda m=GAMMA, rhs=L: solve(m, rhs, F), {"m": SEQ, "rhs": SEQ}),
@@ -131,6 +134,7 @@ ACCEPTED = {
     ("apply_z", "e", "2**70"): "an exponent is reduced mod p",
     ("brute_force_distance", "hard_cap", "2**70"): "a cap above this graph's p**(2n) words",
     ("brute_force_pairwise", "hard_cap", "2**70"): "a cap above this graph's p**(2n) words",
+    ("parse_codewords", "n_no_lines", "2**70"): "an integer n, and no codeword line to hold n values",
 }
 CASES = [(name, arg, label) for name, (_, args) in CALLS.items() for arg in args for label in CORPUS]
 

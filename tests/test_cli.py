@@ -470,7 +470,7 @@ def test_refusals_of_a_4096_vertex_path(capsys, tmp_path):
     cases = [
         (("kernel",), "kernel prints 2n**2 entries; n = 4096 exceeds 256 vertices"),
         (("distance",), "n = 4096 exceeds the 63 vertices that uint64 bitmasks hold at p = 2"),
-        (("distance", "--p", "3"), "n = 4096 exceeds the vertex cap 12 for p = 3; raise max_vertices or set force"),
+        (("distance", "--p", "3"), "n = 4096 exceeds the vertex cap 12 for p = 3; set force"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])

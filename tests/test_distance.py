@@ -175,6 +175,27 @@ def test_search_budget():
     assert forced.distance == 1  # weight-1 early exit, so force stays cheap
 
 
+@pytest.mark.parametrize("p, n", [(2, 25), (3, 16), (5, 13), (7, 13)])
+def test_a_vertex_cap_refusal_past_the_budget_advises_force_alone(p, n):
+    """p**n is over the candidate budget, so a cap raised to n only meets the budget's refusal."""
+    g, f = generate("edgeless", n), PrimeField(p)
+    cap = 24 if p == 2 else 12
+    with pytest.raises(SearchTooLarge, match=rf"^n = {n} exceeds the vertex cap {cap} for p = {p}; set force$"):
+        diagonal_distance(g, f)
+    with pytest.raises(SearchTooLarge, match="exceeds the candidate budget"):
+        diagonal_distance(g, f, SearchConfig(max_vertices=n))
+
+
+@pytest.mark.parametrize("p, n, cap", [(3, 13, None), (3, 15, None), (2, 10, 5), (5, 8, 7)])
+def test_a_vertex_cap_refusal_within_the_budget_advises_raising_the_cap(p, n, cap):
+    """The default cap at p = 3 below 3**15 < 2**24, or any lowered cap: a cap raised to n admits the search."""
+    g, f = generate("edgeless", n), PrimeField(p)
+    advice = rf"^n = {n} exceeds the vertex cap {cap or 12} for p = {p}; raise max_vertices or set force$"
+    with pytest.raises(SearchTooLarge, match=advice):
+        diagonal_distance(g, f, SearchConfig(max_vertices=cap))
+    assert diagonal_distance(g, f, SearchConfig(max_vertices=n)).distance == 1
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_vertices=0)

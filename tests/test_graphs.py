@@ -213,6 +213,14 @@ def test_parse_codewords_errors():
         parse_codewords("0 a\n", 2, F2)
 
 
+@pytest.mark.parametrize("text", ["0 1 2\n", ""])
+@pytest.mark.parametrize("n", [3.0, float("nan"), "x"])
+def test_parse_codewords_reads_n_as_generate_does(text, n):
+    """3.0 matched a line of 3 values, and no line was checked against NaN or "x"; generate refuses all three."""
+    with pytest.raises(ValueError, match="^vertex count must be an integer, got "):
+        parse_codewords(text, n, F3)
+
+
 def test_relabelling_conjugates_adjacency():
     rng = random.Random(3)
     for _ in range(20):

@@ -5,13 +5,13 @@ searches below set bit 31 and bit 32 and stop on their first candidate.
 At odd p the residue tables reduce sums with an unsigned wrap instead of
 % p, in uint8 and in uint16: every candidate they weigh must weigh what
 the % p construction gives, and each level must hold every x of its
-support size by odometer index, up to ranks past 2**63.  _bitmasks, the
-column tables and build_lambda must equal their plain reference
-constructions, the product tables behind the column tables must stay
-small, and each p = 2 level of subsets its rank-sorted subsets.  Every
-table's digit columns must give back its x, and every caller must ask
-for a table by one key.  A search's tables must be freed when it
-returns, with no reference cycle.
+support size by odometer index, up to ranks past 2**63.  The column
+tables and build_lambda must equal their plain reference constructions,
+the product tables behind the column tables must stay small, and each
+p = 2 level of subsets its rank-sorted subsets.  Every table's digit
+columns must give back its x, and every caller must ask for a table by
+one key.  A search's tables must be freed when it returns, with no
+reference cycle.
 """
 
 import gc
@@ -248,19 +248,6 @@ def folded_masks(a):
     return [sum(1 << j for j, v in enumerate(row) if v) for row in np.atleast_2d(a).tolist()]
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 62, 63])
-def test_bitmasks_equal_a_python_fold(n):
-    rng = np.random.default_rng(n)
-    a = rng.integers(0, 3, size=(5, n))
-    a[0] = 0
-    a[1] = 1  # every bit, the top one included
-    assert D._bitmasks(a) == folded_masks(a)
-    assert all(type(v) is int for v in D._bitmasks(a))
-    for row in a:
-        got = D._bitmasks(row)
-        assert type(got) is int and [got] == folded_masks(row)
-
-
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 63])
 def test_gf2_column_table_holds_the_bitmasks_of_the_columns(n):
     """0, then column j's mask at 1 + j, in uint32 up to 32 vertices and uint64 above."""
@@ -269,7 +256,7 @@ def test_gf2_column_table_holds_the_bitmasks_of_the_columns(n):
     dt = np.uint32 if n <= 32 else np.uint64
     colv = D._column_table(gamma, 2, dt)
     assert colv.dtype == dt
-    assert colv.tolist() == [0] + D._bitmasks(gamma.T)
+    assert colv.tolist() == [0] + folded_masks(gamma.T)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 61, 67, 257])
