@@ -63,24 +63,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_flag(check):
-    """An argparse type: an integer that check validates; either failure is a usage error."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        try:
-            return check(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
-_prime_flag = _int_flag(lambda p: PrimeField(p).p)
-_max_n_flag = _int_flag(lambda n: SearchConfig(max_vertices=n).max_vertices)
+def _prime_flag(text: str) -> int:
+    """An argparse type: an integer that PrimeField accepts; either failure is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    try:
+        return PrimeField(value).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -94,8 +86,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--quiet", action="store_true", help="suppress warnings on stderr")
         if search:
-            sp.add_argument("--max-n", type=_max_n_flag, default=None, help="vertex cap for the exhaustive search")
-            sp.add_argument("--force", action="store_true", help="search regardless of the configured budget")
+            sp.add_argument("--force", action="store_true", help="lift the search's caps and budgets")
 
     sp = sub.add_parser("distance", help="diagonal distance of a graph")
     sp.add_argument("graph_file")
@@ -141,10 +132,6 @@ def _graph_fields(g: Multigraph, f: PrimeField, fields: dict) -> dict:
     return {"p": f.p, "n": g.n, **fields, "warnings": warnings}
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(max_vertices=args.max_n, force=args.force)
-
-
 def _word_str(k: SymplecticVector) -> str:
     parts = []
     for i in range(1, k.n + 1):
@@ -172,7 +159,7 @@ def _witness(k: SymplecticVector, prefix: str = "witness") -> dict:
 
 def _cmd_distance(args):
     g, f = _load_graph(args)
-    rep = diagonal_distance(g, f, _search_config(args))
+    rep = diagonal_distance(g, f, SearchConfig(force=args.force))
     fields = _graph_fields(
         g, f, {"distance": rep.distance, **_witness(rep.witness), "vectors_examined": rep.vectors_examined}
     )
@@ -191,7 +178,7 @@ def _cmd_code_distance(args):
     codes = parse_codewords(Path(args.codes_file).read_text(encoding="utf-8"), g.n, f)
     if not codes:
         raise ParseError("codeword file contains no codewords")
-    res = code_distance(g, f, codes, _search_config(args))
+    res = code_distance(g, f, codes, SearchConfig(force=args.force))
     best = res.table[res.pair].witness
     pairs = [[r, s, rep.distance] for (r, s), rep in res.table.items()]
     fields = _graph_fields(g, f, {"distance": res.delta, "pair": list(res.pair), **_witness(best), "pairs": pairs})
@@ -222,7 +209,7 @@ def _cmd_kernel(args):
 
 def _cmd_verify(args):
     g, f = _load_graph(args)
-    fast = diagonal_distance(g, f, _search_config(args))
+    fast = diagonal_distance(g, f, SearchConfig(force=args.force))
     # --force lifts the oracle's 2**20-word cap as well; its memory stays bounded
     # by the oracle's block of 2**12 words, however many words it walks
     cap_args = {"hard_cap": f.p ** (2 * g.n)} if args.force else {}
@@ -261,7 +248,8 @@ def main(argv=None) -> int:
     try:
         fields, lines, code = args.func(args)
     except (_UsageError, SearchTooLarge, ValueError, OSError) as exc:  # ParseError is a ValueError
-        print(f"diagdist: error: {exc}", file=sys.stderr)
+        # the library's refusals advise setting SearchConfig's field; the command line names its flag
+        print(f"diagdist: error: {str(exc).replace('; set force', '; pass --force')}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 3 if isinstance(exc, SearchTooLarge) else 2
     payload = {"command": args.command, **fields, "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
     if not args.quiet:

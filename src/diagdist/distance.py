@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _index, _int64s, _residues
+from .gfp import PrimeField, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -100,34 +100,29 @@ _ROWS = 64
 
 
 class SearchTooLarge(Exception):
-    """The requested exhaustive search exceeds the configured budget."""
+    """The requested exhaustive search exceeds a cap or budget of the search."""
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Caps on the p**n exhaustive search.
 
-    max_vertices of None means the per-prime default (24 for p = 2, 12
-    otherwise).  Else it is read through operator.index and kept as a
-    Python int, as PrimeField.p is: a float or a string raises ValueError.
-    force disables the vertex cap, the global candidate budget,
-    code_distance's cap of MAX_CODEWORDS = 1024 codewords and its work
-    budget of CODE_BUDGET = 2**36 candidates, but never admits
-    p**n >= 2**64, past the uint64 ranks of the search: at p = 2, n >= 64
-    is always refused.
+    Unforced, the search refuses n above 24 at p = 2 or 12 otherwise, and
+    p**n above DEFAULT_CANDIDATE_BUDGET = 2**24 candidates; code_distance
+    also refuses more than MAX_CODEWORDS = 1024 codewords and a work bound
+    above CODE_BUDGET = 2**36 candidates.  force lifts all four, but never
+    admits p**n >= 2**64, past the uint64 ranks of the search.  force must
+    be a bool or a numpy bool, kept as a Python bool: a string such as
+    "no", a number or a list raises ValueError, since its truth would lift
+    every cap.
     """
 
-    max_vertices: int | None = None
     force: bool = False
 
     def __post_init__(self):
-        if self.max_vertices is not None:
-            object.__setattr__(self, "max_vertices", _index(self.max_vertices, "max_vertices"))
-            if self.max_vertices < 1:
-                raise ValueError("max_vertices must be >= 1")
-
-    def vertex_cap(self, p: int) -> int:
-        return self.max_vertices if self.max_vertices is not None else 24 if p == 2 else 12
+        if not isinstance(self.force, (bool, np.bool_)):
+            raise ValueError(f"force must be True or False, got {type(self.force).__name__}")
+        object.__setattr__(self, "force", bool(self.force))
 
 
 @dataclass(frozen=True)
@@ -240,16 +235,13 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
 
 
 def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
-    if p == 2 and n >= 64:
-        raise SearchTooLarge(f"n = {n} exceeds the 63 vertices that uint64 bitmasks hold at p = 2")
+    if p**n >= 1 << 64:  # the ranks t < p**n are held in uint64, forced or not
+        raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
     if cfg.force:
-        if p**n >= 1 << 64:  # the ranks t < p**n are held in uint64; unforced, the budget refuses first
-            raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
         return
-    cap = cfg.vertex_cap(p)
-    if n > cap:  # a higher cap admits the search only where the budget does too
-        advice = "set force" if p**n > DEFAULT_CANDIDATE_BUDGET else "raise max_vertices or set force"
-        raise SearchTooLarge(f"n = {n} exceeds the vertex cap {cap} for p = {p}; {advice}")
+    cap = 24 if p == 2 else 12
+    if n > cap:
+        raise SearchTooLarge(f"n = {n} exceeds the vertex cap {cap} for p = {p}; set force")
     if p**n > DEFAULT_CANDIDATE_BUDGET:
         raise SearchTooLarge(
             f"p**n = {p**n} exceeds the candidate budget {DEFAULT_CANDIDATE_BUDGET}; set force"
@@ -887,8 +879,8 @@ def diagonal_distance(
     """Exact minimum chi-weight over the nonzero kernel of [I | Gamma].
 
     Accounts for all p**n - 1 nonzero kernel points, weighing those up to
-    the distance's support level; raises SearchTooLarge when p**n exceeds
-    the configured budget and cfg.force is unset, or reaches 2**64.
+    the distance's support level; raises SearchTooLarge when p**n reaches
+    2**64, or when n or p**n is past its cap and cfg.force is unset.
     """
     return _searcher(g, f, cfg)(np.zeros(g.n, dtype=np.int64))
 

@@ -10,10 +10,9 @@ refusing any that int64 does not hold exactly (a multigraph's
 multiplicities, build_lambda's Gamma, a SymplecticVector's parts, an
 OperatorWord's exponents, as n pairs); and _index reads a scalar that must
 be an integer (a prime, is_prime's argument, a vertex count, the vertex
-index of apply_z and apply_x, SearchConfig.max_vertices, the oracle's
-hard_cap).  The first two let an integral float through and _index does
-not; each raises ValueError where a cast would truncate, wrap or drop a
-part.
+index of apply_z and apply_x, the oracle's hard_cap).  The first two let
+an integral float through and _index does not; each raises ValueError
+where a cast would truncate, wrap or drop a part.
 Parsing text tokens in the file formats and the command line is not
 reading a caller's number, and stays with the parsers.
 Everything here is a pure function: inputs are never mutated, results are

@@ -1,8 +1,9 @@
 """Every public callable against a fixed corpus of malformed numbers and arrays.
 
 Each callable in diagdist.__all__ is called with valid arguments but one,
-a number or an array, which takes each value of CORPUS in turn.  Graph,
-field, word, flag and file-text arguments are not varied.  Each call must:
+a number, an array or SearchConfig's force flag, which takes each value of
+CORPUS in turn.  Graph, field, word and file-text arguments are not
+varied.  Each call must:
 
 * raise ValueError or IndexError with a one-line message;
 * raise TypeError where the value has the wrong kind: None, a string, or
@@ -10,6 +11,8 @@ field, word, flag and file-text arguments are not varied.  Each call must:
 * or be on ACCEPTED, with its reason, and then return.
 
 Where an integer is needed (INT), NaN, inf and 1.5 must raise ValueError.
+force (FLAG) takes only a bool, so every value of CORPUS raises ValueError:
+a truthy string or NaN would lift every cap of the search.
 tests/test_hostile_inputs.py drives the same readers through the command
 line, from mutated files.
 """
@@ -57,7 +60,7 @@ CORPUS = {
     "()": (),
 }
 NON_INTEGRAL = {"nan", "inf", "1.5"}
-INT, SEQ = "an integer", "a sequence"
+INT, SEQ, FLAG = "an integer", "a sequence", "a bool"
 
 F = PrimeField(3)
 G = generate("cycle", 3)
@@ -79,7 +82,7 @@ CALLS = {
     "Multigraph": (lambda n=3, mult=GAMMA: Multigraph(n, mult), {"n": INT, "mult": SEQ}),
     "OperatorWord": (lambda exponents=((1, 0),): OperatorWord(exponents), {"exponents": SEQ}),
     "PrimeField": (lambda p=3: PrimeField(p), {"p": INT}),
-    "SearchConfig": (lambda max_vertices=3: SearchConfig(max_vertices), {"max_vertices": INT}),
+    "SearchConfig": (lambda force=True: SearchConfig(force=force), {"force": FLAG}),
     "SymplecticVector": (lambda entries=(1, 0): SymplecticVector(entries), {"entries": SEQ}),
     "apply_word": (lambda l=L, gamma=GAMMA: apply_word(WORD, l, gamma, F), {"l": SEQ, "gamma": SEQ}),
     "apply_x": (
@@ -107,7 +110,7 @@ CALLS = {
     "serialize": (lambda p=3: serialize(G, p), {"p": INT}),
     "solve": (lambda m=GAMMA, rhs=L: solve(m, rhs, F), {"m": SEQ, "rhs": SEQ}),
 }
-# callables whose arguments are all graphs, fields, words, flags or text
+# callables whose arguments are all graphs, fields, words, search configurations or text
 UNVARIED = {
     "ParseError",
     "SearchTooLarge",
@@ -126,8 +129,6 @@ ACCEPTED = {
     ("CodeDistanceResult", "pair"): RECORD_REASON,
     ("DistanceReport", "distance"): RECORD_REASON,
     ("DistanceReport", "vectors_examined"): RECORD_REASON,
-    ("SearchConfig", "max_vertices", "None"): "the per-prime default vertex cap",
-    ("SearchConfig", "max_vertices", "2**70"): "a cap above every graph; the candidate budget still applies",
     ("serialize", "p", "None"): "no p header",
     ("SymplecticVector", "entries", "()"): "the vector of a word on no vertices: 0 entries is an even length",
     ("apply_x", "e", "2**70"): "an exponent is reduced mod p",
@@ -164,10 +165,12 @@ def test_a_malformed_value_is_refused_or_accepted_on_the_list(name, arg, label):
     except (ValueError, IndexError) as e:
         assert not reason, f"{name}({arg}={label}) is on the accepted list ({reason}) but raised {e!r}"
         assert isinstance(e, ValueError) or kinds[arg] == SEQ or label not in NON_INTEGRAL, f"{name}: {e!r}"
+        assert isinstance(e, ValueError) or kinds[arg] != FLAG, f"{name}({arg}={label}) raised {e!r}, not ValueError"
         assert "\n" not in str(e), f"{name}({arg}={label}) raised a message of several lines: {e}"
         return
     except TypeError as e:
         wrong_kind = label in ("None", "'x'") or kinds[arg] == SEQ and label in (*NON_INTEGRAL, "2**70")
+        assert kinds[arg] != FLAG, f"{name}({arg}={label}) raised {e!r}, not ValueError"
         assert wrong_kind and not reason, f"{name}({arg}={label}) raised {e!r}"
         assert "\n" not in str(e)
         return

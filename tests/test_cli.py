@@ -132,16 +132,18 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_budget_exit_code_and_force(capsys, tmp_path):
-    path = tmp_path / "e30.eg"
-    path.write_text(serialize(generate("edgeless", 30)))
-    code, _, err = run(capsys, "distance", str(path))
-    assert code == 3
-    # the early exit makes the forced search on the edgeless graph instant
-    code, payload, _ = run_json(capsys, "distance", str(path), "--force")
-    assert code == 0
-    assert payload["distance"] == 1
-    code, _, err = run(capsys, "distance", str(path), "--max-n", "8")
-    assert code == 3
+    """The vertex cap and the candidate budget refuse with exit 3, and their advice names the flag."""
+    path = tmp_path / "edgeless.eg"
+    for n, p, refusal in (
+        (30, "2", "n = 30 exceeds the vertex cap 24 for p = 2"),
+        (11, "5", "p**n = 48828125 exceeds the candidate budget 16777216"),
+    ):
+        path.write_text(serialize(generate("edgeless", n)))
+        code, out, err = run(capsys, "distance", str(path), "--p", p)
+        assert (code, out, err) == (3, "", f"diagdist: error: {refusal}; pass --force\n")
+        # the early exit makes the forced search on the edgeless graph instant
+        code, payload, _ = run_json(capsys, "distance", str(path), "--p", p, "--force")
+        assert (code, payload["distance"]) == (0, 1)
 
 
 def test_a_code_past_the_codeword_cap_exits_3(capsys, tmp_path, cycle5_file):
@@ -149,7 +151,7 @@ def test_a_code_past_the_codeword_cap_exits_3(capsys, tmp_path, cycle5_file):
     codes.write_text("0 0 0 0 0\n" * (MAX_CODEWORDS + 1))
     code, out, err = run(capsys, "code-distance", cycle5_file, str(codes))
     assert (code, out) == (3, "")
-    assert err == f"diagdist: error: {MAX_CODEWORDS + 1} codewords exceed the cap of {MAX_CODEWORDS}; set force\n"
+    assert err == f"diagdist: error: {MAX_CODEWORDS + 1} codewords exceed the cap of {MAX_CODEWORDS}; pass --force\n"
 
 
 def test_a_code_past_the_work_budget_exits_3(capsys, monkeypatch, tmp_path, cycle5_file):
@@ -159,7 +161,7 @@ def test_a_code_past_the_work_budget_exits_3(capsys, monkeypatch, tmp_path, cycl
     monkeypatch.setattr(D, "CODE_BUDGET", 99)
     code, out, err = run(capsys, "code-distance", cycle5_file, str(codes))
     assert (code, out) == (3, "")
-    refusal = "4 distinct differences may weigh 100 candidates, past the code budget 99; set force"
+    refusal = "4 distinct differences may weigh 100 candidates, past the code budget 99; pass --force"
     assert err == f"diagdist: error: {refusal}\n"
     code, out, err = run(capsys, "code-distance", cycle5_file, str(codes), "--force")
     assert code == 0 and err == "" and "pair table" in out
@@ -469,8 +471,9 @@ def test_refusals_of_a_4096_vertex_path(capsys, tmp_path):
     path.write_text(serialize(generate("path", 4096)))
     cases = [
         (("kernel",), "kernel prints 2n**2 entries; n = 4096 exceeds 256 vertices"),
-        (("distance",), "n = 4096 exceeds the 63 vertices that uint64 bitmasks hold at p = 2"),
-        (("distance", "--p", "3"), "n = 4096 exceeds the vertex cap 12 for p = 3; set force"),
+        (("distance",), "p**n = 2**4096 is not below 2**64, the ranks that uint64 holds"),
+        (("distance", "--p", "3"), "p**n = 3**4096 is not below 2**64, the ranks that uint64 holds"),
+        (("distance", "--p", "3", "--force"), "p**n = 3**4096 is not below 2**64, the ranks that uint64 holds"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
@@ -486,7 +489,7 @@ def test_warnings_are_listed_only_after_the_work(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, lambda g, f, real=real, name=name: calls.append(name) or real(g, f))
     path = tmp_path / "path300.eg"
     path.write_text(serialize(generate("path", 300)))
-    for argv in (("kernel",), ("distance",), ("distance", "--p", "3"), ("verify", "--max-n", "8")):
+    for argv in (("kernel",), ("distance",), ("distance", "--p", "3"), ("verify",)):
         assert run(capsys, argv[0], str(path), *argv[1:])[0] == 3, argv
     assert calls == []
     path.write_text("n 2\ne 1 2 2\n")
@@ -500,16 +503,8 @@ def test_warnings_are_listed_only_after_the_work(capsys, tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_n_below_one_is_a_usage_error(capsys, cycle5_file, value):
-    for command in ("distance", "verify"):
-        code, out, err = run(capsys, command, cycle5_file, "--max-n", value)
-        assert (code, out) == (1, ""), command
-        assert err.endswith(f"diagdist {command}: error: argument --max-n: max_vertices must be >= 1\n")
-    assert run(capsys, "distance", cycle5_file, "--max-n", "x")[0] == 1
-
-
-def test_max_n_that_is_not_an_integer_is_a_usage_error(capsys, cycle5_file):
-    code, out, err = run(capsys, "distance", cycle5_file, "--max-n", "2.5")
+def test_max_n_is_not_an_option(capsys, cycle5_file):
+    """The vertex caps are constants; --force is the one way past them."""
+    code, out, err = run(capsys, "distance", cycle5_file, "--max-n", "8")
     assert (code, out) == (1, "")
-    assert err.endswith("diagdist distance: error: argument --max-n: '2.5' is not an integer\n")
+    assert err.endswith("diagdist: error: unrecognized arguments: --max-n 8\n")

@@ -23,6 +23,7 @@ from diagdist import (
     pairwise_distance,
     rref,
 )
+from diagdist import distance as D
 from helpers import (
     CYCLE5_KERNEL,
     CYCLE5_LAMBDA,
@@ -162,57 +163,60 @@ def test_diagonal_distance_k3_examines_all_points():
 def test_search_budget():
     g = generate("cycle", 30)
     with pytest.raises(SearchTooLarge):
-        diagonal_distance(g, F2)  # default vertex cap is 24
-    with pytest.raises(SearchTooLarge):
-        diagonal_distance(g, F2, SearchConfig(max_vertices=30))  # 2**30 over budget
+        diagonal_distance(g, F2)  # the vertex cap is 24 for p = 2
     g13 = generate("cycle", 13)
     with pytest.raises(SearchTooLarge):
-        diagonal_distance(g13, F3)  # default cap for p >= 3 is 12
+        diagonal_distance(g13, F3)  # and 12 for p >= 3
     e13 = generate("edgeless", 13)
     with pytest.raises(SearchTooLarge):
         diagonal_distance(e13, F3)
     forced = diagonal_distance(e13, F3, SearchConfig(force=True))
     assert forced.distance == 1  # weight-1 early exit, so force stays cheap
+    with pytest.raises(SearchTooLarge, match=r"^p\*\*n = 48828125 exceeds the candidate budget 16777216; set force$"):
+        diagonal_distance(generate("edgeless", 11), PrimeField(5))  # 5**11 > 2**24, below the cap
 
 
 @pytest.mark.parametrize("p, n", [(2, 25), (3, 16), (5, 13), (7, 13)])
 def test_a_vertex_cap_refusal_past_the_budget_advises_force_alone(p, n):
-    """p**n is over the candidate budget, so a cap raised to n only meets the budget's refusal."""
     g, f = generate("edgeless", n), PrimeField(p)
     cap = 24 if p == 2 else 12
     with pytest.raises(SearchTooLarge, match=rf"^n = {n} exceeds the vertex cap {cap} for p = {p}; set force$"):
         diagonal_distance(g, f)
-    with pytest.raises(SearchTooLarge, match="exceeds the candidate budget"):
-        diagonal_distance(g, f, SearchConfig(max_vertices=n))
 
 
-@pytest.mark.parametrize("p, n, cap", [(3, 13, None), (3, 15, None), (2, 10, 5), (5, 8, 7)])
-def test_a_vertex_cap_refusal_within_the_budget_advises_raising_the_cap(p, n, cap):
-    """The default cap at p = 3 below 3**15 < 2**24, or any lowered cap: a cap raised to n admits the search."""
-    g, f = generate("edgeless", n), PrimeField(p)
-    advice = rf"^n = {n} exceeds the vertex cap {cap or 12} for p = {p}; raise max_vertices or set force$"
-    with pytest.raises(SearchTooLarge, match=advice):
-        diagonal_distance(g, f, SearchConfig(max_vertices=cap))
-    assert diagonal_distance(g, f, SearchConfig(max_vertices=n)).distance == 1
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_a_vertex_cap_refusal_within_the_budget_advises_force(n):
+    """3**15 < 2**24: at p = 3 only the cap refuses n = 13-15, and force is the one way past it."""
+    g = generate("edgeless", n)
+    with pytest.raises(SearchTooLarge, match=rf"^n = {n} exceeds the vertex cap 12 for p = 3; set force$"):
+        diagonal_distance(g, F3)
+    assert diagonal_distance(g, F3, SearchConfig(force=True)).distance == 1
+
+
+@pytest.mark.parametrize("p, n", [(2, 64), (2, 100), (3, 41), (3, 4096), (16777213, 3)])
+def test_p_to_the_n_past_uint64_is_refused_forced_or_not(p, n):
+    """Force cannot lift this refusal, so an unforced search reports it first instead of advising force."""
+    refusal = rf"^p\*\*n = {p}\*\*{n} is not below 2\*\*64, the ranks that uint64 holds$"
+    for force in (False, True):
+        with pytest.raises(SearchTooLarge, match=refusal):
+            D._check_budget(n, p, SearchConfig(force=force))
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(max_vertices=0)
+    assert SearchConfig().force is False and SearchConfig(force=True).force is True
 
 
-@pytest.mark.parametrize("value", ["3", 2.5, 3.0])
-def test_a_max_vertices_that_is_not_an_integer_is_refused(value):
-    """A string raised TypeError from the comparison, and 2.5 was taken as a fractional cap."""
-    with pytest.raises(ValueError, match=f"max_vertices must be an integer, got {value!r}"):
-        SearchConfig(max_vertices=value)
+@pytest.mark.parametrize("value", ["no", "false", float("nan"), [0], 1, 0, np.int64(1), None])
+def test_a_force_that_is_not_a_bool_is_refused(value):
+    """Read by its truth, each would lift every cap or none: force="no" would admit a 2**30 search."""
+    with pytest.raises(ValueError, match=rf"^force must be True or False, got {type(value).__name__}$"):
+        SearchConfig(force=value)
 
 
-def test_a_numpy_integer_max_vertices_is_read_as_an_int():
-    cfg = SearchConfig(max_vertices=np.int64(5))
-    assert type(cfg.max_vertices) is int and cfg.vertex_cap(3) == 5
-    with pytest.raises(SearchTooLarge, match="n = 6 exceeds the vertex cap 5"):
-        diagonal_distance(generate("cycle", 6), F3, cfg)
+def test_a_numpy_bool_force_is_read_as_a_bool():
+    for value in (np.True_, np.False_):
+        cfg = SearchConfig(force=value)
+        assert type(cfg.force) is bool and cfg.force == value
 
 
 def test_pairwise_equal_codewords_is_diagonal():

@@ -19,6 +19,7 @@ from diagdist import (
     eta_sum,
     generate,
 )
+from diagdist import oracle
 from helpers import random_labelling, random_multigraph
 
 F2 = PrimeField(2)
@@ -222,3 +223,16 @@ def test_word_action_matches_lambda_k():
             apply_word(w, l, gamma, f), (l + lam @ k.as_array()) % p
         )
         assert eta_sum(w) == chi_weight(k, f)
+
+
+def test_a_walk_that_reaches_no_word_raises(monkeypatch):
+    """Single Z factors reach every target, so a walk of misses alone is the oracle's fault, not an answer."""
+    n = 3
+
+    def misses(gamma, f, target, k):
+        yield (), np.full(f.p**k, n + 1)
+
+    monkeypatch.setattr(oracle, "_word_blocks", misses)
+    message = "^no word reached the target, yet single Z factors reach every translation$"
+    with pytest.raises(RuntimeError, match=message):
+        brute_force_distance(generate("cycle", n), F3)

@@ -1,13 +1,18 @@
-"""README's Library example runs, and gives the values its comments state.
+"""README's Library example runs, and its Command line section names the parser's flags.
 
 The fenced Python block under "## Library" is run statement by statement.
 An expression statement whose line ends in a comment that is one integer,
-as in ``rep.distance  # 3``, must evaluate to that integer.
+as in ``rep.distance  # 3``, must evaluate to that integer.  Every --flag
+under "## Command line" is an option of some subcommand, and every option
+of a subcommand but --help is named there.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from diagdist import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +38,14 @@ def test_the_library_example_gives_the_values_its_comments_state():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
     assert checked == [3, 31, 3]  # rep.distance, rep.vectors_examined, the pairwise distance
+
+
+def test_the_command_line_section_names_every_flag_of_the_parser():
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## Command line\n(.*?)^## ", text, re.DOTALL | re.MULTILINE)
+    assert section, "README has no ## Command line section"
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section.group(1)))
+    (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for sp in subcommands.choices.values() for a in sp._actions for o in a.option_strings}
+    options = {o for o in options if o.startswith("--")} - {"--help"}
+    assert documented == options, f"doc-only {sorted(documented - options)}, parser-only {sorted(options - documented)}"
