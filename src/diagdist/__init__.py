@@ -15,7 +15,6 @@ The ``diagdist`` console script exposes all of it on the command line.
 from .distance import (
     CodeDistanceResult,
     DistanceReport,
-    SearchConfig,
     SearchTooLarge,
     SymplecticVector,
     build_lambda,
@@ -56,7 +55,6 @@ __all__ = [
     "OperatorWord",
     "ParseError",
     "PrimeField",
-    "SearchConfig",
     "SearchTooLarge",
     "SymplecticVector",
     "adjacency_matrix",

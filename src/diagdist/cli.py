@@ -12,7 +12,8 @@ Subcommands:
 The prime is resolved as: --p flag, else the file's p header, else 2.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 search
-budget exceeded, 4 verify mismatch.
+budget exceeded, 4 verify mismatch, 141 stdout closed before the output
+was written (as a shell reports a tool that SIGPIPE ended).
 
 JSON payloads have a fixed key order and are byte-identical across runs on
 identical inputs, except for the elapsed_ms field.
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .distance import (
-    SearchConfig,
     SearchTooLarge,
     SymplecticVector,
     build_lambda,
@@ -159,7 +160,7 @@ def _witness(k: SymplecticVector, prefix: str = "witness") -> dict:
 
 def _cmd_distance(args):
     g, f = _load_graph(args)
-    rep = diagonal_distance(g, f, SearchConfig(force=args.force))
+    rep = diagonal_distance(g, f, force=args.force)
     fields = _graph_fields(
         g, f, {"distance": rep.distance, **_witness(rep.witness), "vectors_examined": rep.vectors_examined}
     )
@@ -178,7 +179,7 @@ def _cmd_code_distance(args):
     codes = parse_codewords(Path(args.codes_file).read_text(encoding="utf-8"), g.n, f)
     if not codes:
         raise ParseError("codeword file contains no codewords")
-    res = code_distance(g, f, codes, SearchConfig(force=args.force))
+    res = code_distance(g, f, codes, force=args.force)
     best = res.table[res.pair].witness
     pairs = [[r, s, rep.distance] for (r, s), rep in res.table.items()]
     fields = _graph_fields(g, f, {"distance": res.delta, "pair": list(res.pair), **_witness(best), "pairs": pairs})
@@ -209,11 +210,8 @@ def _cmd_kernel(args):
 
 def _cmd_verify(args):
     g, f = _load_graph(args)
-    fast = diagonal_distance(g, f, SearchConfig(force=args.force))
-    # --force lifts the oracle's 2**20-word cap as well; its memory stays bounded
-    # by the oracle's block of 2**12 words, however many words it walks
-    cap_args = {"hard_cap": f.p ** (2 * g.n)} if args.force else {}
-    slow = brute_force_distance(g, f, **cap_args)
+    fast = diagonal_distance(g, f, force=args.force)
+    slow = brute_force_distance(g, f, force=args.force)  # forced, its memory stays bounded by its blocks
     match = fast.distance == slow.distance
     fields = _graph_fields(g, f, {
         "match": match, "distance": fast.distance, **_witness(fast.witness),
@@ -248,18 +246,19 @@ def main(argv=None) -> int:
     try:
         fields, lines, code = args.func(args)
     except (_UsageError, SearchTooLarge, ValueError, OSError) as exc:  # ParseError is a ValueError
-        # the library's refusals advise setting SearchConfig's field; the command line names its flag
+        # the library's refusals advise setting its force keyword; the command line names its flag
         print(f"diagdist: error: {str(exc).replace('; set force', '; pass --force')}", file=sys.stderr)
         return 1 if isinstance(exc, _UsageError) else 3 if isinstance(exc, SearchTooLarge) else 2
     payload = {"command": args.command, **fields, "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
     if not args.quiet:
         for w in fields["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        sys.stdout.flush()  # a reader that closed the pipe early is met here, not at the interpreter's exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is still buffered goes nowhere
+        return 141  # 128 + SIGPIPE, what a shell shows for a tool that a closed pipe ended
     return code
 
 

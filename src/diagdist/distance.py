@@ -85,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import PrimeField, _int64s, _residues
+from .gfp import PrimeField, _flag, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
@@ -101,28 +101,6 @@ _ROWS = 64
 
 class SearchTooLarge(Exception):
     """The requested exhaustive search exceeds a cap or budget of the search."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Caps on the p**n exhaustive search.
-
-    Unforced, the search refuses n above 24 at p = 2 or 12 otherwise, and
-    p**n above DEFAULT_CANDIDATE_BUDGET = 2**24 candidates; code_distance
-    also refuses more than MAX_CODEWORDS = 1024 codewords and a work bound
-    above CODE_BUDGET = 2**36 candidates.  force lifts all four, but never
-    admits p**n >= 2**64, past the uint64 ranks of the search.  force must
-    be a bool or a numpy bool, kept as a Python bool: a string such as
-    "no", a number or a list raises ValueError, since its truth would lift
-    every cap.
-    """
-
-    force: bool = False
-
-    def __post_init__(self):
-        if not isinstance(self.force, (bool, np.bool_)):
-            raise ValueError(f"force must be True or False, got {type(self.force).__name__}")
-        object.__setattr__(self, "force", bool(self.force))
 
 
 @dataclass(frozen=True)
@@ -234,10 +212,16 @@ def kernel_point(gamma, x, f: PrimeField) -> SymplecticVector:
     return SymplecticVector.from_parts(-(gamma @ x) % f.p, x)
 
 
-def _check_budget(n: int, p: int, cfg: SearchConfig) -> None:
+def _check_budget(n: int, p: int, force: bool) -> None:
+    """Refuse p**n >= 2**64, past the uint64 ranks of the search, forced or not.
+
+    Unforced, also refuse n above 24 at p = 2 or 12 otherwise, and p**n
+    above DEFAULT_CANDIDATE_BUDGET = 2**24 candidates.  force is a bool
+    that its caller has read through _flag.
+    """
     if p**n >= 1 << 64:  # the ranks t < p**n are held in uint64, forced or not
         raise SearchTooLarge(f"p**n = {p}**{n} is not below 2**64, the ranks that uint64 holds")
-    if cfg.force:
+    if force:
         return
     cap = 24 if p == 2 else 12
     if n > cap:
@@ -606,8 +590,8 @@ def _powers(p: int) -> np.ndarray:
     return powers
 
 
-def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
-    """Check the budget and build Gamma, Lambda and the per-graph tables once.
+def _searcher(g: Multigraph, f: PrimeField, force: bool):
+    """Check the budget, with force read by the caller, and build Gamma, Lambda and the per-graph tables once.
 
     What depends on p and _BLOCK alone, the pattern tables and their digit
     columns (_table), the level plan (_level_plan), the products mod p
@@ -657,7 +641,7 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     more than its own form.
     """
     n, p = g.n, f.p
-    _check_budget(n, p, cfg)
+    _check_budget(n, p, force)
     gamma = adjacency_matrix(g, f)
     lam = build_lambda(gamma)
     if p == 2:
@@ -873,16 +857,18 @@ def _searcher(g: Multigraph, f: PrimeField, cfg: SearchConfig):
     return search
 
 
-def diagonal_distance(
-    g: Multigraph, f: PrimeField, cfg: SearchConfig = SearchConfig()
-) -> DistanceReport:
+def diagonal_distance(g: Multigraph, f: PrimeField, *, force: bool = False) -> DistanceReport:
     """Exact minimum chi-weight over the nonzero kernel of [I | Gamma].
 
     Accounts for all p**n - 1 nonzero kernel points, weighing those up to
-    the distance's support level; raises SearchTooLarge when p**n reaches
-    2**64, or when n or p**n is past its cap and cfg.force is unset.
+    the distance's support level.  Raises SearchTooLarge when p**n reaches
+    2**64, and, unless force is set, when n is above 24 at p = 2 or 12
+    otherwise, or p**n above DEFAULT_CANDIDATE_BUDGET = 2**24.  force is
+    read through _flag before any cap is tested: a bool or a numpy bool,
+    and a string such as "no", a number or a list raises ValueError, since
+    its truth would lift every cap.
     """
-    return _searcher(g, f, cfg)(np.zeros(g.n, dtype=np.int64))
+    return _searcher(g, f, _flag(force, "force"))(np.zeros(g.n, dtype=np.int64))
 
 
 def pairwise_distance(
@@ -890,23 +876,27 @@ def pairwise_distance(
     f: PrimeField,
     cr,
     cs,
-    cfg: SearchConfig = SearchConfig(),
+    *,
+    force: bool = False,
 ) -> DistanceReport:
     """Minimum chi-weight over solutions of Lambda k = cr - cs (mod p).
 
     The solution set is the affine family { (d - Gamma x | x) : x in (Z/pZ)^n }
     with d = cr - cs; when cr = cs this is exactly diagonal_distance.  The
     witness carries cs to cr (brute_force_pairwise's carries cr to cs).
+    force is read, and the caps refuse, as in diagonal_distance.
     """
+    force = _flag(force, "force")
     cr, cs = _residues(cr, f.p, g.n), _residues(cs, f.p, g.n)
-    return _searcher(g, f, cfg)((cr - cs) % f.p)
+    return _searcher(g, f, force)((cr - cs) % f.p)
 
 
 def code_distance(
     g: Multigraph,
     f: PrimeField,
     codewords: list,
-    cfg: SearchConfig = SearchConfig(),
+    *,
+    force: bool = False,
 ) -> CodeDistanceResult:
     """Distance of the code given by a list of codeword labellings.
 
@@ -934,14 +924,14 @@ def code_distance(
     The codewords are read in one _residues call, exact for any mix of
     dtypes and Python ints, once each has length n.  A code of more than
     MAX_CODEWORDS = 1024 codewords raises SearchTooLarge before any pair is
-    built, unless cfg.force is set: 1024 take 524,800 pairs, which peaked
+    built, unless force is set: 1024 take 524,800 pairs, which peaked
     at 141 MB for random codewords on the 5-cycle, 144 MB on the 12-cycle
     and 143 MB for the span of 10 random rows on the 24-cycle at p = 2,
     and 8,000 would need about 8 GB.
 
     A code whose walks may weigh more than CODE_BUDGET = 2**36 candidates
     in all raises SearchTooLarge before its pair table is built, unless
-    cfg.force is set: the searcher's budget bounds each search, not their
+    force is set: the searcher's budget bounds each search, not their
     number.  A difference d has the word (d | 0) of weight |supp d|, so
     its walk ends by that level, and d = 0 has, for each vertex i, the
     x = e_i of weight at most 1 + |supp Gamma[:, i]|; a walk ending by
@@ -949,29 +939,32 @@ def code_distance(
     s <= b.  The keying loop adds each new distinct difference's bound as
     it appears and refuses at the first block past the budget: 1024
     random codewords on the 24-cycle at p = 2 (2**42.1) are refused after
-    two blocks, 8,172 distinct differences.  The bounds are summed only
-    when the k (k + 1) / 2 pairs' p**n candidates pass the budget, as for
-    no code of up to 90 codewords unforced, and compared with it only
-    once the distinct differences' p**n pass it: only then is Gamma read,
-    for d = 0's bound.
+    two blocks, 8,172 distinct differences.  The bounds are summed, from
+    d = 0's, which reads Gamma, only when the k (k + 1) / 2 pairs' p**n
+    candidates pass the budget, as for no code of up to 90 codewords
+    unforced.  force is read as diagonal_distance reads it, before any
+    cap is tested.
     """
     if len(codewords) < 1:
         raise ValueError("need at least one codeword")
-    if len(codewords) > MAX_CODEWORDS and not cfg.force:  # before any pair is built
+    force = _flag(force, "force")  # read before any cap is tested
+    if len(codewords) > MAX_CODEWORDS and not force:  # before any pair is built
         raise SearchTooLarge(f"{len(codewords)} codewords exceed the cap of {MAX_CODEWORDS}; set force")
     n, p = g.n, f.p
-    search = _searcher(g, f, cfg)  # its budget check guarantees p**n < 2**64, so the keys below are exact
+    search = _searcher(g, f, force)  # its budget check guarantees p**n < 2**64, so the keys below are exact
     if any(np.shape(c) != (n,) for c in codewords):
         raise ValueError(f"labellings must have length {n}")
     reduced = _residues(codewords, p)  # int64 in [0, p), exact for any mix of dtypes, so cr - cs fits int64
     k, powers = len(reduced), _powers(p)[:n]
     # every pair r <= s in scan order, (1, 1) and d = 0 first; past 64 codewords uncached, its tuples built once keyed
     pairs, first_word, second_word = _pairs(k) if k <= 64 else ((), *np.triu_indices(k))
-    ends = None  # a walk ending by level b weighs ends[b] candidates
-    if not cfg.force and k * (k + 1) // 2 * p**n > CODE_BUDGET:  # else the walks' p**n candidates sum within it
+    ends, work = None, 0  # a walk ending by level b weighs ends[b] candidates; work: the bounds summed so far
+    if not force and k * (k + 1) // 2 * p**n > CODE_BUDGET:  # else the walks' p**n candidates sum within it
         ends = list(itertools.accumulate(_size(n, p, s) for s in range(n + 1)))
+        # d = 0 has, for each vertex i, the x = e_i of weight at most 1 + |supp Gamma[:, i]|
+        work = ends[min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())]
     first: dict[int, int] = {}  # the key sum d_j p**j of a difference -> the index of its first pair
-    which, rows, work, zero = [], [], 0, None  # rows: each block's new differences; work: their bounds but d = 0's
+    which, rows = [], []  # rows: each block's new differences
     for i in range(0, len(first_word), _BLOCK):
         diffs = reduced.take(first_word[i : i + _BLOCK], axis=0) - reduced.take(second_word[i : i + _BLOCK], axis=0)
         diffs %= p
@@ -981,12 +974,9 @@ def code_distance(
         if not ends:
             continue
         work += sum(ends[s] for s in np.count_nonzero(rows[-1], axis=1).tolist() if s)  # (d | 0) weighs |supp d|
-        if len(first) * p**n > CODE_BUDGET:
-            if zero is None:  # d = 0 has, for each vertex i, the x = e_i of weight at most 1 + |supp Gamma[:, i]|
-                zero = ends[min(n, 1 + np.count_nonzero(adjacency_matrix(g, f), axis=0).min())]
-            if work + zero > CODE_BUDGET:
-                raise SearchTooLarge(f"{len(first)} distinct differences may weigh {work + zero} candidates, "
-                                     f"past the code budget {CODE_BUDGET}; set force")
+        if work > CODE_BUDGET:
+            raise SearchTooLarge(f"{len(first)} distinct differences may weigh {work} candidates, "
+                                 f"past the code budget {CODE_BUDGET}; set force")
     pairs = pairs or tuple(zip((first_word + 1).tolist(), (second_word + 1).tolist()))  # _pairs' recipe
     distinct, diffs = list(first.values()), np.concatenate(rows)  # row c: the difference of pair distinct[c]
     reports = {}

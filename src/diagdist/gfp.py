@@ -10,9 +10,11 @@ refusing any that int64 does not hold exactly (a multigraph's
 multiplicities, build_lambda's Gamma, a SymplecticVector's parts, an
 OperatorWord's exponents, as n pairs); and _index reads a scalar that must
 be an integer (a prime, is_prime's argument, a vertex count, the vertex
-index of apply_z and apply_x, the oracle's hard_cap).  The first two let
-an integral float through and _index does not; each raises ValueError
-where a cast would truncate, wrap or drop a part.
+index of apply_z and apply_x).  The first two let an integral float
+through and _index does not; each raises ValueError where a cast would
+truncate, wrap or drop a part.  A flag, the force of the search and of
+the oracle, is read by _flag, which takes a bool or a numpy bool and
+refuses anything else, since a truthy string or NaN would lift every cap.
 Parsing text tokens in the file formats and the command line is not
 reading a caller's number, and stays with the parsers.
 Everything here is a pure function: inputs are never mutated, results are
@@ -88,6 +90,13 @@ def _index(v, name: str) -> int:
         return operator.index(v)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
+def _flag(v, name: str) -> bool:
+    """v as a Python bool: a bool or a numpy bool passes, anything else raises ValueError."""
+    if not isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {type(v).__name__}")
+    return bool(v)
 
 
 def _residues(c, p: int, n: int | None = None) -> np.ndarray:

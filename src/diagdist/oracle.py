@@ -39,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import DistanceReport, SearchTooLarge, SymplecticVector
-from .gfp import PrimeField, _as_matrix, _index, _int64s, _residues
+from .gfp import PrimeField, _as_matrix, _flag, _index, _int64s, _residues
 from .graphs import Multigraph, adjacency_matrix
 
-DEFAULT_ORACLE_CAP = 1 << 20
+DEFAULT_ORACLE_CAP = 1 << 20  # most words weighed unforced; read at call time
 _BLOCK = 1 << 12  # most words weighed per numpy step; read at call time
 
 
@@ -207,12 +207,11 @@ def _word_blocks(gamma, f: PrimeField, target: np.ndarray, k: int):
             yield digits, np.where(hits, eta, n + 1)
 
 
-def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int) -> DistanceReport:
-    hard_cap = _index(hard_cap, "hard_cap")  # NaN, inf or 1.5 would pass any size: total > nan is false
+def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, force: bool) -> DistanceReport:
     n, p = g.n, f.p
     total = p ** (2 * n)
-    if total > hard_cap:
-        raise SearchTooLarge(f"oracle would enumerate p**(2n) = {total} words, cap is {hard_cap}")
+    if total > DEFAULT_ORACLE_CAP and not force:
+        raise SearchTooLarge(f"oracle would enumerate p**(2n) = {total} words, cap is {DEFAULT_ORACLE_CAP}; set force")
     gamma = adjacency_matrix(g, f)
     k = next(k for k in range(2 * n, -1, -1) if p**k <= _BLOCK)  # digits per block
     best, best_eta = None, n + 1
@@ -233,15 +232,16 @@ def _brute_force(g: Multigraph, f: PrimeField, target: np.ndarray, hard_cap: int
     return DistanceReport(distance=best_eta, witness=word.to_vector(), vectors_examined=total)
 
 
-def brute_force_distance(
-    g: Multigraph, f: PrimeField, hard_cap: int = DEFAULT_ORACLE_CAP
-) -> DistanceReport:
+def brute_force_distance(g: Multigraph, f: PrimeField, *, force: bool = False) -> DistanceReport:
     """Minimum positive eta count over all words acting as the identity.
 
-    hard_cap is read through _index: NaN, inf or 1.5 raise ValueError, and
-    an integer below p**(2n) raises SearchTooLarge before any word is built.
+    Unless force is set, more than DEFAULT_ORACLE_CAP = 2**20 words raise
+    SearchTooLarge before any word is built; forced, memory stays bounded
+    by the blocks of _BLOCK words, however many words are walked.  force
+    is read through _flag before the cap is tested: a bool or a numpy
+    bool, and anything else raises ValueError.
     """
-    return _brute_force(g, f, np.zeros(g.n, dtype=np.int64), hard_cap)
+    return _brute_force(g, f, np.zeros(g.n, dtype=np.int64), _flag(force, "force"))
 
 
 def brute_force_pairwise(
@@ -249,15 +249,17 @@ def brute_force_pairwise(
     f: PrimeField,
     cr,
     cs,
-    hard_cap: int = DEFAULT_ORACLE_CAP,
+    *,
+    force: bool = False,
 ) -> DistanceReport:
     """Minimum positive eta count over all words mapping labelling cr to cs.
 
     A word maps cr to cs exactly when it translates the zero labelling to
     cs - cr, which is what gets tested; some word always does (single Z
     factors realize any translation), so the minimum exists.  The witness
-    carries cr to cs, the opposite way to pairwise_distance's.  hard_cap is
-    read as brute_force_distance reads it.
+    carries cr to cs, the opposite way to pairwise_distance's.  force is
+    read, and the cap refuses, as in brute_force_distance.
     """
+    force = _flag(force, "force")
     cr, cs = _residues(cr, f.p, g.n), _residues(cs, f.p, g.n)
-    return _brute_force(g, f, (cs - cr) % f.p, hard_cap)
+    return _brute_force(g, f, (cs - cr) % f.p, force)

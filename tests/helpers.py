@@ -127,8 +127,8 @@ def on_search(monkeypatch, see):
     """Wrap D._searcher so that each call of the search it returns, one walk, first calls see(d) with its difference."""
     real = D._searcher
 
-    def searcher(g, f, cfg):
-        search = real(g, f, cfg)
+    def searcher(g, f, force):
+        search = real(g, f, force)
 
         def spy(d):
             see(d)

@@ -1,8 +1,8 @@
 """Every public callable against a fixed corpus of malformed numbers and arrays.
 
 Each callable in diagdist.__all__ is called with valid arguments but one,
-a number, an array or SearchConfig's force flag, which takes each value of
-CORPUS in turn.  Graph, field, word and file-text arguments are not
+a number, an array or the force flag of a search or of the oracle, which
+takes each value of CORPUS in turn.  Graph, field, word and file-text arguments are not
 varied.  Each call must:
 
 * raise ValueError or IndexError with a one-line message;
@@ -12,7 +12,9 @@ varied.  Each call must:
 
 Where an integer is needed (INT), NaN, inf and 1.5 must raise ValueError.
 force (FLAG) takes only a bool, so every value of CORPUS raises ValueError:
-a truthy string or NaN would lift every cap of the search.
+a truthy string or NaN would lift every cap of the search or the oracle.
+The five callables that take force read it before any cap is tested, so
+it is refused on graphs far below every cap.
 tests/test_hostile_inputs.py drives the same readers through the command
 line, from mutated files.
 """
@@ -29,7 +31,6 @@ from diagdist import (
     Multigraph,
     OperatorWord,
     PrimeField,
-    SearchConfig,
     SymplecticVector,
     apply_word,
     apply_x,
@@ -38,6 +39,7 @@ from diagdist import (
     brute_force_pairwise,
     build_lambda,
     code_distance,
+    diagonal_distance,
     generate,
     is_prime,
     kernel_basis,
@@ -82,7 +84,6 @@ CALLS = {
     "Multigraph": (lambda n=3, mult=GAMMA: Multigraph(n, mult), {"n": INT, "mult": SEQ}),
     "OperatorWord": (lambda exponents=((1, 0),): OperatorWord(exponents), {"exponents": SEQ}),
     "PrimeField": (lambda p=3: PrimeField(p), {"p": INT}),
-    "SearchConfig": (lambda force=True: SearchConfig(force=force), {"force": FLAG}),
     "SymplecticVector": (lambda entries=(1, 0): SymplecticVector(entries), {"entries": SEQ}),
     "apply_word": (lambda l=L, gamma=GAMMA: apply_word(WORD, l, gamma, F), {"l": SEQ, "gamma": SEQ}),
     "apply_x": (
@@ -90,18 +91,25 @@ CALLS = {
         {"l": SEQ, "i": INT, "e": INT, "gamma": SEQ},
     ),
     "apply_z": (lambda l=L, i=1, e=1: apply_z(l, i, e, F), {"l": SEQ, "i": INT, "e": INT}),
-    "brute_force_distance": (lambda hard_cap=1 << 20: brute_force_distance(G, F, hard_cap), {"hard_cap": INT}),
+    "brute_force_distance": (lambda force=True: brute_force_distance(G, F, force=force), {"force": FLAG}),
     "brute_force_pairwise": (
-        lambda cr=L, cs=L, hard_cap=1 << 20: brute_force_pairwise(G, F, cr, cs, hard_cap),
-        {"cr": SEQ, "cs": SEQ, "hard_cap": INT},
+        lambda cr=L, cs=L, force=True: brute_force_pairwise(G, F, cr, cs, force=force),
+        {"cr": SEQ, "cs": SEQ, "force": FLAG},
     ),
     "build_lambda": (lambda gamma=GAMMA: build_lambda(gamma), {"gamma": SEQ}),
-    "code_distance": (lambda codewords=(L,): code_distance(G, F, codewords), {"codewords": SEQ}),
+    "code_distance": (
+        lambda codewords=(L,), force=True: code_distance(G, F, codewords, force=force),
+        {"codewords": SEQ, "force": FLAG},
+    ),
+    "diagonal_distance": (lambda force=True: diagonal_distance(G, F, force=force), {"force": FLAG}),
     "generate": (lambda n=3: generate("cycle", n), {"n": INT}),
     "is_prime": (lambda p=3: is_prime(p), {"p": INT}),
     "kernel_basis": (lambda m=GAMMA: kernel_basis(m, F), {"m": SEQ}),
     "kernel_point": (lambda gamma=GAMMA, x=L: kernel_point(gamma, x, F), {"gamma": SEQ, "x": SEQ}),
-    "pairwise_distance": (lambda cr=L, cs=L: pairwise_distance(G, F, cr, cs), {"cr": SEQ, "cs": SEQ}),
+    "pairwise_distance": (
+        lambda cr=L, cs=L, force=True: pairwise_distance(G, F, cr, cs, force=force),
+        {"cr": SEQ, "cs": SEQ, "force": FLAG},
+    ),
     "parse_codewords": (  # n_no_lines: the n of a text with no codeword line, which no line is checked against
         lambda n=3, n_no_lines=3: (parse_codewords("0 1 2\n", n, F), parse_codewords("", n_no_lines, F)),
         {"n": INT, "n_no_lines": INT},
@@ -110,13 +118,12 @@ CALLS = {
     "serialize": (lambda p=3: serialize(G, p), {"p": INT}),
     "solve": (lambda m=GAMMA, rhs=L: solve(m, rhs, F), {"m": SEQ, "rhs": SEQ}),
 }
-# callables whose arguments are all graphs, fields, words, search configurations or text
+# callables whose arguments are all graphs, fields, words or text
 UNVARIED = {
     "ParseError",
     "SearchTooLarge",
     "adjacency_matrix",
     "chi_weight",
-    "diagonal_distance",
     "eta_sum",
     "isolated_vertices",
     "parse_graph",
@@ -133,8 +140,6 @@ ACCEPTED = {
     ("SymplecticVector", "entries", "()"): "the vector of a word on no vertices: 0 entries is an even length",
     ("apply_x", "e", "2**70"): "an exponent is reduced mod p",
     ("apply_z", "e", "2**70"): "an exponent is reduced mod p",
-    ("brute_force_distance", "hard_cap", "2**70"): "a cap above this graph's p**(2n) words",
-    ("brute_force_pairwise", "hard_cap", "2**70"): "a cap above this graph's p**(2n) words",
     ("parse_codewords", "n_no_lines", "2**70"): "an integer n, and no codeword line to hold n values",
 }
 CASES = [(name, arg, label) for name, (_, args) in CALLS.items() for arg in args for label in CORPUS]

@@ -23,7 +23,6 @@ import diagdist
 from diagdist import (
     Multigraph,
     PrimeField,
-    SearchConfig,
     SearchTooLarge,
     brute_force_distance,
     brute_force_pairwise,
@@ -252,19 +251,18 @@ def test_cli_distance_under_python_O(tmp_path):
 def test_gf2_bitmask_width_is_guarded():
     g = Multigraph(64, np.zeros((64, 64), dtype=np.int64))
     with pytest.raises(SearchTooLarge, match="uint64"):
-        diagonal_distance(g, F2, SearchConfig(force=True))
+        diagonal_distance(g, F2, force=True)
 
 
 def test_blocks_never_exceed_the_block_size(monkeypatch):
     sizes = []
     on_weigh(monkeypatch, lambda p, chunk, w: sizes.append(w.shape[-1]))  # candidates per row
     f = PrimeField(4099)  # above _BLOCK: one vertex's values overflow a chunk, so the walk takes them in slices
-    force = SearchConfig(force=True)
     rep = diagonal_distance(generate("edgeless", 1), f)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 1))
-    rep = diagonal_distance(generate("edgeless", 2), f, force)
+    rep = diagonal_distance(generate("edgeless", 2), f, force=True)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 1, (0, 0, 1, 0))
-    rep = pairwise_distance(generate("path", 2), f, [5, 4098], [2, 0], force)
+    rep = pairwise_distance(generate("path", 2), f, [5, 4098], [2, 0], force=True)
     assert (rep.distance, rep.vectors_examined, rep.witness.entries) == (1, 4099, (3, 0, 4098, 0))
     assert max(sizes) <= D._BLOCK
     sizes.clear()

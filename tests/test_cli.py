@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import diagdist
 from diagdist import generate, parse_graph, serialize
 from diagdist.cli import main
 from diagdist import distance as D
@@ -132,7 +137,7 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_budget_exit_code_and_force(capsys, tmp_path):
-    """The vertex cap and the candidate budget refuse with exit 3, and their advice names the flag."""
+    """The vertex cap, the candidate budget and the oracle's cap refuse with exit 3, and their advice names the flag."""
     path = tmp_path / "edgeless.eg"
     for n, p, refusal in (
         (30, "2", "n = 30 exceeds the vertex cap 24 for p = 2"),
@@ -144,6 +149,12 @@ def test_budget_exit_code_and_force(capsys, tmp_path):
         # the early exit makes the forced search on the edgeless graph instant
         code, payload, _ = run_json(capsys, "distance", str(path), "--p", p, "--force")
         assert (code, payload["distance"]) == (0, 1)
+    path.write_text(serialize(generate("cycle", 11)))  # within the search's caps, past the oracle's
+    code, out, err = run(capsys, "verify", str(path))
+    refusal = "oracle would enumerate p**(2n) = 4194304 words, cap is 1048576"
+    assert (code, out, err) == (3, "", f"diagdist: error: {refusal}; pass --force\n")
+    code, out, err = run(capsys, "verify", str(path), "--force")
+    assert (code, out.splitlines()[-1], err) == (0, "MATCH (3 = 3)", "")
 
 
 def test_a_code_past_the_codeword_cap_exits_3(capsys, tmp_path, cycle5_file):
@@ -508,3 +519,27 @@ def test_max_n_is_not_an_option(capsys, cycle5_file):
     code, out, err = run(capsys, "distance", cycle5_file, "--max-n", "8")
     assert (code, out) == (1, "")
     assert err.endswith("diagdist: error: unrecognized arguments: --max-n 8\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_early_exits_141_without_a_traceback(tmp_path, unbuffered):
+    """As in `diagdist kernel c200.eg --json | head -1`: the reader leaves after one line of 1.4 MB of JSON.
+
+    The write that meets the closed pipe, or the flush after the last one,
+    raises BrokenPipeError.  main returns 141, what a shell shows for a
+    tool that SIGPIPE ended, and the interpreter's last flush goes to
+    os.devnull, so stderr stays empty either way.
+    """
+    path = tmp_path / "c200.eg"
+    path.write_text(serialize(generate("cycle", 200)))
+    env = dict(os.environ, PYTHONPATH=str(Path(diagdist.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "diagdist.cli", "kernel", str(path), "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")

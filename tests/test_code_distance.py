@@ -184,7 +184,7 @@ def test_differences_that_differ_at_the_top_vertex_keep_their_own_reports():
     words[1][[0, -1]] = 1, 2
     words[2][[0, -1]] = 1, 1  # words[0] - words[1] and words[0] - words[2] differ only at vertex 40
     words[3][[0, -1]] = 2, 2  # and words[0] - words[3] from words[0] - words[1] only at vertex 1
-    res = code_distance(g, PrimeField(p), words, D.SearchConfig(force=True))
+    res = code_distance(g, PrimeField(p), words, force=True)
     by_difference = {}
     for (r, s), rep in res.table.items():
         d = tuple(((words[r - 1] - words[s - 1]) % p).tolist())
@@ -244,7 +244,7 @@ def test_batch_reverification_runs_under_python_O():
 
 
 def test_a_stack_must_not_hold_the_zero_difference():
-    search = D._searcher(generate("cycle", 5), F2, D.SearchConfig())
+    search = D._searcher(generate("cycle", 5), F2, False)
     d = np.zeros((2, 5), dtype=np.int64)
     d[0, 0] = 1
     with pytest.raises(ValueError, match="zero difference"):
@@ -323,7 +323,7 @@ def test_a_code_past_the_codeword_cap_is_refused_before_any_pair(monkeypatch):
         code_distance(g, F2, words)
     assert calls == []
     assert code_distance(g, F2, words[:3]).delta == 3 and calls == [3]
-    assert code_distance(g, F2, words, D.SearchConfig(force=True)).delta == 3 and calls == [3, 4]
+    assert code_distance(g, F2, words, force=True).delta == 3 and calls == [3, 4]
 
 
 def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
@@ -333,8 +333,9 @@ def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
     differences 0, 11000, 00111 and 11111.  A walk for d != 0 ends by level
     |supp d|, and for d = 0 by level 1 + 2, the least column support plus
     one, so they may weigh 26 + 16 + 26 + 32 = 100 candidates.  force admits
-    the code.  When the differences' p**n candidates sum within the budget
-    (4 * 32 = 128), no bound is summed: Gamma is built once, by the searcher.
+    the code.  While the six pairs' p**n candidates pass the budget
+    (6 * 32 = 192), the bounds are summed from d = 0's, which builds Gamma
+    a second time, after the searcher's; at a budget of 192 none is summed.
     """
     real_adjacency, searches, gammas = D.adjacency_matrix, [], []
     on_search(monkeypatch, lambda d: searches.append(1))
@@ -345,9 +346,9 @@ def test_a_code_past_the_work_budget_is_refused_before_any_search(monkeypatch):
     with pytest.raises(D.SearchTooLarge, match=refusal):
         code_distance(g, F2, words)
     assert searches == []
-    forced = code_distance(g, F2, words, D.SearchConfig(force=True))
+    forced = code_distance(g, F2, words, force=True)
     table = forced.table.items()
-    for budget, built in ((100, 2), (127, 2), (128, 1)):
+    for budget, built in ((100, 2), (127, 2), (128, 2), (192, 1)):
         monkeypatch.setattr(D, "CODE_BUDGET", budget)
         gammas.clear()
         res = code_distance(g, F2, words)

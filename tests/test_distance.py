@@ -7,7 +7,6 @@ import pytest
 from diagdist import (
     Multigraph,
     PrimeField,
-    SearchConfig,
     SearchTooLarge,
     SymplecticVector,
     adjacency_matrix,
@@ -170,7 +169,7 @@ def test_search_budget():
     e13 = generate("edgeless", 13)
     with pytest.raises(SearchTooLarge):
         diagonal_distance(e13, F3)
-    forced = diagonal_distance(e13, F3, SearchConfig(force=True))
+    forced = diagonal_distance(e13, F3, force=True)
     assert forced.distance == 1  # weight-1 early exit, so force stays cheap
     with pytest.raises(SearchTooLarge, match=r"^p\*\*n = 48828125 exceeds the candidate budget 16777216; set force$"):
         diagonal_distance(generate("edgeless", 11), PrimeField(5))  # 5**11 > 2**24, below the cap
@@ -190,7 +189,7 @@ def test_a_vertex_cap_refusal_within_the_budget_advises_force(n):
     g = generate("edgeless", n)
     with pytest.raises(SearchTooLarge, match=rf"^n = {n} exceeds the vertex cap 12 for p = 3; set force$"):
         diagonal_distance(g, F3)
-    assert diagonal_distance(g, F3, SearchConfig(force=True)).distance == 1
+    assert diagonal_distance(g, F3, force=True).distance == 1
 
 
 @pytest.mark.parametrize("p, n", [(2, 64), (2, 100), (3, 41), (3, 4096), (16777213, 3)])
@@ -199,24 +198,29 @@ def test_p_to_the_n_past_uint64_is_refused_forced_or_not(p, n):
     refusal = rf"^p\*\*n = {p}\*\*{n} is not below 2\*\*64, the ranks that uint64 holds$"
     for force in (False, True):
         with pytest.raises(SearchTooLarge, match=refusal):
-            D._check_budget(n, p, SearchConfig(force=force))
-
-
-def test_search_config_validation():
-    assert SearchConfig().force is False and SearchConfig(force=True).force is True
+            D._check_budget(n, p, force)
 
 
 @pytest.mark.parametrize("value", ["no", "false", float("nan"), [0], 1, 0, np.int64(1), None])
 def test_a_force_that_is_not_a_bool_is_refused(value):
-    """Read by its truth, each would lift every cap or none: force="no" would admit a 2**30 search."""
-    with pytest.raises(ValueError, match=rf"^force must be True or False, got {type(value).__name__}$"):
-        SearchConfig(force=value)
+    """Read by its truth, each would lift every cap or none: force="no" would admit a 2**30 search.
+
+    force is read before any cap is tested, so the 3-cycle, far below
+    every cap, refuses it as the 30-cycle does.
+    """
+    for g in (generate("cycle", 3), generate("cycle", 30)):
+        with pytest.raises(ValueError, match=rf"^force must be True or False, got {type(value).__name__}$"):
+            diagonal_distance(g, F2, force=value)
 
 
-def test_a_numpy_bool_force_is_read_as_a_bool():
+def test_a_numpy_bool_force_is_read_as_a_bool(monkeypatch):
+    forces = []
+    real = D._check_budget
+    monkeypatch.setattr(D, "_check_budget", lambda n, p, force: forces.append(force) or real(n, p, force))
     for value in (np.True_, np.False_):
-        cfg = SearchConfig(force=value)
-        assert type(cfg.force) is bool and cfg.force == value
+        assert diagonal_distance(generate("cycle", 5), F2, force=value).distance == 3
+    assert forces == [True, False] and all(type(force) is bool for force in forces)
+    assert diagonal_distance(generate("edgeless", 13), F3, force=np.True_).distance == 1  # past the vertex cap
 
 
 def test_pairwise_equal_codewords_is_diagonal():

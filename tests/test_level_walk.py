@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diagdist import Multigraph, PrimeField, SearchConfig, code_distance, diagonal_distance, pairwise_distance
+from diagdist import Multigraph, PrimeField, code_distance, diagonal_distance, pairwise_distance
 from diagdist import distance as D
 from helpers import clear_memos, gray_ranks, on_weigh, replay, walk_log
 from test_search_pruning import reference
@@ -40,7 +40,7 @@ def gnp(n, seed):
 
 
 def test_forced_g32_reports_what_the_gray_walk_did():
-    rep = diagonal_distance(gnp(32, 1032), F2, SearchConfig(force=True))
+    rep = diagonal_distance(gnp(32, 1032), F2, force=True)
     assert (rep.distance, rep.vectors_examined) == (6, 2**32 - 1)
     z = [j for j, v in enumerate(rep.witness.z) if v]
     x = [j for j, v in enumerate(rep.witness.x) if v]
@@ -65,7 +65,7 @@ def test_an_edgeless_graph_walks_every_level_in_bounded_memory():
     clear_memos()  # build every table under the trace
     tracemalloc.start()
     try:
-        rep = pairwise_distance(g, F2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), SearchConfig(force=True))
+        rep = pairwise_distance(g, F2, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -98,7 +98,7 @@ def test_an_all_levels_search_builds_no_table_past_a_block(monkeypatch, p, n, bl
     monkeypatch.setattr(D, "_table", table)  # _table's recursion looks it up as a global: the recorder sees it
     g = Multigraph(n, np.zeros((n, n), dtype=np.int64))
     ones, zeros = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    rep = pairwise_distance(g, PrimeField(p), ones, zeros, SearchConfig(force=True))
+    rep = pairwise_distance(g, PrimeField(p), ones, zeros, force=True)
     assert (rep.distance, rep.vectors_examined) == (n, p**n)
     assert rep.witness.entries == (1,) * n + (0,) * n
     assert max(sizes) <= block
@@ -155,7 +155,7 @@ def test_level_walk_matches_the_unpruned_gray_walk(monkeypatch, block):
         n = rng.randrange(1, FUZZ[block] + 1) if case else FUZZ[block]
         kind = ("dense", "sparse", "isolated")[case % 3]
         g = random_graph(rng, n, kind)
-        search = D._searcher(g, F2, SearchConfig(force=True))
+        search = D._searcher(g, F2, True)
         rows = distinct_rows(rng, n, 4)
         zero = [0] * n
         assert key(search(np.array(zero, dtype=np.int64))) == ref_key(g, zero), (block, n, kind)

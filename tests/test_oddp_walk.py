@@ -24,7 +24,6 @@ import pytest
 from diagdist import (
     Multigraph,
     PrimeField,
-    SearchConfig,
     SearchTooLarge,
     code_distance,
     diagonal_distance,
@@ -36,7 +35,6 @@ from diagdist.cli import main
 from helpers import clear_memos, on_weigh, random_multigraph
 from test_search_pruning import reference
 
-FORCE = SearchConfig(force=True)
 
 
 def uniform(n, p, seed):
@@ -54,7 +52,7 @@ def drawn(rng, n, p):
 
 
 def test_forced_p3_n20_reports_what_the_odometer_did():
-    rep = diagonal_distance(uniform(20, 3, 1020), PrimeField(3), FORCE)
+    rep = diagonal_distance(uniform(20, 3, 1020), PrimeField(3), force=True)
     assert (rep.distance, rep.vectors_examined) == (6, 3**20 - 1)
     assert rep.witness.x == (1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0)
     assert rep.witness.z == (0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
@@ -76,7 +74,7 @@ def test_ranks_past_2_63_are_exact():
     x[38], x[39] = 1, 2
     d = np.zeros(n, dtype=np.int64)
     d[:10], d[10:20] = 1, 2  # Gamma x: weight 20 at x = 0
-    rep = pairwise_distance(two_hubs(n), f, d, np.zeros(n, dtype=np.int64), FORCE)
+    rep = pairwise_distance(two_hubs(n), f, d, np.zeros(n, dtype=np.int64), force=True)
     assert 3**38 + 2 * 3**39 > 2**63
     assert (rep.distance, rep.vectors_examined) == (2, 3**40)
     assert rep.witness.entries == (0,) * n + tuple(x.tolist())
@@ -85,8 +83,8 @@ def test_ranks_past_2_63_are_exact():
 def test_ranks_past_2_64_are_refused(capsys, tmp_path):
     g = two_hubs(41)
     with pytest.raises(SearchTooLarge, match=r"p\*\*n = 3\*\*41 is not below 2\*\*64"):
-        diagonal_distance(g, PrimeField(3), FORCE)
-    rep = diagonal_distance(two_hubs(40), PrimeField(3), FORCE)  # 3**40 < 2**64
+        diagonal_distance(g, PrimeField(3), force=True)
+    rep = diagonal_distance(two_hubs(40), PrimeField(3), force=True)  # 3**40 < 2**64
     assert rep.distance == 1
     path = tmp_path / "hubs41.eg"
     path.write_text(serialize(g))
@@ -149,7 +147,7 @@ def test_odd_walk_matches_the_unpruned_odometer(monkeypatch, block):
         kind = ("dense", "sparse", "isolated")[case // 3 % 3]
         f = PrimeField(p)
         g = random_graph(rng, n, p, kind)
-        search = D._searcher(g, f, FORCE)
+        search = D._searcher(g, f, True)
         rows = distinct_rows(rng, n, p, 4)
         zero = [0] * n
         assert key(search(np.array(zero, dtype=np.int64))) == ref_key(g, f, zero), (block, p, n, kind)
@@ -291,8 +289,8 @@ def lone_reports(p):
         rng = random.Random(f"lone/{p}/{n}")
         for _ in range(2):
             g = random_multigraph(rng, n, max_mult=p - 1)
-            yield key(diagonal_distance(g, f, FORCE))
-            yield key(code_distance(g, f, [[rng.randrange(p) for _ in range(n)]], FORCE).table[1, 1])
+            yield key(diagonal_distance(g, f, force=True))
+            yield key(code_distance(g, f, [[rng.randrange(p) for _ in range(n)]], force=True).table[1, 1])
 
 
 @pytest.mark.parametrize("block", [1 << 3, 1 << 6, 1 << 12])
@@ -343,7 +341,7 @@ def test_forced_reach_cases_report_as_before(p, n, distance, x, z):
     first: the first default-block case where the blocks above the band at
     vertex 0 are band products themselves.
     """
-    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), FORCE)
+    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), force=True)
     assert (rep.distance, rep.vectors_examined) == (distance, p**n - 1)
     assert (rep.witness.x, rep.witness.z) == (x, z)
 
@@ -359,7 +357,7 @@ def test_band_levels_walk_full_chunks(monkeypatch, p, n):
     2,081 chunks.
     """
     shapes = chunk_spy(monkeypatch)
-    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), FORCE)
+    rep = diagonal_distance(uniform(n, p, 1000 + n), PrimeField(p), force=True)
     runs = D._level_plan(n, p, D._BLOCK, True)[0]
     walked = [a for a, b in runs if b is None and a <= rep.distance]
     assert walked  # the search reaches band levels

@@ -146,20 +146,21 @@ def test_brute_force_pairwise_length_mismatch():
         brute_force_pairwise(generate("cycle", 4), F2, np.zeros(3), np.zeros(4))
 
 
-def test_hard_cap():
-    with pytest.raises(SearchTooLarge):
-        brute_force_distance(generate("cycle", 5), F2, hard_cap=100)
-
-
-@pytest.mark.parametrize("cap", [float("nan"), float("inf"), 1.5, "64", None], ids=["nan", "inf", "1.5", "'64'", "None"])
-def test_hard_cap_is_read_as_an_integer(cap):
-    """nan and inf ran the oracle at any size (total > nan is false), and 1.5 raised SearchTooLarge."""
-    g = generate("cycle", 3)
-    with pytest.raises(ValueError, match="hard_cap must be an integer"):
-        brute_force_distance(g, F2, hard_cap=cap)
-    with pytest.raises(ValueError, match="hard_cap must be an integer"):
-        brute_force_pairwise(g, F2, [0, 0, 0], [1, 1, 1], hard_cap=cap)
-    assert brute_force_distance(g, F2, hard_cap=np.int64(64)).distance == 2  # 2**(2 * 3) words: at the cap
+def test_the_oracle_cap_refuses_unless_forced(monkeypatch):
+    """The 11-cycle's 4**11 words pass the 2**20-word cap, which force lifts; the cap is read at call time."""
+    g = generate("cycle", 11)
+    refusal = r"^oracle would enumerate p\*\*\(2n\) = 4194304 words, cap is 1048576; set force$"
+    with pytest.raises(SearchTooLarge, match=refusal):
+        brute_force_distance(g, F2)
+    with pytest.raises(SearchTooLarge, match=refusal):
+        brute_force_pairwise(g, F2, np.zeros(11), np.ones(11))
+    assert brute_force_distance(g, F2, force=True).distance == 3
+    monkeypatch.setattr(oracle, "DEFAULT_ORACLE_CAP", 64)
+    assert brute_force_distance(generate("cycle", 3), F2).distance == 2  # 2**(2 * 3) words: at the cap
+    c4, zeros, ones = generate("cycle", 4), np.zeros(4), np.ones(4)
+    with pytest.raises(SearchTooLarge, match=r"^oracle would enumerate p\*\*\(2n\) = 256 words, cap is 64; set force$"):
+        brute_force_pairwise(c4, F2, zeros, ones)
+    assert brute_force_pairwise(c4, F2, zeros, ones, force=np.True_).distance == 2
 
 
 @pytest.mark.parametrize("i", [1.5, "x", None], ids=["1.5", "'x'", "None"])

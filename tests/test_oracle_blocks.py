@@ -106,10 +106,12 @@ def test_blocks_never_exceed_the_block_size(monkeypatch):
     monkeypatch.setattr(oracle, "_word_blocks", spy)
     g = generate("cycle", 8)
     f = PrimeField(2)
+    monkeypatch.setattr(oracle, "DEFAULT_ORACLE_CAP", (1 << 16) - 1)
     with pytest.raises(SearchTooLarge):
-        brute_force_distance(g, f, hard_cap=(1 << 16) - 1)
+        brute_force_distance(g, f)
     assert sizes == []
-    rep = brute_force_distance(g, f, hard_cap=1 << 16)
+    monkeypatch.setattr(oracle, "DEFAULT_ORACLE_CAP", 1 << 16)
+    rep = brute_force_distance(g, f)
     assert (rep.distance, rep.vectors_examined) == (3, 1 << 16)
     assert rep.distance == diagonal_distance(g, f).distance
     assert sizes == [oracle._BLOCK] * 16
@@ -129,7 +131,7 @@ def test_a_block_holds_a_lone_x_digit_above_p_64(monkeypatch):
             yield digits, eta
 
     monkeypatch.setattr(oracle, "_word_blocks", spy)
-    rep = brute_force_distance(generate("edgeless", 1), PrimeField(1021), hard_cap=1021**2)
+    rep = brute_force_distance(generate("edgeless", 1), PrimeField(1021), force=True)
     assert (rep.distance, rep.witness.entries, rep.vectors_examined) == (1, (0, 1), 1021**2)
     assert sizes == [1021] * 1021
 

@@ -26,7 +26,6 @@ import pytest
 from diagdist import (
     Multigraph,
     PrimeField,
-    SearchConfig,
     adjacency_matrix,
     brute_force_distance,
     code_distance,
@@ -47,7 +46,6 @@ from helpers import (
 )
 from test_oddp_walk import uniform
 
-FORCE = SearchConfig(force=True)
 
 
 def handed_chunks(monkeypatch):
@@ -65,7 +63,7 @@ def test_unit_difference_at_the_top_vertex(monkeypatch, n, width):
     chunks = handed_chunks(monkeypatch)
     e = np.zeros(n, dtype=np.int64)
     e[-1] = 1
-    rep = pairwise_distance(g, f, e, np.zeros(n, dtype=np.int64), FORCE)
+    rep = pairwise_distance(g, f, e, np.zeros(n, dtype=np.int64), force=True)
     assert (rep.distance, rep.vectors_examined) == (1, 1)
     assert rep.witness.entries == tuple(e.tolist()) + (0,) * n
     assert chunks and {(x.dtype, gz.dtype) for x, gz, _ in chunks} == {(np.dtype(width), np.dtype(width))}
@@ -73,7 +71,7 @@ def test_unit_difference_at_the_top_vertex(monkeypatch, n, width):
 
 def test_edgeless_graph_past_32_vertices():
     g = Multigraph(40, np.zeros((40, 40), dtype=np.int64))
-    rep = diagonal_distance(g, PrimeField(2), FORCE)
+    rep = diagonal_distance(g, PrimeField(2), force=True)
     assert (rep.distance, rep.vectors_examined) == (1, 1)
     assert rep.witness.entries == (0,) * 40 + (1,) + (0,) * 39
 
@@ -144,7 +142,7 @@ def test_odometer_table_equals_the_modular_one(monkeypatch, p, n, block):
     stack = np.array(list(rows), dtype=np.int64)
     seen = odd_chunks(monkeypatch)
     log = walk_log(monkeypatch)
-    reps = D._searcher(Multigraph(n, gamma), f, SearchConfig(force=True))(stack)
+    reps = D._searcher(Multigraph(n, gamma), f, True)(stack)
     dt = np.min_scalar_type(4 * p)
     assert dt == (np.uint8 if p < 64 else np.uint16)
     got = [{} for _ in stack]
@@ -283,7 +281,7 @@ def test_product_tables_stay_small():
     """_multiples holds a table only for p < 2**8, each at most 128 KiB, so its memo stays within 1 MiB."""
     clear_memos()
     for p in (257, 65521):
-        diagonal_distance(generate("path", 2), PrimeField(p), FORCE)
+        diagonal_distance(generate("path", 2), PrimeField(p), force=True)
     assert D._multiples.cache_info().currsize == 0
     rep = diagonal_distance(generate("path", 2), PrimeField(251))
     assert rep.distance == 2 and D._multiples.cache_info().currsize == 1
@@ -505,7 +503,7 @@ def test_searches_leave_no_reference_cycles():
             code_distance(g, f, words)
         edgeless = Multigraph(n, np.zeros((n, n), dtype=np.int64))  # every level, each built from the one below
         pairwise_distance(edgeless, PrimeField(2), np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-        rep = diagonal_distance(uniform(n, 7, 1000 + n), PrimeField(7), FORCE)
+        rep = diagonal_distance(uniform(n, 7, 1000 + n), PrimeField(7), force=True)
         assert rep.distance > 3 and (3, None) in D._level_plan(n, 7, D._BLOCK, True)[0]  # level 3 walked as bands
         assert gc.collect() == 0
     finally:
@@ -558,7 +556,7 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
     of the empty bands, which needs the zero column.
     """
     seen = gathers(monkeypatch)
-    f, force = PrimeField(p), SearchConfig(force=True)
+    f = PrimeField(p)
     walked = set()
     for block in (1 << 3, 1 << 12):
         monkeypatch.setattr(D, "_BLOCK", block)
@@ -569,9 +567,9 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
             g = random_multigraph(rng, n, max_mult=min(p - 1, 3))
             gamma = adjacency_matrix(g, f)
             seen.clear()
-            diagonal_distance(g, f, force)
-            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force)
-            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)], force)
+            diagonal_distance(g, f, force=True)
+            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force=True)
+            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)], force=True)
             assert seen
             for key, k, gz in seen:
                 want = direct_gamma_x(gamma, p, key)[:, :k]
@@ -627,9 +625,9 @@ def test_every_table_is_asked_for_by_one_key(monkeypatch):
         f = PrimeField(p)
         for n in sizes:
             g = random_multigraph(rng, n, max_mult=p - 1)
-            diagonal_distance(g, f, FORCE)
-            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), FORCE)
-            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(4)], FORCE)
+            diagonal_distance(g, f, force=True)
+            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force=True)
+            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(4)], force=True)
     assert {key[5] for key in forms} == {2, 3, 5}
     assert any(key[2] < key[3] for key in forms) and any(key[6] for key in forms)  # runs, and top digit 1
     assert {key: raw for key, raw in forms.items() if len(raw) > 1} == {}
@@ -687,7 +685,7 @@ def test_every_memoized_table_fits_a_block(monkeypatch):
     full = {key: math.comb(key[1] - key[0], key[2]) * (key[5] - 1) ** key[2] for key in sizes if key[2] == key[3]}
     assert any(key[-1] and size > D._BLOCK for key, size in full.items())  # a level one table only by its share
     # forced p = 5, n = 16: bands of 5 vertices at 0, 5 and 10, and the tables of the vertices above each
-    assert diagonal_distance(uniform(16, 5, 1016), PrimeField(5), FORCE).distance == 6
+    assert diagonal_distance(uniform(16, 5, 1016), PrimeField(5), force=True).distance == 6
     assert any(key[5] == 5 and key[0] == 10 for key in sizes)
     assert max(sizes.values()) <= D._BLOCK
     info = real.cache_info()
@@ -721,9 +719,9 @@ def test_forced_searches_evict_no_workload_table(monkeypatch):
     monkeypatch.setattr(D, "_table", recorder)
     workload_searches(random.Random(31))
     for p, n in ((2, 32), (3, 20), (5, 14), (5, 16), (7, 12)):
-        diagonal_distance(reach_graph(p, n), PrimeField(p), FORCE)
+        diagonal_distance(reach_graph(p, n), PrimeField(p), force=True)
     zeros = np.zeros(26, dtype=np.int64)
-    pairwise_distance(Multigraph(26, np.zeros((26, 26), dtype=np.int64)), PrimeField(2), zeros + 1, zeros, FORCE)
+    pairwise_distance(Multigraph(26, np.zeros((26, 26), dtype=np.int64)), PrimeField(2), zeros + 1, zeros, force=True)
     misses = real.cache_info().misses
     workload_searches(random.Random(31))
     info = real.cache_info()

@@ -1,10 +1,13 @@
 """Rules on the program's source under src/: line length, imports, asserts and memos.
 
 Each test names every offending line, as file:line, and fails.  Tier-1
-runs them on every Python and numpy of the CI matrix, and locally.
+runs them on every Python and numpy of the CI matrix, and locally.  The
+last test checks that the benchmark's spans still find every function
+they wrap.
 """
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -99,3 +102,22 @@ def test_the_memo_rule_refuses_every_unbounded_form():
         "from functools import cache",
     ):
         assert memo_faults(ast.parse(unbounded)), unbounded
+
+
+def test_every_benchmark_span_finds_the_function_it_wraps(monkeypatch):
+    """bench/spans.py wraps each function at the module attribute where its caller looks it up.
+
+    Tier-1 collects tests/ alone, so without this a name that leaves
+    diagdist.cli or diagdist.distance, say an import moved into the one
+    function that uses it, would fail only the traced benchmark run.
+    spans.py imports only the standard library, numpy and diagdist.
+    """
+    spec = importlib.util.spec_from_file_location("bench_spans", SRC.parent / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclass looks its module up there
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module.__name__}.{attr}" for module, attr, _, _ in spans.TARGETS if not callable(getattr(module, attr, None))
+    ]
+    assert spans.TARGETS
+    assert not missing, "\n".join(missing)

@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from diagdist import Multigraph, PrimeField, SearchConfig, code_distance, diagonal_distance, pairwise_distance
+from diagdist import Multigraph, PrimeField, code_distance, diagonal_distance, pairwise_distance
 from diagdist import distance as D
 from helpers import assert_walk_covers, random_multigraph, rank, replay, walk_log
 
@@ -86,6 +86,6 @@ FORCED = {
 
 @pytest.mark.parametrize("p, n", FORCED)
 def test_forced_reach_reports_are_those_of_the_whole_level_walk(p, n):
-    rep = diagonal_distance(reach_graph(p, n), PrimeField(p), SearchConfig(force=True))
+    rep = diagonal_distance(reach_graph(p, n), PrimeField(p), force=True)
     nonzero = [[(j, v) for j, v in enumerate(half) if v] for half in (rep.witness.z, rep.witness.x)]
     assert (rep.distance, rep.vectors_examined, *nonzero) == FORCED[p, n]

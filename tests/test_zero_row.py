@@ -84,7 +84,7 @@ def test_row_0_reports_what_diagonal_distance_does(monkeypatch, block):
                 units = [list(row) for row in np.eye(n, dtype=np.int64)[: min(n, 3)]]
                 for rows in (nonzero_rows(rng, n, p, 5), units):  # units: every row reaches weight 1
                     stack = np.array([[0] * n] + rows, dtype=np.int64)
-                    search = D._searcher(graph, f, D.SearchConfig())
+                    search = D._searcher(graph, f, False)
                     got = [key(rep) for rep in search(stack)]
                     assert got[0] == key(diagonal_distance(graph, f)), (p, n, block)
                     zero = np.zeros(n, dtype=np.int64)
@@ -238,7 +238,7 @@ def test_a_one_row_stack_of_d_0_walks_the_scalar_order(monkeypatch, p, n):
     _, _, [weighed], _ = replay(log, 1, n, p, True)
     walks.clear()
     log.clear()
-    [got] = D._searcher(g, f, D.SearchConfig())(np.zeros((1, n), dtype=np.int64))
+    [got] = D._searcher(g, f, False)(np.zeros((1, n), dtype=np.int64))
     assert key(got) == key(want)
     assert walks == [((1, n), lone)]
     assert replay(log, 1, n, p, True)[2] == [weighed]
@@ -259,7 +259,7 @@ def test_a_one_row_stack_reports_what_its_1d_search_does(monkeypatch, block):
         for n in ns:
             g = random_multigraph(rng, n, max_mult=p)
             for graph in (g, isolating(g, rng.randrange(n), p, rng)):
-                search = D._searcher(graph, f, D.SearchConfig())
+                search = D._searcher(graph, f, False)
                 for row in [[0] * n] + nonzero_rows(rng, n, p, 4):
                     d = np.array(row, dtype=np.int64)
                     lone = search(d)
