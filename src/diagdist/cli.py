@@ -10,6 +10,9 @@ Subcommands:
     gen            write a generated graph file to stdout
 
 The prime is resolved as: --p flag, else the file's p header, else 2.
+Files are read as UTF-8, a leading byte-order mark skipped.  Every integer,
+in a file or as an argument, is ASCII decimal digits with an optional sign
+(graphs._decimal).
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 search
 budget exceeded, 4 verify mismatch, 141 stdout closed before the output
@@ -40,6 +43,7 @@ from .graphs import (
     FAMILIES,
     Multigraph,
     ParseError,
+    _decimal,
     adjacency_matrix,
     generate,
     isolated_vertices,
@@ -64,14 +68,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_arg(text: str) -> int:
+    """An argparse type: a text integer, read by _decimal; anything else is a usage error."""
+    try:
+        return _decimal(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _prime_flag(text: str) -> int:
-    """An argparse type: an integer that PrimeField accepts; either failure is a usage error."""
+    """An argparse type: a text integer that PrimeField accepts; either failure is a usage error."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    try:
-        return PrimeField(value).p
+        return PrimeField(_decimal(text)).p
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -112,7 +120,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("gen", help="write a generated graph file to stdout")
     sp.add_argument("family", choices=FAMILIES)
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=_int_arg)
     common(sp, search=False)
     sp.set_defaults(func=_cmd_gen)
 
@@ -120,7 +128,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(args) -> tuple[Multigraph, PrimeField]:
-    g, declared = parse_graph(Path(args.graph_file).read_text(encoding="utf-8"))
+    g, declared = parse_graph(Path(args.graph_file).read_text(encoding="utf-8-sig"))
     p = args.p if args.p is not None else (declared if declared is not None else 2)
     return g, PrimeField(p)
 
@@ -176,7 +184,7 @@ def _cmd_distance(args):
 
 def _cmd_code_distance(args):
     g, f = _load_graph(args)
-    codes = parse_codewords(Path(args.codes_file).read_text(encoding="utf-8"), g.n, f)
+    codes = parse_codewords(Path(args.codes_file).read_text(encoding="utf-8-sig"), g.n, f)
     if not codes:
         raise ParseError("codeword file contains no codewords")
     res = code_distance(g, f, codes, force=args.force)

@@ -48,6 +48,8 @@ The pattern tables (_table), every x of a level or a run
 of levels with its rank and the columns of its nonzero digits, depend on
 n, p and _BLOCK alone and are built once per process in one memo, each
 by one recipe at every p from the table one level down, with no sort.
+A table holds its supports as bool rows only where the weigher marks
+them, at odd p from vertex 0, and as bitmasks everywhere else.
 Per graph, Gamma x of a table is one gather of those columns from a
 table of Gamma's columns and their multiples, and one XOR or add mod p,
 only for the tables walked, each where the walk reads it.  Small levels
@@ -58,9 +60,10 @@ and the level itself fits by the candidates it walks; a lone d = 0
 search at odd p walks, of each level, the share of top digit 1 (below).
 Otherwise they are a band table of the vertices from lo up times the x
 above that band, by the same rule (_blocks), in the one band order
-(_bands).  So from vertex 0, from the first level that is not one table
-on, every level is band products, no chunk holds more than _BLOCK
-candidates per row and no table is built through a larger one.
+(_bands), each product by one recipe at every p.  So from vertex 0, from
+the first level that is not one table on, every level is band products,
+no chunk holds more than _BLOCK candidates per row and no table is built
+through a larger one.
 
 At p = 2 candidates are bitmasks, weighed by popcount((d ^ Gamma x) | x).
 At odd p they are residue tables, vertex axis first, weighed by counting
@@ -236,16 +239,20 @@ _BITS = 1 << np.arange(63)  # bit j at entry j, of int64, which holds any sum of
 _BITS.setflags(write=False)
 
 
-@functools.lru_cache(maxsize=512)  # 391 tables, 8.4 MiB, after the benchmark workloads and the forced demo
+@functools.lru_cache(maxsize=512)  # 397 tables, 8.4 MiB, after the benchmark workloads and the forced demo
 def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every x on range(lo, hi) with a to b nonzero entries, by ascending rank: (masks, ranks, columns).
 
-    At p = 2 the masks are bitmasks of dtype dt, and the rank is the Gray
-    rank t = gray^-1(x), linear over GF(2): the XOR of its vertices' ranks,
-    rank(e_j) = 2**(j + 1) - 1.  At odd p the masks are bools of shape
-    (hi - lo, len), True where x_j != 0 (row j - lo), and the rank is the
-    odometer index t = sum x_j p**j.  Ranks are of dtype dt.  Sorted by
-    rank, a first argmin over the table is its least-rank minimizer.
+    The masks are bool rows only where the weigher marks them: at odd p
+    from vertex 0 (lo = 0), the weigher's low factor, of shape (hi, len),
+    True where x_j != 0 (row j), which pieces marks Gamma x through.
+    Every other table, at every p, holds bitmask supports, bit j set where
+    x_j != 0: of dtype dt at p = 2, and of int64 at odd p, which walk ANDs
+    with _BITS.  At p = 2 the rank is the Gray rank t = gray^-1(x), linear
+    over GF(2): the XOR of its vertices' ranks, rank(e_j) = 2**(j + 1) - 1.
+    At odd p it is the odometer index t = sum x_j p**j.  Ranks are of
+    dtype dt.  Sorted by rank, a first argmin over the table is its
+    least-rank minimizer.
 
     columns, of shape (max(b, 1), len) and of intp, lists each x's nonzero
     digits: the digit v at vertex j is entry 1 + j (p - 1) + v - 1 of the
@@ -260,7 +267,9 @@ def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.
     other table at every p: levels a..b from levels max(a - 1, 0)..b - 1
     (of every top digit), the source.  Its entry i is entry src[i] of the
     source plus the digit v at a vertex j above that entry's top one,
-    whose column 1 + j (p - 1) + v - 1 ends the entry's columns.  The x of
+    whose column 1 + j (p - 1) + v - 1 ends the entry's columns, and whose
+    mask is the source entry's with vertex j set: bit j, by the same
+    recipe at every p, or row j of bool rows.  The x of
     the source whose top vertex is below j have t < p**j, a prefix of it,
     so the table lists, for j and then v ascending, that prefix with v at
     j: in ascending order with no sort.  At odd p adding v at j adds
@@ -279,7 +288,7 @@ def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.
     shares them read-only, and maxsize bounds the memo.
     """
     if b == 0:
-        masks = np.zeros((hi - lo, 1), dtype=bool) if p > 2 else np.zeros(1, dtype=dt)
+        masks = np.zeros((hi, 1), dtype=bool) if p > 2 and not lo else np.zeros(1, dtype=dt if p == 2 else np.int64)
         ranks = np.zeros(1, dtype=dt)
         columns = np.zeros((1, 1), dtype=np.intp)
     else:
@@ -295,12 +304,11 @@ def _table(lo: int, hi: int, a: int, b: int, dt, p: int, one: bool) -> tuple[np.
         columns[-1] = np.repeat([j * (p - 1) + v for v, j in groups], counts)  # column 0 where v = 0
         if b > 1:  # level 0's zero column is not carried
             pc.take(src, axis=1, out=columns[:-1])
-        if p > 2:
-            ranks = pr[src] + steps
-            masks = pm[:, src] | (np.arange(lo, hi)[:, None] == (columns[-1] - 1) // (p - 1))  # -1 where v = 0
+        ranks = pr[src] + steps if p > 2 else pr[src] ^ steps
+        if p > 2 and not lo:
+            masks = pm[:, src] | (np.arange(hi)[:, None] == (columns[-1] - 1) // (p - 1))  # -1 where v = 0
         else:
-            ranks = pr[src] ^ steps
-            masks = pm[src] | np.array([v << j for v, j in groups], dtype=dt).repeat(counts)
+            masks = pm[src] | np.array([(v > 0) << j for v, j in groups], dtype=pm.dtype).repeat(counts)
     for t in (masks, ranks, columns):
         t.setflags(write=False)
     return masks, ranks, columns
@@ -466,23 +474,25 @@ def _blocks(pieces, n: int, p: int, w: int, lo: int, s: int, one: bool):
     s of the range fits _BLOCK by _fits, the rule _level_plan keeps from
     vertex 0: every level below s whole, and level s by the share it
     walks.  Otherwise they are the band products of _bands, by this same
-    rule above the band, each block of the x above taken step at a time.  It
-    takes pieces as an argument, not as a closure of _searcher: a nested
-    function that calls itself is a reference cycle, which keeps a search's
-    tables alive until the next collection.
+    rule above the band, each block of the x above taken step at a time,
+    and each product is built by one recipe at every p: the supports OR,
+    the ranks and Gamma x join (XOR at p = 2, add at odd p), and at odd p
+    one min(s, s - p) takes Gamma x back below p.  It takes pieces as an
+    argument, not as a closure of _searcher: a nested function that calls
+    itself is a reference cycle, which keeps a search's tables alive until
+    the next collection.
     """
     if _fits(n - lo, p, s, one, _BLOCK):
         yield from pieces(lo, n, s, s, one)
         return
+    join = np.bitwise_xor if p == 2 else np.add
     for _, (x1, r1, g1), step, above in _bands(pieces, n, p, w, lo, s, one):
         for x2, r2, g2 in above:
             for i in range(0, len(r2), step):
-                x = (x2[i : i + step, None] | x1).ravel()
-                if p == 2:
-                    yield x, (r2[i : i + step, None] ^ r1).ravel(), (g2[i : i + step, None] ^ g1).ravel()
-                    continue
-                gz = (g2[:, i : i + step, None] + g1[:, None]).reshape(n, -1)
-                yield x, (r2[i : i + step, None] + r1).ravel(), np.minimum(gz, gz - p, out=gz)
+                gz = join(g2[..., i : i + step, None], g1[..., None, :]).reshape(g1.shape[:-1] + (-1,))
+                if p > 2:
+                    np.minimum(gz, gz - p, out=gz)
+                yield (x2[i : i + step, None] | x1).ravel(), join(r2[i : i + step, None], r1).ravel(), gz
 
 
 def _level_blocks(d, x, gz, rows):
@@ -656,17 +666,17 @@ def _searcher(g: Multigraph, f: PrimeField, force: bool):
         """The x on range(lo, hi) with a to b nonzero digits, by ascending rank: (masks, ranks, Gamma x).
 
         Each table is gathered where it is read (_gamma_x), and its vertex
-        range decides its form.  At odd p a table from vertex 0 that holds
-        a nonzero x (b > 0) is the weigher's low factor, walk's runs and
-        the band at vertex 0: its Gamma x mod p holds p where x is nonzero,
-        and its masks go unread.  Every other table, a part of the blocks
-        above that band (_blocks) or the zero table (b = 0, the zero x on
-        any range, one table for every range), holds Gamma x mod p alone,
-        and its masks become bitmask supports, which p = 2's masks are;
-        p = 2 has no marks.  It is one table of at most _BLOCK, or at band
-        width 0 (p - 1 > _BLOCK), where the range is one vertex and
-        a = b = 1, that vertex's values (only 1 with one) _BLOCK at a time,
-        in the same form.
+        range decides its form, as _table's masks do.  At odd p a table from
+        vertex 0 is the weigher's low factor, walk's runs and the band at
+        vertex 0: its Gamma x mod p holds p where x is nonzero, marked
+        through its bool rows, which go unread after.  Every other table, a
+        part of the blocks above that band (_blocks) or the zero x (b = 0,
+        one table above every vertex, lo = hi = n, for every range), holds
+        Gamma x mod p alone and its masks as _table keeps them, bitmask
+        supports, as at p = 2, which has no marks.  It is one table of at
+        most _BLOCK, or at band width 0 (p - 1 > _BLOCK), where the range
+        is one vertex and a = b = 1, that vertex's values (only 1 with one)
+        _BLOCK at a time, in the same form, each support 1 << lo.
 
         With below, only the x ranked below it: the table is in ascending
         rank, so they are a prefix, cut by one searchsorted before the
@@ -679,16 +689,14 @@ def _searcher(g: Multigraph, f: PrimeField, force: bool):
                 np.copyto(gz[lo], dt.type(p), where=not lo)  # the low factor's mark
                 yield np.full(len(m), 1 << lo), m.astype(np.uint64) * p**lo, gz
             return
-        lo, hi, one = (lo, hi, one) if b else (0, 0, False)  # the zero x: one table for every range
+        lo, hi, one = (lo, hi, one) if b else (n, n, False)  # the zero x: one table, above every vertex
         masks, ranks, columns = _table(lo, hi, a, b, *kind, one)
         if below is not None:
             k = ranks.searchsorted(below)
             masks, ranks, columns = masks[..., :k], ranks[:k], columns[:, :k]
         gz = _gamma_x(colv, columns, p)
-        if p > 2 and not lo and b:
+        if p > 2 and not lo:
             np.copyto(gz[:hi], dt.type(p), where=masks)
-        elif p > 2:
-            masks = _BITS[lo:hi] @ masks
         yield masks, ranks, gz
 
     def walk(d, zero):

@@ -16,7 +16,8 @@ truncate, wrap or drop a part.  A flag, the force of the search and of
 the oracle, is read by _flag, which takes a bool or a numpy bool and
 refuses anything else, since a truthy string or NaN would lift every cap.
 Parsing text tokens in the file formats and the command line is not
-reading a caller's number, and stays with the parsers.
+reading a caller's number, and stays with the parsers' one reader,
+graphs._decimal.
 Everything here is a pure function: inputs are never mutated, results are
 fresh arrays, so values can be shared freely across threads.
 """
@@ -110,7 +111,9 @@ def _residues(c, p: int, n: int | None = None) -> np.ndarray:
     the imaginary part of 1+2j, so a float must be integral and finite, and
     a complex number must have a zero imaginary part and an integral real
     one (ValueError otherwise), as in np.zeros(n), and 3e19 reduces as the
-    integer it is.
+    integer it is.  Strings, bytes and dates raise ValueError, as a dtype
+    or as an entry of an object array: a cast would parse "7", "1_0" or a
+    non-ASCII digit as an integer, and count a date's days since 1970.
     """
     a = np.asarray(c)
     if n is not None and a.shape != (n,):
@@ -119,12 +122,14 @@ def _residues(c, p: int, n: int | None = None) -> np.ndarray:
         return a % p  # % always allocates, so callers' arrays are never touched
     if a.dtype == np.uint64:
         return (a % np.uint64(p)).astype(np.int64)
+    if a.dtype.kind not in "biufcO":  # strings, bytes and dates, which a cast would parse or count
+        raise ValueError(f"entries must be integers, got {a.dtype} entries")
     if a.dtype == object or a.dtype.kind in "fc":
         exact = np.asarray(c, dtype=object)
         out = []
         for v in exact.flat:
             real = v.real if isinstance(v, (complex, np.complexfloating)) else v
-            if real % 1 or real != v:  # a fraction, NaN, an infinity or a nonzero imaginary part
+            if isinstance(v, (str, bytes)) or real % 1 or real != v:  # text, a fraction, NaN, inf or an imaginary part
                 raise ValueError(f"entries must be integers, got {v!r}")
             out.append(int(real) % p)
         return np.array(out, dtype=np.int64).reshape(exact.shape)

@@ -291,7 +291,16 @@ def assert_walk_covers(weighed, rep, n, p, one=False):
     assert {t for t, s in every.items() if s < last or t < witness} <= set(ranks)
 
 
+MEMO_MODULES = (D,)  # the modules whose memos clear_memos empties; test_source_rules holds every memo to them
+
+
 def clear_memos():
-    """Empty the search's process-wide memos, so the next search builds every table it uses afresh."""
-    for memo in (D._table, D._level_plan, D._powers, D._pairs, D._multiples):
-        memo.cache_clear()
+    """Empty the search's process-wide memos, so the next search builds every table it uses afresh.
+
+    It finds them itself: every attribute of a module of MEMO_MODULES that
+    has cache_clear, so a memo added later is emptied too.
+    """
+    for module in MEMO_MODULES:
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()

@@ -56,6 +56,7 @@ CORPUS = {
     "inf": float("inf"),
     "1.5": 1.5,
     "'x'": "x",
+    "'7'": "7",
     "None": None,
     "[[1, [2]]]": [[1, [2]]],
     "2**70": 2**70,

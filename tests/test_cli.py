@@ -124,6 +124,40 @@ def test_non_prime_flag_is_usage_error(capsys, cycle5_file):
     assert run(capsys, "distance", cycle5_file, "--p", "4")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gen", "cycle", "\u0665"), ("gen", "cycle", "1_0"), ("gen", "cycle", "5", "--p", "\uff13"),
+     ("gen", "cycle", "5", "--p", "1_1")],
+)
+def test_an_integer_argument_is_ascii_digits(capsys, argv):
+    """int() read them as the 5-cycle, the 10-cycle, p = 3 and p = 11."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].endswith(f"{argv[-1]!r} is not an integer")
+
+
+def test_a_file_integer_is_ascii_digits(capsys, tmp_path, cycle5_file):
+    graph, codes = tmp_path / "g.eg", tmp_path / "codes.txt"
+    graph.write_text("n 3\ne 1 2 1_0\n", encoding="utf-8")
+    code, _, err = run(capsys, "distance", str(graph))
+    assert (code, err) == (2, "diagdist: error: line 2: edge line: '1_0' is not an integer\n")
+    codes.write_text("0 0 0 0 0\n1_0 0 0 0 \u0661\n", encoding="utf-8")
+    code, _, err = run(capsys, "code-distance", cycle5_file, str(codes))
+    assert (code, err) == (2, "diagdist: error: line 2: non-integer token in codeword\n")
+
+
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path):
+    """A file saved with a UTF-8 BOM, as Windows Notepad writes it, reads as the same file without one."""
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        graph, codes = tmp_path / f"g{len(bom)}.eg", tmp_path / f"codes{len(bom)}.txt"
+        graph.write_bytes(bom + CYCLE5.encode())
+        codes.write_bytes(bom + b"0 0 0 0 0\n1 0 0 0 0\n")
+        outputs.append([run(capsys, "distance", str(graph)), run(capsys, "code-distance", str(graph), str(codes))])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[1]] == [0, 0]
+
+
 def test_parse_error_exit_code_and_message(capsys, tmp_path):
     path = tmp_path / "bad.eg"
     path.write_text("n 3\ne 1 7\n")

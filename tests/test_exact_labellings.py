@@ -325,6 +325,47 @@ def test_complex_entries_are_refused(name, c):
             call()
 
 
+# Strings, bytes and dates: a cast to int64 would parse "7", "1_0" and a
+# non-ASCII digit as integers, and count a date's days since 1970.
+NOT_NUMBERS = [
+    ("digit strings", ["1", "2", "3"]),
+    ("bytes", [b"1", b"2", b"3"]),
+    ("an underscore", ["1_0", "2", "3"]),
+    ("Arabic-Indic digits", ["\u0663", "2", "1"]),
+    ("dates", np.array(["1970-01-02", "1970-01-03", "1970-01-04"], dtype="datetime64[D]")),
+    ("a string in an object array", np.array([1, "2", 0], dtype=object)),
+    ("bytes in an object array", np.array([b"1", 0, 0], dtype=object)),
+]
+
+
+@pytest.mark.parametrize("name, c", NOT_NUMBERS, ids=[name for name, _ in NOT_NUMBERS])
+def test_strings_bytes_and_dates_are_refused(name, c):
+    g = generate("cycle", 3)
+    f = PrimeField(5)
+    zero = np.zeros(3, dtype=np.int64)
+    for call in (
+        lambda: pairwise_distance(g, f, c, zero),
+        lambda: pairwise_distance(g, f, zero, c),
+        lambda: brute_force_pairwise(g, f, c, zero),
+        lambda: code_distance(g, f, [c, c]),
+        lambda: kernel_point(GAMMA, c, f),
+        lambda: apply_z(c, 1, 1, f),
+    ):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "e", ["7", b"7", "1_0", "\u0663", np.datetime64("1970-01-08")], ids=["str", "bytes", "1_0", "U+0663", "date"]
+)
+def test_a_string_bytes_or_date_exponent_is_refused(e):
+    """apply_z([0, 0, 0], 1, "7", PrimeField(5)) read "7" as 7 and returned [2, 0, 0]."""
+    with pytest.raises(ValueError, match="entries must be integers"):
+        apply_z([0, 0, 0], 1, e, PrimeField(5))
+    with pytest.raises(ValueError, match="entries must be integers"):
+        apply_x([0, 0, 0], 1, e, GAMMA, PrimeField(5))
+
+
 def test_real_complex_entries_are_reduced_as_their_real_part(recwarn):
     """4+0j is the integer 4, 1 mod 3, read without a ComplexWarning."""
     g = generate("path", 3)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from diagdist import (
     serialize,
     vanishing_edges,
 )
-from diagdist.graphs import FAMILIES
+from diagdist.graphs import FAMILIES, _decimal
 from helpers import CYCLE5_LAMBDA, permuted, random_multigraph
 
 F2 = PrimeField(2)
@@ -211,6 +212,34 @@ def test_parse_codewords_errors():
     assert exc.value.lineno == 2
     with pytest.raises(ParseError):
         parse_codewords("0 a\n", 2, F2)
+
+
+def test_a_text_integer_is_ascii_digits_with_an_optional_sign():
+    """int() reads 1_0 as 10, U+0663 and the fullwidth U+FF13 as 3, and spaces around the digits."""
+    assert [_decimal(t) for t in ("0", "-0", "+7", "007", str(2**70))] == [0, 0, 7, 7, 2**70]
+    for text in ("1_0", "\u0663", "\uff13", " 5", "5 ", "", "+", "--1", "+-1", "1e3", "0x10", "\u00b2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not an integer$"):
+            _decimal(text)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, token",
+    [
+        ("n 2\ne 1 2 1_0", 2, "1_0"),  # read as multiplicity 10
+        ("n 3\ne \u0662 3", 2, "\u0662"),  # read as the edge 2-3
+        ("n \u0663", 1, "\u0663"),
+        ("p \uff13\nn 2", 1, "\uff13"),
+    ],
+)
+def test_a_graph_file_reads_ascii_decimals_only(text, lineno, token):
+    with pytest.raises(ParseError, match=f"^line {lineno}: .*{token!r} is not an integer$"):
+        parse_graph(text)
+
+
+def test_a_codeword_file_reads_ascii_decimals_only():
+    with pytest.raises(ParseError, match="^line 2: non-integer token in codeword$"):
+        parse_codewords("0 0 0\n1_0 0 \u0661\n", 3, F3)
+    assert [w.tolist() for w in parse_codewords("+1 -1 02\n", 3, F3)] == [[1, 2, 2]]
 
 
 @pytest.mark.parametrize("text", ["0 1 2\n", ""])

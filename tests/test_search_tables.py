@@ -42,6 +42,7 @@ from helpers import (
     random_multigraph,
     rank,
     replay,
+    support,
     walk_log,
 )
 from test_oddp_walk import uniform
@@ -186,11 +187,25 @@ def test_odd_levels_hold_every_x_by_odometer_index(lo, hi, p):
             want.sort()
             assert ranks.dtype == np.uint64
             assert ranks.tolist() == [t for t, _ in want]
-            assert masks.shape == (k, len(want))
-            assert [tuple(lo + np.flatnonzero(col)) for col in masks.T] == [sup for _, sup in want]
+            assert masks.shape == ((k, len(want)) if not lo else (len(want),))
+            assert [tuple(lo + np.flatnonzero(col)) for col in mask_rows(masks, lo, hi).T] == [sup for _, sup in want]
             digits = held_digits(columns, s, p)
             assert [sum(v * p**j for j, v in x) for x in digits] == ranks.tolist()
             assert [tuple(j for j, _ in x) for x in digits] == [sup for _, sup in want]
+
+
+def mask_rows(masks, lo, hi):
+    """An odd-p table's masks as bool rows, row j - lo for vertex j: as held from vertex 0, decoded above it.
+
+    From vertex 0 a table holds bool rows of shape (hi, len), which the
+    weigher's low factor is marked through; above vertex 0 it holds int64
+    bitmask supports, bit j set where x_j != 0.
+    """
+    if not lo:
+        assert masks.dtype == bool
+        return masks
+    assert masks.dtype == np.int64 and masks.ndim == 1
+    return (masks[None, :] >> np.arange(lo, hi)[:, None] & 1).astype(bool)
 
 
 def held_digits(columns, s, p):
@@ -225,19 +240,21 @@ def test_a_run_is_its_levels_in_rank_order(lo, hi, a, b, dt, p):
     """A run of levels a..b holds their x by rank, each with its level's columns padded at the front to b rows.
 
     So does each run of top digit 1 (one), whose levels s >= 1 hold only
-    the x whose top digit is 1.
+    the x whose top digit is 1.  Its masks are bool rows at odd p from
+    vertex 0 and bitmasks otherwise, of dtype dt at p = 2 and int64 at odd p.
     """
+    rows = p > 2 and not lo
     for one in (False, True):
         masks, ranks, columns = D._table(lo, hi, a, b, dt, p, one)
         want = []
         for s in range(a, b + 1):
             m, r, c = D._table(lo, hi, s, s, dt, p, one)
             padded = np.concatenate((np.zeros((max(b, 1) - len(c), c.shape[1]), dtype=np.intp), c))
-            want += zip(r.tolist(), (m.T if p > 2 else m).tolist(), padded.T.tolist())
+            want += zip(r.tolist(), (m.T if rows else m).tolist(), padded.T.tolist())
         want.sort()
-        assert ranks.dtype == dt and masks.dtype == (bool if p > 2 else dt)
+        assert ranks.dtype == dt and masks.dtype == (bool if rows else dt if p == 2 else np.int64)
         assert ranks.tolist() == [t for t, _, _ in want]
-        assert (masks.T if p > 2 else masks).tolist() == [x for _, x, _ in want]
+        assert (masks.T if rows else masks).tolist() == [x for _, x, _ in want]
         assert columns.dtype == np.intp and columns.T.tolist() == [c for _, _, c in want]
 
 
@@ -552,8 +569,8 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
     At _BLOCK = 2**3 and 2**12 the searches walk merged runs, single
     levels, at odd p the levels of top digit 1 of a lone d = 0, and both
     band factors, and the rank prefixes of tie-only levels.  At
-    p - 1 > _BLOCK (p = 4099) they walk level 0 alone, of every vertex and
-    of the empty bands, which needs the zero column.
+    p - 1 > _BLOCK (p = 4099) they walk level 0 alone, the zero x, which
+    is one table above every vertex (lo = hi = n) and needs the zero column.
     """
     seen = gathers(monkeypatch)
     f = PrimeField(p)
@@ -582,10 +599,61 @@ def test_gathered_gamma_x_equals_x_times_gamma(monkeypatch, p):
                 walked.add("band" if (lo, hi) != (0, n) else "")
                 walked.add("high band" if lo > 0 else "")
     if p > 2**12:
-        assert walked == {(0, 0), "band", ""}
+        assert walked == {(0, 0), "band", "high band", ""}
     else:
         assert {"merged", "level", "band", "high band", "prefix"} <= walked
         assert ("one" in walked) == (p > 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4099])
+def test_tables_hold_bool_rows_only_where_the_weigher_marks_them(monkeypatch, p):
+    """Odd-p tables from vertex 0 hold bool rows; every other table, the zero x too, holds its x's supports.
+
+    The supports are bitmasks, bit j set where x_j != 0 (helpers.support
+    of each rank): of the ranks' dtype at p = 2 and int64 at odd p, which
+    walk ANDs with the bits.  The searches at _BLOCK = 2**3 and 2**12 walk
+    runs, band levels and the blocks above each band, so tables above
+    vertex 0 are built, and the zero x is one table above every vertex
+    (lo = hi = n).  At p - 1 > _BLOCK (p = 4099) pieces hands each band of
+    one vertex lo in slices of its values, each x's support 1 << lo.
+    """
+    real_table, real_bands = D._table, D._bands
+    tables, bands = {}, []
+
+    def table(*key):
+        tables[key] = real_table(*key)
+        return tables[key]
+
+    def spy_bands(pieces, n, p, w, lo, s, one):
+        for j, band, step, above in real_bands(pieces, n, p, w, lo, s, one):
+            bands.append((lo, j, band[0]))
+            yield j, band, step, above
+
+    clear_memos()
+    monkeypatch.setattr(D, "_table", table)
+    monkeypatch.setattr(D, "_bands", spy_bands)
+    f = PrimeField(p)
+    for block in (1 << 3, 1 << 12):
+        monkeypatch.setattr(D, "_BLOCK", block)
+        rng = random.Random(p + block)
+        for n in GATHER_SIZES[p] if block > 8 else [n for n in GATHER_SIZES[p] if n <= 9]:
+            g = random_multigraph(rng, n, max_mult=min(p - 1, 3))
+            diagonal_distance(g, f, force=True)
+            pairwise_distance(g, f, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64), force=True)
+            code_distance(g, f, [np.array([rng.randrange(p) for _ in range(n)]) for _ in range(3)], force=True)
+    for (lo, hi, a, b, dt, _, _), (masks, ranks, _) in tables.items():
+        supports = [support(t, p) for t in ranks.tolist()]
+        if p > 2 and not lo:
+            assert masks.dtype == bool and masks.shape == (hi, len(ranks))
+            assert (masks.T @ (1 << np.arange(hi))).tolist() == supports
+        else:
+            assert masks.dtype == (dt if p == 2 else np.int64) and masks.tolist() == supports, (lo, hi, a, b)
+    # above vertex 0: the zero x (lo = hi), and at p <= 7 the tables of bands and of the blocks above them
+    assert {lo < hi for lo, hi, *_ in tables if lo} == ({False} if p > 2**12 else {False, True})
+    if p > 2**12:
+        slices = [(lo, masks) for lo, j, masks in bands if j]
+        assert {lo for lo, _ in slices} == {0, 1}
+        assert all(masks.tolist() == [1 << lo] * len(masks) for lo, masks in slices)
 
 
 @pytest.mark.parametrize("p, most", [(2, 15), (3, 9), (5, 6), (7, 5)])

@@ -1,5 +1,8 @@
 """Rules on the program's source under src/: line length, imports, asserts and memos.
 
+Every memo must have an integer bound and be one that the tests'
+clear_memos empties.
+
 Each test names every offending line, as file:line, and fails.  Tier-1
 runs them on every Python and numpy of the CI matrix, and locally.  The
 last test checks that the benchmark's spans still find every function
@@ -10,6 +13,8 @@ import ast
 import importlib.util
 import sys
 from pathlib import Path
+
+import helpers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(SRC.rglob("*.py"))
@@ -102,6 +107,50 @@ def test_the_memo_rule_refuses_every_unbounded_form():
         "from functools import cache",
     ):
         assert memo_faults(ast.parse(unbounded)), unbounded
+
+
+def memo_functions(tree: ast.Module) -> list[tuple[int, str, bool]]:
+    """(line, name, top level) for each function in tree that functools.lru_cache decorates, at any depth."""
+    top = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)) == "lru_cache":
+                    found.append((node.lineno, node.name, id(node) in top))
+    return found
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_clear_memos_empties_every_memo():
+    """Each lru_cache memo under src/ is an attribute with cache_clear of a module that helpers.clear_memos scans.
+
+    A test that starts cold calls clear_memos; a memo it did not find would
+    hand that test warm tables.
+    """
+    scanned = {module.__name__: module for module in helpers.MEMO_MODULES}
+    bad = [
+        f"{f}:{line}: {name}"
+        for f in MODULES
+        for line, name, top in memo_functions(ast.parse(f.read_text(encoding="utf-8")))
+        if not top or not hasattr(getattr(scanned.get(module_name(f)), name, None), "cache_clear")
+    ]
+    assert not bad, "clear_memos does not empty:\n" + "\n".join(bad)
+
+
+def test_the_memo_scan_rule_sees_every_decorator_form():
+    source = (
+        "@functools.lru_cache(maxsize=8)\ndef f(): pass\n@lru_cache(16)\ndef g(): pass\n"
+        "class C:\n    @functools.lru_cache(4)\n    def h(self): pass\n@other\ndef k(): pass\n"
+    )
+    assert memo_functions(ast.parse(source)) == [(2, "f", True), (4, "g", True), (7, "h", False)]  # the def lines
+    assert module_name(SRC / "diagdist" / "oracle.py") == "diagdist.oracle"
+    assert module_name(SRC / "diagdist" / "__init__.py") == "diagdist"
 
 
 def test_every_benchmark_span_finds_the_function_it_wraps(monkeypatch):
